@@ -28,7 +28,8 @@ from . import __version__
 from .dispersion import dispersion_on_axis, inverse_laplace_Khat, penrose_scan
 from .errors import (BlowUpError, ConfigError, DivergenceError,
                      NearSingularResolventError, NoContractionError,
-                     QuadratureError, StepSizeError, WeightOverflowError)
+                     QuadratureError, RealityError, StepSizeError,
+                     WeightOverflowError)
 from .field import poisson_fixed_point
 from .gevrey import GevreyWeight, gevrey_inequality_suite
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
@@ -334,7 +335,11 @@ def write_state_csv(path: Path, state: SpectralState) -> None:
 
 
 def load_state_csv(path) -> SpectralState:
-    """Inverse of :func:`write_state_csv`."""
+    """Inverse of :func:`write_state_csv`.
+
+    Every ``(k_index, eta_index)`` cell must appear exactly once: a missing,
+    repeated, out-of-range or malformed row is a :class:`ConfigError`.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -343,15 +348,35 @@ def load_state_csv(path) -> SpectralState:
     for piece in lines[0].lstrip("#").split(";"):
         key, _, value = piece.partition("=")
         meta[key.strip()] = value.strip()
-    grid = PhaseGrid(int(meta["k_max"]), float(meta["eta_max"]),
-                     float(meta["delta_eta"]))
+    try:
+        k_max, eta_max = int(meta["k_max"]), float(meta["eta_max"])
+        delta_eta, time = float(meta["delta_eta"]), float(meta["time"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad grid metadata header ({exc})") from None
+    grid = PhaseGrid(k_max, eta_max, delta_eta)
     values = np.zeros((grid.n_modes, grid.n_eta), dtype=complex)
-    for row in csv.reader(lines[2:]):
+    seen = np.zeros(values.shape, dtype=bool)
+    for lineno, row in enumerate(csv.reader(lines[2:]), start=3):
         if not row:
             continue
-        i, j = int(row[0]), int(row[1])
-        values[i, j] = float(row[2]) + 1j * float(row[3])
-    return SpectralState(time=float(meta["time"]), grid=grid, values=values)
+        try:
+            i, j = int(row[0]), int(row[1])
+            value = complex(float(row[2]), float(row[3]))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: malformed state row") from None
+        if not (0 <= i < grid.n_modes and 0 <= j < grid.n_eta):
+            raise ConfigError(
+                f"{path}:{lineno}: cell ({i}, {j}) is outside the "
+                f"{grid.n_modes} x {grid.n_eta} grid")
+        if seen[i, j]:
+            raise ConfigError(f"{path}:{lineno}: duplicate row for cell ({i}, {j})")
+        seen[i, j] = True
+        values[i, j] = value
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise ConfigError(f"{path}: {np.count_nonzero(~seen)} cells have no "
+                          f"row, the first is ({i}, {j})")
+    return SpectralState(time=time, grid=grid, values=values)
 
 
 def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
@@ -674,8 +699,8 @@ _PIPELINES = {
 }
 
 _NUMERICAL_ERRORS = (BlowUpError, DivergenceError, NearSingularResolventError,
-                     NoContractionError, QuadratureError, StepSizeError,
-                     WeightOverflowError)
+                     NoContractionError, QuadratureError, RealityError,
+                     StepSizeError, WeightOverflowError)
 
 
 def run_command(command: str, cfg: RunConfig) -> int:

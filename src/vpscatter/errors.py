@@ -30,6 +30,11 @@ class NoContractionError(RuntimeError):
     without meeting tolerance."""
 
 
+class RealityError(RuntimeError):
+    """A density solve turned a real-symmetric source into a result that is
+    not real-symmetric: the mode tables disagree between k and -k."""
+
+
 class DivergenceError(RuntimeError):
     """The outer fixed-point iteration recorded three consecutive contraction
     ratios at or above one."""

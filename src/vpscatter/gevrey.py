@@ -146,6 +146,19 @@ def _trapezoid_log_weights(n: int, step: float) -> np.ndarray:
     return logs
 
 
+# largest exponent whose exponential is still a finite double
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _sqrt_of_exp_sum(logs: np.ndarray, what: str) -> float:
+    """sqrt(sum(exp(logs))), refused in the log domain before it can overflow."""
+    half = 0.5 * logsumexp(logs)
+    if not half <= _LOG_MAX:
+        raise WeightOverflowError(
+            f"{what} overflowed; reduce lambda_inf or sigma")
+    return float(np.exp(half))
+
+
 def n1_at_time(state, w: GevreyWeight) -> float:
     """Weighted distribution norm of a single spectral state.
 
@@ -167,11 +180,7 @@ def n1_at_time(state, w: GevreyWeight) -> float:
     stacked = np.stack(pieces)
     if np.all(np.isneginf(stacked)):
         return 0.0
-    value = float(np.exp(0.5 * logsumexp(stacked)))
-    if not math.isfinite(value):
-        raise WeightOverflowError(
-            "weighted distribution norm overflowed; reduce lambda_inf or sigma")
-    return value
+    return _sqrt_of_exp_sum(stacked, "weighted distribution norm")
 
 
 def norm_N1(state_history, w: GevreyWeight) -> float:
@@ -204,11 +213,7 @@ def norm_N2(density, w: GevreyWeight) -> float:
             + _log_abs_sq(values))
     if np.all(np.isneginf(logs)):
         return 0.0
-    value = float(np.exp(0.5 * logsumexp(logs)))
-    if not math.isfinite(value):
-        raise WeightOverflowError(
-            "weighted density norm overflowed; reduce lambda_inf or sigma")
-    return value
+    return _sqrt_of_exp_sum(logs, "weighted density norm")
 
 
 @dataclass(frozen=True)

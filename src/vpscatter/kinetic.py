@@ -13,11 +13,12 @@ prescribed-field, linearized, and self-consistent flows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 
 from .errors import BlowUpError, ConfigError
 from .field import FieldSnapshot, electric_from_density, h_of_field, poisson_fixed_point
@@ -37,7 +38,6 @@ __all__ = [
     "HistoryFieldProvider",
     "SelfConsistentFieldProvider",
     "zero_field_provider",
-    "eta_interpolate",
     "density_trace",
     "assemble_source",
     "assemble_source_history",
@@ -255,8 +255,35 @@ def gaussian_datum(modes, width: float = 1.0, label: str = "gaussian") -> Asympt
                            width=float(width), label=label)
 
 
+@functools.lru_cache(maxsize=16)
+def _not_a_knot_factors(n: int) -> tuple:
+    """LU factors of the not-a-knot slope system on n uniform nodes.
+
+    With the spacing h divided out, this is the tridiagonal system scipy's
+    ``CubicSpline`` solves for the node slopes s:
+    s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside, with secants
+    m[i] = (y[i+1] - y[i]) / h, and the not-a-knot ends
+    s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 and its mirror.
+    """
+    sub = np.ones(n - 1)
+    diag = np.full(n, 4.0)
+    sup = np.ones(n - 1)
+    diag[0] = diag[-1] = 1.0
+    sup[0] = sub[-1] = 2.0
+    *factors, _ = lapack.dgttrf(sub, diag, sup)
+    for f in factors:
+        f.setflags(write=False)  # shared by every interpolant on n nodes
+    return tuple(factors)
+
+
 class StateInterpolant:
-    """Cubic-spline view of one state's frequency axis, shared across lookups.
+    """Uniform-grid not-a-knot cubic spline of one state's frequency axis.
+
+    The interpolant is the one scipy's ``CubicSpline`` builds on the same
+    nodes and matches it to roundoff; inner nodes come back bit-exact.  The
+    slope system is factored once per grid size, so a build is one real
+    banded back-substitution over the real and imaginary parts of every
+    mode, plus the piecewise-cubic coefficients.
 
     Queries beyond the grid edge return 0, justified by the decay of stored
     profiles toward the boundary; the counter records how often that bound
@@ -264,63 +291,90 @@ class StateInterpolant:
     """
 
     def __init__(self, state: SpectralState):
-        self.grid = state.grid
-        self._edge = state.grid.eta_max * (1.0 + EDGE_SLACK) + EDGE_SLACK
-        self._spline = CubicSpline(state.grid.eta, state.values, axis=1)
+        grid = state.grid
+        self.grid = grid
+        self._edge = grid.eta_max * (1.0 + EDGE_SLACK) + EDGE_SLACK
+        # searching the inner nodes gives the interval index already clamped
+        # to [0, n_eta - 2], as scipy's side="right" search does
+        self._inner = grid.eta[1:-1]
+        n = grid.n_eta
+        h = grid.delta_eta
+        # node-major real view: row i holds (re, im) of every mode at eta_i
+        y = np.ascontiguousarray(state.values.T).view(float)
+        secant = np.diff(y, axis=0) / h
+        rhs = np.empty(y.shape, order="F")
+        rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
+        rhs[0] = 2.5 * secant[0] + 0.5 * secant[1]
+        rhs[-1] = 0.5 * secant[-2] + 2.5 * secant[-1]
+        s, _ = lapack.dgttrs(*_not_a_knot_factors(n), rhs, overwrite_b=True)
+        t = (s[:-1] + s[1:] - 2.0 * secant) / h
+        # coefficients of (eta - eta_i)^(3, 2, 1, 0) on interval i, viewed
+        # back as complex with shape (power, interval, mode)
+        coef = np.empty((4, n - 1, y.shape[1]))
+        coef[0] = t / h
+        coef[1] = (secant - s[:-1]) / h - t
+        coef[2] = s[:-1]
+        coef[3] = y[:-1]
+        self._coef = coef.view(complex)
+
+    def _locate(self, eta: np.ndarray):
+        pts = np.clip(eta, -self.grid.eta_max, self.grid.eta_max)
+        idx = np.searchsorted(self._inner, pts, side="right")
+        return idx, pts - self.grid.eta[idx]
+
+    @staticmethod
+    def _horner(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        out = c[0] * d
+        out += c[1]
+        out *= d
+        out += c[2]
+        out *= d
+        out += c[3]
+        return out
 
     def all_rows(self, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
         """Every mode row evaluated at the same frequency points."""
         eta = np.asarray(eta, dtype=float)
-        inside = np.abs(eta) <= self._edge
-        out = np.asarray(self._spline(np.clip(eta, -self.grid.eta_max,
-                                              self.grid.eta_max)), dtype=complex)
-        out[:, ~inside] = 0.0
+        idx, d = self._locate(eta.ravel())
+        out = self._horner(np.take(self._coef, idx, axis=1), d[:, None])
+        out = out.T.reshape((-1,) + eta.shape)
+        outside = np.abs(eta) > self._edge
+        n_outside = int(np.count_nonzero(outside))
         if counter is not None:
             counter.evaluations += eta.size
-            counter.truncated += int(np.count_nonzero(~inside))
+            counter.truncated += n_outside
+        if n_outside:
+            out[:, outside] = 0.0
         return out
 
     def at_pairs(self, k, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
-        """Pointwise lookup at (k[i], eta[i]); off-lattice modes read as 0."""
-        k = np.asarray(k)
-        eta = np.asarray(eta, dtype=float)
-        k, eta = np.broadcast_arrays(k, eta)
+        """Pointwise lookup at (k[i], eta[i]); off-lattice modes read as 0.
+
+        Only the requested mode row is evaluated at each point.
+        """
+        k, eta = np.broadcast_arrays(np.asarray(k), np.asarray(eta, dtype=float))
         on_lattice = np.abs(k) <= self.grid.k_max
         inside = np.abs(eta) <= self._edge
         sel = on_lattice & inside
         out = np.zeros(k.shape, dtype=complex)
         if np.any(sel):
-            pts = np.clip(eta[sel], -self.grid.eta_max, self.grid.eta_max)
-            rows = (k[sel] + self.grid.k_max).astype(int)
-            vals = self._spline(pts.ravel())
-            out[sel] = vals[rows.ravel(), np.arange(rows.size)].reshape(rows.shape)
+            idx, d = self._locate(eta[sel])
+            flat = idx * self.grid.n_modes + (k[sel] + self.grid.k_max).astype(int)
+            coef = self._coef.reshape(4, -1)
+            out[sel] = self._horner(np.take(coef, flat, axis=1), d)
         if counter is not None:
             counter.evaluations += k.size
             counter.truncated += int(np.count_nonzero(on_lattice & ~inside))
         return out
 
 
-def eta_interpolate(state: SpectralState, k, eta,
-                    counter: Optional[TruncationCounter] = None,
-                    interpolant: Optional[StateInterpolant] = None) -> np.ndarray:
-    """Evaluate stored coefficients at off-grid frequencies by cubic splines.
-
-    Exact at grid nodes.  Frequencies beyond the grid edge return 0 and are
-    tallied in ``counter``.  Every requested mode must be on the lattice.
-    """
-    k = np.asarray(k)
-    if np.any(np.abs(k) > state.grid.k_max):
-        raise ConfigError("requested mode is not on the lattice")
-    interp = interpolant if interpolant is not None else StateInterpolant(state)
-    return interp.at_pairs(k, eta, counter)
-
-
 def density_trace(state: SpectralState,
                   counter: Optional[TruncationCounter] = None,
                   interpolant: Optional[StateInterpolant] = None) -> np.ndarray:
     """Density-generating slice: coefficients along eta = k t."""
+    interp = interpolant if interpolant is not None else StateInterpolant(state)
     k = state.grid.k_values
-    return eta_interpolate(state, k, k * state.time, counter, interpolant)
+    return interp.at_pairs(k, k * state.time, counter)
 
 
 def _uniform_times(states: Sequence[SpectralState]) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .dispersion import absolute_first_moment
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError, RealityError, StepSizeError
 from .gevrey import GevreyWeight, norm_N2
 from .model import Equilibrium, ModelConfig
 
@@ -257,7 +257,7 @@ def _check_reality(source: SpectralHistory, result: SpectralHistory) -> None:
         return
     defect = result.reality_defect()
     if defect > REALITY_TOL:
-        raise RuntimeError(
+        raise RealityError(
             f"solve broke reality symmetry: defect {defect:.3e}")
 
 

@@ -1,9 +1,11 @@
 """Config parsing, artifact formats, and command exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vpscatter import PhaseGrid, SpectralState
+from vpscatter import PhaseGrid, SpectralState, scattering
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            EXIT_OK, config_from_mapping, load_state_csv,
                            main, parse_config, run_command, write_state_csv)
@@ -117,6 +119,39 @@ class TestStateCsv:
         assert back.grid.eta_max == grid.eta_max
         assert np.array_equal(back.values, state.values)
 
+    @staticmethod
+    def edited(tmp_path, edit):
+        grid = PhaseGrid(1, 3.0, 0.5)
+        state = SpectralState(time=0.5, grid=grid,
+                              values=np.ones((grid.n_modes, grid.n_eta)))
+        path = tmp_path / "state.csv"
+        write_state_csv(path, state)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        return path
+
+    def test_missing_row_rejected(self, tmp_path):
+        path = self.edited(tmp_path, lambda lines: lines[:5] + lines[6:])
+        with pytest.raises(ConfigError, match=r"1 cells have no row.*\(0, 3\)"):
+            load_state_csv(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = self.edited(tmp_path, lambda lines: lines + [lines[4]])
+        with pytest.raises(ConfigError, match=r"duplicate row for cell \(0, 2\)"):
+            load_state_csv(path)
+
+    @pytest.mark.parametrize("row", ["3,0,1.0,0.0", "0,13,1.0,0.0",
+                                     "-1,0,1.0,0.0"])
+    def test_out_of_range_row_rejected(self, tmp_path, row):
+        path = self.edited(tmp_path, lambda lines: lines + [row])
+        with pytest.raises(ConfigError, match="outside the 3 x 13 grid"):
+            load_state_csv(path)
+
+    def test_malformed_row_rejected(self, tmp_path):
+        path = self.edited(tmp_path, lambda lines: lines + ["0,1,1.0"])
+        with pytest.raises(ConfigError, match="malformed"):
+            load_state_csv(path)
+
 
 class TestCommands:
     def run(self, command, tmp_path, extra="", name="run.cfg"):
@@ -179,6 +214,23 @@ class TestCommands:
         assert code == EXIT_NUMERICAL
         manifest = (out / "manifest.txt").read_text()
         assert "# scatter.converged = false" in manifest
+
+    def test_reality_failure_exits_three(self, tmp_path, monkeypatch):
+        honest = scattering.build_resolvent_tables
+
+        def lopsided(model, eq, grids):
+            tables = honest(model, eq, grids)
+            tables[-1] = dataclasses.replace(tables[-1],
+                                             values=2.0 * tables[-1].values)
+            return tables
+
+        monkeypatch.setattr(scattering, "build_resolvent_tables", lopsided)
+        path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["scatter", "--config", str(path), "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        manifest = (out / "manifest.txt").read_text()
+        assert "# error = RealityError: solve broke reality symmetry" in manifest
 
     def test_roundtrip_within_bound(self, tmp_path):
         code, out = self.run("roundtrip", tmp_path)

@@ -173,6 +173,15 @@ def test_norm_overflow_guard():
         n1_at_time(st, w)
 
 
+def test_density_norm_overflow_guard():
+    w = GevreyWeight(lambda_inf=0.9, c_decay=0.05)
+    times = np.arange(0.0, 4e6 + 1, 1e4)
+    dens = SimpleNamespace(times=times, k_values=np.array([1]),
+                           values=np.ones((times.size, 1), dtype=complex))
+    with pytest.raises(WeightOverflowError):
+        norm_N2(dens, w)
+
+
 def test_inequality_suite_margins():
     rep = gevrey_inequality_suite(0.5, 100_000, seed=1)
     assert rep.clean

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from vpscatter.errors import BlowUpError, ConfigError
 from vpscatter.field import FieldSnapshot
 from vpscatter.gevrey import GevreyWeight
 from vpscatter.kinetic import (AsymptoticDatum, HistoryFieldProvider, PhaseGrid,
                                SelfConsistentFieldProvider, SpectralState,
-                               TimeGrid, TruncationCounter, assemble_source,
-                               assemble_source_history, density_trace,
-                               eta_interpolate, gaussian_datum, integrate,
+                               StateInterpolant, TimeGrid, TruncationCounter,
+                               assemble_source, assemble_source_history,
+                               density_trace, gaussian_datum, integrate,
                                transport_rhs, zero_field_provider)
 from vpscatter.model import make_preset, maxwellian
 from vpscatter.volterra import DensityHistory, SpectralHistory
@@ -91,14 +92,14 @@ class TestInterpolation:
         vals = rng.normal(size=(GRID.n_modes, GRID.n_eta)) * (1 + 0.5j)
         state = SpectralState(0.0, GRID, vals)
         inner = GRID.eta[1:-1]
-        got = eta_interpolate(state, np.full(inner.size, 1), inner)
+        got = StateInterpolant(state).at_pairs(np.full(inner.size, 1), inner)
         assert np.array_equal(got, state.values[GRID.index_of(1), 1:-1])
 
     def test_linear_data_exact(self):
         vals = np.tile(0.3 * GRID.eta - 1.2, (GRID.n_modes, 1)).astype(complex)
         state = SpectralState(0.0, GRID, vals)
         probe = np.linspace(-7.9, 7.9, 101)
-        got = eta_interpolate(state, np.zeros(101, int), probe)
+        got = StateInterpolant(state).at_pairs(np.zeros(101, int), probe)
         assert np.max(np.abs(got - (0.3 * probe - 1.2))) <= 1e-13
 
     def test_gaussian_error_fourth_order(self):
@@ -107,7 +108,7 @@ class TestInterpolation:
             vals = np.tile(np.exp(-grid.eta**2 / 2), (3, 1)).astype(complex)
             state = SpectralState(0.0, grid, vals)
             probe = np.linspace(-6.0, 6.0, 1117)
-            got = eta_interpolate(state, np.ones(1117, int), probe)
+            got = StateInterpolant(state).at_pairs(np.ones(1117, int), probe)
             return np.max(np.abs(got - np.exp(-probe**2 / 2)))
 
         e1, e2, e3 = sup_err(0.1), sup_err(0.05), sup_err(0.025)
@@ -119,15 +120,87 @@ class TestInterpolation:
         state = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
         counter = TruncationCounter()
         probe = np.array([0.0, 9.0, -8.5, 3.25])
-        got = eta_interpolate(state, np.ones(4, int), probe, counter)
+        got = StateInterpolant(state).at_pairs(np.ones(4, int), probe, counter)
         assert got[1] == 0.0 and got[2] == 0.0
         assert counter.evaluations == 4 and counter.truncated == 2
         assert counter.fraction == 0.5
 
-    def test_off_lattice_mode_rejected(self):
-        state = zero_state(GRID)
-        with pytest.raises(ConfigError, match="lattice"):
-            eta_interpolate(state, np.array([5]), np.array([0.0]))
+    def test_off_lattice_mode_reads_zero_uncounted(self):
+        state = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
+        counter = TruncationCounter()
+        got = StateInterpolant(state).at_pairs(
+            np.array([5, -3, 1]), np.array([0.0, 9.0, 0.0]), counter)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[2] == state.values[GRID.index_of(1), GRID.origin[1]]
+        assert counter.evaluations == 3 and counter.truncated == 0
+
+
+# conftest fixture grids (contraction, round trip, Landau), then the scatter
+# and roundtrip-vpme benchmark grids, then a grid whose step is not dyadic
+ORACLE_GRIDS = [PhaseGrid(2, 70.0, 0.25), PhaseGrid(3, 24.0, 0.0625),
+                PhaseGrid(2, 60.0, 0.125), PhaseGrid(2, 22.0, 0.25),
+                PhaseGrid(2, 16.0, 0.125), PhaseGrid(1, 8.0, 0.1)]
+
+
+def oracle_rows(grid, kind, rng):
+    shape = (grid.n_modes, grid.n_eta)
+    if kind == "random":
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amp = rng.normal(size=(grid.n_modes, 1)) + 1j * rng.normal(size=(grid.n_modes, 1))
+    return amp * np.exp(-(grid.eta - rng.uniform(-2.0, 2.0)) ** 2 / 4.5)
+
+
+@pytest.mark.parametrize("kind", ["random", "gaussian"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"k{g.k_max}-{g.eta_max:g}-{g.delta_eta:g}")
+class TestSplineOracle:
+    """The interpolant against scipy's not-a-knot ``CubicSpline``."""
+
+    def make_case(self, grid, kind):
+        rng = np.random.default_rng(11)
+        state = SpectralState(0.0, grid, oracle_rows(grid, kind, rng))
+        eta = grid.eta
+        probe = np.concatenate([
+            rng.uniform(-grid.eta_max, grid.eta_max, 400), eta,
+            (eta[:-1] + eta[1:]) / 2.0,
+            np.linspace(eta[0], eta[1], 9), np.linspace(eta[-2], eta[-1], 9)])
+        return state, probe, rng
+
+    def test_matches_cubic_spline(self, grid, kind):
+        state, probe, rng = self.make_case(grid, kind)
+        want = CubicSpline(grid.eta, state.values, axis=1)(probe)
+        interp = StateInterpolant(state)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(interp.all_rows(probe) - want)) <= 1e-13 * scale
+        rows = rng.integers(0, grid.n_modes, probe.size)
+        got = interp.at_pairs(grid.k_values[rows], probe)
+        assert np.max(np.abs(got - want[rows, np.arange(probe.size)])) \
+            <= 1e-13 * scale
+
+    def test_inner_nodes_bit_exact(self, grid, kind):
+        state, _, _ = self.make_case(grid, kind)
+        interp = StateInterpolant(state)
+        inner = grid.eta[1:-1]
+        assert np.array_equal(interp.all_rows(inner), state.values[:, 1:-1])
+        k = np.repeat(grid.k_values, inner.size)
+        got = interp.at_pairs(k, np.tile(inner, grid.n_modes))
+        assert np.array_equal(got, state.values[:, 1:-1].ravel())
+
+    def test_pairs_equal_matching_row(self, grid, kind):
+        state, probe, rng = self.make_case(grid, kind)
+        interp = StateInterpolant(state)
+        rows = rng.integers(0, grid.n_modes, probe.size)
+        got = interp.at_pairs(grid.k_values[rows], probe)
+        assert np.array_equal(got, interp.all_rows(probe)[rows, np.arange(probe.size)])
+
+    def test_density_trace_at_node_times(self, grid, kind):
+        state, _, _ = self.make_case(grid, kind)
+        n_half = grid.n_eta // 2
+        for j in (0, 1, n_half // (2 * grid.k_max), n_half // grid.k_max - 1):
+            t = j * grid.delta_eta
+            moved = SpectralState(t, grid, state.values)
+            want = state.values[np.arange(grid.n_modes), n_half + grid.k_values * j]
+            assert np.array_equal(density_trace(moved), want)
 
 
 class TestDensityTrace:

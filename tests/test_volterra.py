@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from vpscatter.dispersion import inverse_laplace_Khat, penrose_scan
-from vpscatter.errors import ConfigError, StepSizeError
+from vpscatter.errors import ConfigError, RealityError, StepSizeError
 from vpscatter.gevrey import GevreyWeight
 from vpscatter.model import Equilibrium, make_preset, maxwellian, two_stream
 from vpscatter.volterra import (
@@ -232,6 +232,18 @@ def test_reality_symmetry_preserved():
               for k in ks if k != 0}
     rec = solve_resolvent(SCREENED, MAXW, src, tables)
     assert rec.reality_defect() <= 1e-12
+
+
+def test_mismatched_mirror_table_raises_reality_error():
+    src = gaussian_source(2, 32, 0.25)
+    assert src.reality_defect() == 0.0
+    tables = {int(k): build_discrete_resolvent(VP, MAXW, int(k), 0.25, 32)
+              for k in (1, 2, -1, -2)}
+    bad = tables[-1]
+    tables[-1] = types.SimpleNamespace(times=bad.times, values=2.0 * bad.values,
+                                       diagonal=bad.diagonal)
+    with pytest.raises(RealityError, match="reality symmetry"):
+        solve_resolvent(VP, MAXW, src, tables)
 
 
 def test_mean_mode_passthrough_and_zeroing():

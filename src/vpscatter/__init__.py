@@ -7,161 +7,25 @@ free-transport profile at late times, and ships the spectral diagnostics that
 certify the construction: Penrose stability scans, Volterra density solvers
 with dual solution routes, resolvent kernel tables, Gevrey-weighted norms, and
 a forward round-trip validator.
+
+The top level holds the error types and the few entry points most scripts
+start from; everything else lives in its submodule (``vpscatter.scattering``,
+``vpscatter.dispersion``, ...).
 """
 
 __version__ = "0.1.0"
 
 from .errors import (
-    ConfigError,
-    QuadratureError,
-    NearSingularResolventError,
-    StepSizeError,
     BlowUpError,
-    NoContractionError,
+    ConfigError,
     DivergenceError,
+    NearSingularResolventError,
+    NoContractionError,
+    QuadratureError,
+    RealityError,
+    StepSizeError,
     WeightOverflowError,
 )
-from .model import ModelConfig, Equilibrium, make_preset, maxwellian, two_stream, bump_on_tail
-from .gevrey import GevreyWeight, lambda_of_t, log_weight_A, log_weight_B
-from .dispersion import (
-    PenroseReport,
-    ResolventTable,
-    dispersion_D,
-    penrose_scan,
-    resolvent_Ktilde,
-    inverse_laplace_Khat,
-    landau_root,
-)
-from .volterra import (
-    SpectralHistory,
-    SourceHistory,
-    DensityHistory,
-    DiscreteResolvent,
-    NormTransferReport,
-    solve_direct_backward,
-    build_discrete_resolvent,
-    solve_resolvent,
-    resolvent_identity_residual,
-    estimate_density_norm_transfer,
-)
-from .field import (
-    FieldSnapshot,
-    HSeriesSlice,
-    spectral_convolve,
-    weighted_density_norm,
-    h_of_field,
-    electric_from_density,
-    poisson_fixed_point,
-)
-from .kinetic import (
-    PhaseGrid,
-    TimeGrid,
-    TruncationCounter,
-    SpectralState,
-    AsymptoticDatum,
-    gaussian_datum,
-    StateInterpolant,
-    IntegrationResult,
-    HistoryFieldProvider,
-    SelfConsistentFieldProvider,
-    zero_field_provider,
-    density_trace,
-    assemble_source,
-    assemble_source_history,
-    transport_rhs,
-    integrate,
-)
-from .scattering import (
-    RunGrids,
-    MapResult,
-    IterateRecord,
-    ScatteringRun,
-    RoundTripReport,
-    LinearDecayReport,
-    free_extension,
-    build_resolvent_tables,
-    apply_map_F,
-    iterate_distance,
-    fixed_point_drive,
-    efield_weighted_norms,
-    state_to_physical,
-    roundtrip_check,
-    landau_linear_run,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "QuadratureError",
-    "NearSingularResolventError",
-    "StepSizeError",
-    "BlowUpError",
-    "NoContractionError",
-    "DivergenceError",
-    "WeightOverflowError",
-    "ModelConfig",
-    "Equilibrium",
-    "make_preset",
-    "maxwellian",
-    "two_stream",
-    "bump_on_tail",
-    "GevreyWeight",
-    "lambda_of_t",
-    "log_weight_A",
-    "log_weight_B",
-    "PenroseReport",
-    "ResolventTable",
-    "dispersion_D",
-    "penrose_scan",
-    "resolvent_Ktilde",
-    "inverse_laplace_Khat",
-    "landau_root",
-    "SpectralHistory",
-    "SourceHistory",
-    "DensityHistory",
-    "DiscreteResolvent",
-    "NormTransferReport",
-    "solve_direct_backward",
-    "build_discrete_resolvent",
-    "solve_resolvent",
-    "resolvent_identity_residual",
-    "estimate_density_norm_transfer",
-    "FieldSnapshot",
-    "HSeriesSlice",
-    "spectral_convolve",
-    "weighted_density_norm",
-    "h_of_field",
-    "electric_from_density",
-    "poisson_fixed_point",
-    "PhaseGrid",
-    "TimeGrid",
-    "TruncationCounter",
-    "SpectralState",
-    "AsymptoticDatum",
-    "gaussian_datum",
-    "StateInterpolant",
-    "IntegrationResult",
-    "HistoryFieldProvider",
-    "SelfConsistentFieldProvider",
-    "zero_field_provider",
-    "density_trace",
-    "assemble_source",
-    "assemble_source_history",
-    "transport_rhs",
-    "integrate",
-    "RunGrids",
-    "MapResult",
-    "IterateRecord",
-    "ScatteringRun",
-    "RoundTripReport",
-    "LinearDecayReport",
-    "free_extension",
-    "build_resolvent_tables",
-    "apply_map_F",
-    "iterate_distance",
-    "fixed_point_drive",
-    "efield_weighted_norms",
-    "state_to_physical",
-    "roundtrip_check",
-    "landau_linear_run",
-]
+from .gevrey import GevreyWeight
+from .kinetic import PhaseGrid, SpectralState, TimeGrid, gaussian_datum, integrate
+from .model import make_preset, maxwellian, two_stream

@@ -17,7 +17,7 @@ import csv
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -25,13 +25,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dispersion import dispersion_on_axis, inverse_laplace_Khat, penrose_scan
+from .dispersion import inverse_laplace_Khat, penrose_scan
 from .errors import (BlowUpError, ConfigError, DivergenceError,
                      NearSingularResolventError, NoContractionError,
                      QuadratureError, RealityError, StepSizeError,
                      WeightOverflowError)
-from .field import poisson_fixed_point
-from .gevrey import GevreyWeight, gevrey_inequality_suite
+from .field import poisson_fixed_point, potential_from_density
+from .gevrey import GevreyWeight, gevrey_inequality_suite, weight_violations
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
                       gaussian_datum, integrate, zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
@@ -222,26 +222,8 @@ class RunConfig:
 
 def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
     """Every violated norm or grid hypothesis, with the bound it breaks."""
-    bad: list[str] = []
-    gamma = values["gevrey.gamma"]
-    if not 1.0 / 3.0 < gamma < 1.0:
-        bad.append(f"gevrey.gamma = {gamma} breaks gamma in (1/3, 1)")
-    sigma = values["gevrey.sigma"]
-    if sigma <= 11.0:
-        bad.append(f"gevrey.sigma = {sigma} breaks sigma > 10 + d (= 11)")
-    if values["gevrey.b"] <= 10.0:
-        bad.append(f"gevrey.b = {values['gevrey.b']} breaks b > 10")
-    if values["gevrey.moments"] < 1:
-        bad.append(f"gevrey.moments = {values['gevrey.moments']} breaks "
-                   f"M > d/2 (needs an integer >= 1)")
-    radius0 = values["gevrey.lambda_inf"] - values["gevrey.c_decay"]
-    if values["gevrey.lambda_inf"] <= 0 or values["gevrey.c_decay"] <= 0 \
-            or radius0 <= 0:
-        bad.append("gevrey.lambda_inf and gevrey.c_decay must be positive "
-                   "with lambda_inf - c_decay > 0")
-    if not 0.0 < values["gevrey.delta"] < 1.0:
-        bad.append(f"gevrey.delta = {values['gevrey.delta']} breaks "
-                   f"delta in (0, 1)")
+    weight = {f.name: values[f"gevrey.{f.name}"] for f in fields(GevreyWeight)}
+    bad = [f"gevrey.{text}" for text in weight_violations(**weight)]
     for key in ("grid.delta_eta", "grid.dt", "grid.t_final", "drive.tol",
                 "poisson.tol", "datum.width", "penrose.omega_max",
                 "kernel.omega_max", "damp.amplitude"):
@@ -418,20 +400,9 @@ def _cmd_penrose(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     scan = penrose_scan(model, eq, cfg["penrose.kmax"],
                         omega_max=cfg["penrose.omega_max"],
                         n_samples=cfg["penrose.samples"])
-    ks = sorted(scan.windings)
-
-    def axis_min(k: int) -> tuple[float, float]:
-        omega, d_values, _ = dispersion_on_axis(model, eq, k,
-                                                cfg["penrose.omega_max"],
-                                                n_min=cfg["penrose.samples"])
-        idx = int(np.argmin(np.abs(d_values)))
-        return float(omega[idx]), float(np.abs(d_values[idx]))
-
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        minima = list(pool.map(axis_min, ks))
     rows = [[str(k), _fmt(omega), _fmt(dmin), str(scan.windings[k]),
              _fmt(scan.tail_bound)]
-            for k, (omega, dmin) in zip(ks, minima)]
+            for k, (omega, dmin) in sorted(scan.axis_minima.items())]
     _write_csv(out_dir / "penrose.csv",
                ["k", "omega_argmin", "abs_D_min", "winding", "tail_bound"],
                rows)
@@ -471,15 +442,10 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
 
 
 def _linear_field_history(model, states) -> SpectralHistory:
-    k = states[0].grid.k_values.astype(float)
-    screen = np.where(k == 0, 1.0, model.beta + k * k)
-    rows = []
-    for state in states:
-        rho = density_trace(state)
-        rows.append(np.where(k == 0, 0.0, rho / screen))
+    k = states[0].grid.k_values
+    rho = np.array([density_trace(state) for state in states])
     return SpectralHistory(times=np.array([s.time for s in states]),
-                           k_values=states[0].grid.k_values,
-                           values=np.array(rows))
+                           k_values=k, values=potential_from_density(model, k, rho))
 
 
 def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:

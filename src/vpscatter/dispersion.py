@@ -64,12 +64,14 @@ class PenroseReport:
     ``kappa0`` estimates the infimum of |D| over the right half-plane
     boundary across all nonzero modes; ``tail_bound`` bounds |D - 1| for the
     modes beyond ``k_scan_max``; ``windings`` counts right-half-plane zeros
-    per scanned mode.
+    per scanned mode, and ``axis_minima`` holds each scanned mode's sampled
+    (argmin omega, minimum |D|) on the imaginary axis.
     """
 
     kappa0: float
     argmin: tuple[int, complex]
     windings: dict[int, int]
+    axis_minima: dict[int, tuple[float, float]]
     stable: bool
     k_scan_max: int
     tail_bound: float
@@ -335,12 +337,15 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
     if k_scan_max < 1:
         raise ConfigError("k_scan_max must be >= 1")
     windings: dict[int, int] = {}
+    axis_minima: dict[int, tuple[float, float]] = {}
     kappa0 = math.inf
     argmin: tuple[int, complex] = (0, 0j)
     modes = [k for k in range(-k_scan_max, k_scan_max + 1) if k != 0]
     for k in modes:
         omega, axis_vals, _ = dispersion_on_axis(model, eq, k, omega_max,
                                                  n_min=n_samples)
+        i = int(np.argmin(np.abs(axis_vals)))
+        axis_minima[k] = (float(omega[i]), float(np.abs(axis_vals[i])))
         theta = np.linspace(-math.pi / 2, math.pi / 2, n_semicircle)
         semi_taus = omega_max * np.exp(1j * theta)
         pref = float(model.poisson_prefactor(k))
@@ -370,9 +375,9 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
             "scan inconclusive: unscanned-mode tail bound exceeds the "
             "scanned minimum; widen k_scan_max")
     return PenroseReport(kappa0=kappa0, argmin=argmin, windings=windings,
-                         stable=stable, k_scan_max=k_scan_max,
-                         tail_bound=tail, omega_max=omega_max,
-                         n_axis_samples=n_samples)
+                         axis_minima=axis_minima, stable=stable,
+                         k_scan_max=k_scan_max, tail_bound=tail,
+                         omega_max=omega_max, n_axis_samples=n_samples)
 
 
 def resolvent_Ktilde(model: ModelConfig, eq: Equilibrium, k: int, tau: complex,

@@ -3,8 +3,14 @@
 The density equals a prescribed slice minus the coupling series applied to
 the screened potential.  :func:`poisson_fixed_point` resolves that balance by
 Picard iteration inside a weighted amplitude ball, :func:`h_of_field`
-evaluates the series by repeated anti-aliased spectral convolution, and
-:func:`electric_from_density` recovers potential and electric field.
+evaluates the series by repeated anti-aliased spectral convolution,
+:func:`potential_from_density` is the screened Poisson division every layer
+uses, and :func:`electric_from_density` adds the electric field.
+
+Mode labels are checked by the containers that look modes up by label
+(:class:`FieldSnapshot` here, ``SpectralHistory`` in :mod:`vpscatter.volterra`)
+and once on entry to :func:`poisson_fixed_point`; the per-slice helpers check
+array shapes only.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "spectral_convolve",
     "weighted_density_norm",
     "h_of_field",
+    "potential_from_density",
     "electric_from_density",
     "poisson_fixed_point",
 ]
@@ -40,6 +47,7 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _validate_lattice(k_values) -> np.ndarray:
+    """Integer, distinct mode labels as an int array."""
     k_raw = np.asarray(k_values)
     k_int = np.asarray(np.rint(k_raw), dtype=int)
     if k_raw.ndim != 1 or np.max(np.abs(k_raw - k_int), initial=0.0) > 0:
@@ -124,7 +132,7 @@ def spectral_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def weighted_density_norm(w: GevreyWeight, t: float, k_values,
                           values) -> float:
     """Amplitude of one density slice under the time-t Gevrey weight."""
-    k = np.asarray(_validate_lattice(k_values), dtype=float)
+    k = np.asarray(k_values, dtype=float)
     vals = np.asarray(values, dtype=complex)
     if vals.shape != k.shape:
         raise ConfigError("values must match the mode lattice shape")
@@ -145,9 +153,8 @@ def h_of_field(model: ModelConfig, k_values, u_hat,
     the dropped polynomial terms with the model's own series remainder,
     both evaluated at the slice's l1 amplitude (a sup-norm bound).
     """
-    k_int = _validate_lattice(k_values)
     u = np.asarray(u_hat, dtype=complex)
-    if u.shape != k_int.shape:
+    if u.shape != np.shape(k_values):
         raise ConfigError("u_hat must match the mode lattice shape")
     out = np.zeros_like(u)
     if not model.has_h:
@@ -175,27 +182,38 @@ def h_of_field(model: ModelConfig, k_values, u_hat,
     return HSeriesSlice(values=out, tail_bound=tail)
 
 
+def potential_from_density(model: ModelConfig, k_values, rho_hat) -> np.ndarray:
+    """Screened Poisson potential rho / (beta + k^2) with a silent mean.
+
+    The last axis of ``rho_hat`` runs over ``k_values``; leading axes (a time
+    axis) broadcast.  The potential is fixed up to a constant and the mean
+    gauge is zero, so with beta = 0 a nonzero mean density is refused.
+    """
+    k = np.asarray(k_values)
+    rho = np.asarray(rho_hat, dtype=complex)
+    mean = k == 0
+    if model.beta == 0.0 and np.max(np.abs(rho[..., mean]),
+                                    initial=0.0) > MEAN_MODE_TOL:
+        raise ConfigError(
+            "mean density component makes the beta = 0 potential ill-posed")
+    denom = np.where(mean, 1.0, model.beta + k.astype(float) ** 2)
+    return np.where(mean, 0.0j, rho / denom)
+
+
 def electric_from_density(model: ModelConfig, k_values,
                           rho_hat) -> FieldSnapshot:
     """Potential and electric field of a density slice.
 
-    The potential divides each mode by beta + k^2 with a silent mean (the
-    potential is fixed up to a constant and the mean gauge is zero); the
-    field is the spectral derivative with flipped sign.
+    The potential is :func:`potential_from_density`; the field is the
+    spectral derivative with flipped sign.
     """
-    k_int = _validate_lattice(k_values)
+    k = np.asarray(k_values)
     rho = np.asarray(rho_hat, dtype=complex)
-    if rho.shape != k_int.shape:
+    if rho.shape != k.shape:
         raise ConfigError("rho_hat must match the mode lattice shape")
-    if model.beta == 0.0:
-        zero = np.nonzero(k_int == 0)[0]
-        if zero.size and abs(rho[zero[0]]) > MEAN_MODE_TOL:
-            raise ConfigError(
-                "mean density component makes the beta = 0 potential ill-posed")
-    denom = model.beta + k_int.astype(float) ** 2
-    u_hat = np.where(k_int == 0, 0.0j, rho / np.where(denom == 0.0, 1.0, denom))
-    e_hat = -1j * k_int * u_hat
-    return FieldSnapshot(k_values=k_int, u_hat=u_hat, e_hat=e_hat, rho_hat=rho)
+    u_hat = potential_from_density(model, k, rho)
+    return FieldSnapshot(k_values=k, u_hat=u_hat, e_hat=-1j * k * u_hat,
+                         rho_hat=rho)
 
 
 def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
@@ -220,9 +238,8 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
         raise ConfigError("need tol > 0 and at least one iteration")
     if not model.has_h:
         # the balance is linear: the slice itself is the density
-        snap = electric_from_density(model, k_int, q)
-        return FieldSnapshot(k_values=k_int, u_hat=snap.u_hat, e_hat=snap.e_hat,
-                             rho_hat=q, residual=0.0, iters=1, ratios=())
+        return dataclasses.replace(electric_from_density(model, k_int, q),
+                                   iters=1)
     if eps_ball is None:
         eps_ball = 0.05 * model.h_radius if math.isfinite(model.h_radius) else 0.05
     eps = weighted_density_norm(w, t, k_int, q)
@@ -234,9 +251,8 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
     rho = q.copy()
     ratios: list[float] = []
     prev_dist = None
-    residual = 0.0
     for itn in range(1, max_iters + 1):
-        u_hat = electric_from_density(model, k_int, rho).u_hat
+        u_hat = potential_from_density(model, k_int, rho)
         series = h_of_field(model, k_int, u_hat, n_h=n_h)
         nxt = q - series.values
         dist = weighted_density_norm(w, t, k_int, nxt - rho)
@@ -249,12 +265,9 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
                 f"iterate left the contraction ball of radius {ball:.3e} "
                 f"after {itn} steps")
         if dist <= tol:
-            residual = dist
-            snap = electric_from_density(model, k_int, rho)
-            return FieldSnapshot(k_values=k_int, u_hat=snap.u_hat,
-                                 e_hat=snap.e_hat, rho_hat=rho,
-                                 residual=residual, iters=itn,
-                                 ratios=tuple(ratios))
+            return dataclasses.replace(electric_from_density(model, k_int, rho),
+                                       residual=dist, iters=itn,
+                                       ratios=tuple(ratios))
     raise NoContractionError(
         f"no convergence to {tol:.1e} within {max_iters} iterations; "
         f"last step moved {prev_dist:.3e}")

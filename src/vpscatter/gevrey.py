@@ -8,7 +8,7 @@ weighted sum goes through a max-shifted log-sum-exp before exponentiation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,6 +17,7 @@ from .errors import ConfigError, WeightOverflowError
 
 __all__ = [
     "GevreyWeight",
+    "weight_violations",
     "WeightedNormReport",
     "GevreyInequalityReport",
     "bracket",
@@ -51,20 +52,9 @@ class GevreyWeight:
     moments: int = 2
 
     def __post_init__(self) -> None:
-        if not (1.0 / 3.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (1/3, 1), got {self.gamma}")
-        if self.sigma <= 11.0:
-            raise ConfigError(f"sigma must exceed 11, got {self.sigma}")
-        if self.lambda_inf <= 0 or self.c_decay <= 0:
-            raise ConfigError("lambda_inf and c_decay must be positive")
-        if self.lambda_inf - self.c_decay <= 0:
-            raise ConfigError("initial radius lambda_inf - c_decay must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.b <= 10.0:
-            raise ConfigError(f"time exponent b must exceed 10, got {self.b}")
-        if int(self.moments) != self.moments or self.moments < 1:
-            raise ConfigError("moments must be an integer >= 1")
+        bad = weight_violations(**asdict(self))
+        if bad:
+            raise ConfigError("; ".join(bad))
 
     def scaled(self, factor: float) -> "GevreyWeight":
         """Same family with the whole radius profile scaled by ``factor``."""
@@ -72,6 +62,27 @@ class GevreyWeight:
             raise ConfigError("radius scaling factor must lie in (0, 1]")
         return GevreyWeight(self.gamma, self.sigma, factor * self.lambda_inf,
                             factor * self.c_decay, self.delta, self.b, self.moments)
+
+
+def weight_violations(gamma, sigma, lambda_inf, c_decay, delta, b,
+                      moments) -> list[str]:
+    """Every weight hypothesis of the construction the parameters break."""
+    bad: list[str] = []
+    if not 1.0 / 3.0 < gamma < 1.0:
+        bad.append(f"gamma = {gamma} breaks gamma in (1/3, 1)")
+    if sigma <= 11.0:
+        bad.append(f"sigma = {sigma} breaks sigma > 10 + d (= 11)")
+    if b <= 10.0:
+        bad.append(f"b = {b} breaks b > 10")
+    if int(moments) != moments or moments < 1:
+        bad.append(f"moments = {moments} breaks M > d/2 "
+                   f"(needs an integer >= 1)")
+    if lambda_inf <= 0 or c_decay <= 0 or lambda_inf - c_decay <= 0:
+        bad.append("lambda_inf and c_decay must be positive with "
+                   "lambda_inf - c_decay > 0")
+    if not 0.0 < delta < 1.0:
+        bad.append(f"delta = {delta} breaks delta in (0, 1)")
+    return bad
 
 
 def bracket(k, eta):

@@ -5,9 +5,10 @@ integer spatial lattice crossed with a uniform velocity-frequency grid.
 In these variables free transport is the identity, the coupling terms
 shear the velocity axis, and the density of one slice is read off along
 the line eta = k t.  :func:`integrate` advances a state with classical
-four-stage Runge-Kutta in either time direction; the electric field at
-stage times comes from a pluggable provider so the same integrator runs
-prescribed-field, linearized, and self-consistent flows.
+four-stage Runge-Kutta in either time direction.  At every stage a pluggable
+provider returns two potentials, plain arrays over the mode lattice: one
+drives the equilibrium gradient, the other shears the state.  The same
+integrator thus runs prescribed-field, linearized, and self-consistent flows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BlowUpError, ConfigError
-from .field import FieldSnapshot, electric_from_density, h_of_field, poisson_fixed_point
+from .field import _frozen, h_of_field, poisson_fixed_point, potential_from_density
 from .gevrey import GevreyWeight
 from .model import Equilibrium, ModelConfig
 from .volterra import DensityHistory, SourceHistory, SpectralHistory
@@ -39,7 +40,6 @@ __all__ = [
     "SelfConsistentFieldProvider",
     "zero_field_provider",
     "density_trace",
-    "assemble_source",
     "assemble_source_history",
     "transport_rhs",
     "integrate",
@@ -49,13 +49,8 @@ __all__ = [
 EDGE_SLACK = 1e-12
 GRID_TOL = 1e-9
 
-FieldProvider = Callable[["SpectralState"], tuple[FieldSnapshot, FieldSnapshot]]
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+# stage state -> (linear, nonlinear) potentials, each in grid.k_values order
+FieldProvider = Callable[["SpectralState"], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -369,12 +364,10 @@ class StateInterpolant:
 
 
 def density_trace(state: SpectralState,
-                  counter: Optional[TruncationCounter] = None,
-                  interpolant: Optional[StateInterpolant] = None) -> np.ndarray:
+                  counter: Optional[TruncationCounter] = None) -> np.ndarray:
     """Density-generating slice: coefficients along eta = k t."""
-    interp = interpolant if interpolant is not None else StateInterpolant(state)
     k = state.grid.k_values
-    return interp.at_pairs(k, k * state.time, counter)
+    return StateInterpolant(state).at_pairs(k, k * state.time, counter)
 
 
 def _uniform_times(states: Sequence[SpectralState]) -> np.ndarray:
@@ -407,52 +400,6 @@ def _source_integrand_weights(model: ModelConfig, grid: PhaseGrid):
     return out
 
 
-def assemble_source(model: ModelConfig, states: Sequence[SpectralState],
-                    density: DensityHistory, u_hats: SpectralHistory,
-                    ginf: AsymptoticDatum, t: float, n_h: Optional[int] = None,
-                    counter: Optional[TruncationCounter] = None,
-                    interpolants: Optional[Sequence[StateInterpolant]] = None,
-                    ) -> np.ndarray:
-    """Right-hand side of the backward density equation at one time.
-
-    Combines the datum trace, the coupling series of the current potential,
-    and the quadratic history correction: a trapezoid over s >= t of
-    (s - t) k l / (beta + l^2) rho_s(l) g_s(k - l, k t - l s), summed over
-    transfer modes l != 0 in fixed ascending order.
-    """
-    grid = states[0].grid
-    times = _uniform_times(states)
-    _check_history_alignment(times, grid, density, "density")
-    _check_history_alignment(times, grid, u_hats, "potential")
-    hits = np.nonzero(np.abs(times - t) <= GRID_TOL)[0]
-    if hits.size == 0:
-        raise ConfigError(f"time {t:g} is not on the history grid")
-    i0 = int(hits[0])
-    delta_s = float(times[1] - times[0])
-    k = grid.k_values
-    source = ginf.trace(k, times[i0]).astype(complex)
-    u_now = u_hats.values[i0]
-    source = source - h_of_field(model, k, u_now, n_h=n_h).values
-    if interpolants is None:
-        interpolants = [None] * len(states)
-    for ell, weight in _source_integrand_weights(model, grid):
-        rho_ell = density.mode(ell)
-        acc = np.zeros(k.size, dtype=complex)
-        for j in range(i0, times.size):
-            gap = times[j] - times[i0]
-            if gap == 0.0 or rho_ell[j] == 0.0:
-                continue
-            interp = interpolants[j]
-            if interp is None:
-                interp = StateInterpolant(states[j])
-            g_shift = interp.at_pairs(k - ell, k * times[i0] - ell * times[j],
-                                      counter)
-            term = gap * weight * rho_ell[j] * g_shift
-            acc += term if j < times.size - 1 else 0.5 * term
-        source = source - delta_s * acc
-    return source
-
-
 def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             density: DensityHistory, u_hats: SpectralHistory,
                             ginf: AsymptoticDatum, n_h: Optional[int] = None,
@@ -460,9 +407,11 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             ) -> SourceHistory:
     """Backward-equation right-hand side on the whole time grid.
 
-    Same quadrature as :func:`assemble_source` at every grid time, organized
-    so each state is splined once and evaluated in one vectorized pass per
-    transfer mode.
+    At each grid time t: the datum trace, minus the coupling series of the
+    current potential, minus the quadratic history correction, a trapezoid
+    over s >= t of (s - t) k l / (beta + l^2) rho_s(l) g_s(k - l, k t - l s)
+    summed over transfer modes l != 0.  Each state is splined once and
+    evaluated in one vectorized pass per transfer mode.
     """
     grid = states[0].grid
     times = _uniform_times(states)
@@ -493,34 +442,31 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     return SourceHistory(times=times, k_values=k, values=out - conv)
 
 
-def transport_rhs(state: SpectralState, field_linear: FieldSnapshot,
-                  field_nonlinear: FieldSnapshot, eq: Equilibrium,
-                  counter: Optional[TruncationCounter] = None,
-                  interpolant: Optional[StateInterpolant] = None) -> np.ndarray:
-    """Time derivative of the transported perturbation under the given fields.
+def transport_rhs(state: SpectralState, u_linear: np.ndarray,
+                  u_nonlinear: np.ndarray, eq: Equilibrium,
+                  counter: Optional[TruncationCounter] = None) -> np.ndarray:
+    """Time derivative of the transported perturbation under two potentials.
 
-    The linear term feeds the equilibrium profile; the quadratic term shears
-    the state itself, with the frequency shift resolved by interpolation.
-    The two potentials may differ: the linearized fixed-point map drives the
-    equilibrium with the new field and the shear with the previous iterate's.
+    ``u_linear`` feeds the equilibrium profile; ``u_nonlinear`` shears the
+    state itself, with the frequency shift resolved by interpolation.  Both
+    hold one coefficient per mode in ``grid.k_values`` order.  They may
+    differ: the linearized fixed-point map drives the equilibrium with the
+    new potential and the shear with the previous iterate's.
     """
     grid = state.grid
-    for name, snap in (("linear", field_linear), ("nonlinear", field_nonlinear)):
-        if not np.array_equal(snap.k_values, grid.k_values):
-            raise ConfigError(f"{name} field is not on the state mode lattice")
+    u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
+    if u_lin.shape != (grid.n_modes,) or u_nl.shape != (grid.n_modes,):
+        raise ConfigError("stage potentials must hold one value per lattice mode")
     t = state.time
     k_col = grid.k_values[:, None].astype(float)
     eta_row = grid.eta[None, :]
     shear = eta_row - k_col * t
     rhs = np.zeros_like(state.values)
-    u_lin = field_linear.u_hat
     if np.any(u_lin != 0.0):
         rhs -= shear * k_col * u_lin[:, None] * eq.mu_hat(shear)
-    u_nl = field_nonlinear.u_hat
     if np.any(u_nl != 0.0):
-        interp = interpolant if interpolant is not None else StateInterpolant(state)
-        for ell in grid.k_values:
-            coef = u_nl[grid.index_of(ell)]
+        interp = StateInterpolant(state)
+        for ell, coef in zip(grid.k_values, u_nl):
             if ell == 0 or coef == 0.0:
                 continue
             shifted = interp.all_rows(grid.eta - ell * t, counter)
@@ -544,7 +490,7 @@ class IntegrationResult:
 
 
 class HistoryFieldProvider:
-    """Stage fields interpolated in time from precomputed potential histories.
+    """Stage potentials interpolated in time from precomputed histories.
 
     Uses four-point Lagrange interpolation (exact at grid nodes, falls back
     to linear when the history is shorter than four slices).  Stage values
@@ -552,12 +498,10 @@ class HistoryFieldProvider:
     caps the whole sweep at that order.
     """
 
-    def __init__(self, model: ModelConfig, u_linear: SpectralHistory,
-                 u_nonlinear: SpectralHistory):
+    def __init__(self, u_linear: SpectralHistory, u_nonlinear: SpectralHistory):
         if not np.array_equal(u_linear.times, u_nonlinear.times) or \
                 not np.array_equal(u_linear.k_values, u_nonlinear.k_values):
             raise ConfigError("field histories must share one grid")
-        self.model = model
         self.u_linear = u_linear
         self.u_nonlinear = u_nonlinear
 
@@ -581,26 +525,15 @@ class HistoryFieldProvider:
         return (w0 * rows[j] + w1 * rows[j + 1]
                 + w2 * rows[j + 2] + w3 * rows[j + 3])
 
-    def __call__(self, state: SpectralState) -> tuple[FieldSnapshot, FieldSnapshot]:
-        k = state.grid.k_values
-        lin = _snapshot_from_potential(self.model, k, self._slice(self.u_linear, state.time))
+    def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
+        lin = self._slice(self.u_linear, state.time)
         if self.u_nonlinear is self.u_linear:
             return lin, lin
-        return lin, _snapshot_from_potential(
-            self.model, k, self._slice(self.u_nonlinear, state.time))
-
-
-def _snapshot_from_potential(model: ModelConfig, k_values: np.ndarray,
-                             u_hat: np.ndarray) -> FieldSnapshot:
-    k = np.asarray(k_values)
-    u = np.asarray(u_hat, dtype=complex)
-    u = np.where(k == 0, 0.0j, u)
-    rho = (model.beta + k.astype(float) ** 2) * u
-    return FieldSnapshot(k_values=k, u_hat=u, e_hat=-1j * k * u, rho_hat=rho)
+        return lin, self._slice(self.u_nonlinear, state.time)
 
 
 class SelfConsistentFieldProvider:
-    """Stage fields from the stage state itself: trace, then elliptic balance."""
+    """Stage potential from the stage state itself: trace, then elliptic balance."""
 
     def __init__(self, model: ModelConfig, w: GevreyWeight, tol: float = 1e-12,
                  max_iters: int = 50, eps_ball: Optional[float] = None,
@@ -614,26 +547,24 @@ class SelfConsistentFieldProvider:
         self.n_h = n_h
         self.counter = counter
 
-    def __call__(self, state: SpectralState) -> tuple[FieldSnapshot, FieldSnapshot]:
+    def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
         q = density_trace(state, self.counter)
         if self.model.has_h:
-            snap = poisson_fixed_point(self.model, state.grid.k_values, q,
-                                       self.w, state.time, tol=self.tol,
-                                       max_iters=self.max_iters,
-                                       eps_ball=self.eps_ball, n_h=self.n_h)
+            u_hat = poisson_fixed_point(self.model, state.grid.k_values, q,
+                                        self.w, state.time, tol=self.tol,
+                                        max_iters=self.max_iters,
+                                        eps_ball=self.eps_ball,
+                                        n_h=self.n_h).u_hat
         else:
-            snap = electric_from_density(self.model, state.grid.k_values, q)
-        return snap, snap
+            u_hat = potential_from_density(self.model, state.grid.k_values, q)
+        return u_hat, u_hat
 
 
 def zero_field_provider(grid: PhaseGrid) -> FieldProvider:
-    """Free transport: both stage fields identically zero."""
-    k = grid.k_values
-    zero = FieldSnapshot(k_values=k, u_hat=np.zeros(k.size, dtype=complex),
-                         e_hat=np.zeros(k.size, dtype=complex),
-                         rho_hat=np.zeros(k.size, dtype=complex))
+    """Free transport: both stage potentials identically zero."""
+    zero = _frozen(np.zeros(grid.n_modes), complex)
 
-    def provider(state: SpectralState) -> tuple[FieldSnapshot, FieldSnapshot]:
+    def provider(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
         return zero, zero
 
     return provider
@@ -675,8 +606,7 @@ def integrate(initial: SpectralState, provider: FieldProvider,
                 f"non-finite stage state near t={t:g}; reduce dt below "
                 f"{time_grid.dt:g} or shrink the datum amplitude")
         stage = SpectralState(time=t, grid=grid, values=values)
-        lin, nl = provider(stage)
-        return transport_rhs(stage, lin, nl, eq, counter)
+        return transport_rhs(stage, *provider(stage), eq, counter)
 
     for idx in order:
         t0 = current.time

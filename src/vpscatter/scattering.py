@@ -29,7 +29,7 @@ from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
 from .volterra import (DensityHistory, DiscreteResolvent, SourceHistory,
                        SpectralHistory, build_discrete_resolvent,
                        solve_resolvent)
-from .field import poisson_fixed_point
+from .field import poisson_fixed_point, potential_from_density
 from .kinetic import (AsymptoticDatum, HistoryFieldProvider, IntegrationResult,
                       PhaseGrid, SelfConsistentFieldProvider, SpectralState,
                       TimeGrid, TruncationCounter, assemble_source_history,
@@ -173,11 +173,6 @@ def build_resolvent_tables(model: ModelConfig, eq: Equilibrium,
             for k in grids.phase.k_values if k != 0}
 
 
-def _zero_history(times: np.ndarray, k_values: np.ndarray) -> SpectralHistory:
-    return SpectralHistory(times, k_values,
-                           np.zeros((times.size, k_values.size), dtype=complex))
-
-
 def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
                   w: GevreyWeight, tol: float, max_iters: int,
                   eps_ball: Optional[float], n_h: Optional[int],
@@ -240,11 +235,10 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
     density = solve_resolvent(model, eq, source, tables)
     # the new potential responds linearly; the series correction lives in the
     # source term of the next pass
-    screened = np.where(k == 0, 1.0, model.beta + k.astype(float) ** 2)
-    u_psi = np.where(k[None, :] == 0, 0.0j, density.values / screened[None, :])
-    u_psi_hist = SpectralHistory(times, k, u_psi)
-    shear_hist = _zero_history(times, k) if linearized else u_hist
-    provider = HistoryFieldProvider(model, u_psi_hist, shear_hist)
+    u_psi_hist = SpectralHistory(times, k,
+                                 potential_from_density(model, k, density.values))
+    # the old potential shears the state (zero when linearized)
+    provider = HistoryFieldProvider(u_psi_hist, u_hist)
     terminal = ginf.sample(grid, tg.t_final)
     integration = integrate(terminal, provider, tg, eq, direction="backward",
                             counter=counter)
@@ -526,8 +520,9 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     initial = datum.sample(grids.phase, 0.0)
     result = integrate(initial, provider, grids.time, eq,
                        direction="forward", counter=counter)
+    k = grids.phase.k_values
     idx = grids.phase.index_of(int(mode))
-    field_abs = np.array([abs(provider(state)[0].e_hat[idx])
+    field_abs = np.array([abs((-1j * k * provider(state)[0])[idx])
                           for state in result.states])
     times = grids.time.times
     lo, hi = fit_window

@@ -25,6 +25,7 @@ import numpy as np
 
 from .dispersion import absolute_first_moment
 from .errors import ConfigError, RealityError, StepSizeError
+from .field import _frozen, _validate_lattice
 from .gevrey import GevreyWeight, norm_N2
 from .model import Equilibrium, ModelConfig
 
@@ -50,12 +51,6 @@ DIAGONAL_FLOOR = 1e-8
 MEAN_MODE_TOL = 1e-10
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralHistory:
     """Mode-resolved complex samples on a uniform time grid.
@@ -78,12 +73,7 @@ class SpectralHistory:
             raise ConfigError("time grid must increase strictly")
         if steps.max() - steps.min() > 1e-9 * steps.mean():
             raise ConfigError("time grid must be uniform")
-        k_raw = np.asarray(self.k_values)
-        k_values = np.asarray(np.rint(k_raw), dtype=int)
-        if k_raw.ndim != 1 or np.max(np.abs(k_raw - k_values), initial=0.0) > 0:
-            raise ConfigError("mode labels must be a 1-d integer array")
-        if np.unique(k_values).size != k_values.size:
-            raise ConfigError("mode labels must be distinct")
+        k_values = _validate_lattice(self.k_values)
         values = np.asarray(self.values)
         if values.shape != (times.size, k_values.size):
             raise ConfigError(
@@ -91,9 +81,9 @@ class SpectralHistory:
                 f"got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ConfigError("history values must be finite")
-        object.__setattr__(self, "times", _frozen_array(times, float))
-        object.__setattr__(self, "k_values", _frozen_array(k_values, int))
-        object.__setattr__(self, "values", _frozen_array(values, complex))
+        object.__setattr__(self, "times", _frozen(times, float))
+        object.__setattr__(self, "k_values", _frozen(k_values, int))
+        object.__setattr__(self, "values", _frozen(values, complex))
 
     @property
     def delta_t(self) -> float:
@@ -160,8 +150,8 @@ class DiscreteResolvent:
     diagonal: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _frozen_array(self.times, float))
-        object.__setattr__(self, "values", _frozen_array(self.values, complex))
+        object.__setattr__(self, "times", _frozen(self.times, float))
+        object.__setattr__(self, "values", _frozen(self.values, complex))
 
 
 def lagged_kernel(model: ModelConfig, eq: Equilibrium, k: int,

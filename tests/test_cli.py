@@ -9,7 +9,9 @@ from vpscatter import PhaseGrid, SpectralState, scattering
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            EXIT_OK, config_from_mapping, load_state_csv,
                            main, parse_config, run_command, write_state_csv)
+from vpscatter.dispersion import dispersion_on_axis
 from vpscatter.errors import ConfigError
+from vpscatter.model import make_preset, maxwellian
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -177,6 +179,25 @@ class TestCommands:
         assert header == "k,omega_argmin,abs_D_min,winding,tail_bound"
         manifest = (out / "manifest.txt").read_text()
         assert "# penrose.stable = true" in manifest
+
+    def test_penrose_rows_match_direct_axis_scan(self, tmp_path):
+        code, out = self.run("penrose", tmp_path,
+                             "model.preset = screened\n"
+                             "penrose.kmax = 3\n"
+                             "penrose.samples = 1201\n"
+                             "penrose.omega_max = 8.0\n")
+        assert code == EXIT_OK
+        rows = (out / "penrose.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == \
+            ["-3", "-2", "-1", "1", "2", "3"]
+        for row in rows:
+            k, omega_min, d_min, _, _ = row.split(",")
+            omega, d_values, _ = dispersion_on_axis(
+                make_preset("screened"), maxwellian(), int(k), 8.0, n_min=1201)
+            idx = int(np.argmin(np.abs(d_values)))
+            # the CSV writes 17 significant digits, so floats round-trip
+            assert float(omega_min) == float(omega[idx])
+            assert float(d_min) == float(np.abs(d_values[idx]))
 
     def test_penrose_unstable_background_exits_two(self, tmp_path):
         code, out = self.run("penrose", tmp_path,

@@ -7,8 +7,8 @@ import pytest
 
 from vpscatter.errors import ConfigError, DivergenceError, NoContractionError
 from vpscatter.field import (FieldSnapshot, electric_from_density, h_of_field,
-                             poisson_fixed_point, spectral_convolve,
-                             weighted_density_norm)
+                             poisson_fixed_point, potential_from_density,
+                             spectral_convolve, weighted_density_norm)
 from vpscatter.gevrey import GevreyWeight
 from vpscatter.model import ModelConfig, make_preset
 
@@ -119,6 +119,33 @@ class TestHSeries:
     def test_truncation_must_keep_quadratic(self):
         with pytest.raises(ConfigError, match="quadratic"):
             h_of_field(make_preset("vpme"), lattice(2), pair_slice(2, 1, 0.1), n_h=1)
+
+
+class TestPotentialFromDensity:
+    def test_time_axis_matches_slices(self):
+        rng = np.random.default_rng(5)
+        rho = rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7))
+        rho[:, 3] = 0.0
+        for name in ("vp", "screened"):
+            model = make_preset(name)
+            both = potential_from_density(model, lattice(3), rho)
+            for row, u in zip(rho, both):
+                assert np.array_equal(
+                    u, electric_from_density(model, lattice(3), row).u_hat)
+
+    def test_divides_by_screened_symbol(self):
+        rho = np.array([0.5, 0.25, 2.0, 0.25j, 1.0])
+        u = potential_from_density(make_preset("screened"), lattice(2), rho)
+        assert np.array_equal(u, [0.1, 0.125, 0.0, 0.125j, 0.2])
+
+    def test_unscreened_mean_refused_at_any_time(self):
+        rho = np.zeros((4, 5), dtype=complex)
+        rho[2, 2] = 1e-6
+        with pytest.raises(ConfigError, match="ill-posed"):
+            potential_from_density(make_preset("vp"), lattice(2), rho)
+        rho[2, 2] = 1e-12  # below the tolerance: gauged away silently
+        u = potential_from_density(make_preset("vp"), lattice(2), rho)
+        assert np.all(u == 0.0)
 
 
 class TestElectricFromDensity:

@@ -20,6 +20,7 @@ from vpscatter.gevrey import (
     norm_N1,
     norm_N2,
     norm_equivalence_check,
+    weight_violations,
     weighted_norm_report,
 )
 
@@ -76,6 +77,18 @@ def test_weight_validation():
     w = GevreyWeight().scaled(0.9)
     assert w.lambda_inf == pytest.approx(0.18)
     assert float(lambda_of_t(w, 0.0)) == pytest.approx(0.9 * 0.15)
+
+
+def test_weight_violations_listed_together():
+    good = dict(gamma=0.5, sigma=12.0, lambda_inf=0.2, c_decay=0.05,
+                delta=0.05, b=11.0, moments=2)
+    assert weight_violations(**good) == []
+    bad = weight_violations(**{**good, "gamma": 0.2, "b": 9.0,
+                               "moments": 1.5})
+    assert len(bad) == 3
+    assert "(1/3, 1)" in bad[0] and "b = 9.0" in bad[1] and "moments" in bad[2]
+    with pytest.raises(ConfigError, match=r"gamma = 0.2 .*; b = 9.0"):
+        GevreyWeight(gamma=0.2, b=9.0)
 
 
 def test_eta_derivative_orders():

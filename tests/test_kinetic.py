@@ -5,14 +5,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from vpscatter.errors import BlowUpError, ConfigError
-from vpscatter.field import FieldSnapshot
+from vpscatter.field import h_of_field
 from vpscatter.gevrey import GevreyWeight
 from vpscatter.kinetic import (AsymptoticDatum, HistoryFieldProvider, PhaseGrid,
                                SelfConsistentFieldProvider, SpectralState,
                                StateInterpolant, TimeGrid, TruncationCounter,
-                               assemble_source, assemble_source_history,
-                               density_trace, gaussian_datum, integrate,
-                               transport_rhs, zero_field_provider)
+                               assemble_source_history, density_trace,
+                               gaussian_datum, integrate, transport_rhs,
+                               zero_field_provider)
 from vpscatter.model import make_preset, maxwellian
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
@@ -20,11 +20,39 @@ GRID = PhaseGrid(k_max=2, eta_max=8.0, delta_eta=0.125)
 SCREENED = make_preset("screened")
 
 
-def snapshot(grid, u_hat, model=SCREENED):
-    u = np.asarray(u_hat, dtype=complex)
-    k = grid.k_values
-    return FieldSnapshot(k_values=k, u_hat=u, e_hat=-1j * k * u,
-                         rho_hat=(model.beta + k.astype(float) ** 2) * u)
+def assemble_source(model, states, density, u_hats, ginf, t, n_h=None,
+                    counter=None):
+    """Per-time oracle for :func:`assemble_source_history`.
+
+    Same quadrature at the single grid time ``t``, written as a direct loop
+    over later slices with one fresh interpolant per term.
+    """
+    times = np.array([s.time for s in states])
+    i0 = int(np.flatnonzero(np.isclose(times, t))[0])
+    delta_s = float(times[1] - times[0])
+    k = states[0].grid.k_values
+    source = ginf.trace(k, times[i0]).astype(complex)
+    source = source - h_of_field(model, k, u_hats.values[i0], n_h=n_h).values
+    for ell in k[k != 0]:
+        weight = k * ell / (model.beta + float(ell) ** 2)
+        rho_ell = density.mode(ell)
+        acc = np.zeros(k.size, dtype=complex)
+        for j in range(i0, times.size):
+            gap = times[j] - times[i0]
+            if gap == 0.0 or rho_ell[j] == 0.0:
+                continue
+            g_shift = StateInterpolant(states[j]).at_pairs(
+                k - ell, k * times[i0] - ell * times[j], counter)
+            term = gap * weight * rho_ell[j] * g_shift
+            acc += term if j < times.size - 1 else 0.5 * term
+        source = source - delta_s * acc
+    return source
+
+
+def potentials(u_hat=None):
+    """A (linear, nonlinear) pair: ``u_hat`` drives the equilibrium, no shear."""
+    zero = np.zeros(GRID.n_modes, complex)
+    return (zero if u_hat is None else np.asarray(u_hat, complex)), zero
 
 
 def zero_state(grid, t=0.0):
@@ -227,17 +255,14 @@ class TestDensityTrace:
 class TestTransportRhs:
     def test_zero_fields_give_exact_zero(self):
         state = gaussian_datum({1: 1.0}).sample(GRID, 1.0)
-        zero = snapshot(GRID, np.zeros(GRID.n_modes))
-        rhs = transport_rhs(state, zero, zero, maxwellian())
+        rhs = transport_rhs(state, *potentials(), maxwellian())
         assert np.all(rhs == 0.0)
 
     def test_linear_term_pointwise(self):
         u = np.zeros(GRID.n_modes, complex)
         u[GRID.index_of(1)] = 0.3 + 0.1j
         u[GRID.index_of(-1)] = 0.3 - 0.1j
-        field = snapshot(GRID, u)
-        zero = snapshot(GRID, np.zeros(GRID.n_modes))
-        rhs = transport_rhs(zero_state(GRID, t=1.5), field, zero, maxwellian())
+        rhs = transport_rhs(zero_state(GRID, t=1.5), *potentials(u), maxwellian())
         shear = GRID.eta - 1.5
         want = -shear * (0.3 + 0.1j) * np.exp(-shear**2 / 2)
         assert np.array_equal(rhs[GRID.index_of(1)], want)
@@ -252,8 +277,7 @@ class TestTransportRhs:
         state = SpectralState(0.6, grid, vals)
         u = np.zeros(grid.n_modes, complex)
         u[grid.index_of(1)] = 0.05 + 0.02j
-        zero = snapshot(grid, np.zeros(grid.n_modes))
-        rhs = transport_rhs(state, zero, snapshot(grid, u), maxwellian())
+        rhs = transport_rhs(state, np.zeros(grid.n_modes), u, maxwellian())
         shift = grid.eta - 0.6
         want = np.where(np.abs(shift) <= 6.0,
                         -shift * (0.05 + 0.02j)
@@ -262,11 +286,12 @@ class TestTransportRhs:
         others = np.delete(np.arange(grid.n_modes), grid.index_of(1))
         assert np.all(rhs[others] == 0.0)
 
-    def test_lattice_mismatch_rejected(self):
-        other = PhaseGrid(k_max=3, eta_max=8.0, delta_eta=0.125)
-        field = snapshot(other, np.zeros(other.n_modes))
-        with pytest.raises(ConfigError, match="lattice"):
-            transport_rhs(zero_state(GRID), field, field, maxwellian())
+    def test_wrong_shape_potential_rejected(self):
+        wrong = np.zeros(GRID.n_modes + 2, complex)
+        right = np.zeros(GRID.n_modes, complex)
+        for lin, nl in ((wrong, right), (right, wrong), (right, right[:, None])):
+            with pytest.raises(ConfigError, match="lattice mode"):
+                transport_rhs(zero_state(GRID), lin, nl, maxwellian())
 
 
 class TestIntegrate:
@@ -297,8 +322,7 @@ class TestIntegrate:
             u = np.zeros(GRID.n_modes, complex)
             u[GRID.index_of(1)] = a * (1 + 0.2j)
             u[GRID.index_of(-1)] = np.conj(u[GRID.index_of(1)])
-            zero = snapshot(GRID, np.zeros(GRID.n_modes))
-            return snapshot(GRID, u), zero
+            return potentials(u)
 
         start = gaussian_datum({1: 0.1}).sample(GRID, 0.0)
 
@@ -339,8 +363,7 @@ class TestIntegrate:
         def provider(state):
             u = np.full(GRID.n_modes, 1e160, dtype=complex)
             u[GRID.origin[0]] = 0.0
-            snap = snapshot(GRID, u)
-            return snap, snap
+            return u, u
 
         start = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
         with pytest.raises(BlowUpError, match="reduce dt"):
@@ -401,7 +424,6 @@ class TestSourceAssembly:
                                  values=u_vals)
         got = assemble_source(vpme, self.states, self.rho_history(1e-3),
                               u_hist, self.datum, 0.5)
-        from vpscatter.field import h_of_field
         want = -h_of_field(vpme, GRID.k_values, u_vals[2]).values[GRID.index_of(0)]
         assert got[GRID.index_of(0)] == want
 
@@ -426,11 +448,14 @@ class TestSourceAssembly:
             times=self.tg.times, k_values=np.arange(-3, 4),
             values=np.zeros((self.tg.times.size, 7), complex))
         with pytest.raises(ConfigError, match="lattice"):
-            assemble_source(SCREENED, self.states, bad_rho, self.zero_u,
-                            self.datum, 1.0)
-        with pytest.raises(ConfigError, match="not on the history grid"):
-            assemble_source(SCREENED, self.states, self.zero_rho, self.zero_u,
-                            self.datum, 1.03)
+            assemble_source_history(SCREENED, self.states, bad_rho,
+                                    self.zero_u, self.datum)
+        short_u = SpectralHistory(times=self.tg.times[:-1],
+                                  k_values=GRID.k_values,
+                                  values=np.zeros((self.tg.n_steps, GRID.n_modes)))
+        with pytest.raises(ConfigError, match="not on the state time grid"):
+            assemble_source_history(SCREENED, self.states, self.zero_rho,
+                                    short_u, self.datum)
 
 
 class TestFieldProviders:
@@ -442,22 +467,33 @@ class TestFieldProviders:
         vals[:, GRID.index_of(2)] = tg.times ** 3 - 2.0 * tg.times ** 2
         hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
                                values=vals)
-        provider = HistoryFieldProvider(SCREENED, hist, hist)
+        provider = HistoryFieldProvider(hist, hist)
         lin, nl = provider(zero_state(GRID, t=1.125))
         assert lin is nl
-        assert lin.u_hat[GRID.index_of(1)] == 1.125
+        assert lin.shape == (GRID.n_modes,)
+        assert lin[GRID.index_of(1)] == 1.125
         want = 1.125 ** 3 - 2.0 * 1.125 ** 2
-        assert abs(lin.u_hat[GRID.index_of(2)] - want) <= 1e-14
+        assert abs(lin[GRID.index_of(2)] - want) <= 1e-14
         # and node hits return the stored slice exactly
         node, _ = provider(zero_state(GRID, t=0.75))
-        assert node.u_hat[GRID.index_of(1)] == 0.75
+        assert np.array_equal(node, vals[3])
+
+    def test_history_provider_keeps_histories_apart(self):
+        tg = TimeGrid(1.0, 0.25)
+        ones = np.ones((tg.times.size, GRID.n_modes), complex)
+        lin_hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
+                                   values=ones)
+        nl_hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
+                                  values=2.0 * ones)
+        lin, nl = HistoryFieldProvider(lin_hist, nl_hist)(zero_state(GRID, t=0.5))
+        assert np.array_equal(lin, ones[0]) and np.array_equal(nl, 2.0 * ones[0])
 
     def test_history_provider_time_range(self):
         tg = TimeGrid(1.0, 0.25)
         vals = np.zeros((tg.times.size, GRID.n_modes), complex)
         hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
                                values=vals)
-        provider = HistoryFieldProvider(SCREENED, hist, hist)
+        provider = HistoryFieldProvider(hist, hist)
         with pytest.raises(ConfigError, match="outside"):
             provider(zero_state(GRID, t=1.5))
 
@@ -469,4 +505,9 @@ class TestFieldProviders:
         q = density_trace(state)
         k = GRID.k_values.astype(float)
         want = np.where(k == 0, 0, q / (1.0 + k**2))
-        assert np.max(np.abs(lin.u_hat - want)) <= 1e-15
+        assert np.max(np.abs(lin - want)) <= 1e-15
+
+    def test_zero_provider_returns_zero_arrays(self):
+        lin, nl = zero_field_provider(GRID)(zero_state(GRID))
+        assert lin.shape == nl.shape == (GRID.n_modes,)
+        assert np.all(lin == 0) and np.all(nl == 0)

@@ -21,8 +21,9 @@ class StepSizeError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """The transport integrator produced non-finite or explosively large
-    values. Reduce the step size or the datum amplitude."""
+    """A state or density is non-finite or explosively large: the transport
+    integrator produced such values, or a weighted norm was asked to measure
+    them. Reduce the step size or the datum amplitude."""
 
 
 class NoContractionError(RuntimeError):

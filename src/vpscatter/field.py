@@ -121,11 +121,15 @@ def spectral_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1 or a.size % 2 == 0:
         raise ConfigError("convolution needs two equal odd-length mode slices")
+    return _convolve_transformed(a, np.fft.fft(b, 2 * a.size))
+
+
+def _convolve_transformed(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """:func:`spectral_convolve` of ``a`` with the slice whose doubled-length
+    transform is ``fb``, so a fixed factor is transformed only once."""
     n = a.size
     half = n // 2
-    fa = np.fft.fft(a, 2 * n)
-    fb = np.fft.fft(b, 2 * n)
-    full = np.fft.ifft(fa * fb)[: 2 * n - 1]
+    full = np.fft.ifft(np.fft.fft(a, 2 * n) * fb)[: 2 * n - 1]
     return full[half:half + n]
 
 
@@ -148,10 +152,11 @@ def h_of_field(model: ModelConfig, k_values, u_hat,
                n_h: int | None = None) -> HSeriesSlice:
     """Evaluate the coupling series of a potential slice mode by mode.
 
-    Powers of the slice are built by repeated :func:`spectral_convolve`, so
-    every term lives on the truncated lattice.  The reported tail combines
-    the dropped polynomial terms with the model's own series remainder,
-    both evaluated at the slice's l1 amplitude (a sup-norm bound).
+    Powers of the slice are built by repeated :func:`spectral_convolve`, with
+    the slice itself transformed once, so every term lives on the truncated
+    lattice.  The reported tail combines the dropped polynomial terms with
+    the model's own series remainder, both evaluated at the slice's l1
+    amplitude (a sup-norm bound).
     """
     u = np.asarray(u_hat, dtype=complex)
     if u.shape != np.shape(k_values):
@@ -172,8 +177,9 @@ def h_of_field(model: ModelConfig, k_values, u_hat,
             f"series radius {model.h_radius:.3e}")
     top = min(n_h, max_degree)
     power = u.copy()
+    u_transform = np.fft.fft(u, 2 * u.size)
     for degree in range(2, top + 1):
-        power = spectral_convolve(power, u)
+        power = _convolve_transformed(power, u_transform)
         if coeffs[degree] != 0.0:
             out = out + coeffs[degree] * power
     tail = float(model.h_tail_bound(amplitude))

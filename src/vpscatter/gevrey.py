@@ -3,17 +3,23 @@
 Weights are handled in log domain throughout: ``exp(lambda <k,eta>^gamma)``
 overflows doubles long before the frequencies of interest run out, so every
 weighted sum goes through a max-shifted log-sum-exp before exponentiation.
+
+The time-independent parts of the distribution weight (``<k,eta>^gamma``, the
+polynomial log term and the trapezoid log weights) are built once per grid and
+weight and cached, so :func:`n1_at_time` does only the arithmetic that depends
+on the state: the radius term, the eta derivatives and the log-sum-exp.
+Both norms refuse a non-finite state or density with :class:`BlowUpError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import ConfigError, WeightOverflowError
+from .errors import BlowUpError, ConfigError, WeightOverflowError
 
 __all__ = [
     "GevreyWeight",
@@ -26,7 +32,6 @@ __all__ = [
     "log_weight_A",
     "log_weight_B",
     "eta_derivative",
-    "norm_N1",
     "norm_N2",
     "weighted_norm_report",
     "gevrey_inequality_suite",
@@ -120,14 +125,15 @@ _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _apply_stencil(values: np.ndarray, stencil: np.ndarray, scale: float) -> np.ndarray:
-    pad = [(0, 0)] * (values.ndim - 1) + [(2, 2)]
-    ext = np.pad(values, pad)
-    out = np.zeros_like(values)
     n = values.shape[-1]
+    ext = np.zeros(values.shape[:-1] + (n + 4,), dtype=values.dtype)
+    ext[..., 2:-2] = values
+    out = np.zeros_like(values)
     for i, c in enumerate(stencil):
         if c != 0.0:
             out += c * ext[..., i:i + n]
-    return out * scale
+    out *= scale
+    return out
 
 
 def eta_derivative(values: np.ndarray, d_eta: float, order: int) -> np.ndarray:
@@ -143,11 +149,17 @@ def eta_derivative(values: np.ndarray, d_eta: float, order: int) -> np.ndarray:
     return out
 
 
-def _log_abs_sq(values: np.ndarray) -> np.ndarray:
-    mag2 = np.abs(values) ** 2
-    with np.errstate(divide="ignore"):
-        return np.where(mag2 > 0, np.log(mag2, where=mag2 > 0,
-                                          out=np.full(mag2.shape, -np.inf)), -np.inf)
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise BlowUpError(f"{what} holds non-finite values")
+
+
+def _log_abs_sq(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log |values|^2 into ``out``, -inf at zeros; +inf once |values|^2 overflows."""
+    with np.errstate(over="ignore"):
+        mag2 = np.abs(values) ** 2
+    out.fill(-np.inf)
+    return np.log(mag2, where=mag2 > 0, out=out)
 
 
 def _trapezoid_log_weights(n: int, step: float) -> np.ndarray:
@@ -157,13 +169,53 @@ def _trapezoid_log_weights(n: int, step: float) -> np.ndarray:
     return logs
 
 
+@lru_cache(maxsize=16)
+def _n1_tables(k_bytes: bytes, eta_bytes: bytes, w: GevreyWeight):
+    """Read-only ``<k,eta>^gamma``, ``(2 sigma + 2) log<k,eta>`` and trapezoid
+    log weights of one grid, keyed on the exact bytes of its float axes."""
+    k = np.frombuffer(k_bytes)[:, None]
+    eta = np.frombuffer(eta_bytes)[None, :]
+    br = bracket(k, eta)
+    tables = (br**w.gamma, (2.0 * w.sigma + 2.0) * np.log(br),
+              _trapezoid_log_weights(br.shape[1], float(eta[0, 1] - eta[0, 0]))[None, :])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _log_sum_exp(logs: np.ndarray) -> float:
+    """``scipy.special.logsumexp(logs)`` for a real array, bit for bit, with
+    ``logs`` overwritten.
+
+    The maxima are summed apart from the rest, as in scipy (after Blanchard,
+    Higham & Higham, IMA J. Numer. Anal. 41, 2021): with ``m`` tied maxima
+    and ``s`` the sum of the other shifted exponentials, the result is
+    ``log1p(s / m) + log(m) + max``.  A non-finite maximum is returned as is.
+    """
+    top = logs.max()
+    if not np.isfinite(top):
+        return top
+    logs -= top
+    ties = logs == 0.0  # x - top is exactly zero only where x == top
+    m = np.float64(np.count_nonzero(ties))
+    np.exp(logs, out=logs)
+    logs[ties] = 0.0
+    s = logs.sum()
+    if s != 0.0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + top
+
+
 # largest exponent whose exponential is still a finite double
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _sqrt_of_exp_sum(logs: np.ndarray, what: str) -> float:
-    """sqrt(sum(exp(logs))), refused in the log domain before it can overflow."""
-    half = 0.5 * logsumexp(logs)
+    """sqrt(sum(exp(logs))), refused in the log domain before it can overflow;
+    ``logs`` is overwritten."""
+    half = 0.5 * _log_sum_exp(logs)
+    if half == -np.inf:
+        return 0.0
     if not half <= _LOG_MAX:
         raise WeightOverflowError(
             f"{what} overflowed; reduce lambda_inf or sigma")
@@ -177,29 +229,20 @@ def n1_at_time(state, w: GevreyWeight) -> float:
     exp(2 lambda(t) <k,eta>^gamma) <k,eta>^(2 sigma + 2) |d^j ghat|^2,
     with trapezoidal eta quadrature.
     """
-    k = np.asarray(state.k_values, dtype=float)[:, None]
-    eta = np.asarray(state.eta, dtype=float)[None, :]
-    br = bracket(k, eta)
-    log_w2 = (2.0 * float(lambda_of_t(w, state.time)) * br**w.gamma
-              + (2.0 * w.sigma + 2.0) * np.log(br))
-    d_eta = float(state.eta[1] - state.eta[0])
-    quad = _trapezoid_log_weights(br.shape[1], d_eta)[None, :]
-    pieces = []
+    values = np.asarray(state.values)
+    _require_finite(values, "state")
+    k = np.ascontiguousarray(state.k_values, dtype=float)
+    eta = np.ascontiguousarray(state.eta, dtype=float)
+    br_gamma, log_poly, quad = _n1_tables(k.tobytes(), eta.tobytes(), w)
+    log_w2 = 2.0 * float(lambda_of_t(w, state.time)) * br_gamma
+    log_w2 += log_poly
+    log_w2 += quad
+    d_eta = float(eta[1] - eta[0])
+    logs = np.empty((w.moments + 1,) + log_w2.shape)
     for order in range(w.moments + 1):
-        deriv = eta_derivative(np.asarray(state.values), d_eta, order)
-        pieces.append(log_w2 + quad + _log_abs_sq(deriv))
-    stacked = np.stack(pieces)
-    if np.all(np.isneginf(stacked)):
-        return 0.0
-    return _sqrt_of_exp_sum(stacked, "weighted distribution norm")
-
-
-def norm_N1(state_history, w: GevreyWeight) -> float:
-    """Sup over timestamps of the weighted distribution norm."""
-    best = 0.0
-    for state in state_history:
-        best = max(best, n1_at_time(state, w))
-    return best
+        piece = _log_abs_sq(eta_derivative(values, d_eta, order), logs[order])
+        piece += log_w2
+    return _sqrt_of_exp_sum(logs, "weighted distribution norm")
 
 
 def norm_N2(density, w: GevreyWeight) -> float:
@@ -215,15 +258,14 @@ def norm_N2(density, w: GevreyWeight) -> float:
         raise ConfigError("density values must have shape (n_times, n_modes)")
     if times.size < 2:
         raise ConfigError("density history needs at least two time samples")
+    _require_finite(values, "density")
     dt = float(times[1] - times[0])
     br = bracket(k[None, :], k[None, :] * times[:, None])
     lam = np.asarray(lambda_of_t(w, times), dtype=float)[:, None]
     logs = (math.log(dt)
             + 2.0 * w.b * np.log(time_bracket(times))[:, None]
             + 2.0 * lam * br**w.gamma + 2.0 * w.sigma * np.log(br)
-            + _log_abs_sq(values))
-    if np.all(np.isneginf(logs)):
-        return 0.0
+            + _log_abs_sq(values, np.empty(values.shape)))
     return _sqrt_of_exp_sum(logs, "weighted density norm")
 
 

@@ -1,15 +1,21 @@
 """Weight, norm, and inequality checks for the Gevrey utilities."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
-from vpscatter.errors import ConfigError, WeightOverflowError
+import vpscatter
+from vpscatter.errors import BlowUpError, ConfigError, WeightOverflowError
 from vpscatter.gevrey import (
     GevreyWeight,
+    _log_sum_exp,
     bracket,
     eta_derivative,
     gevrey_inequality_suite,
@@ -17,16 +23,22 @@ from vpscatter.gevrey import (
     log_weight_A,
     log_weight_B,
     n1_at_time,
-    norm_N1,
     norm_N2,
     norm_equivalence_check,
+    time_bracket,
     weight_violations,
     weighted_norm_report,
 )
+from vpscatter.kinetic import PhaseGrid, SpectralState
 
 # frozen oracle values
 LAMBDA_AT_1 = 0.2 - 0.05 * 2.0 ** (-0.025)  # 0.15085897007273746
 N1_GAUSS_M2 = 1832693.9697307912  # continuum quadrature, defaults, t=0
+
+
+def norm_N1(state_history, w):
+    """Sup over timestamps of the weighted distribution norm."""
+    return max((n1_at_time(state, w) for state in state_history), default=0.0)
 
 
 def gaussian_state(d_eta=0.125, span=16.0):
@@ -221,3 +233,224 @@ def test_norm_equivalence_gap_shrinks():
     assert gaps[0] < 0.01
     assert gaps[1] < gaps[0] / 8
     assert gaps[2] < gaps[1] / 8
+
+
+# --- frozen oracle: the norm kernel as first written (np.pad stencils,
+# per-call weight tables, scipy's logsumexp); the package must match it bit
+# for bit on finite data
+
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def oracle_stencil(values, stencil, scale):
+    ext = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(2, 2)])
+    out = np.zeros_like(values)
+    n = values.shape[-1]
+    for i, c in enumerate(stencil):
+        if c != 0.0:
+            out += c * ext[..., i:i + n]
+    return out * scale
+
+
+def oracle_derivative(values, d_eta, order):
+    out = np.asarray(values)
+    while order >= 2:
+        out = oracle_stencil(out, _D2, 1.0 / d_eta**2)
+        order -= 2
+    if order == 1:
+        out = oracle_stencil(out, _D1, 1.0 / d_eta)
+    return out
+
+
+def oracle_log_abs_sq(values):
+    mag2 = np.abs(values) ** 2
+    with np.errstate(divide="ignore"):
+        return np.where(mag2 > 0, np.log(mag2, where=mag2 > 0,
+                                          out=np.full(mag2.shape, -np.inf)), -np.inf)
+
+
+def oracle_sqrt_of_exp_sum(logs):
+    if np.all(np.isneginf(logs)):
+        return 0.0
+    half = 0.5 * logsumexp(logs)
+    if not half <= _LOG_MAX:
+        raise WeightOverflowError("oracle overflow")
+    return float(np.exp(half))
+
+
+def oracle_n1_logs(state, w):
+    k = np.asarray(state.k_values, dtype=float)[:, None]
+    eta = np.asarray(state.eta, dtype=float)[None, :]
+    br = bracket(k, eta)
+    log_w2 = (2.0 * float(lambda_of_t(w, state.time)) * br**w.gamma
+              + (2.0 * w.sigma + 2.0) * np.log(br))
+    d_eta = float(state.eta[1] - state.eta[0])
+    quad_logs = np.full(br.shape[1], math.log(d_eta))
+    quad_logs[0] -= math.log(2.0)
+    quad_logs[-1] -= math.log(2.0)
+    return np.stack([log_w2 + quad_logs[None, :]
+                     + oracle_log_abs_sq(oracle_derivative(np.asarray(state.values),
+                                                           d_eta, order))
+                     for order in range(w.moments + 1)])
+
+
+def oracle_n1(state, w):
+    return oracle_sqrt_of_exp_sum(oracle_n1_logs(state, w))
+
+
+def oracle_n2(density, w):
+    times = np.asarray(density.times, dtype=float)
+    k = np.asarray(density.k_values, dtype=float)
+    dt = float(times[1] - times[0])
+    br = bracket(k[None, :], k[None, :] * times[:, None])
+    lam = np.asarray(lambda_of_t(w, times), dtype=float)[:, None]
+    logs = (math.log(dt)
+            + 2.0 * w.b * np.log(time_bracket(times))[:, None]
+            + 2.0 * lam * br**w.gamma + 2.0 * w.sigma * np.log(br)
+            + oracle_log_abs_sq(np.asarray(density.values)))
+    return oracle_sqrt_of_exp_sum(logs)
+
+
+# the three session-fixture grids, then the scatter and roundtrip-vpme
+# benchmark grids
+ORACLE_GRIDS = [PhaseGrid(2, 70.0, 0.25), PhaseGrid(3, 24.0, 0.0625),
+                PhaseGrid(2, 60.0, 0.125), PhaseGrid(2, 22.0, 0.25),
+                PhaseGrid(2, 16.0, 0.125)]
+
+
+def random_state(grid, rng, time):
+    shape = (grid.n_modes, grid.n_eta)
+    decay = np.exp(-0.05 * grid.eta**2)[None, :]
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * decay
+    return SpectralState(time, grid, 1e-3 * values)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"k{g.k_max}-eta{g.eta_max}/{g.delta_eta}")
+def test_n1_and_derivatives_match_oracle_bit_for_bit(grid):
+    rng = np.random.default_rng(grid.n_eta)
+    for w in (GevreyWeight(), GevreyWeight(gamma=0.7, sigma=13.5, moments=4)):
+        for time in (0.0, 0.1, 3.7, 31.9):
+            state = random_state(grid, rng, time)
+            assert n1_at_time(state, w) == oracle_n1(state, w)
+    for order in range(5):
+        assert np.array_equal(eta_derivative(state.values, grid.delta_eta, order),
+                              oracle_derivative(state.values, grid.delta_eta, order))
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS[3:], ids=("scatter", "vpme"))
+def test_n2_matches_oracle_bit_for_bit(grid):
+    rng = np.random.default_rng(7)
+    times = np.arange(0.0, 8.0 + 0.05, 0.1)
+    shape = (times.size, grid.n_modes)
+    values = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    values[:, grid.k_max] = 0.0
+    dens = SimpleNamespace(times=times, k_values=grid.k_values, values=values)
+    w = GevreyWeight()
+    assert norm_N2(dens, w) == oracle_n2(dens, w)
+
+
+def test_n1_tied_maxima_match_oracle():
+    grid = ORACLE_GRIDS[3]
+    state = random_state(grid, np.random.default_rng(11), 2.0)
+    # a real-symmetric state: mirrored entries carry the same weight
+    state.resymmetrize()
+    w = GevreyWeight()
+    logs = oracle_n1_logs(state, w)
+    assert np.count_nonzero(logs == logs.max()) > 1
+    assert n1_at_time(state, w) == oracle_n1(state, w)
+
+
+def test_single_entry_and_zero_match_oracle():
+    grid = ORACLE_GRIDS[4]
+    w = GevreyWeight()
+    values = np.zeros((grid.n_modes, grid.n_eta), dtype=complex)
+    zero = SpectralState(1.0, grid, values)
+    assert n1_at_time(zero, w) == oracle_n1(zero, w) == 0.0
+    values[1, 40] = 0.3 - 0.2j
+    lone = SpectralState(1.0, grid, values)
+    assert n1_at_time(lone, w) == oracle_n1(lone, w)
+    times = np.arange(0.0, 2.01, 0.25)
+    dvals = np.zeros((times.size, grid.n_modes), dtype=complex)
+    dens0 = SimpleNamespace(times=times, k_values=grid.k_values, values=dvals)
+    assert norm_N2(dens0, w) == oracle_n2(dens0, w) == 0.0
+    dvals = dvals.copy()
+    dvals[3, 0] = 2e-3j  # s == 0: the lone maximum is the whole sum
+    dens1 = SimpleNamespace(times=times, k_values=grid.k_values, values=dvals)
+    assert norm_N2(dens1, w) == oracle_n2(dens1, w)
+
+
+def test_log_sum_exp_matches_scipy():
+    rng = np.random.default_rng(2)
+    cases = [np.array([-np.inf, 3.25, -np.inf]),  # s == 0
+             np.array([1.5, 1.5, 1.5, -2.0]),  # three tied maxima
+             np.array([[700.0, 700.0], [-np.inf, 650.0]]),
+             rng.normal(size=(3, 5, 41)) * 50.0]
+    for logs in cases:
+        assert _log_sum_exp(logs.copy()) == logsumexp(logs)
+    assert _log_sum_exp(np.full(4, -np.inf)) == -np.inf
+
+
+def test_n1_overflow_matches_oracle():
+    w = GevreyWeight(lambda_inf=0.9, c_decay=0.05)
+    eta = np.arange(-4e6, 4e6 + 1, 1e4)
+    st = SimpleNamespace(time=0.0, k_values=np.array([1]), eta=eta,
+                         values=np.ones((1, eta.size), dtype=complex))
+    with pytest.raises(WeightOverflowError):
+        oracle_n1(st, w)
+    with pytest.raises(WeightOverflowError):
+        n1_at_time(st, w)
+
+
+def test_n1_square_overflow_is_weight_overflow():
+    # finite entries whose square overflows: refused without a RuntimeWarning
+    st = gaussian_state(0.25)
+    huge = SimpleNamespace(time=0.0, k_values=st.k_values, eta=st.eta,
+                           values=1e200 * st.values)
+    with pytest.raises(WeightOverflowError):
+        n1_at_time(huge, GevreyWeight())
+
+
+def test_weight_tables_not_shared_between_spacings():
+    # equal shapes, different spacing: one grid's tables must not serve the other
+    coarse, fine = PhaseGrid(2, 16.0, 0.25), PhaseGrid(2, 8.0, 0.125)
+    assert coarse.n_eta == fine.n_eta
+    values = random_state(coarse, np.random.default_rng(4), 1.0).values
+    w = GevreyWeight()
+    results = []
+    for grid in (coarse, fine, coarse, fine):
+        state = SpectralState(1.0, grid, values)
+        results.append(n1_at_time(state, w))
+        assert results[-1] == oracle_n1(state, w)
+    assert results[0] == results[2] != results[1] == results[3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_n1_refuses_non_finite_state(bad):
+    st = gaussian_state(0.25)
+    values = st.values.copy()
+    values[0, 7] = bad
+    state = SimpleNamespace(time=0.0, k_values=st.k_values, eta=st.eta,
+                            values=values)
+    with pytest.raises(BlowUpError):
+        n1_at_time(state, GevreyWeight())
+
+
+def test_n2_refuses_non_finite_density():
+    times = np.arange(0.0, 2.01, 0.5)
+    vals = np.full((times.size, 3), 1e-3, dtype=complex)
+    vals[2, 1] = complex(np.nan, 0.0)
+    dens = SimpleNamespace(times=times, k_values=np.array([-1, 0, 1]), values=vals)
+    with pytest.raises(BlowUpError):
+        norm_N2(dens, GevreyWeight())
+
+
+def test_cli_import_skips_scipy_special():
+    src = str(Path(vpscatter.__file__).resolve().parents[1])
+    code = ("import sys; import vpscatter.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.special was imported"

@@ -33,7 +33,8 @@ from .errors import (BlowUpError, ConfigError, DivergenceError,
 from .field import poisson_fixed_point, potential_from_density
 from .gevrey import GevreyWeight, gevrey_inequality_suite, weight_violations
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
-                      gaussian_datum, integrate, zero_field_provider)
+                      gaussian_datum, horizon_violation, integrate,
+                      zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
                     maxwellian, two_stream)
 from .scattering import (RunGrids, apply_map_F, build_resolvent_tables,
@@ -233,12 +234,10 @@ def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
                 "penrose.kmax", "kernel.kmax", "threads", "damp.mode"):
         if values[key] < 1:
             bad.append(f"{key} must be at least 1, got {values[key]}")
-    need = values["grid.kmax"] * values["grid.t_final"] \
-        + 6.0 * values["datum.width"]
-    if values["grid.eta_max"] < need:
-        bad.append(f"grid.eta_max = {values['grid.eta_max']} cannot hold the "
-                   f"density trace out to t = {values['grid.t_final']}; need "
-                   f"at least kmax*t_final + 6*width = {need}")
+    horizon = horizon_violation(values["grid.kmax"], values["grid.eta_max"],
+                                values["grid.t_final"], values["datum.width"])
+    if horizon is not None:
+        bad.append(f"grid.{horizon}")
     return bad
 
 
@@ -559,8 +558,7 @@ def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     snapshot = poisson_fixed_point(model, grids.phase.k_values, q_hat, w, 0.0,
                                    tol=cfg["poisson.tol"],
                                    max_iters=cfg["poisson.max_iters"],
-                                   eps_ball=cfg["poisson.eps_ball"],
-                                   n_h=cfg["model.n_h"])
+                                   eps_ball=cfg["poisson.eps_ball"])
     rows = [[str(int(k)), _fmt(snapshot.u_hat[j].real),
              _fmt(snapshot.u_hat[j].imag), _fmt(abs(snapshot.e_hat[j]))]
             for j, k in enumerate(grids.phase.k_values)]

@@ -31,7 +31,6 @@ from .fitting import linear_fit
 from .model import Equilibrium, ModelConfig
 
 __all__ = [
-    "DispersionSample",
     "PenroseReport",
     "ResolventTable",
     "laplace_one_sided",
@@ -46,15 +45,8 @@ __all__ = [
 ]
 
 _MARGIN_FRACTION = 0.25  # safe analyticity fraction, strictly below 1/2
-
-
-@dataclass(frozen=True)
-class DispersionSample:
-    """One evaluation of the dispersion function."""
-
-    k: int
-    tau: complex
-    value: complex
+_MAX_DOUBLINGS = 22  # Simpson panel halvings before a transform gives up
+_SEMICIRCLE_SAMPLES = 512  # samples on the closing semicircle of a scan
 
 
 @dataclass(frozen=True)
@@ -121,13 +113,14 @@ def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> floa
 
 
 def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
-                      decay: float = 1.0, max_doublings: int = 22) -> complex:
+                      decay: float = 1.0) -> complex:
     """One-sided transform of an exponentially decaying function.
 
     ``decay`` is the declared rate c with |phi(t)| <~ e^{-ct}; the transform
-    needs Re tau > -c. Composite Simpson panels are halved until two
-    successive refinements agree to tol/2, and the truncated tail is
-    certified below tol/2 before integration starts.
+    needs Re tau > -c. Composite Simpson panels are halved, at most
+    ``_MAX_DOUBLINGS`` times, until two successive refinements agree to
+    tol/2, and the truncated tail is certified below tol/2 before
+    integration starts.
     """
     tau = complex(tau)
     if decay <= 0:
@@ -143,7 +136,7 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
     while n * 4 < t_end * (4.0 + abs(tau.imag) + abs(tau.real)):
         n *= 2
     previous = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         t = np.linspace(0.0, t_end, 2 * n + 1)
         f = np.asarray(phi(t), dtype=complex) * np.exp(-tau * t)
         w = np.ones(2 * n + 1)
@@ -323,8 +316,7 @@ def absolute_first_moment(eq: Equilibrium, tol: float = 1e-10) -> float:
 
 
 def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
-                 omega_max: float = 40.0, n_samples: int = 4001,
-                 n_semicircle: int = 512) -> PenroseReport:
+                 omega_max: float = 40.0, n_samples: int = 4001) -> PenroseReport:
     """Boundary stability scan over all modes 0 < |k| <= k_scan_max.
 
     Per mode: sampled minimum of |D| on the imaginary segment and on the
@@ -341,13 +333,13 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
     kappa0 = math.inf
     argmin: tuple[int, complex] = (0, 0j)
     modes = [k for k in range(-k_scan_max, k_scan_max + 1) if k != 0]
+    theta = np.linspace(-math.pi / 2, math.pi / 2, _SEMICIRCLE_SAMPLES)
+    semi_taus = omega_max * np.exp(1j * theta)
     for k in modes:
         omega, axis_vals, _ = dispersion_on_axis(model, eq, k, omega_max,
                                                  n_min=n_samples)
         i = int(np.argmin(np.abs(axis_vals)))
         axis_minima[k] = (float(omega[i]), float(np.abs(axis_vals[i])))
-        theta = np.linspace(-math.pi / 2, math.pi / 2, n_semicircle)
-        semi_taus = omega_max * np.exp(1j * theta)
         pref = float(model.poisson_prefactor(k))
         semi_vals = 1.0 + pref * _transform_direct(eq, k, +1, semi_taus)
 

@@ -3,7 +3,7 @@
 The density equals a prescribed slice minus the coupling series applied to
 the screened potential.  :func:`poisson_fixed_point` resolves that balance by
 Picard iteration inside a weighted amplitude ball, :func:`h_of_field`
-evaluates the series by repeated anti-aliased spectral convolution,
+evaluates the series by repeated truncated coefficient products,
 :func:`potential_from_density` is the screened Poisson division every layer
 uses, and :func:`electric_from_density` adds the electric field.
 
@@ -114,23 +114,14 @@ def spectral_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient convolution of two slices on the same symmetric lattice.
 
     The product's support is twice as wide; modes outside the input lattice
-    are dropped.  A transform at doubled length keeps the circular wrap away
-    from the retained window.
+    are dropped.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1 or a.size % 2 == 0:
         raise ConfigError("convolution needs two equal odd-length mode slices")
-    return _convolve_transformed(a, np.fft.fft(b, 2 * a.size))
-
-
-def _convolve_transformed(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """:func:`spectral_convolve` of ``a`` with the slice whose doubled-length
-    transform is ``fb``, so a fixed factor is transformed only once."""
-    n = a.size
-    half = n // 2
-    full = np.fft.ifft(np.fft.fft(a, 2 * n) * fb)[: 2 * n - 1]
-    return full[half:half + n]
+    half = a.size // 2
+    return np.convolve(a, b)[half:half + a.size]
 
 
 def weighted_density_norm(w: GevreyWeight, t: float, k_values,
@@ -148,15 +139,14 @@ def weighted_density_norm(w: GevreyWeight, t: float, k_values,
     return total
 
 
-def h_of_field(model: ModelConfig, k_values, u_hat,
-               n_h: int | None = None) -> HSeriesSlice:
+def h_of_field(model: ModelConfig, k_values, u_hat) -> HSeriesSlice:
     """Evaluate the coupling series of a potential slice mode by mode.
 
-    Powers of the slice are built by repeated :func:`spectral_convolve`, with
-    the slice itself transformed once, so every term lives on the truncated
-    lattice.  The reported tail combines the dropped polynomial terms with
-    the model's own series remainder, both evaluated at the slice's l1
-    amplitude (a sup-norm bound).
+    Powers of the slice are built by the truncated product of
+    :func:`spectral_convolve`, so every term lives on the truncated lattice.
+    The series is the model's own (``model.h_coeffs``); the reported tail is
+    the model's series remainder at the slice's l1 amplitude (a sup-norm
+    bound).
     """
     u = np.asarray(u_hat, dtype=complex)
     if u.shape != np.shape(k_values):
@@ -164,28 +154,19 @@ def h_of_field(model: ModelConfig, k_values, u_hat,
     out = np.zeros_like(u)
     if not model.has_h:
         return HSeriesSlice(values=out, tail_bound=0.0)
-    coeffs = np.asarray(model.h_coeffs, dtype=float)
-    max_degree = coeffs.size - 1
-    if n_h is None:
-        n_h = max_degree
-    if n_h < 2:
-        raise ConfigError("series truncation must keep at least the quadratic term")
     amplitude = float(np.sum(np.abs(u)))
     if math.isfinite(model.h_radius) and amplitude >= RADIUS_MARGIN * model.h_radius:
         raise DivergenceError(
             f"slice amplitude {amplitude:.3e} reaches the margin of the "
             f"series radius {model.h_radius:.3e}")
-    top = min(n_h, max_degree)
-    power = u.copy()
-    u_transform = np.fft.fft(u, 2 * u.size)
-    for degree in range(2, top + 1):
-        power = _convolve_transformed(power, u_transform)
-        if coeffs[degree] != 0.0:
-            out = out + coeffs[degree] * power
-    tail = float(model.h_tail_bound(amplitude))
-    for degree in range(top + 1, max_degree + 1):
-        tail += abs(coeffs[degree]) * amplitude**degree
-    return HSeriesSlice(values=out, tail_bound=tail)
+    half = u.size // 2
+    power = u
+    for coeff in model.h_coeffs[2:]:
+        power = np.convolve(power, u)[half:half + u.size]
+        if coeff != 0.0:
+            out = out + coeff * power
+    return HSeriesSlice(values=out,
+                        tail_bound=float(model.h_tail_bound(amplitude)))
 
 
 def potential_from_density(model: ModelConfig, k_values, rho_hat) -> np.ndarray:
@@ -224,8 +205,7 @@ def electric_from_density(model: ModelConfig, k_values,
 
 def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
                         t: float, tol: float = 1e-12, max_iters: int = 50,
-                        eps_ball: float | None = None,
-                        n_h: int | None = None) -> FieldSnapshot:
+                        eps_ball: float | None = None) -> FieldSnapshot:
     """Resolve density = slice - series(potential) by Picard iteration.
 
     Starts from the slice itself and reapplies the map until the weighted
@@ -259,7 +239,7 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
     prev_dist = None
     for itn in range(1, max_iters + 1):
         u_hat = potential_from_density(model, k_int, rho)
-        series = h_of_field(model, k_int, u_hat, n_h=n_h)
+        series = h_of_field(model, k_int, u_hat)
         nxt = q - series.values
         dist = weighted_density_norm(w, t, k_int, nxt - rho)
         if prev_dist is not None and prev_dist > 0.0:

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["DecayFit", "linear_fit", "exponential_decay_fit",
-           "peak_decay_fit", "stretched_exponential_fit"]
+__all__ = ["DecayFit", "linear_fit", "peak_decay_fit",
+           "stretched_exponential_fit"]
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,6 @@ def _log_magnitudes(t, values, floor):
     mag = np.abs(np.asarray(values))
     keep = mag > floor
     return t[keep], np.log(mag[keep])
-
-
-def exponential_decay_fit(t, values, floor: float = 0.0) -> DecayFit:
-    """Fit log|values| = log_amplitude - rate * t over samples above ``floor``."""
-    tt, logs = _log_magnitudes(t, values, floor)
-    slope, intercept, r2 = linear_fit(tt, logs)
-    return DecayFit(rate=-slope, log_amplitude=intercept, r_squared=r2,
-                    n_points=tt.size)
 
 
 def peak_decay_fit(t, values, floor: float = 0.0) -> DecayFit:

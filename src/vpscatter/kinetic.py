@@ -29,6 +29,7 @@ from .volterra import DensityHistory, SourceHistory, SpectralHistory
 
 __all__ = [
     "PhaseGrid",
+    "horizon_violation",
     "TimeGrid",
     "TruncationCounter",
     "SpectralState",
@@ -95,11 +96,18 @@ class PhaseGrid:
 
     def validate_horizon(self, t_final: float, profile_width: float) -> None:
         """The density trace walks out to eta = k t; refuse grids it would leave."""
-        need = self.k_max * t_final + 6.0 * profile_width
-        if self.eta_max < need:
-            raise ConfigError(
-                f"eta_max={self.eta_max:g} cannot hold the density trace out to "
-                f"t={t_final:g}; need at least k_max*t_final + 6*width = {need:g}")
+        bad = horizon_violation(self.k_max, self.eta_max, t_final, profile_width)
+        if bad is not None:
+            raise ConfigError(bad)
+
+
+def horizon_violation(k_max, eta_max, t_final, profile_width) -> Optional[str]:
+    """Why a frequency range cannot hold the density trace, or None if it can."""
+    need = k_max * t_final + 6.0 * profile_width
+    if eta_max >= need:
+        return None
+    return (f"eta_max = {eta_max} cannot hold the density trace out to "
+            f"t = {t_final}; need at least k_max*t_final + 6*width = {need}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,7 +410,7 @@ def _source_integrand_weights(model: ModelConfig, grid: PhaseGrid):
 
 def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             density: DensityHistory, u_hats: SpectralHistory,
-                            ginf: AsymptoticDatum, n_h: Optional[int] = None,
+                            ginf: AsymptoticDatum,
                             counter: Optional[TruncationCounter] = None,
                             ) -> SourceHistory:
     """Backward-equation right-hand side on the whole time grid.
@@ -423,7 +431,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     out = np.zeros((n_t, k.size), dtype=complex)
     for i in range(n_t):
         out[i] = ginf.trace(k, times[i])
-        out[i] -= h_of_field(model, k, u_hats.values[i], n_h=n_h).values
+        out[i] -= h_of_field(model, k, u_hats.values[i]).values
     pairs = _source_integrand_weights(model, grid)
     conv = np.zeros((n_t, k.size), dtype=complex)
     for j in range(1, n_t):
@@ -537,14 +545,12 @@ class SelfConsistentFieldProvider:
 
     def __init__(self, model: ModelConfig, w: GevreyWeight, tol: float = 1e-12,
                  max_iters: int = 50, eps_ball: Optional[float] = None,
-                 n_h: Optional[int] = None,
                  counter: Optional[TruncationCounter] = None):
         self.model = model
         self.w = w
         self.tol = tol
         self.max_iters = max_iters
         self.eps_ball = eps_ball
-        self.n_h = n_h
         self.counter = counter
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
@@ -553,8 +559,7 @@ class SelfConsistentFieldProvider:
             u_hat = poisson_fixed_point(self.model, state.grid.k_values, q,
                                         self.w, state.time, tol=self.tol,
                                         max_iters=self.max_iters,
-                                        eps_ball=self.eps_ball,
-                                        n_h=self.n_h).u_hat
+                                        eps_ball=self.eps_ball).u_hat
         else:
             u_hat = potential_from_density(self.model, state.grid.k_values, q)
         return u_hat, u_hat

@@ -175,7 +175,7 @@ def build_resolvent_tables(model: ModelConfig, eq: Equilibrium,
 
 def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
                   w: GevreyWeight, tol: float, max_iters: int,
-                  eps_ball: Optional[float], n_h: Optional[int],
+                  eps_ball: Optional[float],
                   counter: Optional[TruncationCounter],
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-slice density and potential of an iterate via the elliptic balance."""
@@ -185,8 +185,7 @@ def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
     for i, state in enumerate(states):
         q = density_trace(state, counter)
         snap = poisson_fixed_point(model, k, q, w, state.time, tol=tol,
-                                   max_iters=max_iters, eps_ball=eps_ball,
-                                   n_h=n_h)
+                                   max_iters=max_iters, eps_ball=eps_ball)
         rho[i] = snap.rho_hat
         u[i] = snap.u_hat
     return rho, u
@@ -197,7 +196,7 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
                 grids: RunGrids, *, tables: Optional[Mapping[int, object]] = None,
                 linearized: bool = False, ball_n1: Optional[float] = None,
                 poisson_tol: float = 1e-12, poisson_iters: int = 50,
-                eps_ball: Optional[float] = None, n_h: Optional[int] = None,
+                eps_ball: Optional[float] = None,
                 counter: Optional[TruncationCounter] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
 
@@ -225,11 +224,11 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
         u_phi = np.zeros_like(rho_phi)
     else:
         rho_phi, u_phi = _slice_fields(model, phi_states, w, poisson_tol,
-                                       poisson_iters, eps_ball, n_h, counter)
+                                       poisson_iters, eps_ball, counter)
     rho_hist = DensityHistory(times, k, rho_phi)
     u_hist = SpectralHistory(times, k, u_phi)
     source = assemble_source_history(model, phi_states, rho_hist, u_hist,
-                                     ginf, n_h=n_h, counter=counter)
+                                     ginf, counter=counter)
     if tables is None:
         tables = build_resolvent_tables(model, eq, grids)
     density = solve_resolvent(model, eq, source, tables)
@@ -275,16 +274,14 @@ def iterate_distance(states_a: Sequence[SpectralState],
     return n1 + norm_N2(diff_density, w)
 
 
-def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory,
-                          lam_bar: Optional[float] = None,
+def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted electric-field norms along the density line, per grid time.
 
-    The weight uses a constant regularity radius, by default 0.9 of the
-    working radius at t = 0 so it stays below the time-dependent one.
+    The weight uses a constant regularity radius, 0.9 of the working radius
+    at t = 0, so it stays below the time-dependent one.
     """
-    if lam_bar is None:
-        lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
+    lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
     times = potentials.times
     k = potentials.k_values.astype(float)
     e_hat = -1j * k[None, :] * potentials.values
@@ -299,11 +296,8 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                       tol: float = 1e-9, max_iters: int = 25, *,
                       initial_states: Optional[Sequence[SpectralState]] = None,
                       tables: Optional[Mapping[int, object]] = None,
-                      lam_bar: Optional[float] = None,
-                      fit_window: Optional[tuple[float, float]] = None,
                       poisson_tol: float = 1e-12, poisson_iters: int = 50,
                       eps_ball: Optional[float] = None,
-                      n_h: Optional[int] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> ScatteringRun:
     """Iterate the construction map until consecutive iterates agree.
@@ -318,7 +312,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     The returned run carries per-iterate densities and norm reports, the
     converged trajectory and its t = 0 state, the weighted field-decay
     series of the last iterate, and a stretched-exponential envelope fit
-    over ``fit_window`` (default the middle half of the horizon).
+    over the middle half of the horizon.
     """
     grids.validate_for(ginf)
     if max_iters < 1:
@@ -337,7 +331,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         if len(start_states) != times.size:
             raise ConfigError("initial iterate does not match the time grid")
     rho0, _ = _slice_fields(model, start_states, w, poisson_tol,
-                            poisson_iters, eps_ball, n_h, counter)
+                            poisson_iters, eps_ball, counter)
     density0 = DensityHistory(times, k, rho0)
     report0 = weighted_norm_report(start_states, density0, w)
     if initial_states is None:
@@ -345,7 +339,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     else:
         # the acceptance ball is anchored to the datum, not to the start
         fr_rho, _ = _slice_fields(model, free0, w, poisson_tol, poisson_iters,
-                                  eps_ball, n_h, counter)
+                                  eps_ball, counter)
         fr_report = weighted_norm_report(
             free0, DensityHistory(times, k, fr_rho), w)
         ball = BALL_FACTOR * fr_report.n_total
@@ -362,7 +356,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                              tables=tables, ball_n1=ball,
                              poisson_tol=poisson_tol,
                              poisson_iters=poisson_iters, eps_ball=eps_ball,
-                             n_h=n_h, counter=counter)
+                             counter=counter)
         dist = iterate_distance(result.states, prev_states, result.density,
                                 prev_density, w_dist)
         distances.append(dist)
@@ -385,10 +379,9 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         if dist <= tol:
             converged = True
             break
-    e_times, e_norms = efield_weighted_norms(w, last.potentials, lam_bar)
-    lo, hi = fit_window if fit_window is not None else (
-        0.25 * grids.time.t_final, 0.75 * grids.time.t_final)
-    window = (e_times >= lo) & (e_times <= hi)
+    e_times, e_norms = efield_weighted_norms(w, last.potentials)
+    t_final = grids.time.t_final
+    window = (e_times >= 0.25 * t_final) & (e_times <= 0.75 * t_final)
     decay_fit = None
     if np.count_nonzero(e_norms[window] > 0.0) >= 3:
         decay_fit = stretched_exponential_fit(e_times[window],
@@ -444,7 +437,6 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
                     w: GevreyWeight, grids: RunGrids, *,
                     poisson_tol: float = 1e-12, poisson_iters: int = 50,
                     eps_ball: Optional[float] = None,
-                    n_h: Optional[int] = None, richardson: bool = True,
                     counter: Optional[TruncationCounter] = None,
                     ) -> RoundTripReport:
     """Forward re-simulation of a converged run against its target profile.
@@ -452,13 +444,14 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     Integrates the t = 0 state forward under the self-consistent field (both
     transport fields wired to the stage state itself) and reports the
     physical-space sup distance to the datum at every time, its value at the
-    horizon, and a step-halving estimate of the forward discretization error.
+    horizon, and a step-halving estimate of the forward discretization error
+    per axis (zero on an axis whose grid cannot be halved).
     """
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
     provider = SelfConsistentFieldProvider(model, w, tol=poisson_tol,
                                            max_iters=poisson_iters,
-                                           eps_ball=eps_ball, n_h=n_h,
+                                           eps_ball=eps_ball,
                                            counter=counter)
     forward = integrate(run.g0.copy(), provider, grids.time, eq,
                         direction="forward", counter=counter)
@@ -468,27 +461,26 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         for state in forward.states])
     est_dt = 0.0
     est_eta = 0.0
-    if richardson:
-        # both comparisons are fourth order: |fine - half-resolution| / (2^4 - 1)
-        fine = forward.states[-1]
-        if grids.time.n_steps % 2 == 0:
-            coarse_grid = TimeGrid(grids.time.t_final, 2.0 * grids.time.dt)
-            coarse = integrate(run.g0.copy(), provider, coarse_grid, eq,
-                               direction="forward", counter=counter)
-            fine_end = state_to_physical(fine)[2]
-            coarse_end = state_to_physical(coarse.states[-1])[2]
-            est_dt = float(np.max(np.abs(fine_end - coarse_end))) / 15.0
-        phase = grids.phase
-        if (phase.n_eta - 1) % 4 == 0:
-            wide = PhaseGrid(phase.k_max, phase.eta_max, 2.0 * phase.delta_eta)
-            start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
-            sparse = integrate(start, provider, grids.time, eq,
-                               direction="forward", counter=counter)
-            x = 2.0 * np.pi * np.arange(max(8 * phase.k_max, 16)) / \
-                max(8 * phase.k_max, 16)
-            _, v, sparse_end = state_to_physical(sparse.states[-1], x.size)
-            fine_at = _physical_at(fine, x, v)
-            est_eta = float(np.max(np.abs(fine_at - sparse_end))) / 15.0
+    # both comparisons are fourth order: |fine - half-resolution| / (2^4 - 1)
+    fine = forward.states[-1]
+    if grids.time.n_steps % 2 == 0:
+        coarse_grid = TimeGrid(grids.time.t_final, 2.0 * grids.time.dt)
+        coarse = integrate(run.g0.copy(), provider, coarse_grid, eq,
+                           direction="forward", counter=counter)
+        fine_end = state_to_physical(fine)[2]
+        coarse_end = state_to_physical(coarse.states[-1])[2]
+        est_dt = float(np.max(np.abs(fine_end - coarse_end))) / 15.0
+    phase = grids.phase
+    if (phase.n_eta - 1) % 4 == 0:
+        wide = PhaseGrid(phase.k_max, phase.eta_max, 2.0 * phase.delta_eta)
+        start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
+        sparse = integrate(start, provider, grids.time, eq,
+                           direction="forward", counter=counter)
+        x = 2.0 * np.pi * np.arange(max(8 * phase.k_max, 16)) / \
+            max(8 * phase.k_max, 16)
+        _, v, sparse_end = state_to_physical(sparse.states[-1], x.size)
+        fine_at = _physical_at(fine, x, v)
+        est_eta = float(np.max(np.abs(fine_at - sparse_end))) / 15.0
     return RoundTripReport(sup_error=float(errors[-1]),
                            times=grids.time.times.copy(),
                            profile_errors=errors,
@@ -501,7 +493,6 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                       fit_window: tuple[float, float] = (5.0, 25.0), *,
                       poisson_tol: float = 1e-12, poisson_iters: int = 50,
                       eps_ball: Optional[float] = None,
-                      n_h: Optional[int] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> LinearDecayReport:
     """Forward run of a small single-mode datum with a field-envelope fit.
@@ -515,7 +506,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     grids.validate_for(datum)
     provider = SelfConsistentFieldProvider(model, w, tol=poisson_tol,
                                            max_iters=poisson_iters,
-                                           eps_ball=eps_ball, n_h=n_h,
+                                           eps_ball=eps_ball,
                                            counter=counter)
     initial = datum.sample(grids.phase, 0.0)
     result = integrate(initial, provider, grids.time, eq,

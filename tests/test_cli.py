@@ -11,6 +11,8 @@ from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            main, parse_config, run_command, write_state_csv)
 from vpscatter.dispersion import dispersion_on_axis
 from vpscatter.errors import ConfigError
+from vpscatter.field import poisson_fixed_point
+from vpscatter.kinetic import density_trace, horizon_violation
 from vpscatter.model import make_preset, maxwellian
 
 
@@ -84,9 +86,11 @@ verbose = yes
             config_from_mapping({"gevrey.gamma": "0.3"})
 
     def test_horizon_hypothesis_enforced(self):
-        with pytest.raises(ConfigError, match="density trace"):
+        with pytest.raises(ConfigError, match="density trace") as err:
             config_from_mapping({"grid.eta_max": "5.0",
                                  "grid.t_final": "32.0"})
+        # the config check and PhaseGrid.validate_horizon share one message
+        assert f"grid.{horizon_violation(2, 5.0, 32.0, 1.0)}" in str(err.value)
 
     def test_violations_are_collected(self):
         with pytest.raises(ConfigError) as err:
@@ -272,6 +276,31 @@ class TestCommands:
         assert code == EXIT_OK
         rows = (out / "poisson.csv").read_text().splitlines()
         assert rows[0] == "k,re_u,im_u,abs_e"
+
+    def test_poisson_uses_the_configured_series(self, tmp_path):
+        vpme = ("model.preset = vpme\ndatum.modes = 1:1e-2\n"
+                "poisson.eps_ball = 2.0\n")
+        code, out = self.run("poisson", tmp_path, vpme, name="default.cfg")
+        assert code == EXIT_OK
+        default = (out / "poisson.csv").read_text()
+        code, out = self.run("poisson", tmp_path, vpme + "model.n_h = 2\n",
+                             name="cut.cfg")
+        assert code == EXIT_OK
+        assert (out / "poisson.csv").read_text() != default
+        cfg = parse_config(tmp_path / "default.cfg")
+        grids = cfg.grids()
+        k = grids.phase.k_values
+        q_hat = density_trace(cfg.datum().sample(grids.phase, 0.0))
+        snap = poisson_fixed_point(make_preset("vpme"), k, q_hat, cfg.weight(),
+                                   0.0, tol=cfg["poisson.tol"],
+                                   max_iters=cfg["poisson.max_iters"],
+                                   eps_ball=2.0)
+        rows = [row.split(",") for row in default.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == k.tolist()
+        # the CSV writes 17 significant digits, so floats round-trip
+        assert [float(row[1]) for row in rows] == snap.u_hat.real.tolist()
+        assert [float(row[2]) for row in rows] == snap.u_hat.imag.tolist()
+        assert [float(row[3]) for row in rows] == np.abs(snap.e_hat).tolist()
 
     def test_manifest_reproduces_run(self, tmp_path):
         code, first = self.run("scatter", tmp_path)

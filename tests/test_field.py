@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vpscatter.errors import ConfigError, DivergenceError, NoContractionError
 from vpscatter.field import (FieldSnapshot, electric_from_density, h_of_field,
@@ -35,18 +38,34 @@ def manufactured(model, k, u_hat):
     return rho, q
 
 
+COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                  allow_infinity=False)
+
+
+@st.composite
+def slice_pairs(draw):
+    """Two equal odd-length coefficient slices, length 1 to 33."""
+    n = 2 * draw(st.integers(min_value=0, max_value=16)) + 1
+    return (draw(arrays(complex, n, elements=COEFFICIENTS)),
+            draw(arrays(complex, n, elements=COEFFICIENTS)))
+
+
 class TestSpectralConvolve:
-    def test_matches_double_sum(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=9) + 1j * rng.normal(size=9)
-        b = rng.normal(size=9) + 1j * rng.normal(size=9)
-        direct = np.zeros(9, dtype=complex)
-        for i in range(9):
-            for j in range(9):
-                m = i + j - 4  # output index of the mode sum
-                if 0 <= m < 9:
+    @settings(deadline=None)
+    @given(slice_pairs())
+    def test_matches_double_sum(self, pair):
+        a, b = pair
+        n, half = a.size, a.size // 2
+        direct = np.zeros(n, dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                m = i + j - half  # output index of the mode sum
+                if 0 <= m < n:
                     direct[m] += a[i] * b[j]
-        assert np.max(np.abs(spectral_convolve(a, b) - direct)) <= 1e-12
+        # both sides sum the same products, in possibly different orders
+        scale = float(np.sum(np.abs(a)) * np.sum(np.abs(b)))
+        assert np.max(np.abs(spectral_convolve(a, b) - direct)) \
+            <= 1e-14 * scale
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
@@ -99,7 +118,7 @@ class TestHSeries:
         assert 3.9 < ratio < 4.1
 
     def test_series_matches_repeated_convolution_bit_for_bit(self):
-        # the slice is transformed once; the powers must not move at all
+        # every power is the same truncated product; no value may move at all
         k = lattice(2)
         rng = np.random.default_rng(12)
         u = 1e-2 * (rng.normal(size=5) + 1j * rng.normal(size=5))
@@ -116,11 +135,13 @@ class TestHSeries:
         u = pair_slice(4, 1, 0.05)
         amp = float(np.sum(np.abs(u)))
         full = h_of_field(make_preset("vpme"), k, u)
-        cut = h_of_field(make_preset("vpme"), k, u, n_h=4)
+        cut = h_of_field(make_preset("vpme", n_h=4), k, u)
         dropped = sum(amp**n / math.factorial(n) for n in range(5, 13))
-        remainder = amp**13 * math.exp(amp) / math.factorial(13)
-        assert cut.tail_bound == pytest.approx(dropped + remainder, rel=1e-12)
+        assert cut.tail_bound == pytest.approx(
+            amp**5 * math.exp(amp) / math.factorial(5), rel=1e-12)
         assert full.tail_bound < cut.tail_bound
+        # the degree-4 remainder covers degrees 5..12 and the degree-12 tail
+        assert dropped + full.tail_bound <= cut.tail_bound
         assert np.max(np.abs(full.values - cut.values)) <= cut.tail_bound
 
     def test_radius_margin_rejects_large_slice(self):
@@ -131,7 +152,7 @@ class TestHSeries:
 
     def test_truncation_must_keep_quadratic(self):
         with pytest.raises(ConfigError, match="quadratic"):
-            h_of_field(make_preset("vpme"), lattice(2), pair_slice(2, 1, 0.1), n_h=1)
+            make_preset("vpme", n_h=1)
 
 
 class TestPotentialFromDensity:

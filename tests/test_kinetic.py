@@ -11,8 +11,8 @@ from vpscatter.kinetic import (AsymptoticDatum, HistoryFieldProvider, PhaseGrid,
                                SelfConsistentFieldProvider, SpectralState,
                                StateInterpolant, TimeGrid, TruncationCounter,
                                assemble_source_history, density_trace,
-                               gaussian_datum, integrate, transport_rhs,
-                               zero_field_provider)
+                               gaussian_datum, horizon_violation, integrate,
+                               transport_rhs, zero_field_provider)
 from vpscatter.model import make_preset, maxwellian
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
@@ -20,8 +20,7 @@ GRID = PhaseGrid(k_max=2, eta_max=8.0, delta_eta=0.125)
 SCREENED = make_preset("screened")
 
 
-def assemble_source(model, states, density, u_hats, ginf, t, n_h=None,
-                    counter=None):
+def assemble_source(model, states, density, u_hats, ginf, t, counter=None):
     """Per-time oracle for :func:`assemble_source_history`.
 
     Same quadrature at the single grid time ``t``, written as a direct loop
@@ -32,7 +31,7 @@ def assemble_source(model, states, density, u_hats, ginf, t, n_h=None,
     delta_s = float(times[1] - times[0])
     k = states[0].grid.k_values
     source = ginf.trace(k, times[i0]).astype(complex)
-    source = source - h_of_field(model, k, u_hats.values[i0], n_h=n_h).values
+    source = source - h_of_field(model, k, u_hats.values[i0]).values
     for ell in k[k != 0]:
         weight = k * ell / (model.beta + float(ell) ** 2)
         rho_ell = density.mode(ell)
@@ -79,8 +78,12 @@ class TestGrids:
     def test_horizon_validation(self):
         grid = PhaseGrid(k_max=2, eta_max=60.0, delta_eta=0.125)
         grid.validate_horizon(24.0, 1.5)  # 48 + 9 <= 60
-        with pytest.raises(ConfigError, match="density trace"):
+        assert horizon_violation(2, 60.0, 24.0, 1.5) is None
+        with pytest.raises(ConfigError, match="density trace") as err:
             grid.validate_horizon(26.0, 1.5)
+        assert str(err.value) == horizon_violation(2, 60.0, 26.0, 1.5) == (
+            "eta_max = 60.0 cannot hold the density trace out to t = 26.0; "
+            "need at least k_max*t_final + 6*width = 61.0")
 
     def test_time_grid(self):
         tg = TimeGrid(24.0, 0.05)

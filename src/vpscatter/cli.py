@@ -30,7 +30,7 @@ from .errors import (BlowUpError, ConfigError, DivergenceError,
                      NearSingularResolventError, NoContractionError,
                      QuadratureError, RealityError, StepSizeError,
                      WeightOverflowError)
-from .field import poisson_fixed_point, potential_from_density
+from .field import poisson_fixed_point
 from .gevrey import GevreyWeight, gevrey_inequality_suite, weight_violations
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
                       gaussian_datum, horizon_violation, integrate,
@@ -175,7 +175,10 @@ class RunConfig:
         return self.values[key]
 
     def model(self) -> ModelConfig:
-        return make_preset(self["model.preset"], n_h=self["model.n_h"])
+        return make_preset(self["model.preset"], n_h=self["model.n_h"],
+                           picard_tol=self["poisson.tol"],
+                           picard_max_iters=self["poisson.max_iters"],
+                           eps_ball=self["poisson.eps_ball"])
 
     def equilibrium(self) -> Equilibrium:
         kind = self["equilibrium.kind"]
@@ -234,6 +237,9 @@ def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
                 "penrose.kmax", "kernel.kmax", "threads", "damp.mode"):
         if values[key] < 1:
             bad.append(f"{key} must be at least 1, got {values[key]}")
+    eps_ball = values["poisson.eps_ball"]
+    if eps_ball is not None and eps_ball <= 0:
+        bad.append(f"poisson.eps_ball must be positive, got {eps_ball}")
     horizon = horizon_violation(values["grid.kmax"], values["grid.eta_max"],
                                 values["grid.t_final"], values["datum.width"])
     if horizon is not None:
@@ -377,18 +383,16 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
                                           encoding="utf-8")
 
 
-def _efield_rows(times, norms, k_positive, abs_e_columns):
-    for i, t in enumerate(times):
-        yield [_fmt(t), _fmt(norms[i])] + [_fmt(abs_e_columns[k][i])
-                                           for k in k_positive]
-
-
-def _potentials_to_abs_e(potentials: SpectralHistory) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    for j, k in enumerate(potentials.k_values):
-        if k > 0:
-            out[int(k)] = np.abs(k * potentials.values[:, j])
-    return out
+def _write_efield(path: Path, times, norms,
+                  potentials: SpectralHistory) -> None:
+    """Weighted field norm and |E_k| of every positive mode, per time."""
+    k = potentials.k_values
+    positive = np.nonzero(k > 0)[0]
+    abs_e = np.abs(k[positive] * potentials.values[:, positive])
+    _write_csv(path, ["t", "weighted_norm"]
+               + [f"abs_E_k{k[j]}" for j in positive],
+               ([_fmt(t), _fmt(n)] + [_fmt(v) for v in row]
+                for t, n, row in zip(times, norms, abs_e)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +444,15 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     return EXIT_OK, summary
 
 
-def _linear_field_history(model, states) -> SpectralHistory:
-    k = states[0].grid.k_values
-    rho = np.array([density_trace(state) for state in states])
-    return SpectralHistory(times=np.array([s.time for s in states]),
-                           k_values=k, values=potential_from_density(model, k, rho))
-
-
 def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
     grids = cfg.grids()
     report = landau_linear_run(model, eq, w, grids, cfg["damp.amplitude"],
                                mode=cfg["damp.mode"],
                                fit_window=(cfg["fit.t_start"],
-                                           cfg["fit.t_end"]),
-                               poisson_tol=cfg["poisson.tol"],
-                               poisson_iters=cfg["poisson.max_iters"],
-                               eps_ball=cfg["poisson.eps_ball"])
-    u_hist = _linear_field_history(model, report.integration.states)
-    times, norms = efield_weighted_norms(w, u_hist)
-    abs_e = _potentials_to_abs_e(u_hist)
-    k_positive = sorted(abs_e)
-    _write_csv(out_dir / "efield.csv",
-               ["t", "weighted_norm"] + [f"abs_E_k{k}" for k in k_positive],
-               _efield_rows(times, norms, k_positive, abs_e))
+                                           cfg["fit.t_end"]))
+    times, norms = efield_weighted_norms(w, report.potentials)
+    _write_efield(out_dir / "efield.csv", times, norms, report.potentials)
     summary = {
         "damp.mode": str(report.mode),
         "damp.fit_rate": _fmt(report.fit.rate),
@@ -480,9 +469,7 @@ def _drive(cfg: RunConfig):
     datum = cfg.datum()
     return model, eq, w, grids, fixed_point_drive(
         datum, model, eq, w, grids, tol=cfg["drive.tol"],
-        max_iters=cfg["drive.max_iters"],
-        poisson_tol=cfg["poisson.tol"], poisson_iters=cfg["poisson.max_iters"],
-        eps_ball=cfg["poisson.eps_ball"])
+        max_iters=cfg["drive.max_iters"])
 
 
 def _write_drive_artifacts(out_dir: Path, run) -> dict[str, str]:
@@ -495,13 +482,8 @@ def _write_drive_artifacts(out_dir: Path, run) -> dict[str, str]:
                      _fmt(record.report.n2), distance, ratio])
     _write_csv(out_dir / "iterates.csv",
                ["iter", "N1", "N2", "distance", "ratio"], rows)
-    times = [t for t, _ in run.efield_decay]
-    norms = [n for _, n in run.efield_decay]
-    abs_e = _potentials_to_abs_e(run.potentials)
-    k_positive = sorted(abs_e)
-    _write_csv(out_dir / "efield.csv",
-               ["t", "weighted_norm"] + [f"abs_E_k{k}" for k in k_positive],
-               _efield_rows(times, norms, k_positive, abs_e))
+    times, norms = zip(*run.efield_decay)
+    _write_efield(out_dir / "efield.csv", times, norms, run.potentials)
     write_state_csv(out_dir / "g0_state.csv", run.g0)
     summary = {
         "scatter.converged": "true" if run.converged else "false",
@@ -529,10 +511,7 @@ def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     if not run.converged:
         log("roundtrip: drive did not converge; no forward pass")
         return EXIT_NUMERICAL, summary
-    report = roundtrip_check(run, model, eq, w, grids,
-                             poisson_tol=cfg["poisson.tol"],
-                             poisson_iters=cfg["poisson.max_iters"],
-                             eps_ball=cfg["poisson.eps_ball"])
+    report = roundtrip_check(run, model, eq, w, grids)
     _write_csv(out_dir / "roundtrip.csv", ["t", "profile_error"],
                [[_fmt(t), _fmt(e)]
                 for t, e in zip(report.times, report.profile_errors)])
@@ -555,10 +534,7 @@ def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     grids = cfg.grids()
     slice0 = cfg.datum().sample(grids.phase, 0.0)
     q_hat = density_trace(slice0)
-    snapshot = poisson_fixed_point(model, grids.phase.k_values, q_hat, w, 0.0,
-                                   tol=cfg["poisson.tol"],
-                                   max_iters=cfg["poisson.max_iters"],
-                                   eps_ball=cfg["poisson.eps_ball"])
+    snapshot = poisson_fixed_point(model, grids.phase.k_values, q_hat, w, 0.0)
     rows = [[str(int(k)), _fmt(snapshot.u_hat[j].real),
              _fmt(snapshot.u_hat[j].imag), _fmt(abs(snapshot.e_hat[j]))]
             for j, k in enumerate(grids.phase.k_values)]

@@ -7,10 +7,10 @@ evaluates the series by repeated truncated coefficient products,
 :func:`potential_from_density` is the screened Poisson division every layer
 uses, and :func:`electric_from_density` adds the electric field.
 
-Mode labels are checked by the containers that look modes up by label
-(:class:`FieldSnapshot` here, ``SpectralHistory`` in :mod:`vpscatter.volterra`)
-and once on entry to :func:`poisson_fixed_point`; the per-slice helpers check
-array shapes only.
+The truncated products need slot j to hold mode j - K of the lattice -K..K,
+so :func:`h_of_field` and :func:`poisson_fixed_point` refuse other labels on
+entry; the other helpers check array shapes only.  How the balance is solved
+is set by the model; :class:`FieldSnapshot` is a plain record of the result.
 """
 
 from __future__ import annotations
@@ -40,21 +40,14 @@ MEAN_MODE_TOL = 1e-10
 RADIUS_MARGIN = 0.9
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _validate_lattice(k_values) -> np.ndarray:
-    """Integer, distinct mode labels as an int array."""
-    k_raw = np.asarray(k_values)
-    k_int = np.asarray(np.rint(k_raw), dtype=int)
-    if k_raw.ndim != 1 or np.max(np.abs(k_raw - k_int), initial=0.0) > 0:
-        raise ConfigError("mode labels must be a 1-d integer array")
-    if np.unique(k_int).size != k_int.size:
-        raise ConfigError("mode labels must be distinct")
-    return k_int
+def _ordered_lattice(k_values) -> np.ndarray:
+    """The labels as an int array, refused unless they are -K..K in order."""
+    k = np.asarray(k_values)
+    ordered = np.arange(-(k.size // 2), k.size // 2 + 1)
+    if k.shape != ordered.shape or not np.array_equal(k, ordered):
+        raise ConfigError("mode labels must be the integers -K..K in "
+                          "increasing order")
+    return ordered
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -64,7 +57,7 @@ class FieldSnapshot:
     ``u_hat[j]`` is the potential coefficient of mode ``k_values[j]``;
     ``e_hat`` is its spectral gradient with flipped sign.  ``residual`` is
     the weighted fixed-point defect at exit and ``iters`` the number of map
-    applications (both zero for directly constructed snapshots).  ``ratios``
+    applications (both zero for :func:`electric_from_density`).  ``ratios``
     holds the successive contraction quotients observed by the solver.
     """
 
@@ -75,31 +68,6 @@ class FieldSnapshot:
     residual: float = 0.0
     iters: int = 0
     ratios: tuple = ()
-
-    def __post_init__(self) -> None:
-        k_int = _validate_lattice(self.k_values)
-        object.__setattr__(self, "k_values", _frozen(k_int, int))
-        for name in ("u_hat", "e_hat", "rho_hat"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != k_int.shape:
-                raise ConfigError(f"{name} must match the mode lattice shape")
-            object.__setattr__(self, name, _frozen(arr, complex))
-
-    def index_of(self, k: int) -> int:
-        hits = np.nonzero(self.k_values == k)[0]
-        if hits.size == 0:
-            raise ConfigError(f"mode k={k} is not on the lattice")
-        return int(hits[0])
-
-    def reality_defect(self) -> float:
-        worst = 0.0
-        for arr in (self.u_hat, self.e_hat, self.rho_hat):
-            for j, k in enumerate(self.k_values):
-                if k < 0 or -k not in self.k_values:
-                    continue
-                mirror = np.nonzero(self.k_values == -int(k))[0][0]
-                worst = max(worst, abs(arr[mirror] - np.conj(arr[j])))
-        return worst
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,14 +110,16 @@ def weighted_density_norm(w: GevreyWeight, t: float, k_values,
 def h_of_field(model: ModelConfig, k_values, u_hat) -> HSeriesSlice:
     """Evaluate the coupling series of a potential slice mode by mode.
 
-    Powers of the slice are built by the truncated product of
-    :func:`spectral_convolve`, so every term lives on the truncated lattice.
+    ``k_values`` must be the lattice -K..K.  Powers of the slice are built
+    by the truncated product of :func:`spectral_convolve`, so every term
+    lives on the truncated lattice.
     The series is the model's own (``model.h_coeffs``); the reported tail is
     the model's series remainder at the slice's l1 amplitude (a sup-norm
     bound).
     """
+    k = _ordered_lattice(k_values)
     u = np.asarray(u_hat, dtype=complex)
-    if u.shape != np.shape(k_values):
+    if u.shape != k.shape:
         raise ConfigError("u_hat must match the mode lattice shape")
     out = np.zeros_like(u)
     if not model.has_h:
@@ -204,40 +174,35 @@ def electric_from_density(model: ModelConfig, k_values,
 
 
 def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
-                        t: float, tol: float = 1e-12, max_iters: int = 50,
-                        eps_ball: float | None = None) -> FieldSnapshot:
-    """Resolve density = slice - series(potential) by Picard iteration.
+                        t: float) -> FieldSnapshot:
+    """Resolve density = slice - series(potential) on the lattice -K..K.
 
-    Starts from the slice itself and reapplies the map until the weighted
-    distance between successive iterates drops to ``tol``.  The input
-    amplitude must clear the smallness gate ``eps_ball`` (for models with a
-    finite series radius the default is five percent of it), and every
+    Without a series the balance is linear: the slice is the density, and
+    the snapshot reports one iteration.  Otherwise Picard iteration starts
+    from the slice itself and reapplies the map until the weighted distance
+    between successive iterates drops to ``model.picard_tol``.  The input
+    amplitude must clear the smallness gate ``model.eps_ball``, and every
     iterate must stay inside the ball of twice the input amplitude; leaving
-    it, or exhausting ``max_iters``, aborts rather than returning a value
-    outside the contraction regime.
+    it, or exhausting ``model.picard_max_iters``, aborts rather than
+    returning a value outside the contraction regime.
     """
-    k_int = _validate_lattice(k_values)
+    k_int = _ordered_lattice(k_values)
     q = np.asarray(q_hat, dtype=complex)
     if q.shape != k_int.shape:
         raise ConfigError("q_hat must match the mode lattice shape")
-    if tol <= 0.0 or max_iters < 1:
-        raise ConfigError("need tol > 0 and at least one iteration")
     if not model.has_h:
-        # the balance is linear: the slice itself is the density
         return dataclasses.replace(electric_from_density(model, k_int, q),
                                    iters=1)
-    if eps_ball is None:
-        eps_ball = 0.05 * model.h_radius if math.isfinite(model.h_radius) else 0.05
     eps = weighted_density_norm(w, t, k_int, q)
-    if eps > eps_ball:
+    if eps > model.eps_ball:
         raise NoContractionError(
             f"weighted slice amplitude {eps:.3e} exceeds the smallness gate "
-            f"{eps_ball:.3e}; the perturbative regime does not apply")
+            f"{model.eps_ball:.3e}; the perturbative regime does not apply")
     ball = 2.0 * eps
     rho = q.copy()
     ratios: list[float] = []
     prev_dist = None
-    for itn in range(1, max_iters + 1):
+    for itn in range(1, model.picard_max_iters + 1):
         u_hat = potential_from_density(model, k_int, rho)
         series = h_of_field(model, k_int, u_hat)
         nxt = q - series.values
@@ -250,10 +215,10 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
             raise NoContractionError(
                 f"iterate left the contraction ball of radius {ball:.3e} "
                 f"after {itn} steps")
-        if dist <= tol:
+        if dist <= model.picard_tol:
             return dataclasses.replace(electric_from_density(model, k_int, rho),
                                        residual=dist, iters=itn,
                                        ratios=tuple(ratios))
     raise NoContractionError(
-        f"no convergence to {tol:.1e} within {max_iters} iterations; "
-        f"last step moved {prev_dist:.3e}")
+        f"no convergence to {model.picard_tol:.1e} within "
+        f"{model.picard_max_iters} iterations; last step moved {prev_dist:.3e}")

@@ -22,10 +22,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BlowUpError, ConfigError
-from .field import _frozen, h_of_field, poisson_fixed_point, potential_from_density
+from .field import h_of_field, poisson_fixed_point
 from .gevrey import GevreyWeight
 from .model import Equilibrium, ModelConfig
-from .volterra import DensityHistory, SourceHistory, SpectralHistory
+from .volterra import DensityHistory, SourceHistory, SpectralHistory, _frozen
 
 __all__ = [
     "PhaseGrid",
@@ -543,25 +543,16 @@ class HistoryFieldProvider:
 class SelfConsistentFieldProvider:
     """Stage potential from the stage state itself: trace, then elliptic balance."""
 
-    def __init__(self, model: ModelConfig, w: GevreyWeight, tol: float = 1e-12,
-                 max_iters: int = 50, eps_ball: Optional[float] = None,
+    def __init__(self, model: ModelConfig, w: GevreyWeight,
                  counter: Optional[TruncationCounter] = None):
         self.model = model
         self.w = w
-        self.tol = tol
-        self.max_iters = max_iters
-        self.eps_ball = eps_ball
         self.counter = counter
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
         q = density_trace(state, self.counter)
-        if self.model.has_h:
-            u_hat = poisson_fixed_point(self.model, state.grid.k_values, q,
-                                        self.w, state.time, tol=self.tol,
-                                        max_iters=self.max_iters,
-                                        eps_ball=self.eps_ball).u_hat
-        else:
-            u_hat = potential_from_density(self.model, state.grid.k_values, q)
+        u_hat = poisson_fixed_point(self.model, state.grid.k_values, q,
+                                    self.w, state.time).u_hat
         return u_hat, u_hat
 
 

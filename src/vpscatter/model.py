@@ -44,6 +44,12 @@ class ModelConfig:
     (``a_0 = a_1 = 0``). ``h_radius`` is the convergence radius used to reject
     field amplitudes outside the series' domain, and ``h_tail`` optionally
     bounds the truncation remainder ``|sum_{n > N} a_n y^n|``.
+
+    The last three fields set how a series-carrying balance is solved:
+    Picard iteration stops at a step of ``picard_tol`` and gives up after
+    ``picard_max_iters``, and slices of weighted amplitude above ``eps_ball``
+    are refused.  ``eps_ball = None`` resolves to 0.05 times a finite
+    ``h_radius``, or to 0.05.
     """
 
     beta: float
@@ -52,10 +58,21 @@ class ModelConfig:
     dimension: int = 1
     label: str = "custom"
     h_tail: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    picard_tol: float = 1e-12
+    picard_max_iters: int = 50
+    eps_ball: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
+        if not self.picard_tol > 0.0 or self.picard_max_iters < 1:
+            raise ConfigError("the field solve needs picard_tol > 0 and "
+                              "picard_max_iters >= 1")
+        if self.eps_ball is None:
+            object.__setattr__(self, "eps_ball", 0.05 * self.h_radius
+                               if math.isfinite(self.h_radius) else 0.05)
+        elif not self.eps_ball > 0.0:
+            raise ConfigError(f"eps_ball must be positive, got {self.eps_ball}")
         if self.dimension != 1:
             raise ConfigError("only dimension = 1 grids are implemented")
         if len(self.h_coeffs) >= 1 and any(c != 0.0 for c in self.h_coeffs[:2]):
@@ -86,14 +103,18 @@ class ModelConfig:
         return out
 
 
-def make_preset(name: str, n_h: int = 12) -> ModelConfig:
+def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
     """Built-in couplings: ``vp`` (beta 0, h = 0), ``screened`` (beta 1, h = 0),
-    ``vpme`` (beta 1, h(y) = e^y - 1 - y truncated at degree ``n_h``)."""
+    ``vpme`` (beta 1, h(y) = e^y - 1 - y truncated at degree ``n_h``).
+
+    Keyword arguments set the field-solve fields of :class:`ModelConfig`:
+    ``picard_tol``, ``picard_max_iters`` and ``eps_ball``.
+    """
     key = name.strip().lower()
     if key == "vp":
-        return ModelConfig(beta=0.0, label="vp")
+        return ModelConfig(beta=0.0, label="vp", **solve)
     if key == "screened":
-        return ModelConfig(beta=1.0, label="screened")
+        return ModelConfig(beta=1.0, label="screened", **solve)
     if key == "vpme":
         if n_h < 2:
             raise ConfigError("vpme needs at least the quadratic term (n_h >= 2)")
@@ -104,7 +125,7 @@ def make_preset(name: str, n_h: int = 12) -> ModelConfig:
             return abs(y) ** (_n + 1) * math.exp(abs(y)) / math.factorial(_n + 1)
 
         return ModelConfig(beta=1.0, h_coeffs=coeffs, h_radius=math.inf,
-                           label="vpme", h_tail=exp_tail)
+                           label="vpme", h_tail=exp_tail, **solve)
     raise ConfigError(f"unknown model preset {name!r} (choose vp, screened, vpme)")
 
 

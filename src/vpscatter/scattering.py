@@ -151,12 +151,13 @@ class RoundTripReport:
 
 @dataclasses.dataclass(frozen=True)
 class LinearDecayReport:
-    """Forward small-amplitude run with the envelope fit of one field mode."""
+    """Forward small-amplitude run, its potentials, and one mode's fit."""
 
     mode: int
     times: np.ndarray
     field_abs: np.ndarray
     fit: DecayFit
+    potentials: SpectralHistory
     integration: IntegrationResult
 
 
@@ -174,9 +175,7 @@ def build_resolvent_tables(model: ModelConfig, eq: Equilibrium,
 
 
 def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
-                  w: GevreyWeight, tol: float, max_iters: int,
-                  eps_ball: Optional[float],
-                  counter: Optional[TruncationCounter],
+                  w: GevreyWeight, counter: Optional[TruncationCounter],
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-slice density and potential of an iterate via the elliptic balance."""
     k = states[0].grid.k_values
@@ -184,8 +183,7 @@ def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
     u = np.zeros_like(rho)
     for i, state in enumerate(states):
         q = density_trace(state, counter)
-        snap = poisson_fixed_point(model, k, q, w, state.time, tol=tol,
-                                   max_iters=max_iters, eps_ball=eps_ball)
+        snap = poisson_fixed_point(model, k, q, w, state.time)
         rho[i] = snap.rho_hat
         u[i] = snap.u_hat
     return rho, u
@@ -195,8 +193,6 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
                 model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                 grids: RunGrids, *, tables: Optional[Mapping[int, object]] = None,
                 linearized: bool = False, ball_n1: Optional[float] = None,
-                poisson_tol: float = 1e-12, poisson_iters: int = 50,
-                eps_ball: Optional[float] = None,
                 counter: Optional[TruncationCounter] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
 
@@ -223,8 +219,7 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
         rho_phi = np.zeros((times.size, k.size), dtype=complex)
         u_phi = np.zeros_like(rho_phi)
     else:
-        rho_phi, u_phi = _slice_fields(model, phi_states, w, poisson_tol,
-                                       poisson_iters, eps_ball, counter)
+        rho_phi, u_phi = _slice_fields(model, phi_states, w, counter)
     rho_hist = DensityHistory(times, k, rho_phi)
     u_hist = SpectralHistory(times, k, u_phi)
     source = assemble_source_history(model, phi_states, rho_hist, u_hist,
@@ -296,8 +291,6 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                       tol: float = 1e-9, max_iters: int = 25, *,
                       initial_states: Optional[Sequence[SpectralState]] = None,
                       tables: Optional[Mapping[int, object]] = None,
-                      poisson_tol: float = 1e-12, poisson_iters: int = 50,
-                      eps_ball: Optional[float] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> ScatteringRun:
     """Iterate the construction map until consecutive iterates agree.
@@ -330,16 +323,14 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         start_states = tuple(initial_states)
         if len(start_states) != times.size:
             raise ConfigError("initial iterate does not match the time grid")
-    rho0, _ = _slice_fields(model, start_states, w, poisson_tol,
-                            poisson_iters, eps_ball, counter)
+    rho0, _ = _slice_fields(model, start_states, w, counter)
     density0 = DensityHistory(times, k, rho0)
     report0 = weighted_norm_report(start_states, density0, w)
     if initial_states is None:
         ball = BALL_FACTOR * report0.n_total
     else:
         # the acceptance ball is anchored to the datum, not to the start
-        fr_rho, _ = _slice_fields(model, free0, w, poisson_tol, poisson_iters,
-                                  eps_ball, counter)
+        fr_rho, _ = _slice_fields(model, free0, w, counter)
         fr_report = weighted_norm_report(
             free0, DensityHistory(times, k, fr_rho), w)
         ball = BALL_FACTOR * fr_report.n_total
@@ -353,10 +344,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     last: Optional[MapResult] = None
     for _ in range(max_iters):
         result = apply_map_F(prev_states, ginf, model, eq, w, grids,
-                             tables=tables, ball_n1=ball,
-                             poisson_tol=poisson_tol,
-                             poisson_iters=poisson_iters, eps_ball=eps_ball,
-                             counter=counter)
+                             tables=tables, ball_n1=ball, counter=counter)
         dist = iterate_distance(result.states, prev_states, result.density,
                                 prev_density, w_dist)
         distances.append(dist)
@@ -435,8 +423,6 @@ def _physical_at(state: SpectralState, x: np.ndarray,
 
 def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
                     w: GevreyWeight, grids: RunGrids, *,
-                    poisson_tol: float = 1e-12, poisson_iters: int = 50,
-                    eps_ball: Optional[float] = None,
                     counter: Optional[TruncationCounter] = None,
                     ) -> RoundTripReport:
     """Forward re-simulation of a converged run against its target profile.
@@ -449,10 +435,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     """
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
-    provider = SelfConsistentFieldProvider(model, w, tol=poisson_tol,
-                                           max_iters=poisson_iters,
-                                           eps_ball=eps_ball,
-                                           counter=counter)
+    provider = SelfConsistentFieldProvider(model, w, counter=counter)
     forward = integrate(run.g0.copy(), provider, grids.time, eq,
                         direction="forward", counter=counter)
     target = state_to_physical(run.datum.sample(grids.phase, 0.0))[2]
@@ -491,8 +474,6 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
 def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                       grids: RunGrids, amplitude: float, mode: int = 1,
                       fit_window: tuple[float, float] = (5.0, 25.0), *,
-                      poisson_tol: float = 1e-12, poisson_iters: int = 50,
-                      eps_ball: Optional[float] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> LinearDecayReport:
     """Forward run of a small single-mode datum with a field-envelope fit.
@@ -504,21 +485,19 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     """
     datum = gaussian_datum({int(mode): amplitude})
     grids.validate_for(datum)
-    provider = SelfConsistentFieldProvider(model, w, tol=poisson_tol,
-                                           max_iters=poisson_iters,
-                                           eps_ball=eps_ball,
-                                           counter=counter)
+    provider = SelfConsistentFieldProvider(model, w, counter=counter)
     initial = datum.sample(grids.phase, 0.0)
     result = integrate(initial, provider, grids.time, eq,
                        direction="forward", counter=counter)
-    k = grids.phase.k_values
-    idx = grids.phase.index_of(int(mode))
-    field_abs = np.array([abs((-1j * k * provider(state)[0])[idx])
-                          for state in result.states])
     times = grids.time.times
+    potentials = SpectralHistory(
+        times, grids.phase.k_values,
+        np.array([provider(state)[0] for state in result.states]))
+    idx = grids.phase.index_of(int(mode))
+    field_abs = np.abs(int(mode) * potentials.values[:, idx])
     lo, hi = fit_window
     window = (times >= lo) & (times <= hi)
     fit = peak_decay_fit(times[window], field_abs[window])
     return LinearDecayReport(mode=int(mode), times=times.copy(),
                              field_abs=field_abs, fit=fit,
-                             integration=result)
+                             potentials=potentials, integration=result)

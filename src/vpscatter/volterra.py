@@ -25,7 +25,6 @@ import numpy as np
 
 from .dispersion import absolute_first_moment
 from .errors import ConfigError, RealityError, StepSizeError
-from .field import _frozen, _validate_lattice
 from .gevrey import GevreyWeight, norm_N2
 from .model import Equilibrium, ModelConfig
 
@@ -49,6 +48,23 @@ REALITY_TOL = 1e-12
 # |diagonal| floor below which the triangular solve is meaningless
 DIAGONAL_FLOOR = 1e-8
 MEAN_MODE_TOL = 1e-10
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _validate_lattice(k_values) -> np.ndarray:
+    """Integer, distinct mode labels as an int array."""
+    k_raw = np.asarray(k_values)
+    k_int = np.asarray(np.rint(k_raw), dtype=int)
+    if k_raw.ndim != 1 or np.max(np.abs(k_raw - k_int), initial=0.0) > 0:
+        raise ConfigError("mode labels must be a 1-d integer array")
+    if np.unique(k_int).size != k_int.size:
+        raise ConfigError("mode labels must be distinct")
+    return k_int
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -138,14 +138,14 @@ def test_criterion_05_kernel_decay_rates():
 
 def test_criterion_06_nonlinear_field_recovery():
     w = GevreyWeight()
-    vpme = make_preset("vpme")
+    vpme = make_preset("vpme", eps_ball=2.0)
     k = np.arange(-4, 5)
     u = np.zeros(9, dtype=complex)
     u[3] = u[5] = 5e-3  # cosine of physical amplitude 1e-2
     rho = (vpme.beta + k.astype(float) ** 2) * u
     rho[4] = 0.0
     q = rho + h_of_field(vpme, k, u).values
-    snap = poisson_fixed_point(vpme, k, q, w, 0.0, eps_ball=2.0)
+    snap = poisson_fixed_point(vpme, k, q, w, 0.0)
     err = float(np.linalg.norm(snap.rho_hat - rho) / np.linalg.norm(rho))
     q_lin = k.astype(float) ** 2 * u
     lin = poisson_fixed_point(VP, k, q_lin, w, 0.0)

@@ -30,6 +30,17 @@ grid.dt = 0.25
 grid.t_final = 4.0
 """
 
+# a forward run long enough for three field peaks inside the fit window
+DAMP_RUN = """
+grid.kmax = 1
+grid.eta_max = 16.0
+grid.delta_eta = 0.5
+grid.dt = 0.1
+grid.t_final = 8.0
+fit.t_start = 0.5
+fit.t_end = 7.5
+"""
+
 
 class TestConfigParsing:
     def test_defaults_resolve(self):
@@ -291,16 +302,34 @@ class TestCommands:
         grids = cfg.grids()
         k = grids.phase.k_values
         q_hat = density_trace(cfg.datum().sample(grids.phase, 0.0))
-        snap = poisson_fixed_point(make_preset("vpme"), k, q_hat, cfg.weight(),
-                                   0.0, tol=cfg["poisson.tol"],
-                                   max_iters=cfg["poisson.max_iters"],
-                                   eps_ball=2.0)
+        snap = poisson_fixed_point(make_preset("vpme", eps_ball=2.0), k, q_hat,
+                                   cfg.weight(), 0.0)
         rows = [row.split(",") for row in default.splitlines()[1:]]
         assert [int(row[0]) for row in rows] == k.tolist()
         # the CSV writes 17 significant digits, so floats round-trip
         assert [float(row[1]) for row in rows] == snap.u_hat.real.tolist()
         assert [float(row[2]) for row in rows] == snap.u_hat.imag.tolist()
         assert [float(row[3]) for row in rows] == np.abs(snap.e_hat).tolist()
+
+    # the vpme forward run outgrows the default gate, so it is opened wide
+    @pytest.mark.parametrize("extra", [
+        "", "model.preset = vpme\npoisson.eps_ball = 1e30\n"],
+        ids=["vp", "vpme"])
+    def test_damp_writes_the_fitted_field(self, tmp_path, extra):
+        cfg = parse_config(write_config(tmp_path, DAMP_RUN + extra))
+        out = tmp_path / "out"
+        assert run_command("damp", cfg.replaced(**{"out.dir": str(out)})) \
+            == EXIT_OK
+        report = scattering.landau_linear_run(
+            cfg.model(), cfg.equilibrium(), cfg.weight(), cfg.grids(),
+            cfg["damp.amplitude"], mode=cfg["damp.mode"],
+            fit_window=(cfg["fit.t_start"], cfg["fit.t_end"]))
+        rows = [line.split(",")
+                for line in (out / "efield.csv").read_text().splitlines()]
+        column = rows[0].index(f"abs_E_k{report.mode}")
+        # the CSV writes 17 significant digits, so floats round-trip
+        assert [float(row[column]) for row in rows[1:]] == \
+            report.field_abs.tolist()
 
     def test_manifest_reproduces_run(self, tmp_path):
         code, first = self.run("scatter", tmp_path)
@@ -337,6 +366,14 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "gamma" in capsys.readouterr().err
+
+    def test_nonpositive_eps_ball_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_RUN + "model.preset = vpme\n"
+                            "poisson.eps_ball = -1\n")
+        code = main(["poisson", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "poisson.eps_ball must be positive" in capsys.readouterr().err
 
     def test_thread_override_validated(self, capsys):
         assert main(["selftest", "--threads", "0"]) == EXIT_CONFIG

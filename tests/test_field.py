@@ -1,5 +1,6 @@
 """Spectral convolution, coupling series, and the density fixed point."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vpscatter.errors import ConfigError, DivergenceError, NoContractionError
-from vpscatter.field import (FieldSnapshot, electric_from_density, h_of_field,
+from vpscatter.field import (electric_from_density, h_of_field,
                              poisson_fixed_point, potential_from_density,
                              spectral_convolve, weighted_density_norm)
 from vpscatter.gevrey import GevreyWeight
@@ -19,7 +20,13 @@ SQUARE = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0), label="sq")
 
 
 def lattice(k_max):
+    """Modes -k_max..k_max; mode k sits in slot k + k_max."""
     return np.arange(-k_max, k_max + 1)
+
+
+def reality_defect(*slices):
+    """Largest gap on -K..K between a coefficient and its mirror's conjugate."""
+    return max(float(np.max(np.abs(a - np.conj(a[::-1])))) for a in slices)
 
 
 def pair_slice(k_max, k, value):
@@ -186,21 +193,21 @@ class TestElectricFromDensity:
     def test_unscreened_unit_mode(self):
         snap = electric_from_density(make_preset("vp"), lattice(2),
                                      pair_slice(2, 1, 1.0))
-        assert snap.u_hat[snap.index_of(1)] == 1.0 + 0.0j
-        assert snap.e_hat[snap.index_of(1)] == -1.0j
+        assert snap.u_hat[2 + 1] == 1.0 + 0.0j
+        assert snap.e_hat[2 + 1] == -1.0j
 
     def test_screened_unit_mode(self):
         snap = electric_from_density(make_preset("screened"), lattice(2),
                                      pair_slice(2, 2, 1.0))
-        assert snap.u_hat[snap.index_of(2)] == 0.2 + 0.0j
-        assert snap.e_hat[snap.index_of(2)] == -0.4j
+        assert snap.u_hat[2 + 2] == 0.2 + 0.0j
+        assert snap.e_hat[2 + 2] == -0.4j
 
     def test_mean_mode_is_gauged_away(self):
         rho = pair_slice(2, 1, 0.3)
         rho[2] = 0.7  # screened model tolerates a mean component
         snap = electric_from_density(make_preset("screened"), lattice(2), rho)
-        assert snap.u_hat[snap.index_of(0)] == 0.0
-        assert snap.e_hat[snap.index_of(0)] == 0.0
+        assert snap.u_hat[2] == 0.0
+        assert snap.e_hat[2] == 0.0
         assert np.array_equal(snap.rho_hat, rho)
 
     def test_unscreened_mean_is_ill_posed(self):
@@ -216,7 +223,7 @@ class TestElectricFromDensity:
         rho[4] = 0.0
         snap = electric_from_density(make_preset("screened"), lattice(4), rho)
         assert np.array_equal(snap.e_hat, -1j * snap.k_values * snap.u_hat)
-        assert snap.reality_defect() <= 1e-12
+        assert reality_defect(snap.u_hat, snap.e_hat, snap.rho_hat) <= 1e-12
 
 
 class TestWeightedNorm:
@@ -236,12 +243,12 @@ class TestWeightedNorm:
 class TestPoissonFixedPoint:
     W = GevreyWeight()
 
-    def manufactured_run(self, scale=1.0, **kw):
-        model = make_preset("vpme")
+    def manufactured_run(self, scale=1.0):
+        model = make_preset("vpme", eps_ball=2.0)
         k = lattice(4)
         u = pair_slice(4, 1, scale * 5e-3)
         rho, q = manufactured(model, k, u)
-        snap = poisson_fixed_point(model, k, q, self.W, 0.0, eps_ball=2.0, **kw)
+        snap = poisson_fixed_point(model, k, q, self.W, 0.0)
         return model, k, rho, q, snap
 
     def test_recovers_manufactured_density(self):
@@ -254,7 +261,7 @@ class TestPoissonFixedPoint:
         reapplied = q - h_of_field(model, k, snap.u_hat).values
         defect = weighted_density_norm(self.W, 0.0, k, reapplied - snap.rho_hat)
         assert defect <= 1e-12
-        assert snap.reality_defect() <= 1e-12
+        assert reality_defect(snap.u_hat, snap.e_hat, snap.rho_hat) <= 1e-12
 
     def test_contraction_ratios_shrink_with_amplitude(self):
         *_, snap = self.manufactured_run()
@@ -286,41 +293,55 @@ class TestPoissonFixedPoint:
     def test_ball_exit_aborts(self):
         # quadratic coupling at order-one amplitude overshoots immediately
         with pytest.raises(NoContractionError, match="ball"):
-            poisson_fixed_point(SQUARE, lattice(2), pair_slice(2, 1, 1.5),
-                                self.W, 0.0, eps_ball=200.0)
+            poisson_fixed_point(dataclasses.replace(SQUARE, eps_ball=200.0),
+                                lattice(2), pair_slice(2, 1, 1.5), self.W, 0.0)
 
     def test_iteration_budget_aborts(self):
-        model = make_preset("vpme")
+        model = make_preset("vpme", picard_tol=1e-30, picard_max_iters=3,
+                            eps_ball=2.0)
         k = lattice(4)
         _, q = manufactured(model, k, pair_slice(4, 1, 5e-3))
-        with pytest.raises(NoContractionError, match="iterations"):
-            poisson_fixed_point(model, k, q, self.W, 0.0, tol=1e-30,
-                                eps_ball=2.0, max_iters=3)
+        with pytest.raises(NoContractionError, match="within 3 iterations"):
+            poisson_fixed_point(model, k, q, self.W, 0.0)
 
     def test_mean_mode_stays_zero(self):
         *_, snap = self.manufactured_run()
-        assert snap.u_hat[snap.index_of(0)] == 0.0
-        assert snap.e_hat[snap.index_of(0)] == 0.0
+        assert snap.u_hat[4] == 0.0
+        assert snap.e_hat[4] == 0.0
 
 
-class TestFieldSnapshot:
-    def test_arrays_are_write_protected(self):
-        snap = electric_from_density(make_preset("screened"), lattice(1),
-                                     np.array([0.1, 0.0, 0.1]))
-        with pytest.raises(ValueError):
-            snap.u_hat[0] = 1.0
+class TestLatticeCheck:
+    """The series products need slot j to hold mode j - K of -K..K."""
+
+    W = GevreyWeight()
 
     def test_lattice_validation(self):
-        with pytest.raises(ConfigError, match="integer"):
-            FieldSnapshot(k_values=np.array([0.5, 1.5]),
-                          u_hat=np.zeros(2), e_hat=np.zeros(2),
-                          rho_hat=np.zeros(2))
+        model = make_preset("vpme", eps_ball=2.0)
+        with pytest.raises(ConfigError, match="integers"):
+            poisson_fixed_point(model, np.array([-0.5, 0.5, 1.5]),
+                                np.zeros(3), self.W, 0.0)
         with pytest.raises(ConfigError, match="shape"):
-            FieldSnapshot(k_values=lattice(1), u_hat=np.zeros(2),
-                          e_hat=np.zeros(3), rho_hat=np.zeros(3))
+            poisson_fixed_point(model, lattice(1), np.zeros(2), self.W, 0.0)
+        with pytest.raises(ConfigError, match="shape"):
+            h_of_field(model, lattice(1), np.zeros(5))
 
-    def test_index_of_missing_mode(self):
-        snap = electric_from_density(make_preset("screened"), lattice(1),
-                                     np.zeros(3))
-        with pytest.raises(ConfigError, match="lattice"):
-            snap.index_of(5)
+    def test_permuted_lattice_refused(self):
+        # the same modes out of order would be multiplied as if ordered
+        q = np.array([0.0, 0.01, 0.01])
+        for model in (make_preset("vpme", eps_ball=2.0), make_preset("vp")):
+            with pytest.raises(ConfigError, match="increasing order"):
+                poisson_fixed_point(model, np.array([0, 1, -1]), q, self.W, 0.0)
+            with pytest.raises(ConfigError, match="increasing order"):
+                h_of_field(model, np.array([0, 1, -1]), q)
+        snap = poisson_fixed_point(make_preset("vpme", eps_ball=2.0),
+                                   lattice(1), q[[2, 0, 1]], self.W, 0.0)
+        assert snap.u_hat[0] == snap.u_hat[2]
+        assert snap.u_hat[2].real == pytest.approx(0.0049999792, abs=1e-10)
+
+    def test_even_lattice_refused(self):
+        model = make_preset("vpme", eps_ball=2.0)
+        with pytest.raises(ConfigError, match="-K..K"):
+            h_of_field(model, np.array([1, 2]), np.array([0.01, 0.01]))
+        with pytest.raises(ConfigError, match="-K..K"):
+            poisson_fixed_point(model, np.arange(-2, 2), np.zeros(4),
+                                self.W, 0.0)

@@ -142,6 +142,19 @@ def test_preset_couplings():
     assert abs(float(me.h(1e-8))) < 1e-15
 
 
+def test_field_solve_settings():
+    me = make_preset("vpme")
+    assert (me.picard_tol, me.picard_max_iters, me.eps_ball) == (1e-12, 50, 0.05)
+    # the default gate is five percent of a finite series radius
+    assert ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0),
+                       h_radius=2.0).eps_ball == 0.1
+    assert make_preset("vpme", eps_ball=2.0).eps_ball == 2.0
+    for bad in ({"picard_tol": 0.0}, {"picard_max_iters": 0},
+                {"eps_ball": 0.0}, {"eps_ball": -1.0}):
+        with pytest.raises(ConfigError):
+            make_preset("vpme", **bad)
+
+
 def test_poisson_prefactor():
     vp = make_preset("vp")
     sc = make_preset("screened")

@@ -5,9 +5,11 @@ The dispersion function here is
     D(k, tau) = 1 + k^2/(beta + k^2) * L[t mu_hat(k t)](tau),
 with L the one-sided Laplace transform. Stability of the background is
 decided on the boundary of the right half-plane: sampled minima of |D| on
-the imaginary axis plus a Nyquist winding count along the closed contour
-(axis + large semicircle). Modes beyond the scanned band are covered by an
-analytic tail bound, making the infinite scan a finite computation.
+the imaginary axis, a closed-form bound on |D - 1| over the closing
+semicircle (which is bounded, not sampled), and a Nyquist winding count along
+the axis closed by a chord that the bound certifies. Modes beyond the scanned
+band are covered by an analytic tail bound, making the infinite scan a finite
+computation.
 
 The resolvent kernel of the density equation is
     Ktilde(k, tau) = -P L[t mu_hat(-k t)](tau) / (1 + P L[t mu_hat(-k t)](tau)),
@@ -40,13 +42,17 @@ __all__ = [
     "penrose_scan",
     "resolvent_Ktilde",
     "inverse_laplace_Khat",
-    "landau_root",
     "absolute_first_moment",
+    "arc_moment",
 ]
 
 _MARGIN_FRACTION = 0.25  # safe analyticity fraction, strictly below 1/2
 _MAX_DOUBLINGS = 22  # Simpson panel halvings before a transform gives up
-_SEMICIRCLE_SAMPLES = 512  # samples on the closing semicircle of a scan
+# Quadrature tolerance of the arc moment, added to it as slack. |.| puts kinks
+# in its integrand, so certifying 1e-10 takes seconds where 1e-6 takes
+# milliseconds; the bound only has to stay below 1.
+_ARC_MOMENT_TOL = 1e-6
+_CONTOUR_BLOCK = 32  # omega nodes per block of the factored contour sum
 
 
 @dataclass(frozen=True)
@@ -54,16 +60,21 @@ class PenroseReport:
     """Outcome of a boundary stability scan.
 
     ``kappa0`` estimates the infimum of |D| over the right half-plane
-    boundary across all nonzero modes; ``tail_bound`` bounds |D - 1| for the
-    modes beyond ``k_scan_max``; ``windings`` counts right-half-plane zeros
-    per scanned mode, and ``axis_minima`` holds each scanned mode's sampled
-    (argmin omega, minimum |D|) on the imaginary axis.
+    boundary across all nonzero modes: the sampled axis minima, 1 - B_k on
+    each mode's closing arc and 1 - ``tail_bound``. ``argmin`` is the mode
+    and point of the smallest term, with tau = ``omega_max`` standing for a
+    whole arc. ``tail_bound`` bounds |D - 1| for the modes beyond
+    ``k_scan_max``; ``windings`` counts right-half-plane zeros per scanned
+    mode; ``axis_minima`` holds each scanned mode's sampled (argmin omega,
+    minimum |D|) on the imaginary axis, and ``arc_bounds`` its B_k, the
+    bound on |D - 1| over the arc |tau| = ``omega_max``, Re tau >= 0.
     """
 
     kappa0: float
     argmin: tuple[int, complex]
     windings: dict[int, int]
     axis_minima: dict[int, tuple[float, float]]
+    arc_bounds: dict[int, float]
     stable: bool
     k_scan_max: int
     tail_bound: float
@@ -138,7 +149,9 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
     previous = None
     for _ in range(_MAX_DOUBLINGS):
         t = np.linspace(0.0, t_end, 2 * n + 1)
-        f = np.asarray(phi(t), dtype=complex) * np.exp(-tau * t)
+        f = np.asarray(phi(t), dtype=complex)
+        if tau != 0:  # exp(0) = 1 exactly: skip two full-length temporaries
+            f = f * np.exp(-tau * t)
         w = np.ones(2 * n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -273,36 +286,6 @@ def dispersion_on_axis(model: ModelConfig, eq: Equilibrium, k: int,
     return omega, 1.0 + pref * transform, cert
 
 
-def _transform_direct(eq: Equilibrium, k: int, sign: int, taus: np.ndarray,
-                      tol: float = 5e-9) -> np.ndarray:
-    """Dense-grid transform at arbitrary complex points, refinement-certified."""
-    re_min = float(np.min(taus.real))
-    t_end = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
-                         -re_min, tol, 200.0 / max(abs(k), 1))
-    t_end = max(t_end, 1.0)
-    im_max = float(np.max(np.abs(taus.imag)))
-    n = 128
-    while n < 2 * t_end * (2.0 + im_max):
-        n *= 2
-    prev = None
-    for _ in range(8):
-        s = np.linspace(0.0, t_end, n + 1)
-        f = s * np.asarray(eq.mu_hat(sign * k * s), dtype=complex)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        wf = w * f * (t_end / n) / 3.0
-        out = np.empty(taus.shape, dtype=complex)
-        for lo in range(0, taus.size, 256):
-            chunk = taus[lo:lo + 256, None]
-            out[lo:lo + 256] = np.exp(-chunk * s[None, :]) @ wf
-        if prev is not None and float(np.max(np.abs(out - prev))) <= tol:
-            return out
-        prev = out
-        n *= 2
-    raise QuadratureError("direct transform failed to certify under halving")
-
-
 def _winding_number(values: np.ndarray) -> float:
     closed = np.concatenate([values, values[:1]])
     return float(np.sum(np.diff(np.unwrap(np.angle(closed))))) / (2.0 * math.pi)
@@ -315,44 +298,74 @@ def absolute_first_moment(eq: Equilibrium, tol: float = 1e-10) -> float:
     return float(val.real)
 
 
+def arc_moment(eq: Equilibrium) -> float:
+    """Upper bound on M = integral over u >= 0 of |2 mu_hat'(u) + u mu_hat''(u)|.
+
+    Integrating L[t mu_hat(k t)](tau) by parts twice gives, for Re tau >= 0,
+    |L| <= (|mu_hat(0)| + M) / |tau|^2 with M independent of k. A real
+    velocity profile has mu_hat(-u) = conj mu_hat(u), so the same M serves
+    the modes k < 0.
+    """
+    if eq.mu_hat_deriv is None:
+        raise ConfigError(f"the Penrose arc bound needs the analytic "
+                          f"derivatives of mu_hat, which {eq.label} lacks")
+    val = laplace_one_sided(
+        lambda u: np.abs(2.0 * eq.deriv(u, 1) + u * eq.deriv(u, 2)),
+        0.0, _ARC_MOMENT_TOL, decay=0.9 * eq.lambda_analytic)
+    return float(val.real) + _ARC_MOMENT_TOL
+
+
 def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
                  omega_max: float = 40.0, n_samples: int = 4001) -> PenroseReport:
     """Boundary stability scan over all modes 0 < |k| <= k_scan_max.
 
-    Per mode: sampled minimum of |D| on the imaginary segment and on the
-    closing right semicircle of radius omega_max, plus the Nyquist winding
-    number along that closed boundary traversed counterclockwise (down the
-    axis, then through +omega_max back up). Nonzero winding counts
+    The boundary is the imaginary segment |omega| <= omega_max closed by the
+    right semicircle of radius omega_max. Per mode, D is sampled on the
+    segment; on the arc it is bounded instead, |D - 1| <= B_k =
+    |P(k)| (|mu_hat(0)| + M) / omega_max^2 (see :func:`arc_moment`). Every
+    B_k must be below 1, otherwise :class:`ConfigError` names the smallest
+    omega_max that certifies the arc. Then the arc's image stays in the disk
+    |D - 1| <= B_k, which excludes 0: 1 - B_k bounds |D| there from below,
+    and closing the axis path (traversed downward) with a chord gives the
+    Nyquist winding number of the whole boundary. Nonzero winding counts
     right-half-plane zeros; stability additionally needs the unscanned-mode
     tail bound to stay below the running minimum.
     """
     if k_scan_max < 1:
         raise ConfigError("k_scan_max must be >= 1")
+    modes = [k for k in range(-k_scan_max, k_scan_max + 1) if k != 0]
+    scale = abs(complex(eq.deriv(0.0, 0))) + arc_moment(eq)
+    arc_bounds = {k: float(model.poisson_prefactor(k)) * scale / omega_max**2
+                  for k in modes}
+    worst = max(arc_bounds.values())
+    if worst >= 1.0:
+        # B_k falls as 1 / omega_max^2: the smallest radius on a 0.01 grid
+        # that brings every B_k below 1
+        need = math.floor(100.0 * omega_max * math.sqrt(worst) + 1.0) / 100.0
+        raise ConfigError(
+            f"the closing arc of radius omega_max = {omega_max:g} is not "
+            f"certified: the |D - 1| bound there is {worst:.3g} >= 1; the "
+            f"smallest omega_max that certifies it is {need:.2f}")
+
     windings: dict[int, int] = {}
     axis_minima: dict[int, tuple[float, float]] = {}
     kappa0 = math.inf
     argmin: tuple[int, complex] = (0, 0j)
-    modes = [k for k in range(-k_scan_max, k_scan_max + 1) if k != 0]
-    theta = np.linspace(-math.pi / 2, math.pi / 2, _SEMICIRCLE_SAMPLES)
-    semi_taus = omega_max * np.exp(1j * theta)
     for k in modes:
         omega, axis_vals, _ = dispersion_on_axis(model, eq, k, omega_max,
                                                  n_min=n_samples)
         i = int(np.argmin(np.abs(axis_vals)))
         axis_minima[k] = (float(omega[i]), float(np.abs(axis_vals[i])))
-        pref = float(model.poisson_prefactor(k))
-        semi_vals = 1.0 + pref * _transform_direct(eq, k, +1, semi_taus)
+        if abs(axis_vals[i]) < kappa0:
+            kappa0 = float(abs(axis_vals[i]))
+            argmin = (k, complex(1j * omega[i]))
+        if 1.0 - arc_bounds[k] < kappa0:
+            kappa0 = 1.0 - arc_bounds[k]
+            argmin = (k, complex(omega_max))
 
-        for taus, vals in ((1j * omega, axis_vals), (semi_taus, semi_vals)):
-            i = int(np.argmin(np.abs(vals)))
-            if abs(vals[i]) < kappa0:
-                kappa0 = float(abs(vals[i]))
-                argmin = (k, complex(taus[i]))
-
-        # counterclockwise boundary: axis from +i omega_max down to -i
-        # omega_max, then the semicircle back through +omega_max
-        loop = np.concatenate([axis_vals[::-1], semi_vals])
-        raw = _winding_number(loop)
+        # axis from +i omega_max down to -i omega_max; the closing chord and
+        # the arc both map into the disk |D - 1| <= B_k < 1
+        raw = _winding_number(axis_vals[::-1])
         if abs(raw - round(raw)) > 1e-3:
             raise QuadratureError(
                 f"winding number {raw:.6f} for k = {k} is not integral; "
@@ -367,8 +380,8 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
             "scan inconclusive: unscanned-mode tail bound exceeds the "
             "scanned minimum; widen k_scan_max")
     return PenroseReport(kappa0=kappa0, argmin=argmin, windings=windings,
-                         axis_minima=axis_minima, stable=stable,
-                         k_scan_max=k_scan_max, tail_bound=tail,
+                         axis_minima=axis_minima, arc_bounds=arc_bounds,
+                         stable=stable, k_scan_max=k_scan_max, tail_bound=tail,
                          omega_max=omega_max, n_axis_samples=n_samples)
 
 
@@ -386,6 +399,29 @@ def resolvent_Ktilde(model: ModelConfig, eq: Equilibrium, k: int, tau: complex,
             f"|1 + P L| = {abs(denom):.3e} below floor {kappa_floor:g} at "
             f"tau = {tau}; stability margin violated")
     return -pref * transform / denom
+
+
+def _contour_sum(times: np.ndarray, omega: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """sum_m exp(i t omega_m) v_m at every t, for a uniform ascending omega.
+
+    With omega_m = omega0 + m d_omega and m = q a + b, q = ``_CONTOUR_BLOCK``,
+    each phase factors as exp(i t (omega0 + q a d_omega)) exp(i t b d_omega),
+    so the sum needs len(times) (q + len(v) / q) exponentials instead of
+    len(times) len(v). Only omega has to be uniform; ``times`` may be any
+    grid. d_omega is taken over the whole grid: the difference of two
+    neighbours carries the rounding of |omega0|, which m d_omega multiplies.
+    """
+    omega0 = float(omega[0])
+    d_omega = (float(omega[-1]) - omega0) / (omega.size - 1)
+    q = _CONTOUR_BLOCK
+    blocks = -(-v.size // q)
+    padded = np.zeros(blocks * q, dtype=complex)
+    padded[:v.size] = v
+    inner = np.exp(1j * np.outer(times, d_omega * np.arange(q))) \
+        @ padded.reshape(blocks, q).T
+    outer = np.exp(1j * np.outer(times, omega0 + q * d_omega * np.arange(blocks)))
+    return np.sum(outer * inner, axis=1)
 
 
 def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
@@ -437,8 +473,7 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
         w = np.full(omega.size, d_omega)
         w[0] *= 0.5
         w[-1] *= 0.5
-        phases = np.exp(1j * times[:, None] * omega[None, :])
-        contour_part = (phases @ (w * remainder)) / (2.0 * math.pi)
+        contour_part = _contour_sum(times, omega, w * remainder) / (2.0 * math.pi)
         closed_part = -pref * times * np.asarray(eq.mu_hat(-k * times), dtype=complex)
         values = np.exp(a * times) * contour_part + closed_part
 
@@ -468,51 +503,3 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
             truncation_bound=trunc, contour_re=a, omega_max=omega_max,
             quadrature_certificate=cert, quadratic_decay_constant=c2)
     raise last_err if last_err is not None else RuntimeError("no contour tried")
-
-
-def landau_root(model: ModelConfig, eq: Equilibrium, k: int,
-                re_range: tuple[float, float] = (-1.6, -0.02),
-                im_range: tuple[float, float] | None = None,
-                grid: int = 40, tol: float = 1e-10) -> complex:
-    """Left-half-plane zero of D(k, .) nearest the imaginary axis.
-
-    Coarse modulus scan seeds a Newton iteration that uses the analytic
-    derivative D'(tau) = -P L[t^2 mu_hat(k t)](tau). Only meaningful for
-    profiles whose transform continues past the exponential margin, which the
-    built-in Gaussian-mixture backgrounds do; convergence of the underlying
-    quadrature is still certified per evaluation.
-    """
-    if k == 0:
-        raise ConfigError("k must be nonzero")
-    if im_range is None:
-        im_range = (0.3, 1.2 + 2.2 * abs(k))
-    res, ims = np.meshgrid(np.linspace(*re_range, grid),
-                           np.linspace(*im_range, grid))
-    taus = (res + 1j * ims).ravel()
-    pref = float(model.poisson_prefactor(k))
-    vals = 1.0 + pref * _transform_direct(eq, k, +1, taus)
-    tau = complex(taus[int(np.argmin(np.abs(vals)))])
-
-    def d_and_deriv(z: complex) -> tuple[complex, complex]:
-        arr = np.array([z])
-        d = 1.0 + pref * _transform_direct(eq, k, +1, arr, tol=1e-12)[0]
-        moment2 = _transform_direct(
-            _second_moment_view(eq, k), k, +1, arr, tol=1e-12)[0]
-        return d, -pref * moment2
-
-    for _ in range(60):
-        d, dp = d_and_deriv(tau)
-        if abs(d) < tol:
-            return tau
-        step = d / dp
-        if not np.isfinite(step):
-            break
-        tau = tau - step
-    raise QuadratureError(f"Newton did not locate a dispersion zero near {tau}")
-
-
-def _second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
-    # reuse the certified transform of t * f by folding one extra t factor
-    # into the profile evaluator
-    return Equilibrium(eq.label, lambda eta: (np.asarray(eta) / k) * eq.mu_hat(eta),
-                       eq.lambda_analytic, None)

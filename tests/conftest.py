@@ -5,6 +5,7 @@ runs once per session and every consumer reads from the cached result.
 """
 
 import pytest
+from dense_transform import landau_root
 
 from vpscatter import (
     GevreyWeight,
@@ -14,7 +15,6 @@ from vpscatter import (
     make_preset,
     maxwellian,
 )
-from vpscatter.dispersion import landau_root
 from vpscatter.scattering import (
     RunGrids,
     build_resolvent_tables,

@@ -223,6 +223,26 @@ class TestCommands:
         manifest = (out / "manifest.txt").read_text()
         assert "# penrose.stable = false" in manifest
 
+    def test_penrose_uncertified_arc_exits_four_and_names_radius(self, tmp_path):
+        extra = ("equilibrium.kind = two_stream\n"
+                 "penrose.samples = 1201\n")
+        code, out = self.run("penrose", tmp_path,
+                             extra + "penrose.omega_max = 1.0\n")
+        assert code == EXIT_CONFIG
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        errors = [line for line in manifest if line.startswith("# error = ")]
+        assert len(errors) == 1
+        assert "smallest omega_max that certifies it is " in errors[0]
+        radius = errors[0].rsplit(" ", 1)[-1]
+        assert float(radius) > 1.0
+        code, out = self.run("penrose", tmp_path,
+                             extra + f"penrose.omega_max = {radius}\n",
+                             name="wider.cfg")
+        assert code == EXIT_HYPOTHESIS  # the scan runs and finds the instability
+        manifest = (out / "manifest.txt").read_text()
+        assert "# error" not in manifest
+        assert "# penrose.stable = false" in manifest
+
     def test_scatter_writes_artifacts(self, tmp_path):
         code, out = self.run("scatter", tmp_path)
         assert code == EXIT_OK

@@ -5,21 +5,27 @@ import warnings
 
 import numpy as np
 import pytest
+from dense_transform import landau_root, transform_direct
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from vpscatter.dispersion import (
+    _ARC_MOMENT_TOL,
+    _contour_sum,
+    _winding_number,
     absolute_first_moment,
+    arc_moment,
     dispersion_D,
     dispersion_on_axis,
     inverse_laplace_Khat,
-    landau_root,
     laplace_one_sided,
     laplace_two_sided,
     penrose_scan,
     resolvent_Ktilde,
 )
 from vpscatter.errors import ConfigError, NearSingularResolventError, QuadratureError
-from vpscatter.model import ModelConfig, bump_on_tail, make_preset, maxwellian, two_stream
+from vpscatter.model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
+                             maxwellian, two_stream)
 
 # frozen root and fit values (independent probes; roots cross-checked by
 # Newton refinement from coarse modulus scans at several resolutions)
@@ -32,6 +38,10 @@ LAM1_FITS = {1: 0.8502, 2: 1.4310, 3: 1.8255}
 MAXW = maxwellian()
 VP = make_preset("vp")
 SCREENED = make_preset("screened")
+BACKGROUNDS = [MAXW, *(two_stream(v0) for v0 in (0.5, 1.0, 1.2, 2.0)),
+               bump_on_tail(), bump_on_tail(0.2, 3.0, 0.35)]
+# 512 samples on the closing semicircle |tau| = 1, Re tau >= 0
+UNIT_ARC = np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 512))
 
 
 def test_one_sided_examples():
@@ -133,6 +143,85 @@ def test_penrose_inconclusive_raises_and_widening_fixes():
         penrose_scan(VP, fat, 1)
     rep = penrose_scan(VP, fat, 3)
     assert rep.tail_bound < rep.kappa0
+
+
+def test_arc_moment_maxwellian_closed_form():
+    # 2 mu_hat' + u mu_hat'' = u (u^2 - 3) e^{-u^2/2}; |.| integrates to
+    # 1 + 2 e^{-3/2} on [0, sqrt 3] and 2 e^{-3/2} beyond
+    excess = arc_moment(MAXW) - (1.0 + 4.0 * math.exp(-1.5))
+    assert 0.0 <= excess <= 2.0 * _ARC_MOMENT_TOL
+
+
+def test_arc_bound_needs_analytic_derivatives():
+    bare = Equilibrium("bare", MAXW.mu_hat, 1.0)
+    with pytest.raises(ConfigError, match="derivatives"):
+        penrose_scan(VP, bare, 1)
+
+
+@pytest.mark.parametrize("eq", BACKGROUNDS, ids=lambda eq: eq.label)
+def test_arc_bound_covers_dense_arc_and_keeps_windings(eq):
+    # the dense arc quadrature is the oracle: its sampled |D - 1| must sit
+    # below B_k, and the winding of the axis closed by the sampled arc must
+    # equal the scan's chord-closed winding
+    for radius in (6.0, 8.0, 40.0):
+        scans = {model.label: penrose_scan(model, eq, 2, omega_max=radius)
+                 for model in (VP, SCREENED)}
+        for k in (1, 2):
+            transform = transform_direct(eq, k, +1, radius * UNIT_ARC)
+            for model in (VP, SCREENED):
+                scan = scans[model.label]
+                arc = 1.0 + float(model.poisson_prefactor(k)) * transform
+                # real velocity profiles: D(-k, tau) = conj D(k, conj tau)
+                for mode, arc_vals in ((k, arc), (-k, np.conj(arc[::-1]))):
+                    assert np.max(np.abs(arc_vals - 1.0)) <= scan.arc_bounds[mode]
+                    _, axis, _ = dispersion_on_axis(model, eq, mode, radius,
+                                                    n_min=4001)
+                    raw = _winding_number(np.concatenate([axis[::-1], arc_vals]))
+                    assert abs(raw - round(raw)) <= 1e-3
+                    assert round(raw) == scan.windings[mode]
+
+
+def test_arc_bound_against_faddeeva_closed_form():
+    # L[t e^{-k^2 t^2/2}](tau) = (1 - tau sqrt(pi/2) / k w(i tau / (sqrt 2 k))) / k^2
+    for radius in (6.0, 8.0, 40.0):
+        taus = radius * UNIT_ARC
+        for model in (VP, SCREENED):
+            scan = penrose_scan(model, MAXW, 3, omega_max=radius)
+            for k in (1, 2, 3):
+                closed = (1.0 - taus * math.sqrt(math.pi / 2) / k
+                          * wofz(1j * taus / (math.sqrt(2.0) * k))) / k**2
+                sampled = float(model.poisson_prefactor(k)) * np.max(np.abs(closed))
+                assert sampled <= scan.arc_bounds[k] == scan.arc_bounds[-k]
+
+
+def test_uncertified_arc_names_the_radius():
+    eq = two_stream(1.0, 0.5)
+    with pytest.raises(ConfigError, match="not certified") as info:
+        penrose_scan(VP, eq, 2, omega_max=1.0)
+    radius = float(str(info.value).rsplit(" ", 1)[-1])
+    # B_k = (|mu_hat(0)| + M) / R^2 for vp, so the radius is the 0.01 step
+    # just above sqrt(1 + M)
+    assert radius - 0.01 <= math.sqrt(1.0 + arc_moment(eq)) < radius
+    rep = penrose_scan(VP, eq, 2, omega_max=radius)
+    # just inside the certified radius the arc term 1 - B_k is the minimum
+    assert rep.kappa0 == 1.0 - max(rep.arc_bounds.values()) > 0.0
+    assert rep.argmin[1] == complex(radius)
+
+
+def test_factored_contour_sum_matches_dense_sum():
+    rng = np.random.default_rng(5)
+    # the frequency grid the kernel's default contour uses (6553 nodes, so the
+    # last block is partial), with weights that decay quartically like its
+    # remainder; a spacing taken from two neighbours is off by 1.8e-13
+    omega = 2.0 * math.pi * np.fft.fftfreq(8192, d=math.pi / 250.0)
+    omega = np.sort(omega[np.abs(omega) <= 200.0])
+    v = ((1.0 + 0.5 * rng.standard_normal(omega.size)
+          + 0.5j * rng.standard_normal(omega.size)) / (1.0 + omega**2) ** 2)
+    for times in (np.arange(0.0, 32.0 + 1e-9, 0.1),
+                  np.sort(rng.uniform(0.0, 32.0, 200))):
+        dense = np.exp(1j * times[:, None] * omega[None, :]) @ v
+        err = np.max(np.abs(_contour_sum(times, omega, v) - dense))
+        assert err <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_ktilde_values():

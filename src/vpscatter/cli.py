@@ -37,9 +37,9 @@ from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
                       zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
                     maxwellian, two_stream)
-from .scattering import (RunGrids, apply_map_F, build_resolvent_tables,
-                         efield_weighted_norms, fixed_point_drive,
-                         free_extension, landau_linear_run, roundtrip_check)
+from .scattering import (RunGrids, apply_map_F, efield_weighted_norms,
+                         fixed_point_drive, free_extension, landau_linear_run,
+                         roundtrip_check)
 from .volterra import (SourceHistory, SpectralHistory, build_discrete_resolvent,
                        solve_direct_backward, solve_resolvent)
 
@@ -54,14 +54,6 @@ COMMANDS = ("penrose", "kernel", "damp", "scatter", "roundtrip", "poisson",
 
 # ---------------------------------------------------------------------------
 # configuration schema
-
-def _as_int(raw: str) -> int:
-    return int(raw)
-
-
-def _as_float(raw: str) -> float:
-    return float(raw)
-
 
 def _as_optional_float(raw: str) -> Optional[float]:
     return None if raw.strip() == "" else float(raw)
@@ -116,50 +108,50 @@ class _Option:
 SCHEMA: dict[str, _Option] = {
     "model.preset": _Option("vp", _as_choice("vp", "screened", "vpme"),
                           "coupling preset: vp, screened, or vpme"),
-    "model.n_h": _Option("12", _as_int, "series cutoff for the vpme coupling"),
+    "model.n_h": _Option("12", int, "series cutoff for the vpme coupling"),
     "equilibrium.kind": _Option("maxwellian",
                               _as_choice("maxwellian", "two_stream",
                                          "bump_on_tail"),
                               "background profile family"),
-    "equilibrium.v0": _Option("1.0", _as_float,
+    "equilibrium.v0": _Option("1.0", float,
                             "stream or bump center speed"),
-    "equilibrium.width": _Option("0.5", _as_float,
+    "equilibrium.width": _Option("0.5", float,
                                "stream or bump thermal width"),
-    "equilibrium.alpha": _Option("0.1", _as_float, "bump mass fraction"),
-    "grid.kmax": _Option("2", _as_int, "largest spatial mode"),
-    "grid.eta_max": _Option("70.0", _as_float, "frequency-grid half width"),
-    "grid.delta_eta": _Option("0.25", _as_float, "frequency-grid spacing"),
-    "grid.dt": _Option("0.1", _as_float, "time step"),
-    "grid.t_final": _Option("32.0", _as_float, "horizon T"),
-    "gevrey.gamma": _Option("0.5", _as_float, "Gevrey index, in (1/3, 1)"),
-    "gevrey.sigma": _Option("12.0", _as_float,
+    "equilibrium.alpha": _Option("0.1", float, "bump mass fraction"),
+    "grid.kmax": _Option("2", int, "largest spatial mode"),
+    "grid.eta_max": _Option("70.0", float, "frequency-grid half width"),
+    "grid.delta_eta": _Option("0.25", float, "frequency-grid spacing"),
+    "grid.dt": _Option("0.1", float, "time step"),
+    "grid.t_final": _Option("32.0", float, "horizon T"),
+    "gevrey.gamma": _Option("0.5", float, "Gevrey index, in (1/3, 1)"),
+    "gevrey.sigma": _Option("12.0", float,
                           "polynomial weight order, > 10 + d"),
-    "gevrey.lambda_inf": _Option("0.2", _as_float, "late-time radius"),
-    "gevrey.c_decay": _Option("0.05", _as_float, "radius ramp size"),
-    "gevrey.delta": _Option("0.05", _as_float, "radius ramp exponent, in (0, 1)"),
-    "gevrey.b": _Option("11.0", _as_float, "time-bracket exponent, > 10"),
-    "gevrey.moments": _Option("2", _as_int, "velocity moment order, > d/2"),
+    "gevrey.lambda_inf": _Option("0.2", float, "late-time radius"),
+    "gevrey.c_decay": _Option("0.05", float, "radius ramp size"),
+    "gevrey.delta": _Option("0.05", float, "radius ramp exponent, in (0, 1)"),
+    "gevrey.b": _Option("11.0", float, "time-bracket exponent, > 10"),
+    "gevrey.moments": _Option("2", int, "velocity moment order, > d/2"),
     "datum.modes": _Option("1:1e-3", _as_modes,
                          "k:amplitude pairs of the prescribed profile"),
-    "datum.width": _Option("1.0", _as_float, "frequency width of the profile"),
-    "drive.tol": _Option("1e-9", _as_float, "fixed-point distance tolerance"),
-    "drive.max_iters": _Option("25", _as_int, "fixed-point iteration cap"),
-    "poisson.tol": _Option("1e-12", _as_float, "field solve tolerance"),
-    "poisson.max_iters": _Option("50", _as_int, "field solve iteration cap"),
+    "datum.width": _Option("1.0", float, "frequency width of the profile"),
+    "drive.tol": _Option("1e-9", float, "fixed-point distance tolerance"),
+    "drive.max_iters": _Option("25", int, "fixed-point iteration cap"),
+    "poisson.tol": _Option("1e-12", float, "field solve tolerance"),
+    "poisson.max_iters": _Option("50", int, "field solve iteration cap"),
     "poisson.eps_ball": _Option("", _as_optional_float,
                               "field smallness gate; empty keeps the default"),
-    "penrose.kmax": _Option("2", _as_int, "largest scanned mode"),
-    "penrose.omega_max": _Option("40.0", _as_float, "scan boundary radius"),
-    "penrose.samples": _Option("4001", _as_int, "scan samples per mode"),
-    "kernel.kmax": _Option("3", _as_int, "largest tabulated kernel mode"),
-    "kernel.omega_max": _Option("200.0", _as_float,
+    "penrose.kmax": _Option("2", int, "largest scanned mode"),
+    "penrose.omega_max": _Option("40.0", float, "scan boundary radius"),
+    "penrose.samples": _Option("4001", int, "scan samples per mode"),
+    "kernel.kmax": _Option("3", int, "largest tabulated kernel mode"),
+    "kernel.omega_max": _Option("200.0", float,
                               "kernel inversion contour cutoff"),
-    "damp.amplitude": _Option("1e-4", _as_float, "linear-regime amplitude"),
-    "damp.mode": _Option("1", _as_int, "tracked field mode"),
-    "fit.t_start": _Option("5.0", _as_float, "decay fit window start"),
-    "fit.t_end": _Option("25.0", _as_float, "decay fit window end"),
+    "damp.amplitude": _Option("1e-4", float, "linear-regime amplitude"),
+    "damp.mode": _Option("1", int, "tracked field mode"),
+    "fit.t_start": _Option("5.0", float, "decay fit window start"),
+    "fit.t_end": _Option("25.0", float, "decay fit window end"),
     "out.dir": _Option("runs", lambda raw: raw.strip(), "output directory"),
-    "threads": _Option("1", _as_int, "worker threads for per-mode tables"),
+    "threads": _Option("1", int, "worker threads for per-mode tables"),
     "verbose": _Option("false", _as_bool, "chatty progress on stderr"),
 }
 

@@ -36,11 +36,8 @@ __all__ = [
     "PenroseReport",
     "ResolventTable",
     "laplace_one_sided",
-    "laplace_two_sided",
-    "dispersion_D",
     "dispersion_on_axis",
     "penrose_scan",
-    "resolvent_Ktilde",
     "inverse_laplace_Khat",
     "absolute_first_moment",
     "arc_moment",
@@ -62,12 +59,12 @@ class PenroseReport:
     ``kappa0`` estimates the infimum of |D| over the right half-plane
     boundary across all nonzero modes: the sampled axis minima, 1 - B_k on
     each mode's closing arc and 1 - ``tail_bound``. ``argmin`` is the mode
-    and point of the smallest term, with tau = ``omega_max`` standing for a
-    whole arc. ``tail_bound`` bounds |D - 1| for the modes beyond
-    ``k_scan_max``; ``windings`` counts right-half-plane zeros per scanned
-    mode; ``axis_minima`` holds each scanned mode's sampled (argmin omega,
-    minimum |D|) on the imaginary axis, and ``arc_bounds`` its B_k, the
-    bound on |D - 1| over the arc |tau| = ``omega_max``, Re tau >= 0.
+    and point of the smallest term, with tau = omega_max (the scan radius)
+    standing for a whole arc. ``tail_bound`` bounds |D - 1| for the unscanned
+    modes; ``windings`` counts right-half-plane zeros per scanned mode;
+    ``axis_minima`` holds each scanned mode's sampled (argmin omega, minimum
+    |D|) on the imaginary axis, and ``arc_bounds`` its B_k, the bound on
+    |D - 1| over the arc |tau| = omega_max, Re tau >= 0.
     """
 
     kappa0: float
@@ -76,10 +73,7 @@ class PenroseReport:
     axis_minima: dict[int, tuple[float, float]]
     arc_bounds: dict[int, float]
     stable: bool
-    k_scan_max: int
     tail_bound: float
-    omega_max: float
-    n_axis_samples: int
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,7 @@ class ResolventTable:
     fit_r2: float
     truncation_bound: float
     contour_re: float
-    omega_max: float
     quadrature_certificate: float
-    quadratic_decay_constant: float
 
 
 def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> float:
@@ -162,45 +154,6 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
         n *= 2
     raise QuadratureError("Simpson refinement did not certify the requested "
                           "tolerance; integrand may be too rough")
-
-
-def laplace_two_sided(phi: Callable, tau: complex, tol: float = 1e-10,
-                      decay: float = 1.0) -> complex:
-    """Two-sided transform for |Re tau| < decay, via two one-sided halves."""
-    tau = complex(tau)
-    if abs(tau.real) >= decay:
-        raise QuadratureError(
-            f"|Re tau| = {abs(tau.real):g} reaches the declared decay rate")
-    forward = laplace_one_sided(phi, tau, tol / 2.0, decay)
-    backward = laplace_one_sided(lambda t: np.asarray(phi(-t)), -tau, tol / 2.0, decay)
-    return forward + backward
-
-
-def _decay_floor(eq: Equilibrium, k: int) -> float:
-    return 0.9 * eq.lambda_analytic * abs(k)
-
-
-def dispersion_D(model: ModelConfig, eq: Equilibrium, k: int, tau: complex,
-                 tol: float = 1e-10, strict_margin: bool = True) -> complex:
-    """Dispersion function of one spatial mode.
-
-    With ``strict_margin`` the Laplace variable is confined to the certified
-    analyticity region Re tau >= -lambda_analytic |k| / 4; disabling it lets
-    callers with super-exponentially decaying profiles evaluate deeper, with
-    convergence still certified by the quadrature itself.
-    """
-    if k == 0:
-        raise ConfigError("the dispersion function is defined for k != 0")
-    tau = complex(tau)
-    margin = _MARGIN_FRACTION * eq.lambda_analytic * abs(k)
-    if strict_margin and tau.real < -margin:
-        raise ConfigError(
-            f"Re tau = {tau.real:g} lies outside the analyticity margin "
-            f"{-margin:g} for k = {k}")
-    pref = float(model.poisson_prefactor(k))
-    transform = laplace_one_sided(lambda t: t * np.asarray(eq.mu_hat(k * t)),
-                                  tau, tol, decay=_decay_floor(eq, k))
-    return 1.0 + pref * transform
 
 
 def _corner_coeffs(eq: Equilibrium, k: int, sign: int, a: float) -> np.ndarray:
@@ -381,24 +334,7 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
             "scanned minimum; widen k_scan_max")
     return PenroseReport(kappa0=kappa0, argmin=argmin, windings=windings,
                          axis_minima=axis_minima, arc_bounds=arc_bounds,
-                         stable=stable, k_scan_max=k_scan_max, tail_bound=tail,
-                         omega_max=omega_max, n_axis_samples=n_samples)
-
-
-def resolvent_Ktilde(model: ModelConfig, eq: Equilibrium, k: int, tau: complex,
-                     kappa_floor: float = 1e-6, tol: float = 1e-10) -> complex:
-    """Laplace-side resolvent kernel -P L / (1 + P L), L = L[t mu_hat(-k t)]."""
-    if k == 0:
-        raise ConfigError("the resolvent kernel is defined for k != 0")
-    pref = float(model.poisson_prefactor(k))
-    transform = laplace_one_sided(lambda t: t * np.asarray(eq.mu_hat(-k * t)),
-                                  complex(tau), tol, decay=_decay_floor(eq, k))
-    denom = 1.0 + pref * transform
-    if abs(denom) < kappa_floor:
-        raise NearSingularResolventError(
-            f"|1 + P L| = {abs(denom):.3e} below floor {kappa_floor:g} at "
-            f"tau = {tau}; stability margin violated")
-    return -pref * transform / denom
+                         stable=stable, tail_bound=tail)
 
 
 def _contour_sum(times: np.ndarray, omega: np.ndarray,
@@ -463,10 +399,7 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
                 continue
             raise last_err
         remainder = pl * pl / denom
-        ktilde = -pl / denom
-        scale2 = 1.0 + k * k + omega**2
-        c2 = float(np.max(np.abs(ktilde) * scale2))
-        c4 = float(np.max(np.abs(remainder) * scale2**2))
+        c4 = float(np.max(np.abs(remainder) * (1.0 + k * k + omega**2) ** 2))
         trunc = c4 / (3.0 * math.pi * omega_max**3) * math.exp(max(a, 0.0) * times[-1])
 
         d_omega = float(omega[1] - omega[0])
@@ -500,6 +433,5 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
         return ResolventTable(
             k=k, times=times, values=values,
             fit_C=math.exp(intercept), fit_lambda1=-slope / abs(k), fit_r2=r2,
-            truncation_bound=trunc, contour_re=a, omega_max=omega_max,
-            quadrature_certificate=cert, quadratic_decay_constant=c2)
+            truncation_bound=trunc, contour_re=a, quadrature_certificate=cert)
     raise last_err if last_err is not None else RuntimeError("no contour tried")

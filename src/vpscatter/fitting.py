@@ -19,7 +19,6 @@ class DecayFit:
     rate: float
     log_amplitude: float
     r_squared: float
-    n_points: int
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -36,14 +35,7 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _log_magnitudes(t, values, floor):
-    t = np.asarray(t, dtype=float)
-    mag = np.abs(np.asarray(values))
-    keep = mag > floor
-    return t[keep], np.log(mag[keep])
-
-
-def peak_decay_fit(t, values, floor: float = 0.0) -> DecayFit:
+def peak_decay_fit(t, values) -> DecayFit:
     """Exponential fit restricted to local maxima of |values|.
 
     Oscillatory signals spend most samples near their zero crossings, where
@@ -56,16 +48,17 @@ def peak_decay_fit(t, values, floor: float = 0.0) -> DecayFit:
     idx = np.flatnonzero(interior) + 1
     if idx.size < 3:
         raise ConfigError("fewer than three envelope peaks in the fit window")
-    keep = mag[idx] > floor
-    slope, intercept, r2 = linear_fit(t[idx[keep]], np.log(mag[idx[keep]]))
-    return DecayFit(rate=-slope, log_amplitude=intercept, r_squared=r2,
-                    n_points=int(np.sum(keep)))
+    # a peak exceeds its right neighbour, so its magnitude is positive
+    slope, intercept, r2 = linear_fit(t[idx], np.log(mag[idx]))
+    return DecayFit(rate=-slope, log_amplitude=intercept, r_squared=r2)
 
 
-def stretched_exponential_fit(t, values, gamma: float, floor: float = 0.0) -> DecayFit:
-    """Fit log|values| = log_amplitude - rate * <t>^gamma."""
-    tt, logs = _log_magnitudes(t, values, floor)
+def stretched_exponential_fit(t, values, gamma: float) -> DecayFit:
+    """Fit log|values| = log_amplitude - rate * <t>^gamma over nonzero values."""
+    mag = np.abs(np.asarray(values))
+    keep = mag > 0.0
+    tt = np.asarray(t, dtype=float)[keep]
+    logs = np.log(mag[keep])
     predictor = np.sqrt(1.0 + tt * tt) ** gamma
     slope, intercept, r2 = linear_fit(predictor, logs)
-    return DecayFit(rate=-slope, log_amplitude=intercept, r_squared=r2,
-                    n_points=tt.size)
+    return DecayFit(rate=-slope, log_amplitude=intercept, r_squared=r2)

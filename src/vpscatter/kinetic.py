@@ -199,18 +199,15 @@ class AsymptoticDatum:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     amplitude: float
     width: float
-    mean_zero: bool = True
-    label: str = "datum"
 
     def __post_init__(self) -> None:
         if self.amplitude < 0 or self.width <= 0:
             raise ConfigError("amplitude must be >= 0 and width > 0")
-        if self.mean_zero:
-            center = complex(np.asarray(
-                self.evaluator(np.array(0), np.array(0.0)), dtype=complex))
-            if abs(center) > 1e-12:
-                raise ConfigError("datum is declared mean-zero but has a "
-                                  f"nonzero origin coefficient {center:.3e}")
+        center = complex(np.asarray(
+            self.evaluator(np.array(0), np.array(0.0)), dtype=complex))
+        if abs(center) > 1e-12:
+            raise ConfigError("datum must be mean-zero but has a nonzero "
+                              f"origin coefficient {center:.3e}")
 
     def sample(self, grid: PhaseGrid, time: float) -> SpectralState:
         vals = np.asarray(self.evaluator(grid.k_values[:, None],
@@ -223,7 +220,7 @@ class AsymptoticDatum:
         return np.asarray(self.evaluator(k, k * t), dtype=complex)
 
 
-def gaussian_datum(modes, width: float = 1.0, label: str = "gaussian") -> AsymptoticDatum:
+def gaussian_datum(modes, width: float = 1.0) -> AsymptoticDatum:
     """Datum with the given spatial coefficients and a Gaussian frequency profile.
 
     ``modes`` maps k to its coefficient; the conjugate mode is filled in
@@ -255,7 +252,7 @@ def gaussian_datum(modes, width: float = 1.0, label: str = "gaussian") -> Asympt
 
     amplitude = float(np.sum(np.abs(coefs)))
     return AsymptoticDatum(evaluator=evaluator, amplitude=amplitude,
-                           width=float(width), label=label)
+                           width=float(width))
 
 
 @functools.lru_cache(maxsize=16)

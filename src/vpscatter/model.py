@@ -30,9 +30,6 @@ __all__ = [
     "maxwellian",
     "two_stream",
     "bump_on_tail",
-    "H1Report",
-    "check_H1",
-    "check_H3",
 ]
 
 
@@ -55,7 +52,6 @@ class ModelConfig:
     beta: float
     h_coeffs: tuple[float, ...] = ()
     h_radius: float = math.inf
-    dimension: int = 1
     label: str = "custom"
     h_tail: Optional[Callable[[float], float]] = field(default=None, compare=False)
     picard_tol: float = 1e-12
@@ -73,8 +69,6 @@ class ModelConfig:
                                if math.isfinite(self.h_radius) else 0.05)
         elif not self.eps_ball > 0.0:
             raise ConfigError(f"eps_ball must be positive, got {self.eps_ball}")
-        if self.dimension != 1:
-            raise ConfigError("only dimension = 1 grids are implemented")
         if len(self.h_coeffs) >= 1 and any(c != 0.0 for c in self.h_coeffs[:2]):
             raise ConfigError("h series must start at quadratic order (a_0 = a_1 = 0)")
         if self.beta == 0.0 and self.has_h:
@@ -83,12 +77,6 @@ class ModelConfig:
     @property
     def has_h(self) -> bool:
         return any(c != 0.0 for c in self.h_coeffs)
-
-    def h(self, y):
-        """Evaluate the truncated series h(y)."""
-        if not self.h_coeffs:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return npoly.polyval(y, np.asarray(self.h_coeffs))
 
     def h_tail_bound(self, y: float) -> float:
         if self.h_tail is None:
@@ -230,58 +218,3 @@ def bump_on_tail(alpha: float = 0.1, v0: float = 4.0, width: float = 0.5) -> Equ
 
     return Equilibrium(f"bump_on_tail(a={alpha:g},v0={v0:g},w={width:g})", mh,
                        lambda_analytic=1.0, mu_hat_deriv=mh_deriv)
-
-
-@dataclass(frozen=True)
-class H1Report:
-    """Result of the weighted-derivative boundedness check."""
-
-    value: float
-    eta_argmax: float
-    order_argmax: int
-    interior: bool
-    lam: float
-    m_max: int
-    eta_max: float
-
-    @property
-    def bounded(self) -> bool:
-        # a maximum attained on the sampling boundary signals divergence
-        return self.interior and math.isfinite(self.value)
-
-
-def check_H1(eq: Equilibrium, lam: float, m_max: int, eta_max: float,
-             n_samples: int = 4001) -> H1Report:
-    """Sampled maximization of exp(lam <eta>) |d^j mu_hat(eta)| for |j| <= m_max.
-
-    Symmetry of real profiles makes |d^j mu_hat| even, so only eta >= 0 is
-    sampled. The report flags whether the maximum sat in the interior of the
-    sampling window; a boundary maximum means the product is still growing at
-    eta_max and the check is inconclusive at best.
-    """
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
-    if eta_max <= 0 or n_samples < 16:
-        raise ConfigError("need eta_max > 0 and a sensible sample count")
-    eta = np.linspace(0.0, eta_max, n_samples)
-    bracket = np.sqrt(1.0 + eta**2)
-    log_weight = lam * bracket
-    best = (-math.inf, 0.0, 0)
-    boundary_hit = False
-    for order in range(m_max + 1):
-        vals = np.abs(eq.deriv(eta, order))
-        with np.errstate(divide="ignore"):
-            logs = log_weight + np.log(vals, out=np.full_like(vals, -np.inf),
-                                       where=vals > 0)
-        i = int(np.argmax(logs))
-        if logs[i] > best[0]:
-            best = (float(logs[i]), float(eta[i]), order)
-            boundary_hit = i >= n_samples - 2
-    value = math.exp(best[0]) if math.isfinite(best[0]) else 0.0
-    return H1Report(value=value, eta_argmax=best[1], order_argmax=best[2],
-                    interior=not boundary_hit, lam=lam, m_max=m_max, eta_max=eta_max)
-
-
-def check_H3(eq: Equilibrium, tol: float = 1e-12) -> bool:
-    """Unit-mass normalization: |mu_hat(0) - 1| <= tol."""
-    return bool(abs(complex(np.asarray(eq.mu_hat(0.0)).item()) - 1.0) <= tol)

@@ -16,7 +16,6 @@ compares against the datum in physical space.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -117,13 +116,6 @@ class ScatteringRun:
     ball_bound: float
     tolerance: float
 
-    @property
-    def fitted_decay(self) -> Optional[tuple[float, float]]:
-        """(amplitude, rate) of the stretched-exponential envelope fit."""
-        if self.decay_fit is None:
-            return None
-        return math.exp(self.decay_fit.log_amplitude), self.decay_fit.rate
-
 
 @dataclasses.dataclass(frozen=True)
 class RoundTripReport:
@@ -142,7 +134,6 @@ class RoundTripReport:
     profile_errors: np.ndarray
     richardson_dt: float
     richardson_eta: float
-    forward: IntegrationResult
 
     @property
     def richardson_estimate(self) -> float:
@@ -191,7 +182,8 @@ def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
 
 def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
                 model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
-                grids: RunGrids, *, tables: Optional[Mapping[int, object]] = None,
+                grids: RunGrids, *,
+                tables: Optional[Mapping[int, DiscreteResolvent]] = None,
                 linearized: bool = False, ball_n1: Optional[float] = None,
                 counter: Optional[TruncationCounter] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
@@ -290,7 +282,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                       eq: Equilibrium, w: GevreyWeight, grids: RunGrids,
                       tol: float = 1e-9, max_iters: int = 25, *,
                       initial_states: Optional[Sequence[SpectralState]] = None,
-                      tables: Optional[Mapping[int, object]] = None,
+                      tables: Optional[Mapping[int, DiscreteResolvent]] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> ScatteringRun:
     """Iterate the construction map until consecutive iterates agree.
@@ -385,18 +377,18 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                          ball_bound=ball, tolerance=tol)
 
 
-def state_to_physical(state: SpectralState, n_x: Optional[int] = None,
+def state_to_physical(state: SpectralState
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruct the perturbation on a physical (x, v) tensor grid.
 
     The frequency axis is inverted by a discrete transform onto the conjugate
     velocity grid v in [-pi/delta_eta, pi/delta_eta); the spatial axis is
-    summed directly over the mode lattice.  Returns (x, v, values) with
-    ``values[j, m]`` the perturbation at ``(x[j], v[m])``.
+    summed directly over the mode lattice at max(8 k_max, 16) points.
+    Returns (x, v, values) with ``values[j, m]`` the perturbation at
+    ``(x[j], v[m])``.
     """
     grid = state.grid
-    if n_x is None:
-        n_x = max(8 * grid.k_max, 16)
+    n_x = max(8 * grid.k_max, 16)
     eta = grid.eta
     n = eta.size
     v_raw = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.delta_eta)
@@ -459,16 +451,13 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
         sparse = integrate(start, provider, grids.time, eq,
                            direction="forward", counter=counter)
-        x = 2.0 * np.pi * np.arange(max(8 * phase.k_max, 16)) / \
-            max(8 * phase.k_max, 16)
-        _, v, sparse_end = state_to_physical(sparse.states[-1], x.size)
+        x, v, sparse_end = state_to_physical(sparse.states[-1])
         fine_at = _physical_at(fine, x, v)
         est_eta = float(np.max(np.abs(fine_at - sparse_end))) / 15.0
     return RoundTripReport(sup_error=float(errors[-1]),
                            times=grids.time.times.copy(),
                            profile_errors=errors,
-                           richardson_dt=est_dt, richardson_eta=est_eta,
-                           forward=forward)
+                           richardson_dt=est_dt, richardson_eta=est_eta)
 
 
 def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
@@ -486,13 +475,24 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     datum = gaussian_datum({int(mode): amplitude})
     grids.validate_for(datum)
     provider = SelfConsistentFieldProvider(model, w, counter=counter)
+    at_time: dict[float, np.ndarray] = {}
+
+    def recording(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
+        # the last call at a grid time is the k1 stage of the step leaving
+        # it, made on the stored state itself
+        fields = provider(state)
+        at_time[state.time] = fields[0]
+        return fields
+
     initial = datum.sample(grids.phase, 0.0)
-    result = integrate(initial, provider, grids.time, eq,
+    result = integrate(initial, recording, grids.time, eq,
                        direction="forward", counter=counter)
     times = grids.time.times
+    # the final state starts no step, so its field is solved here
     potentials = SpectralHistory(
         times, grids.phase.k_values,
-        np.array([provider(state)[0] for state in result.states]))
+        np.array([at_time[state.time] for state in result.states[:-1]]
+                 + [provider(result.states[-1])[0]]))
     idx = grids.phase.index_of(int(mode))
     field_abs = np.abs(int(mode) * potentials.values[:, idx])
     lo, hi = fit_window

@@ -7,13 +7,10 @@ history:
 * :func:`solve_direct_backward` discretizes the integral with a
   corner-corrected trapezoid rule and runs backward substitution on the
   resulting upper-triangular Toeplitz system.
-* :func:`solve_resolvent` convolves the source with a resolvent kernel
-  table, either the exact lag-domain inverse built by
-  :func:`build_discrete_resolvent` or a contour-synthesized table from
-  :mod:`vpscatter.dispersion`.
+* :func:`solve_resolvent` convolves the source with the exact lag-domain
+  inverse built by :func:`build_discrete_resolvent`.
 
-Agreement between the routes is the primary correctness oracle;
-:func:`resolvent_identity_residual` states it at the operator level.
+Agreement between the routes to roundoff is the primary correctness oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 
 from .dispersion import absolute_first_moment
 from .errors import ConfigError, RealityError, StepSizeError
-from .gevrey import GevreyWeight, norm_N2
 from .model import Equilibrium, ModelConfig
 
 __all__ = [
@@ -33,15 +29,12 @@ __all__ = [
     "SourceHistory",
     "DensityHistory",
     "DiscreteResolvent",
-    "NormTransferReport",
     "lagged_kernel",
     "corrected_diagonal",
     "solve_direct_backward",
     "build_discrete_resolvent",
     "solve_resolvent",
-    "resolvent_identity_residual",
     "horizon_tail_estimate",
-    "estimate_density_norm_transfer",
 ]
 
 REALITY_TOL = 1e-12
@@ -316,46 +309,26 @@ def build_discrete_resolvent(model: ModelConfig, eq: Equilibrium, k: int,
                              values=r / delta_t, diagonal=diag)
 
 
-def _validate_table(table, k: int, dt: float, n: int) -> np.ndarray:
-    times = np.asarray(table.times, dtype=float)
-    kernel = np.asarray(table.values, dtype=complex)
-    if times.size < n or kernel.size != times.size:
+def _validate_table(table: DiscreteResolvent, k: int, dt: float,
+                    n: int) -> np.ndarray:
+    times = table.times
+    if times.size < n:
         raise ConfigError(
             f"resolvent table for k={k} covers {times.size} lags, need {n}")
     if abs(times[0]) > 1e-12 or np.max(np.abs(np.diff(times[:n]) - dt)) > 1e-9 * dt:
         raise ConfigError(
             f"resolvent table for k={k} is not on the source lag grid")
-    return kernel[:n]
-
-
-def _apply_reconstruction(kernel: np.ndarray, diag, dt: float,
-                          rhs: np.ndarray) -> np.ndarray:
-    """One-mode reconstruction: source plus lag convolution over [t, T]."""
-    n = rhs.size
-    out = np.zeros(n, dtype=complex)
-    if diag is not None:
-        # exact-inverse weights: matched diagonal, no endpoint halving
-        for i in range(n - 1):
-            out[i] = rhs[i] / diag + dt * np.sum(kernel[1:n - i] * rhs[i + 1:])
-        out[n - 1] = rhs[n - 1] / diag
-    else:
-        # continuum kernel samples: plain trapezoid on the remaining window
-        for i in range(n - 1):
-            seg = kernel[:n - i] * rhs[i:]
-            out[i] = rhs[i] + dt * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
-        out[n - 1] = rhs[n - 1]
-    return out
+    return table.values[:n]
 
 
 def solve_resolvent(model: ModelConfig, eq: Equilibrium, source: SourceHistory,
-                    tables: Mapping[int, object]) -> DensityHistory:
+                    tables: Mapping[int, DiscreteResolvent]) -> DensityHistory:
     """Reconstruct the density as source plus resolvent convolution.
 
-    ``tables`` maps every nonzero lattice mode to a kernel table carrying
-    ``times`` and ``values`` on the source lag grid.  Tables from
-    :func:`build_discrete_resolvent` reproduce the triangular solve to
-    roundoff; contour tables from :mod:`vpscatter.dispersion` agree to
-    quadrature order.
+    ``tables`` maps every nonzero lattice mode to its
+    :func:`build_discrete_resolvent` table on the source lag grid; with the
+    matched diagonal and no endpoint halving, the reconstruction reproduces
+    the triangular solve to roundoff.
     """
     dt = source.delta_t
     n = source.n_times
@@ -369,43 +342,15 @@ def solve_resolvent(model: ModelConfig, eq: Equilibrium, source: SourceHistory,
         if table is None:
             raise ConfigError(f"no resolvent table for active mode k={k}")
         kernel = _validate_table(table, int(k), dt, n)
-        diag = getattr(table, "diagonal", None)
-        if diag is not None:
-            diag = _check_diagonal(diag)
-        values[:, j] = _apply_reconstruction(kernel, diag, dt, rhs)
+        diag = _check_diagonal(table.diagonal)
+        out = values[:, j]
+        for i in range(n - 1):
+            out[i] = rhs[i] / diag + dt * np.sum(kernel[1:n - i] * rhs[i + 1:])
+        out[n - 1] = rhs[n - 1] / diag
     result = DensityHistory(source.times, source.k_values, values,
                             tail_estimate=horizon_tail_estimate(model, eq, source))
     _check_reality(source, result)
     return result
-
-
-def resolvent_identity_residual(model: ModelConfig, eq: Equilibrium, k: int,
-                                delta_t: float, n_steps: int,
-                                table=None) -> float:
-    """Max-abs entry of (direct operator) (reconstruction operator) - I.
-
-    With the default lag-recursion table this is pure roundoff; with a
-    contour table it measures the quadrature gap between the two routes.
-    """
-    if table is None:
-        table = build_discrete_resolvent(model, eq, k, delta_t, n_steps)
-    n = n_steps + 1
-    diag, entries = _operator_entries(model, eq, k, delta_t, n_steps)
-    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
-    direct = np.where(lag > 0, entries[np.clip(lag, 0, n_steps)], 0.0)
-    direct[np.diag_indices(n)] = diag
-    kernel = _validate_table(table, k, delta_t, n)
-    table_diag = getattr(table, "diagonal", None)
-    recon = np.where(lag > 0, delta_t * kernel[np.clip(lag, 0, n - 1)], 0.0j)
-    if table_diag is not None:
-        recon[np.diag_indices(n)] = 1.0 / _check_diagonal(table_diag)
-    else:
-        # trapezoid application: halved weights at both window endpoints
-        recon[:-1, -1] *= 0.5
-        recon[np.diag_indices(n)] = 1.0 + 0.5 * delta_t * kernel[0]
-        recon[-1, -1] = 1.0
-    residual = direct @ recon - np.eye(n)
-    return float(np.max(np.abs(residual)))
 
 
 def horizon_tail_estimate(model: ModelConfig, eq: Equilibrium,
@@ -426,34 +371,3 @@ def horizon_tail_estimate(model: ModelConfig, eq: Equilibrium,
         bound = 2.0 * abs(last[j]) * model.poisson_prefactor(int(k)) * moment / k**2
         worst = max(worst, float(bound))
     return worst
-
-
-@dataclasses.dataclass(frozen=True)
-class NormTransferReport:
-    """Weighted space-time norms of a solve and their stability ratio."""
-
-    n2_density: float
-    n2_source: float
-
-    @property
-    def ratio(self) -> float:
-        if self.n2_source == 0.0:
-            return 1.0
-        return self.n2_density / self.n2_source
-
-
-def estimate_density_norm_transfer(source: SourceHistory,
-                                   density: DensityHistory,
-                                   w: GevreyWeight) -> NormTransferReport:
-    """Weighted norm of the output density against that of the input source.
-
-    The ratio is a runtime diagnostic of the solve's stability constant; it
-    stays grid-stable for stable equilibria and grows as the stability margin
-    shrinks.  A silent source reports ratio 1 by convention.
-    """
-    if (source.n_times != density.n_times
-            or not np.array_equal(source.k_values, density.k_values)
-            or abs(source.delta_t - density.delta_t) > 1e-12 * source.delta_t):
-        raise ConfigError("source and density must share grid and lattice")
-    return NormTransferReport(n2_density=norm_N2(density, w),
-                              n2_source=norm_N2(source, w))

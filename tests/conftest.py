@@ -5,7 +5,7 @@ runs once per session and every consumer reads from the cached result.
 """
 
 import pytest
-from dense_transform import landau_root
+from oracles import landau_root
 
 from vpscatter import (
     GevreyWeight,

@@ -1,16 +1,25 @@
-"""Dense-quadrature transform at arbitrary complex points, kept as a test oracle.
+"""Independent oracles kept with the tests, not in the package.
 
 ``transform_direct`` evaluates L[t mu_hat(sign k t)] with a dense Simpson
 matrix of complex exponentials. The package never samples the Penrose arc or
-searches for dispersion roots, so this route lives with the tests: it backs
-the arc-bound checks and, through ``landau_root``, the damping-rate criterion.
+searches for dispersion roots, so this route lives here: it backs the
+arc-bound checks and, through ``landau_root``, the damping-rate criterion.
+``laplace_two_sided`` backs the transform-identity criterion.
+
+``resolvent_identity_residual`` forms the dense direct and reconstruction
+operators of the backward Volterra solve and measures how far their product
+is from the identity. ``solve_with_continuum_tables`` applies sampled
+continuum kernels (contour tables from ``inverse_laplace_Khat``) by the plain
+trapezoid rule; the package only applies exact lag-recursion tables.
 """
 
 import numpy as np
 
-from vpscatter.dispersion import _tail_cutoff
+from vpscatter.dispersion import _tail_cutoff, laplace_one_sided
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.model import Equilibrium, ModelConfig
+from vpscatter.volterra import (_check_diagonal, _operator_entries,
+                                build_discrete_resolvent)
 
 
 def transform_direct(eq: Equilibrium, k: int, sign: int, taus: np.ndarray,
@@ -89,3 +98,58 @@ def second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
     # into the profile evaluator
     return Equilibrium(eq.label, lambda eta: (np.asarray(eta) / k) * eq.mu_hat(eta),
                        eq.lambda_analytic, None)
+
+
+def laplace_two_sided(phi, tau: complex, tol: float = 1e-10,
+                      decay: float = 1.0) -> complex:
+    """Two-sided transform for |Re tau| < decay, via two one-sided halves."""
+    tau = complex(tau)
+    if abs(tau.real) >= decay:
+        raise QuadratureError(
+            f"|Re tau| = {abs(tau.real):g} reaches the declared decay rate")
+    forward = laplace_one_sided(phi, tau, tol / 2.0, decay)
+    backward = laplace_one_sided(lambda t: np.asarray(phi(-t)), -tau, tol / 2.0, decay)
+    return forward + backward
+
+
+def resolvent_identity_residual(model, eq, k: int, delta_t: float,
+                                n_steps: int, table=None) -> float:
+    """Max-abs entry of (direct operator) (reconstruction operator) - I:
+    roundoff for the default lag-recursion table, the quadrature gap between
+    the routes for a continuum table (one without ``diagonal``)."""
+    if table is None:
+        table = build_discrete_resolvent(model, eq, k, delta_t, n_steps)
+    n = n_steps + 1
+    diag, entries = _operator_entries(model, eq, k, delta_t, n_steps)
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    direct = np.where(lag > 0, entries[np.clip(lag, 0, n_steps)], 0.0)
+    direct[np.diag_indices(n)] = diag
+    kernel = np.asarray(table.values, dtype=complex)[:n]
+    table_diag = getattr(table, "diagonal", None)
+    recon = np.where(lag > 0, delta_t * kernel[np.clip(lag, 0, n - 1)], 0.0j)
+    if table_diag is not None:
+        recon[np.diag_indices(n)] = 1.0 / _check_diagonal(table_diag)
+    else:
+        # trapezoid application: halved weights at both window endpoints
+        recon[:-1, -1] *= 0.5
+        recon[np.diag_indices(n)] = 1.0 + 0.5 * delta_t * kernel[0]
+        recon[-1, -1] = 1.0
+    residual = direct @ recon - np.eye(n)
+    return float(np.max(np.abs(residual)))
+
+
+def solve_with_continuum_tables(source, tables) -> np.ndarray:
+    """Source plus trapezoid lag convolution with ``tables[k].values``, the
+    kernel at the source lags; the mean mode passes through."""
+    dt = source.delta_t
+    n = source.n_times
+    out = np.array(source.values)
+    for j, k in enumerate(source.k_values):
+        if k == 0:
+            continue
+        kernel = np.asarray(tables[int(k)].values, dtype=complex)[:n]
+        rhs = source.values[:, j]
+        for i in range(n - 1):
+            seg = kernel[:n - i] * rhs[i:]
+            out[i, j] = rhs[i] + dt * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
+    return out

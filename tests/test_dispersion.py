@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from dense_transform import landau_root, transform_direct
+from oracles import laplace_two_sided, landau_root, transform_direct
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -15,13 +15,10 @@ from vpscatter.dispersion import (
     _winding_number,
     absolute_first_moment,
     arc_moment,
-    dispersion_D,
     dispersion_on_axis,
     inverse_laplace_Khat,
     laplace_one_sided,
-    laplace_two_sided,
     penrose_scan,
-    resolvent_Ktilde,
 )
 from vpscatter.errors import ConfigError, NearSingularResolventError, QuadratureError
 from vpscatter.model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
@@ -42,6 +39,25 @@ BACKGROUNDS = [MAXW, *(two_stream(v0) for v0 in (0.5, 1.0, 1.2, 2.0)),
                bump_on_tail(), bump_on_tail(0.2, 3.0, 0.35)]
 # 512 samples on the closing semicircle |tau| = 1, Re tau >= 0
 UNIT_ARC = np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 512))
+
+
+def maxwellian_transform(k, taus):
+    """Closed form of L[t e^{-k^2 t^2/2}](tau) through the Faddeeva function.
+
+    (1 - tau sqrt(pi/2) / |k| w(i tau / (sqrt 2 |k|))) / k^2; w is entire, so
+    this also continues the transform into the left half-plane.
+    """
+    k = abs(k)
+    taus = np.asarray(taus, dtype=complex)
+    return (1.0 - taus * math.sqrt(math.pi / 2) / k
+            * wofz(1j * taus / (math.sqrt(2.0) * k))) / k**2
+
+
+def direct_D(model, eq, k, taus, tol=1e-10):
+    """D(k, tau) = 1 + P(k) L[t mu_hat(k t)](tau) by dense quadrature."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=complex))
+    return 1.0 + float(model.poisson_prefactor(k)) * transform_direct(
+        eq, k, +1, taus, tol=tol)
 
 
 def test_one_sided_examples():
@@ -86,31 +102,37 @@ def test_backward_convolution_transform_identity():
 
 
 def test_dispersion_values():
-    assert dispersion_D(VP, MAXW, 1, 0.0) == pytest.approx(2.0, abs=1e-9)
+    assert direct_D(VP, MAXW, 1, 0.0)[0] == pytest.approx(2.0, abs=1e-9)
     # the transform of t * (bounded) decays quadratically in Re tau, so at
     # Re tau = 40 the distance from 1 sits near 1/1600, not at zero
-    far = abs(dispersion_D(VP, MAXW, 1, 40.0) - 1.0)
+    far = abs(direct_D(VP, MAXW, 1, 40.0)[0] - 1.0)
     assert 1e-4 < far <= 1.0 / 40.0**2
     weak = ModelConfig(beta=1e12)
-    assert abs(dispersion_D(weak, MAXW, 1, 0.3j) - 1.0) < 1e-10
-    with pytest.raises(ConfigError):
-        dispersion_D(VP, MAXW, 0, 0.0)
-    with pytest.raises(ConfigError):
-        dispersion_D(VP, MAXW, 1, complex(-0.5, 1.0))  # outside margin
+    assert abs(direct_D(weak, MAXW, 1, 0.3j)[0] - 1.0) < 1e-10
+    _, on_axis, _ = dispersion_on_axis(weak, MAXW, 1, 8.0)
+    assert np.max(np.abs(on_axis - 1.0)) < 1e-10
 
 
 def test_dispersion_conjugate_symmetry():
     rng = np.random.default_rng(17)
     taus = rng.uniform(0.0, 3.0, 1000) + 1j * rng.uniform(-8.0, 8.0, 1000)
     for eq in (MAXW, two_stream(1.5, 1.0)):
-        direct = np.array([dispersion_D(VP, eq, 2, t, tol=1e-8) for t in taus[:25]])
-        mirrored = np.array([dispersion_D(VP, eq, 2, np.conj(t), tol=1e-8)
-                             for t in taus[:25]])
+        direct = direct_D(VP, eq, 2, taus[:25], tol=1e-8)
+        mirrored = direct_D(VP, eq, 2, np.conj(taus[:25]), tol=1e-8)
         assert np.max(np.abs(mirrored - np.conj(direct))) < 1e-10
     # dense check through the axis sampler (same quadrature, all 1000 points)
     omega, vals, _ = dispersion_on_axis(VP, MAXW, 1, 8.0, n_min=1000)
     flipped = vals[::-1]
     assert np.max(np.abs(flipped - np.conj(vals))) < 1e-12
+
+
+@pytest.mark.parametrize("model", [VP, SCREENED], ids=lambda m: m.label)
+def test_axis_sampler_against_faddeeva_closed_form(model):
+    for k in (-3, -2, -1, 1, 2, 3):
+        omega, vals, _ = dispersion_on_axis(model, MAXW, k, 8.0, n_min=1201)
+        closed = 1.0 + float(model.poisson_prefactor(k)) \
+            * maxwellian_transform(k, 1j * omega)
+        assert np.max(np.abs(vals - closed)) <= 5e-11, k
 
 
 def test_penrose_stable_backgrounds():
@@ -182,14 +204,12 @@ def test_arc_bound_covers_dense_arc_and_keeps_windings(eq):
 
 
 def test_arc_bound_against_faddeeva_closed_form():
-    # L[t e^{-k^2 t^2/2}](tau) = (1 - tau sqrt(pi/2) / k w(i tau / (sqrt 2 k))) / k^2
     for radius in (6.0, 8.0, 40.0):
         taus = radius * UNIT_ARC
         for model in (VP, SCREENED):
             scan = penrose_scan(model, MAXW, 3, omega_max=radius)
             for k in (1, 2, 3):
-                closed = (1.0 - taus * math.sqrt(math.pi / 2) / k
-                          * wofz(1j * taus / (math.sqrt(2.0) * k))) / k**2
+                closed = maxwellian_transform(k, taus)
                 sampled = float(model.poisson_prefactor(k)) * np.max(np.abs(closed))
                 assert sampled <= scan.arc_bounds[k] == scan.arc_bounds[-k]
 
@@ -224,18 +244,26 @@ def test_factored_contour_sum_matches_dense_sum():
         assert err <= 1e-13 * np.max(np.abs(dense))
 
 
+def axis_resolvent(omega_max):
+    """Laplace-side resolvent -P L / (1 + P L) on the imaginary axis for k = 1.
+
+    The Maxwellian is even, so L[t mu_hat(-t)] = L[t mu_hat(t)] and the
+    resolvent is (1 - D) / D with D from the axis sampler.
+    """
+    omega, d_vals, _ = dispersion_on_axis(VP, MAXW, 1, omega_max)
+    return omega, (1.0 - d_vals) / d_vals
+
+
 def test_ktilde_values():
-    assert resolvent_Ktilde(VP, MAXW, 1, 0.0) == pytest.approx(-0.5, abs=1e-9)
-    assert abs(resolvent_Ktilde(VP, MAXW, 1, 60.0)) < 1e-3
-    with pytest.raises(NearSingularResolventError):
-        resolvent_Ktilde(VP, two_stream(1.0, 0.5), 1, 0.0, kappa_floor=2.0)
+    omega, ktilde = axis_resolvent(60.0)
+    assert ktilde[np.argmin(np.abs(omega))] == pytest.approx(-0.5, abs=1e-9)
+    assert np.max(np.abs(ktilde[np.abs(omega) >= 59.0])) < 1e-3
 
 
 def test_ktilde_quadratic_decay_on_axis():
-    taus = 1j * np.linspace(0.0, 30.0, 31)
-    vals = np.array([resolvent_Ktilde(VP, MAXW, 1, t, tol=1e-9) for t in taus])
-    scaled = np.abs(vals) * (2.0 + np.linspace(0.0, 30.0, 31) ** 2)
-    c2 = float(np.max(scaled))
+    omega, ktilde = axis_resolvent(30.0)
+    upper = omega >= 0.0
+    c2 = float(np.max(np.abs(ktilde[upper]) * (2.0 + omega[upper] ** 2)))
     assert 1.0 <= c2 < 10.0  # finite empirical constant, reported magnitude
 
 
@@ -298,7 +326,9 @@ def test_landau_roots():
     assert abs(root1 - ROOT_K1) < 1e-7
     root2 = landau_root(VP, MAXW, 2)
     assert abs(root2 - ROOT_K2) < 1e-7
-    assert abs(dispersion_D(VP, MAXW, 1, root1, strict_margin=False)) < 1e-8
+    # D = 1 + L under vp; the closed form continues it past the axis, so it
+    # vanishes at the root
+    assert abs(1.0 + maxwellian_transform(1, root1)) < 1e-8
 
 
 def test_absolute_first_moment_maxwellian():

@@ -1,20 +1,76 @@
-"""Every command's artifacts against the goldens of ``record_golden.py``.
+"""Every command's artifacts against goldens recorded on a reference commit.
 
-Exit codes, stdout, counts, flags, windings and every other non-float cell
-must match exactly; a float may move by 1e-12 of the largest magnitude in its
-CSV column, or of its own magnitude in the manifest summary.  Manifest lines
-that name versions or the output directory are skipped.
+Each case runs one CLI command on a tiny grid.  Exit codes, stdout, counts,
+flags, windings and every other non-float cell must match exactly; a float
+may move by 1e-12 of the largest magnitude in its CSV column, or of its own
+magnitude in the manifest.  Manifest lines naming versions, the output
+directory or the thread count are skipped.
+
+Record the goldens from the repository root with
+``PYTHONPATH=src python3 tests/test_golden.py``; regenerating them changes a
+check, so say what moved and why.
 """
 
+import contextlib
 import csv
+import io
 import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
-from record_golden import CASES, GOLDEN, run_case
+from test_cli import DAMP_RUN, SMALL_RUN
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-12
 SKIPPED = ("# vpscatter ", "# package.version", "# python.version",
            "# numpy.version", "# scipy.version", "out.dir = ", "threads = ")
+
+VPME = "model.preset = vpme\n"
+# vpme runs outgrow the default smallness gate, so it is opened wide
+OPEN_GATE = "poisson.eps_ball = 1e30\n"
+
+# case name -> (command, config text)
+CASES = {
+    "penrose": ("penrose", SMALL_RUN + "model.preset = screened\n"
+                "penrose.samples = 1201\npenrose.omega_max = 8.0\n"),
+    "penrose_two_stream": ("penrose", SMALL_RUN
+                           + "equilibrium.kind = two_stream\n"
+                           "penrose.samples = 1201\npenrose.omega_max = 6.0\n"),
+    "kernel": ("kernel", SMALL_RUN
+               + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
+    "damp": ("damp", DAMP_RUN),
+    "damp_vpme": ("damp", DAMP_RUN + VPME + OPEN_GATE),
+    "scatter": ("scatter", SMALL_RUN),
+    "scatter_exhausted": ("scatter", SMALL_RUN
+                          + "drive.tol = 1e-30\ndrive.max_iters = 2\n"),
+    "roundtrip": ("roundtrip", SMALL_RUN),
+    "roundtrip_screened": ("roundtrip", SMALL_RUN + "model.preset = screened\n"),
+    "roundtrip_vpme": ("roundtrip", SMALL_RUN + VPME + "datum.modes = 1:1e-4\n"
+                       + OPEN_GATE),
+    "poisson": ("poisson", SMALL_RUN + VPME
+                + "datum.modes = 1:1e-2\npoisson.eps_ball = 2.0\n"),
+    "poisson_gate": ("poisson", SMALL_RUN + VPME + "datum.modes = 1:1e-2\n"),
+    "selftest": ("selftest", SMALL_RUN),
+}
+
+
+def run_case(name: str, out: Path, threads: int = 1) -> int:
+    """Run one case into ``out``, stdout included; returns its exit code."""
+    from vpscatter import cli
+
+    command, text = CASES[name]
+    out.mkdir(parents=True)
+    config = out.parent / f"{out.name}.cfg"
+    config.write_text(text, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, "--config", str(config), "--out", str(out),
+                         "--threads", str(threads)])
+    (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    return code
 
 
 def as_float(text: str):
@@ -27,53 +83,33 @@ def as_float(text: str):
         return None
 
 
-def compare_manifest(got: str, want: str, where: str) -> list[str]:
-    got_lines = [line for line in got.splitlines() if not line.startswith(SKIPPED)]
-    want_lines = [line for line in want.splitlines()
-                  if not line.startswith(SKIPPED)]
-    if len(got_lines) != len(want_lines):
-        return [f"{where}: {len(got_lines)} lines, golden has {len(want_lines)}"]
-    bad = []
-    for line, gold in zip(got_lines, want_lines):
-        key, _, value = line.partition(" = ")
-        gold_key, _, gold_value = gold.partition(" = ")
-        value, gold_value = as_float(value), as_float(gold_value)
-        # summary lines are comments; config lines echo inputs exactly
-        if line == gold or (key == gold_key and key.startswith("# ")
-                            and None not in (value, gold_value)
-                            and abs(value - gold_value)
-                            <= REL_TOL * abs(gold_value)):
-            continue
-        bad.append(f"{where}: {line!r} != golden {gold!r}")
-    return bad
+def rows(path: Path) -> list[list[str]]:
+    """CSV rows, or the ``key = value`` pairs of the compared manifest lines;
+    any other file is one cell per line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.name == "manifest.txt":
+        return [line.split(" = ", 1) for line in lines
+                if not line.startswith(SKIPPED)]
+    if path.suffix == ".csv":
+        return list(csv.reader(lines))
+    return [[line] for line in lines]
 
 
-def compare_csv(got: str, want: str, where: str) -> list[str]:
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    # a '#' line is grid metadata and must match exactly
-    meta = [i for i, line in enumerate(want_lines) if line.startswith("#")]
-    if [got_lines[i] for i in meta if i < len(got_lines)] != \
-            [want_lines[i] for i in meta]:
-        return [f"{where}: metadata header differs"]
-    rows = list(csv.reader(line for i, line in enumerate(got_lines)
-                           if i not in meta))
-    gold = list(csv.reader(line for i, line in enumerate(want_lines)
-                           if i not in meta))
-    if len(rows) != len(gold) or rows[0] != gold[0]:
-        return [f"{where}: header or row count differs from the golden"]
-    scale = [max((abs(as_float(row[j]) or 0.0) for row in gold[1:]),
-                 default=0.0) for j in range(len(gold[0]))]
+def mismatches(where: str, got: list, want: list, per_cell: bool) -> list[str]:
+    if [len(row) for row in got] != [len(row) for row in want]:
+        return [f"{where}: rows or columns differ from the golden"]
+    width = max((len(row) for row in want), default=0)
+    scale = [max((abs(as_float(row[j]) or 0.0) for row in want if j < len(row)),
+                 default=0.0) for j in range(width)]
     bad = []
-    for i, (row, gold_row) in enumerate(zip(rows[1:], gold[1:]), start=2):
-        if len(row) != len(gold_row):
-            bad.append(f"{where}:{i} has {len(row)} cells")
-            continue
-        for j, (cell, gold_cell) in enumerate(zip(row, gold_row)):
-            value, gold_value = as_float(cell), as_float(gold_cell)
-            if cell == gold_cell or (None not in (value, gold_value) and abs(
-                    value - gold_value) <= REL_TOL * scale[j]):
+    for i, (row, gold) in enumerate(zip(got, want), start=1):
+        for j, (cell, ref) in enumerate(zip(row, gold)):
+            value, ref_value = as_float(cell), as_float(ref)
+            if cell == ref or (None not in (value, ref_value) and abs(
+                    value - ref_value) <= REL_TOL * (
+                    abs(ref_value) if per_cell else scale[j])):
                 continue
-            bad.append(f"{where}:{i} {gold[0][j]}: {cell!r} != golden {gold_cell!r}")
+            bad.append(f"{where} row {i}: {cell!r} != golden {ref!r}")
     return bad
 
 
@@ -84,22 +120,33 @@ def test_artifacts_match_goldens(tmp_path, threads):
     bad = []
     for name in CASES:
         out = tmp_path / name
-        code, stdout = run_case(name, out, threads)
+        code = run_case(name, out, threads)
         if code != codes[name]:
             bad.append(f"{name}: exit {code}, golden {codes[name]}")
-        (out / "stdout.txt").write_text(stdout, encoding="utf-8")
         files = sorted(p.name for p in out.iterdir())
         if files != sorted(p.name for p in (GOLDEN / name).iterdir()):
             bad.append(f"{name}: wrote {files}")
             continue
         for file in files:
-            got = (out / file).read_text(encoding="utf-8")
-            want = (GOLDEN / name / file).read_text(encoding="utf-8")
-            where = f"{name}/{file}"
-            if file == "manifest.txt":
-                bad += compare_manifest(got, want, where)
-            elif file.endswith(".csv"):
-                bad += compare_csv(got, want, where)
-            elif got != want:
-                bad.append(f"{where} differs")
+            bad += mismatches(f"{name}/{file}", rows(out / file),
+                              rows(GOLDEN / name / file),
+                              per_cell=file == "manifest.txt")
     assert not bad, "\n".join(bad[:40])
+
+
+def record() -> None:
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        # relative output paths keep the directory out of the manifests
+        os.chdir(tmp)
+        for name in CASES:
+            codes[name] = run_case(name, Path(name))
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            shutil.copytree(name, GOLDEN / name)
+            print(f"{name}: exit {codes[name]}")
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

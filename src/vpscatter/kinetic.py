@@ -333,7 +333,11 @@ class StateInterpolant:
         return out
 
     def all_rows(self, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
-        """Every mode row evaluated at the same frequency points."""
+        """Every mode row at the points ``eta``, of any shape.
+
+        Returns shape ``(n_modes,) + eta.shape``; the counter counts one
+        evaluation per point of ``eta``.
+        """
         eta = np.asarray(eta, dtype=float)
         idx, d = self._locate(eta.ravel())
         out = self._horner(np.take(self._coef, idx, axis=1), d[:, None])
@@ -350,7 +354,9 @@ class StateInterpolant:
     def at_pairs(self, k, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
         """Pointwise lookup at (k[i], eta[i]); off-lattice modes read as 0.
 
-        Only the requested mode row is evaluated at each point.
+        Only the requested mode row is evaluated at each point.  Returns the
+        broadcast shape of ``k`` and ``eta``; the counter counts one
+        evaluation per point of it.
         """
         k, eta = np.broadcast_arrays(np.asarray(k), np.asarray(eta, dtype=float))
         on_lattice = np.abs(k) <= self.grid.k_max
@@ -394,17 +400,6 @@ def _check_history_alignment(times: np.ndarray, grid: PhaseGrid,
         raise ConfigError(f"{name} history is not on the state mode lattice")
 
 
-def _source_integrand_weights(model: ModelConfig, grid: PhaseGrid):
-    """Pairs (ell, row shift weights) for the quadratic source correction."""
-    k = grid.k_values.astype(float)
-    out = []
-    for ell in grid.k_values:
-        if ell == 0:
-            continue
-        out.append((int(ell), k * ell / (model.beta + float(ell) ** 2)))
-    return out
-
-
 def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             density: DensityHistory, u_hats: SpectralHistory,
                             ginf: AsymptoticDatum,
@@ -415,8 +410,8 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     At each grid time t: the datum trace, minus the coupling series of the
     current potential, minus the quadratic history correction, a trapezoid
     over s >= t of (s - t) k l / (beta + l^2) rho_s(l) g_s(k - l, k t - l s)
-    summed over transfer modes l != 0.  Each state is splined once and
-    evaluated in one vectorized pass per transfer mode.
+    summed over transfer modes l != 0.  Each later slice with a nonzero
+    density is splined once and read for all its transfer modes in one pass.
     """
     grid = states[0].grid
     times = _uniform_times(states)
@@ -429,21 +424,23 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     for i in range(n_t):
         out[i] = ginf.trace(k, times[i])
         out[i] -= h_of_field(model, k, u_hats.values[i]).values
-    pairs = _source_integrand_weights(model, grid)
+    ells = k[k != 0]
+    weights = k.astype(float) * ells[:, None] / (model.beta + ells[:, None] ** 2.0)
+    rho = density.values[:, ells + grid.k_max]
     conv = np.zeros((n_t, k.size), dtype=complex)
     for j in range(1, n_t):
-        interp = StateInterpolant(states[j])
+        active = rho[j] != 0.0
+        if not np.any(active):
+            continue
+        ell = ells[active, None, None]
+        # frequencies k t_i - ell s_j for every active ell and earlier slice i
+        eta_pts = k * times[:j, None] - ell * times[j]
+        g_shift = StateInterpolant(states[j]).at_pairs(
+            np.broadcast_to(k - ell, eta_pts.shape), eta_pts, counter)
         edge = 0.5 if j == n_t - 1 else 1.0
-        for ell, weight in pairs:
-            rho_j = density.mode(ell)[j]
-            if rho_j == 0.0:
-                continue
-            # frequencies k t_i - ell s_j for every earlier slice i at once
-            eta_pts = k[None, :] * times[:j, None] - ell * times[j]
-            g_shift = interp.at_pairs(np.broadcast_to(k - ell, eta_pts.shape),
-                                      eta_pts, counter)
-            gaps = (times[j] - times[:j])[:, None]
-            conv[:j] += (edge * delta_s * rho_j) * gaps * weight[None, :] * g_shift
+        gaps = (times[j] - times[:j])[:, None]
+        for rho_j, weight, g in zip(rho[j, active], weights[active], g_shift):
+            conv[:j] += (edge * delta_s * rho_j) * gaps * weight[None, :] * g
     return SourceHistory(times=times, k_values=k, values=out - conv)
 
 
@@ -456,7 +453,8 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     state itself, with the frequency shift resolved by interpolation.  Both
     hold one coefficient per mode in ``grid.k_values`` order.  They may
     differ: the linearized fixed-point map drives the equilibrium with the
-    new potential and the shear with the previous iterate's.
+    new potential and the shear with the previous iterate's.  The state is
+    splined once and queried once, at every shift eta - l t together.
     """
     grid = state.grid
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
@@ -469,18 +467,17 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     rhs = np.zeros_like(state.values)
     if np.any(u_lin != 0.0):
         rhs -= shear * k_col * u_lin[:, None] * eq.mu_hat(shear)
-    if np.any(u_nl != 0.0):
-        interp = StateInterpolant(state)
-        for ell, coef in zip(grid.k_values, u_nl):
-            if ell == 0 or coef == 0.0:
-                continue
-            shifted = interp.all_rows(grid.eta - ell * t, counter)
-            g_shift = np.zeros_like(state.values)
-            lo = max(-grid.k_max, -grid.k_max + ell)
-            hi = min(grid.k_max, grid.k_max + ell)
-            rows = np.arange(lo, hi + 1) + grid.k_max
-            g_shift[rows] = shifted[rows - ell]
-            rhs -= shear * (ell * coef) * g_shift
+    ells = grid.k_values[(grid.k_values != 0) & (u_nl != 0.0)]
+    if ells.size:
+        # shifted[:, j] is the state at eta - ells[j] t; row k of the shear
+        # term reads row k - ell, so |ell| rows fall off the lattice
+        shifted = StateInterpolant(state).all_rows(
+            grid.eta - ells[:, None] * t, counter)
+        n = grid.n_modes
+        for j, ell in enumerate(ells):
+            lo, hi = max(0, ell), n + min(0, ell)
+            rhs[lo:hi] -= (shear[lo:hi] * (ell * u_nl[ell + grid.k_max])
+                           * shifted[lo - ell:hi - ell, j])
     return rhs
 
 

@@ -99,10 +99,6 @@ class SpectralHistory:
         return float(self.times[1] - self.times[0])
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def n_times(self) -> int:
         return int(self.times.size)
 

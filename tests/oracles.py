@@ -11,12 +11,18 @@ operators of the backward Volterra solve and measures how far their product
 is from the identity. ``solve_with_continuum_tables`` applies sampled
 continuum kernels (contour tables from ``inverse_laplace_Khat``) by the plain
 trapezoid rule; the package only applies exact lag-recursion tables.
+
+``transport_rhs_per_shift`` is the transport right-hand side with one fresh
+spline lookup per shear shift, copied into zeroed rows and subtracted over
+the whole array; ``transport_rhs`` answers every shift in one lookup and
+must agree with it bit for bit.
 """
 
 import numpy as np
 
 from vpscatter.dispersion import _tail_cutoff, laplace_one_sided
 from vpscatter.errors import ConfigError, QuadratureError
+from vpscatter.kinetic import StateInterpolant
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
                                 build_discrete_resolvent)
@@ -153,3 +159,25 @@ def solve_with_continuum_tables(source, tables) -> np.ndarray:
             seg = kernel[:n - i] * rhs[i:]
             out[i, j] = rhs[i] + dt * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
     return out
+
+
+def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq, counter=None):
+    """Transport right-hand side with the shear term built one shift at a time."""
+    grid = state.grid
+    u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
+    t = state.time
+    k_col = grid.k_values[:, None].astype(float)
+    shear = grid.eta[None, :] - k_col * t
+    rhs = np.zeros_like(state.values)
+    if np.any(u_lin != 0.0):
+        rhs -= shear * k_col * u_lin[:, None] * eq.mu_hat(shear)
+    interp = StateInterpolant(state)
+    for ell, coef in zip(grid.k_values, u_nl):
+        if ell == 0 or coef == 0.0:
+            continue
+        shifted = interp.all_rows(grid.eta - ell * t, counter)
+        g_shift = np.zeros_like(state.values)
+        rows = np.arange(max(0, ell), grid.n_modes + min(0, ell))
+        g_shift[rows] = shifted[rows - ell]
+        rhs -= shear * (ell * coef) * g_shift
+    return rhs

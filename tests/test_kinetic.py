@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from oracles import transport_rhs_per_shift
 from vpscatter.errors import BlowUpError, ConfigError
 from vpscatter.field import h_of_field
 from vpscatter.gevrey import GevreyWeight
@@ -56,6 +57,19 @@ def potentials(u_hat=None):
 
 def zero_state(grid, t=0.0):
     return SpectralState(t, grid, np.zeros((grid.n_modes, grid.n_eta), complex))
+
+
+def count_calls(monkeypatch, name):
+    """Record every call of ``StateInterpolant.<name>`` in the returned list."""
+    calls = []
+    method = getattr(StateInterpolant, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateInterpolant, name, counted)
+    return calls
 
 
 class TestGrids:
@@ -164,6 +178,33 @@ class TestInterpolation:
         assert got[0] == 0.0 and got[1] == 0.0
         assert got[2] == state.values[GRID.index_of(1), GRID.origin[1]]
         assert counter.evaluations == 3 and counter.truncated == 0
+
+    def test_all_rows_on_a_block_stacks_the_row_calls(self):
+        state = gaussian_datum({1: 1.0, 2: 0.5j}).sample(GRID, 0.0)
+        interp = StateInterpolant(state)
+        block = GRID.eta - np.array([-2.0, -0.7, 0.0, 1.3, 2.0])[:, None] * 1.9
+        counter, row_counter = TruncationCounter(), TruncationCounter()
+        got = interp.all_rows(block, counter)
+        assert got.shape == (GRID.n_modes,) + block.shape
+        want = np.stack([interp.all_rows(row, row_counter) for row in block], axis=1)
+        assert np.array_equal(got, want)
+        assert counter == row_counter
+        assert counter.evaluations == block.size and counter.truncated > 0
+
+    def test_at_pairs_on_a_block_stacks_the_slab_calls(self):
+        state = gaussian_datum({1: 1.0, 2: 0.5j}).sample(GRID, 0.0)
+        interp = StateInterpolant(state)
+        k, times = GRID.k_values, np.linspace(0.0, 5.0, 6)
+        ells = np.array([-2, -1, 1, 2])[:, None, None]
+        eta = k * times[:, None] - ells * 3.5
+        counter, slab_counter = TruncationCounter(), TruncationCounter()
+        got = interp.at_pairs(k - ells, eta, counter)
+        assert got.shape == eta.shape
+        want = np.stack([interp.at_pairs(k - ell, e, slab_counter)
+                         for ell, e in zip(ells, eta)])
+        assert np.array_equal(got, want)
+        assert counter == slab_counter
+        assert counter.evaluations == eta.size and counter.truncated > 0
 
 
 # conftest fixture grids (contraction, round trip, Landau), then the scatter
@@ -288,6 +329,33 @@ class TestTransportRhs:
         assert np.max(np.abs(rhs[grid.index_of(1)] - want)) <= 1e-12
         others = np.delete(np.arange(grid.n_modes), grid.index_of(1))
         assert np.all(rhs[others] == 0.0)
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["shear", "both"])
+    def test_all_shifts_match_per_shift_oracle(self, linear):
+        rng = np.random.default_rng(5)
+        shape = (GRID.n_modes, GRID.n_eta)
+        vals = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * np.exp(-GRID.eta**2 / 8.0)
+        state = SpectralState(2.7, GRID, vals)
+        u_nl = rng.normal(size=GRID.n_modes) + 1j * rng.normal(size=GRID.n_modes)
+        u_nl[GRID.index_of(0)] = 0.0
+        u_lin = u_nl[::-1].conj() if linear else np.zeros(GRID.n_modes, complex)
+        counter, oracle_counter = TruncationCounter(), TruncationCounter()
+        got = transport_rhs(state, u_lin, u_nl, maxwellian(), counter)
+        want = transport_rhs_per_shift(state, u_lin, u_nl, maxwellian(),
+                                       oracle_counter)
+        assert np.array_equal(got, want)
+        assert counter == oracle_counter
+        assert counter.evaluations == 4 * GRID.n_eta and counter.truncated > 0
+
+    def test_one_lookup_per_stage(self, monkeypatch):
+        calls = count_calls(monkeypatch, "all_rows")
+        state = gaussian_datum({1: 1.0, 2: 0.5}).sample(GRID, 1.2)
+        u = np.full(GRID.n_modes, 0.01 + 0.0j)
+        transport_rhs(state, u, u, maxwellian())
+        assert len(calls) == 1
+        transport_rhs(state, u, np.zeros(GRID.n_modes), maxwellian())
+        assert len(calls) == 1
 
     def test_wrong_shape_potential_rejected(self):
         wrong = np.zeros(GRID.n_modes + 2, complex)
@@ -445,6 +513,23 @@ class TestSourceAssembly:
                                      self.datum, float(t))
             worst = max(worst, float(np.max(np.abs(hist.values[i] - direct))))
         assert worst <= 1e-15
+
+    def test_one_lookup_per_slice_with_density(self, monkeypatch):
+        vals = self.rho_history(1e-3).values.copy()
+        vals[3] = 0.0  # a slice with no density: no spline, no lookup
+        vals[5, GRID.index_of(-1)] = 0.0  # one transfer mode left
+        rho = DensityHistory(times=self.tg.times, k_values=GRID.k_values,
+                             values=vals)
+        builds = count_calls(monkeypatch, "__init__")
+        lookups = count_calls(monkeypatch, "at_pairs")
+        assemble_source_history(SCREENED, self.states, rho, self.zero_u,
+                                self.datum)
+        n_t = self.tg.times.size
+        assert len(lookups) == len(builds) == n_t - 2
+        # one (ell, earlier slice, mode) block per call, slice 3 skipped
+        slices = [j for j in range(1, n_t) if j != 3]
+        assert [args[1].shape for args in lookups] == [
+            (1 if j == 5 else 2, j, GRID.n_modes) for j in slices]
 
     def test_grid_mismatch_rejected(self):
         bad_rho = DensityHistory(

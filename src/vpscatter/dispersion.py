@@ -45,6 +45,7 @@ __all__ = [
 
 _MARGIN_FRACTION = 0.25  # safe analyticity fraction, strictly below 1/2
 _MAX_DOUBLINGS = 22  # Simpson panel halvings before a transform gives up
+_NODE_CHUNK = 1 << 16  # Simpson nodes per integrand call, bounding memory
 # Quadrature tolerance of the arc moment, added to it as slack. |.| puts kinks
 # in its integrand, so certifying 1e-10 takes seconds where 1e-6 takes
 # milliseconds; the bound only has to stay below 1.
@@ -115,6 +116,23 @@ def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> floa
     return float(t[int(np.argmax(ok))])
 
 
+def _node_sum(phi: Callable, tau: complex, h: float, first: float,
+              count: int) -> complex:
+    """Sum of phi(t) e^{-tau t} over t = (first + 2 j) h, 0 <= j < count.
+
+    Node abscissae are the integer index times h, as ``np.linspace`` forms
+    them, and the integrand is called on at most ``_NODE_CHUNK`` of them at
+    a time."""
+    total = 0j
+    for lo in range(0, count, _NODE_CHUNK):
+        t = (first + 2.0 * np.arange(lo, min(lo + _NODE_CHUNK, count))) * h
+        f = np.asarray(phi(t), dtype=complex)
+        if tau != 0:  # exp(0) = 1 exactly: skip the factor
+            f = f * np.exp(-tau * t)
+        total += complex(np.sum(f))
+    return total
+
+
 def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
                       decay: float = 1.0) -> complex:
     """One-sided transform of an exponentially decaying function.
@@ -123,7 +141,9 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
     needs Re tau > -c. Composite Simpson panels are halved, at most
     ``_MAX_DOUBLINGS`` times, until two successive refinements agree to
     tol/2, and the truncated tail is certified below tol/2 before
-    integration starts.
+    integration starts. The refinement is nested: each halving evaluates the
+    integrand only at the new midpoints and keeps running sums of the nodes
+    already seen, so every node is evaluated once, ``_NODE_CHUNK`` at a time.
     """
     tau = complex(tau)
     if decay <= 0:
@@ -138,20 +158,22 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
     n = 64
     while n * 4 < t_end * (4.0 + abs(tau.imag) + abs(tau.real)):
         n *= 2
+    # Simpson on 2n intervals of width h: weight 1 at the ends, 2 at the interior
+    # even nodes, 4 at the odd ones; halving h turns every node into an even
+    # one and adds the midpoints as the new odd nodes
+    h = t_end / (2 * n)
+    ends = _node_sum(phi, tau, t_end / 2.0, 0.0, 2)  # t = 0 and t = t_end
+    even = _node_sum(phi, tau, h, 2.0, n - 1)
     previous = None
     for _ in range(_MAX_DOUBLINGS):
-        t = np.linspace(0.0, t_end, 2 * n + 1)
-        f = np.asarray(phi(t), dtype=complex)
-        if tau != 0:  # exp(0) = 1 exactly: skip two full-length temporaries
-            f = f * np.exp(-tau * t)
-        w = np.ones(2 * n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        value = complex(np.sum(w * f)) * (t_end / (2 * n)) / 3.0
+        odd = _node_sum(phi, tau, h, 1.0, n)
+        value = (ends + 2.0 * even + 4.0 * odd) * h / 3.0
         if previous is not None and abs(value - previous) <= tol / 2.0:
             return value
         previous = value
+        even += odd
         n *= 2
+        h = t_end / (2 * n)
     raise QuadratureError("Simpson refinement did not certify the requested "
                           "tolerance; integrand may be too rough")
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigError, WeightOverflowError
 
 __all__ = [
+    "RADIUS_REDUCTION",
     "GevreyWeight",
     "weight_violations",
     "WeightedNormReport",
@@ -35,6 +36,9 @@ __all__ = [
     "weighted_norm_report",
     "gevrey_inequality_suite",
 ]
+
+# radius reduction used for the contraction metric and the field-decay weight
+RADIUS_REDUCTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,13 @@ class GevreyWeight:
         if bad:
             raise ConfigError("; ".join(bad))
 
-    def scaled(self, factor: float) -> "GevreyWeight":
-        """Same family with the whole radius profile scaled by ``factor``."""
-        if not (0.0 < factor <= 1.0):
-            raise ConfigError("radius scaling factor must lie in (0, 1]")
-        return GevreyWeight(self.gamma, self.sigma, factor * self.lambda_inf,
-                            factor * self.c_decay, self.delta, self.b, self.moments)
+    def reduced(self) -> "GevreyWeight":
+        """Same family with the whole radius profile scaled by
+        ``RADIUS_REDUCTION``."""
+        return GevreyWeight(self.gamma, self.sigma,
+                            RADIUS_REDUCTION * self.lambda_inf,
+                            RADIUS_REDUCTION * self.c_decay, self.delta, self.b,
+                            self.moments)
 
 
 def weight_violations(gamma, sigma, lambda_inf, c_decay, delta, b,

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, NoContractionError
 from .model import Equilibrium, ModelConfig
-from .gevrey import (GevreyWeight, WeightedNormReport, bracket, lambda_of_t,
-                     n1_at_time, norm_N2, weighted_norm_report)
+from .gevrey import (RADIUS_REDUCTION, GevreyWeight, WeightedNormReport,
+                     bracket, lambda_of_t, n1_at_time, norm_N2,
+                     weighted_norm_report)
 from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
 from .volterra import (DensityHistory, DiscreteResolvent, SourceHistory,
                        SpectralHistory, build_discrete_resolvent,
@@ -52,8 +53,6 @@ __all__ = [
     "landau_linear_run",
 ]
 
-# radius reduction used for the contraction metric and the field-decay weight
-RADIUS_REDUCTION = 0.9
 # ball radius for accepted iterates, in units of the starting profile norm
 BALL_FACTOR = 10.0
 
@@ -327,7 +326,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
             free0, DensityHistory(times, k, fr_rho), w)
         ball = BALL_FACTOR * fr_report.n_total
     records = [IterateRecord(density=density0, report=report0)]
-    w_dist = w.scaled(RADIUS_REDUCTION)
+    w_dist = w.reduced()
     distances: list[float] = []
     ratios: list[float] = []
     bad_streak = 0
@@ -470,8 +469,14 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     Starts the self-consistent dynamics from the datum profile at t = 0 and
     fits the exponential envelope of one field mode's magnitude over
     ``fit_window``; in the small-amplitude regime the rate reproduces the
-    linear-theory root of the dispersion function.
+    linear-theory root of the dispersion function. A window that is empty
+    or starts at or after the last grid time is refused before any step.
     """
+    lo, hi = fit_window
+    if lo >= hi or lo >= grids.time.t_final:
+        raise ConfigError(
+            f"fit window [{lo:g}, {hi:g}] must start before it ends and "
+            f"before t_final = {grids.time.t_final:g}")
     datum = gaussian_datum({int(mode): amplitude})
     grids.validate_for(datum)
     provider = SelfConsistentFieldProvider(model, w, counter=counter)
@@ -495,7 +500,6 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                  + [provider(result.states[-1])[0]]))
     idx = grids.phase.index_of(int(mode))
     field_abs = np.abs(int(mode) * potentials.values[:, idx])
-    lo, hi = fit_window
     window = (times >= lo) & (times <= hi)
     fit = peak_decay_fit(times[window], field_abs[window])
     return LinearDecayReport(mode=int(mode), times=times.copy(),

@@ -5,6 +5,9 @@ matrix of complex exponentials. The package never samples the Penrose arc or
 searches for dispersion roots, so this route lives here: it backs the
 arc-bound checks and, through ``landau_root``, the damping-rate criterion.
 ``laplace_two_sided`` backs the transform-identity criterion.
+``laplace_one_sided_full_grid`` is the Simpson refinement that rebuilds and
+re-evaluates the whole grid at every halving; the package's nested loop
+evaluates each node once and must agree with it to roundoff.
 
 ``resolvent_identity_residual`` forms the dense direct and reconstruction
 operators of the backward Volterra solve and measures how far their product
@@ -20,7 +23,8 @@ must agree with it bit for bit.
 
 import numpy as np
 
-from vpscatter.dispersion import _tail_cutoff, laplace_one_sided
+from vpscatter.dispersion import (_MAX_DOUBLINGS, _tail_cutoff,
+                                  laplace_one_sided)
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.kinetic import StateInterpolant
 from vpscatter.model import Equilibrium, ModelConfig
@@ -104,6 +108,33 @@ def second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
     # into the profile evaluator
     return Equilibrium(eq.label, lambda eta: (np.asarray(eta) / k) * eq.mu_hat(eta),
                        eq.lambda_analytic, None)
+
+
+def laplace_one_sided_full_grid(phi, tau: complex, tol: float = 1e-10,
+                                decay: float = 1.0) -> complex:
+    """``laplace_one_sided`` with every refinement level summed afresh."""
+    tau = complex(tau)
+    alpha = decay + tau.real
+    t_end = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0, 120.0 / min(decay, alpha))
+    t_end = max(t_end, 1.0 / decay)
+    n = 64
+    while n * 4 < t_end * (4.0 + abs(tau.imag) + abs(tau.real)):
+        n *= 2
+    previous = None
+    for _ in range(_MAX_DOUBLINGS):
+        t = np.linspace(0.0, t_end, 2 * n + 1)
+        f = np.asarray(phi(t), dtype=complex)
+        if tau != 0:
+            f = f * np.exp(-tau * t)
+        w = np.ones(2 * n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        value = complex(np.sum(w * f)) * (t_end / (2 * n)) / 3.0
+        if previous is not None and abs(value - previous) <= tol / 2.0:
+            return value
+        previous = value
+        n *= 2
+    raise QuadratureError("full-grid Simpson refinement did not certify")
 
 
 def laplace_two_sided(phi, tau: complex, tol: float = 1e-10,

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vpscatter import PhaseGrid, SpectralState, scattering
+from vpscatter import PhaseGrid, SpectralState, dispersion, scattering
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            EXIT_OK, config_from_mapping, load_state_csv,
                            main, parse_config, run_command, write_state_csv)
@@ -223,6 +223,19 @@ class TestCommands:
         manifest = (out / "manifest.txt").read_text()
         assert "# penrose.stable = false" in manifest
 
+    def test_penrose_uncertified_quadrature_exits_three(self, tmp_path,
+                                                        monkeypatch):
+        # two halvings cannot resolve the kinks of the two-stream moments
+        monkeypatch.setattr(dispersion, "_MAX_DOUBLINGS", 2)
+        code, out = self.run("penrose", tmp_path,
+                             "equilibrium.kind = two_stream\n"
+                             "penrose.samples = 1201\n"
+                             "penrose.omega_max = 6.0\n")
+        assert code == EXIT_NUMERICAL
+        manifest = (out / "manifest.txt").read_text()
+        assert ("# error = QuadratureError: Simpson refinement did not "
+                "certify") in manifest
+
     def test_penrose_uncertified_arc_exits_four_and_names_radius(self, tmp_path):
         extra = ("equilibrium.kind = two_stream\n"
                  "penrose.samples = 1201\n")
@@ -350,6 +363,23 @@ class TestCommands:
         # the CSV writes 17 significant digits, so floats round-trip
         assert [float(row[column]) for row in rows[1:]] == \
             report.field_abs.tolist()
+
+    @pytest.mark.parametrize("start,end", [(8.0, 9.0), (6.0, 6.0)],
+                             ids=["late", "empty"])
+    def test_damp_refuses_fit_window_before_any_step(self, tmp_path,
+                                                      monkeypatch, start, end):
+        steps = []
+        monkeypatch.setattr(scattering, "integrate",
+                            lambda *args, **kwargs: steps.append(args))
+        cfg = parse_config(write_config(tmp_path, DAMP_RUN))
+        out = tmp_path / "out"
+        cfg = cfg.replaced(**{"out.dir": str(out), "fit.t_start": start,
+                              "fit.t_end": end})
+        assert run_command("damp", cfg) == EXIT_CONFIG
+        assert steps == []
+        manifest = (out / "manifest.txt").read_text()
+        assert "# error = fit window" in manifest
+        assert "before t_final = 8" in manifest
 
     def test_manifest_reproduces_run(self, tmp_path):
         code, first = self.run("scatter", tmp_path)

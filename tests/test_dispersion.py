@@ -1,14 +1,17 @@
 """Laplace machinery, stability scan, and resolvent kernel checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from oracles import laplace_two_sided, landau_root, transform_direct
+from oracles import (laplace_one_sided_full_grid, laplace_two_sided,
+                     landau_root, transform_direct)
 from scipy.integrate import quad
 from scipy.special import wofz
 
+from vpscatter import dispersion
 from vpscatter.dispersion import (
     _ARC_MOMENT_TOL,
     _contour_sum,
@@ -73,6 +76,65 @@ def test_one_sided_rejects_divergence():
     with pytest.raises(QuadratureError):
         # declared decay violated by the integrand itself
         laplace_one_sided(lambda t: np.exp(-0.05 * t), 0.0, decay=1.0)
+
+
+@pytest.mark.parametrize("eq", [MAXW, *(two_stream(v0) for v0 in (0.5, 1.0, 2.0)),
+                                bump_on_tail()], ids=lambda eq: eq.label)
+def test_nested_refinement_matches_full_grid_oracle(eq, monkeypatch):
+    nested = (absolute_first_moment(eq), arc_moment(eq))
+    monkeypatch.setattr(dispersion, "laplace_one_sided",
+                        laplace_one_sided_full_grid)
+    full = (absolute_first_moment(eq), arc_moment(eq))
+    # the same nodes and weights summed in another order
+    assert nested == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+def test_nested_refinement_matches_full_grid_off_axis():
+    def phi(t):
+        return t * np.exp(-(t**2) / 2) * np.cos(t)
+
+    tau = 0.3 + 2j
+    assert laplace_one_sided(phi, tau) == pytest.approx(
+        laplace_one_sided_full_grid(phi, tau), rel=1e-14, abs=0.0)
+
+
+def test_nested_refinement_evaluates_each_node_once():
+    eq = two_stream(1.0)
+    calls = {"nested": [], "full": []}
+
+    def counting(route):
+        def phi(u):
+            calls[route].append(np.array(u))
+            return u * np.abs(np.asarray(eq.mu_hat(u)))
+        return phi
+
+    tau = 0.3 + 2j  # needs 2^18 intervals here: several levels and node chunks
+    nested = laplace_one_sided(counting("nested"), tau, 1e-8, decay=0.9)
+    full = laplace_one_sided_full_grid(counting("full"), tau, 1e-8, decay=0.9)
+    assert nested == pytest.approx(full, rel=1e-14, abs=0.0)
+    # the first call of each is the tail-cutoff sample
+    final_grid = calls["full"][-1]
+    nodes = np.sort(np.concatenate(calls["nested"][1:]))
+    assert nodes.size == final_grid.size  # 2 n_final + 1
+    assert max(call.size for call in calls["nested"]) <= dispersion._NODE_CHUNK
+    assert np.array_equal(nodes, final_grid)
+
+
+def test_absolute_first_moment_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        absolute_first_moment(two_stream(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a full-grid refinement of this kinked integrand peaks near 100 MB
+    assert peak < 16e6
+
+
+def test_refinement_cap_raises(monkeypatch):
+    monkeypatch.setattr(dispersion, "_MAX_DOUBLINGS", 2)
+    with pytest.raises(QuadratureError, match="did not certify"):
+        absolute_first_moment(two_stream(1.0))
 
 
 def test_two_sided_examples():

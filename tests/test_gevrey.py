@@ -127,7 +127,7 @@ def test_weight_validation():
                    {"moments": 0}, {"delta": 0.0}, {"c_decay": 0.3}):
         with pytest.raises(ConfigError):
             GevreyWeight(**kwargs)
-    w = GevreyWeight().scaled(0.9)
+    w = GevreyWeight().reduced()
     assert w.lambda_inf == pytest.approx(0.18)
     assert float(lambda_of_t(w, 0.0)) == pytest.approx(0.9 * 0.15)
 

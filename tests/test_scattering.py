@@ -135,7 +135,7 @@ class TestDrive:
                             tables=contraction_pair["tables"])
         residual = iterate_distance(again.states, run.states, again.density,
                                     run.iterates[-1].density,
-                                    contraction_pair["w"].scaled(0.9))
+                                    contraction_pair["w"].reduced())
         assert residual <= 2.0 * contraction_pair["tol"]
 
     def test_second_start_reaches_the_same_image(self, contraction_pair):

@@ -229,6 +229,14 @@ def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
                 "penrose.kmax", "kernel.kmax", "threads", "damp.mode"):
         if values[key] < 1:
             bad.append(f"{key} must be at least 1, got {values[key]}")
+    kmax = values["grid.kmax"]
+    off_lattice = sorted(k for k in values["datum.modes"] if abs(k) > kmax)
+    if off_lattice:
+        bad.append(f"datum.modes {off_lattice} must lie on the lattice "
+                   f"|k| <= grid.kmax = {kmax}")
+    if abs(values["damp.mode"]) > kmax:
+        bad.append(f"damp.mode must lie on the lattice |k| <= grid.kmax = "
+                   f"{kmax}, got {values['damp.mode']}")
     eps_ball = values["poisson.eps_ball"]
     if eps_ball is not None and eps_ball <= 0:
         bad.append(f"poisson.eps_ball must be positive, got {eps_ball}")

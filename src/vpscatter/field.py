@@ -92,14 +92,24 @@ def spectral_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[half:half + a.size]
 
 
-def weighted_density_norm(w: GevreyWeight, t: float, k_values,
-                          values) -> float:
-    """Amplitude of one density slice under the time-t Gevrey weight."""
+def _density_weights(w: GevreyWeight, t: float, k_values) -> np.ndarray:
+    """Time-t Gevrey weight of every mode along the density line eta = k t."""
     k = np.asarray(k_values, dtype=float)
+    return np.exp(log_weight_A(w, t, k, k * t))
+
+
+def weighted_density_norm(w: GevreyWeight, t: float, k_values, values, *,
+                          weights=None) -> float:
+    """Amplitude of one density slice under the time-t Gevrey weight.
+
+    ``weights`` is the weight row of ``w`` at ``t`` on ``k_values``; a caller
+    measuring several slices at one time passes it to compute it once.
+    """
+    if weights is None:
+        weights = _density_weights(w, t, k_values)
     vals = np.asarray(values, dtype=complex)
-    if vals.shape != k.shape:
+    if vals.shape != weights.shape:
         raise ConfigError("values must match the mode lattice shape")
-    weights = np.exp(log_weight_A(w, t, k, k * t))
     total = float(np.sqrt(np.sum((weights * np.abs(vals)) ** 2)))
     if not math.isfinite(total):
         raise WeightOverflowError(
@@ -193,7 +203,8 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
     if not model.has_h:
         return dataclasses.replace(electric_from_density(model, k_int, q),
                                    iters=1)
-    eps = weighted_density_norm(w, t, k_int, q)
+    weights = _density_weights(w, t, k_int)
+    eps = weighted_density_norm(w, t, k_int, q, weights=weights)
     if eps > model.eps_ball:
         raise NoContractionError(
             f"weighted slice amplitude {eps:.3e} exceeds the smallness gate "
@@ -206,12 +217,13 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
         u_hat = potential_from_density(model, k_int, rho)
         series = h_of_field(model, k_int, u_hat)
         nxt = q - series.values
-        dist = weighted_density_norm(w, t, k_int, nxt - rho)
+        dist = weighted_density_norm(w, t, k_int, nxt - rho, weights=weights)
         if prev_dist is not None and prev_dist > 0.0:
             ratios.append(dist / prev_dist)
         prev_dist = dist
         rho = nxt
-        if weighted_density_norm(w, t, k_int, rho) > ball and eps > 0.0:
+        if weighted_density_norm(w, t, k_int, rho,
+                                 weights=weights) > ball and eps > 0.0:
             raise NoContractionError(
                 f"iterate left the contraction ball of radius {ball:.3e} "
                 f"after {itn} steps")

@@ -145,7 +145,13 @@ class TruncationCounter:
 
 @dataclasses.dataclass
 class SpectralState:
-    """One time slice of the transported perturbation, Fourier in both variables."""
+    """One time slice of the transported perturbation, Fourier in both variables.
+
+    :meth:`interpolant` splines the frequency axis on first use and keeps the
+    spline in a slot until :meth:`release_interpolant` or until ``values`` is
+    assigned a new array.  Filling the slot locks ``values`` read-only, so an
+    in-place write raises instead of leaving the spline stale.
+    """
 
     time: float
     grid: PhaseGrid
@@ -156,6 +162,29 @@ class SpectralState:
         if vals.shape != (self.grid.n_modes, self.grid.n_eta):
             raise ConfigError("values must have shape (n_modes, n_eta)")
         self.values = vals
+
+    def __setattr__(self, name, value) -> None:
+        if name == "values":
+            super().__setattr__("_interp", None)
+        super().__setattr__(name, value)
+
+    def interpolant(self) -> "StateInterpolant":
+        """The spline of ``values``, built on first use and kept in the slot.
+
+        Values that are a view of another array are splined afresh on every
+        call: a write through their base would not be seen.
+        """
+        if self._interp is not None:
+            return self._interp
+        interp = StateInterpolant(self)
+        if self.values.flags.owndata:
+            self.values.flags.writeable = False
+            self._interp = interp
+        return interp
+
+    def release_interpolant(self) -> None:
+        """Drop the kept spline; ``values`` stays read-only."""
+        self._interp = None
 
     @property
     def k_values(self) -> np.ndarray:
@@ -288,6 +317,16 @@ class StateInterpolant:
     Queries beyond the grid edge return 0, justified by the decay of stored
     profiles toward the boundary; the counter records how often that bound
     was invoked.
+
+    Pipelines do not build one directly: they ask the state for it
+    (:meth:`SpectralState.interpolant`), so every consumer of one state
+    shares one build.  In a backward sweep the k1 stage of each step is the
+    stored state itself; its spline serves that stage's
+    :func:`transport_rhs`, then the next pass's :func:`density_trace` and
+    :func:`assemble_source_history`, which releases it.  In a forward
+    self-consistent run the field provider and :func:`transport_rhs` share
+    one build per stage.  The coefficients take four times the memory of
+    the state.
     """
 
     def __init__(self, state: SpectralState):
@@ -376,9 +415,12 @@ class StateInterpolant:
 
 def density_trace(state: SpectralState,
                   counter: Optional[TruncationCounter] = None) -> np.ndarray:
-    """Density-generating slice: coefficients along eta = k t."""
+    """Density-generating slice: coefficients along eta = k t.
+
+    Read from the state's kept spline (:meth:`SpectralState.interpolant`).
+    """
     k = state.grid.k_values
-    return StateInterpolant(state).at_pairs(k, k * state.time, counter)
+    return state.interpolant().at_pairs(k, k * state.time, counter)
 
 
 def _uniform_times(states: Sequence[SpectralState]) -> np.ndarray:
@@ -411,7 +453,10 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     current potential, minus the quadratic history correction, a trapezoid
     over s >= t of (s - t) k l / (beta + l^2) rho_s(l) g_s(k - l, k t - l s)
     summed over transfer modes l != 0.  Each later slice with a nonzero
-    density is splined once and read for all its transfer modes in one pass.
+    density is read for all its transfer modes in one pass, through the
+    slice's own spline: the one its density trace or its transport stage
+    already built, else a new one kept in its slot.  The caller releases the
+    slots once the source is assembled.
     """
     grid = states[0].grid
     times = _uniform_times(states)
@@ -435,7 +480,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
         ell = ells[active, None, None]
         # frequencies k t_i - ell s_j for every active ell and earlier slice i
         eta_pts = k * times[:j, None] - ell * times[j]
-        g_shift = StateInterpolant(states[j]).at_pairs(
+        g_shift = states[j].interpolant().at_pairs(
             np.broadcast_to(k - ell, eta_pts.shape), eta_pts, counter)
         edge = 0.5 if j == n_t - 1 else 1.0
         gaps = (times[j] - times[:j])[:, None]
@@ -453,8 +498,9 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     state itself, with the frequency shift resolved by interpolation.  Both
     hold one coefficient per mode in ``grid.k_values`` order.  They may
     differ: the linearized fixed-point map drives the equilibrium with the
-    new potential and the shear with the previous iterate's.  The state is
-    splined once and queried once, at every shift eta - l t together.
+    new potential and the shear with the previous iterate's.  The state's
+    spline (shared with the field provider's trace of the same stage) is
+    queried once, at every shift eta - l t together.
     """
     grid = state.grid
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
@@ -471,7 +517,7 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     if ells.size:
         # shifted[:, j] is the state at eta - ells[j] t; row k of the shear
         # term reads row k - ell, so |ell| rows fall off the lattice
-        shifted = StateInterpolant(state).all_rows(
+        shifted = state.interpolant().all_rows(
             grid.eta - ells[:, None] * t, counter)
         n = grid.n_modes
         for j, ell in enumerate(ells):
@@ -571,6 +617,12 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     order either way.  Each step is projected back onto the real-symmetric
     subspace and the removed defect is tracked; the origin mode is conserved
     by the dynamics and its end-to-end drift is reported.
+
+    The k1 stage of each step is the stored state it leaves, so whatever
+    spline that stage builds stays in the stored state's slot: every
+    returned state but the last one reached carries it.  The caller releases
+    the slots once no later consumer (the next pass of the construction map)
+    needs them.
     """
     if direction not in ("backward", "forward"):
         raise ConfigError("direction must be 'backward' or 'forward'")
@@ -586,17 +638,19 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     order = range(times.size - 2, -1, -1) if backward else range(1, times.size)
     grid = initial.grid
     current = initial.copy()
-    out = [current.copy()]
+    out = [current]
     mass0 = current.mass_mode()
     max_drift = 0.0
 
-    def rhs(t: float, values: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(values)):
+    def rhs(stage: SpectralState) -> np.ndarray:
+        if not np.all(np.isfinite(stage.values)):
             raise BlowUpError(
-                f"non-finite stage state near t={t:g}; reduce dt below "
-                f"{time_grid.dt:g} or shrink the datum amplitude")
-        stage = SpectralState(time=t, grid=grid, values=values)
+                f"non-finite stage state near t={stage.time:g}; reduce dt "
+                f"below {time_grid.dt:g} or shrink the datum amplitude")
         return transport_rhs(stage, *provider(stage), eq, counter)
+
+    def state_at(t: float, values: np.ndarray) -> SpectralState:
+        return SpectralState(time=t, grid=grid, values=values)
 
     for idx in order:
         t0 = current.time
@@ -605,19 +659,19 @@ def integrate(initial: SpectralState, provider: FieldProvider,
         y = current.values
         # overflow shows up as inf and is handled by the blow-up check
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(t0, y)
-            k2 = rhs(t0 + h / 2.0, y + (h / 2.0) * k1)
-            k3 = rhs(t0 + h / 2.0, y + (h / 2.0) * k2)
-            k4 = rhs(t1, y + h * k3)
+            k1 = rhs(current)
+            k2 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k1))
+            k3 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k2))
+            k4 = rhs(state_at(t1, y + h * k3))
             y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y_next)):
             raise BlowUpError(
                 f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
                 "or shrink the datum amplitude")
-        current = SpectralState(time=t1, grid=grid, values=y_next)
+        current = state_at(t1, y_next)
         if resymmetrize:
             max_drift = max(max_drift, current.resymmetrize())
-        out.append(current.copy())
+        out.append(current)
     mass_drift = abs(current.mass_mode() - mass0)
     if boundary_tol is not None:
         worst = max(s.boundary_magnitude() for s in out)

@@ -164,6 +164,12 @@ def build_resolvent_tables(model: ModelConfig, eq: Equilibrium,
             for k in grids.phase.k_values if k != 0}
 
 
+def _release(states: Sequence[SpectralState]) -> None:
+    """Drop the splines the states keep (see :meth:`SpectralState.interpolant`)."""
+    for state in states:
+        state.release_interpolant()
+
+
 def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
                   w: GevreyWeight, counter: Optional[TruncationCounter],
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +203,12 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
     ``ball_n1`` is an optional acceptance bound: a new iterate whose sup-in-
     time distribution norm exceeds it aborts with a no-contraction error, the
     executable sign that the datum amplitude is too large.
+
+    The incoming states' splines (kept by the slicing, or by the transport
+    stages of the pass that made them) serve both the slicing and the source
+    assembly, and are released once the source is assembled.  The new
+    iterate's states keep the splines of their k1 transport stages for the
+    next pass.
     """
     grid, tg = grids.phase, grids.time
     times = tg.times
@@ -215,6 +227,7 @@ def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
     u_hist = SpectralHistory(times, k, u_phi)
     source = assemble_source_history(model, phi_states, rho_hist, u_hist,
                                      ginf, counter=counter)
+    _release(phi_states)
     if tables is None:
         tables = build_resolvent_tables(model, eq, grids)
     density = solve_resolvent(model, eq, source, tables)
@@ -296,7 +309,8 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     The returned run carries per-iterate densities and norm reports, the
     converged trajectory and its t = 0 state, the weighted field-decay
     series of the last iterate, and a stretched-exponential envelope fit
-    over the middle half of the horizon.
+    over the middle half of the horizon.  At most one iterate keeps its
+    splines at a time (see :func:`apply_map_F`); the returned run keeps none.
     """
     grids.validate_for(ginf)
     if max_iters < 1:
@@ -322,6 +336,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     else:
         # the acceptance ball is anchored to the datum, not to the start
         fr_rho, _ = _slice_fields(model, free0, w, counter)
+        _release(free0)
         fr_report = weighted_norm_report(
             free0, DensityHistory(times, k, fr_rho), w)
         ball = BALL_FACTOR * fr_report.n_total
@@ -358,6 +373,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         if dist <= tol:
             converged = True
             break
+    _release(prev_states)
     e_times, e_norms = efield_weighted_norms(w, last.potentials)
     t_final = grids.time.t_final
     window = (e_times >= 0.25 * t_final) & (e_times <= 0.75 * t_final)
@@ -422,13 +438,16 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     transport fields wired to the stage state itself) and reports the
     physical-space sup distance to the datum at every time, its value at the
     horizon, and a step-halving estimate of the forward discretization error
-    per axis (zero on an axis whose grid cannot be halved).
+    per axis (zero on an axis whose grid cannot be halved).  Within a run the
+    field provider and the transport share one spline per stage; the splines
+    the stored states keep are dropped as soon as each run returns.
     """
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
     provider = SelfConsistentFieldProvider(model, w, counter=counter)
     forward = integrate(run.g0.copy(), provider, grids.time, eq,
                         direction="forward", counter=counter)
+    _release(forward.states)
     target = state_to_physical(run.datum.sample(grids.phase, 0.0))[2]
     errors = np.array([
         float(np.max(np.abs(state_to_physical(state)[2] - target)))
@@ -441,6 +460,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         coarse_grid = TimeGrid(grids.time.t_final, 2.0 * grids.time.dt)
         coarse = integrate(run.g0.copy(), provider, coarse_grid, eq,
                            direction="forward", counter=counter)
+        _release(coarse.states)
         fine_end = state_to_physical(fine)[2]
         coarse_end = state_to_physical(coarse.states[-1])[2]
         est_dt = float(np.max(np.abs(fine_end - coarse_end))) / 15.0
@@ -450,6 +470,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
         sparse = integrate(start, provider, grids.time, eq,
                            direction="forward", counter=counter)
+        _release(sparse.states)
         x, v, sparse_end = state_to_physical(sparse.states[-1])
         fine_at = _physical_at(fine, x, v)
         est_eta = float(np.max(np.abs(fine_at - sparse_end))) / 15.0
@@ -470,13 +491,15 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     fits the exponential envelope of one field mode's magnitude over
     ``fit_window``; in the small-amplitude regime the rate reproduces the
     linear-theory root of the dispersion function. A window that is empty
-    or starts at or after the last grid time is refused before any step.
+    or starts at or after the last grid time, or a mode off the lattice, is
+    refused before any step.
     """
     lo, hi = fit_window
     if lo >= hi or lo >= grids.time.t_final:
         raise ConfigError(
             f"fit window [{lo:g}, {hi:g}] must start before it ends and "
             f"before t_final = {grids.time.t_final:g}")
+    idx = grids.phase.index_of(int(mode))
     datum = gaussian_datum({int(mode): amplitude})
     grids.validate_for(datum)
     provider = SelfConsistentFieldProvider(model, w, counter=counter)
@@ -498,7 +521,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
         times, grids.phase.k_values,
         np.array([at_time[state.time] for state in result.states[:-1]]
                  + [provider(result.states[-1])[0]]))
-    idx = grids.phase.index_of(int(mode))
+    _release(result.states)
     field_abs = np.abs(int(mode) * potentials.values[:, idx])
     window = (times >= lo) & (times <= hi)
     fit = peak_decay_fit(times[window], field_abs[window])

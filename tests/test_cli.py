@@ -54,15 +54,15 @@ class TestConfigParsing:
     def test_file_with_comments_and_blanks(self, tmp_path):
         path = write_config(tmp_path, """
 # sweep setup
-grid.kmax = 1            # one mode is plenty
-grid.eta_max = 12.0
+grid.kmax = 2            # both datum modes on the lattice
+grid.eta_max = 14.0
 grid.t_final = 4.0
 
 datum.modes = 1:2e-3, 2:1e-3
 verbose = yes
 """)
         cfg = parse_config(path)
-        assert cfg["grid.kmax"] == 1
+        assert cfg["grid.kmax"] == 2
         assert cfg["datum.modes"] == {1: 2e-3, 2: 1e-3}
         assert cfg["verbose"] is True
 
@@ -416,6 +416,20 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,text", [
+        ("scatter", "datum.modes", "datum.modes = 1:1e-3,3:1e-3\n"),
+        ("damp", "damp.mode", "damp.mode = 2\n"),
+    ])
+    def test_off_lattice_mode_is_config_error(self, tmp_path, capsys,
+                                              command, key, text):
+        # grid.kmax = 1: mode 3 would read as zero and "converge" silently
+        path = write_config(tmp_path, SMALL_RUN + text)
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_eps_ball_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_RUN + "model.preset = vpme\n"

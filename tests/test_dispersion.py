@@ -388,9 +388,10 @@ def test_landau_roots():
     assert abs(root1 - ROOT_K1) < 1e-7
     root2 = landau_root(VP, MAXW, 2)
     assert abs(root2 - ROOT_K2) < 1e-7
-    # D = 1 + L under vp; the closed form continues it past the axis, so it
-    # vanishes at the root
+    # D = 1 + L under vp (P(k) = 1); the closed form continues it past the
+    # axis, so it vanishes at both roots
     assert abs(1.0 + maxwellian_transform(1, root1)) < 1e-8
+    assert abs(1.0 + maxwellian_transform(2, root2)) < 1e-8
 
 
 def test_absolute_first_moment_maxwellian():

@@ -296,6 +296,37 @@ class TestDensityTrace:
         assert worst <= 5e-6
 
 
+class TestSplineSlot:
+    def test_forward_stages_share_one_build(self, monkeypatch):
+        # the field provider's trace and the shear lookup read one spline
+        builds = count_calls(monkeypatch, "__init__")
+        provider = SelfConsistentFieldProvider(SCREENED, GevreyWeight())
+        tg = TimeGrid(1.0, 0.1)
+        integrate(gaussian_datum({1: 1e-4}).sample(GRID, 0.0), provider, tg,
+                  maxwellian(), direction="forward")
+        assert len(builds) == 4 * tg.n_steps
+
+    def test_in_place_write_to_splined_state_raises(self):
+        state = gaussian_datum({1: 1.0}).sample(GRID, 1.0)
+        q = density_trace(state)
+        with pytest.raises(ValueError, match="read-only"):
+            state.values *= 2.0
+        assert np.array_equal(density_trace(state), q)
+        state.values = 2.0 * state.values  # a new array empties the slot
+        again = density_trace(state)
+        assert np.array_equal(again, density_trace(state.copy()))
+        assert not np.array_equal(again, q)
+
+    def test_view_of_another_array_is_splined_afresh(self):
+        base = gaussian_datum({1: 1.0}).sample(GRID, 1.0).values
+        state = SpectralState(1.0, GRID, base[:, :])
+        q = density_trace(state)
+        base *= 2.0  # writes through to the state's values
+        again = density_trace(state)
+        assert np.array_equal(again, density_trace(state.copy()))
+        assert not np.array_equal(again, q)
+
+
 class TestTransportRhs:
     def test_zero_fields_give_exact_zero(self):
         state = gaussian_datum({1: 1.0}).sample(GRID, 1.0)

@@ -1,5 +1,8 @@
 """Fixed-point drive, wave-operator image, and round-trip verification."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,29 @@ def scaled_gap(big, small, w):
                                   k_values=big.density.k_values,
                                   values=np.zeros_like(big.density.values))
     return iterate_distance(states, zeros, density, zero_density, w)
+
+
+def track_builds(monkeypatch):
+    """Weak references to every interpolant built, each with its state's id.
+
+    Nothing here holds a state or an interpolant alive, so a reference that
+    is still alive after ``gc.collect()`` is kept by the code under test.
+    """
+    built = []
+    init = kinetic.StateInterpolant.__init__
+
+    def tracked(self, state):
+        init(self, state)
+        built.append((id(state), weakref.ref(self)))
+
+    monkeypatch.setattr(kinetic.StateInterpolant, "__init__", tracked)
+    return built
+
+
+def alive(built, state_ids=None):
+    gc.collect()
+    return [ref for sid, ref in built
+            if ref() is not None and (state_ids is None or sid in state_ids)]
 
 
 class TestGrids:
@@ -230,6 +256,15 @@ class TestLinearRate:
         assert relative <= 0.05
         assert report.fit.r_squared >= 0.99
 
+    def test_off_lattice_mode_refused_before_any_step(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the forward run started")
+
+        monkeypatch.setattr("vpscatter.scattering.integrate", no_run)
+        with pytest.raises(ConfigError, match="k=3 is not on the lattice"):
+            landau_linear_run(VP, MAXWELL, WEIGHT, SMALL, 1e-4, mode=3,
+                              fit_window=(0.5, 1.5))
+
     def test_each_stored_state_is_solved_once(self, monkeypatch):
         # vpme runs the Picard solve at every call; its gate is opened wide
         # because the weighted slice amplitude outgrows it along eta = k t
@@ -252,3 +287,43 @@ class TestLinearRate:
         for state, u_hat in zip(report.integration.states,
                                 report.potentials.values):
             assert np.array_equal(fresh(state)[0], u_hat)
+
+
+class TestSplineOwnership:
+    """Each state is splined once, and its spline lives one pass at most."""
+
+    def test_input_iterate_splines_die_in_the_map(self, monkeypatch):
+        datum = gaussian_datum({1: 1e-3})
+        phi = free_extension(datum, SMALL)
+        built = track_builds(monkeypatch)
+        result = apply_map_F(phi, datum, VP, MAXWELL, WEIGHT, SMALL)
+        n_t = SMALL.time.times.size
+        inputs = {id(s) for s in phi}
+        # slicing and source assembly share one build per input state
+        assert sum(sid in inputs for sid, _ in built) == n_t
+        assert not alive(built, inputs)
+        # the new iterate keeps its k1 stage splines, one per step, for the
+        # next pass; the t = 0 state starts no step
+        kept = alive(built)
+        assert len(kept) == n_t - 1
+        assert {id(r()) for r in kept} == {
+            id(s.interpolant()) for s in result.states[1:]}
+
+    def test_drive_builds_each_state_once(self, monkeypatch):
+        built = track_builds(monkeypatch)
+        run = fixed_point_drive(gaussian_datum({1: 1e-3}), VP, MAXWELL,
+                                WEIGHT, SMALL, tol=1e-9, max_iters=25)
+        n_t, passes = SMALL.time.times.size, len(run.distances)
+        assert run.converged and passes >= 2
+        # the start iterate once; four stages per step and pass; and the
+        # t = 0 state of every iterate a later pass slices
+        assert len(built) == n_t + 4 * passes * (n_t - 1) + (passes - 1)
+        assert not alive(built)
+
+    def test_round_trip_keeps_no_spline(self, monkeypatch):
+        run = fixed_point_drive(gaussian_datum({1: 1e-3}), VP, MAXWELL,
+                                WEIGHT, SMALL, tol=1e-9, max_iters=25)
+        built = track_builds(monkeypatch)
+        report = roundtrip_check(run, VP, MAXWELL, WEIGHT, SMALL)
+        assert report.richardson_dt > 0 and built
+        assert not alive(built)

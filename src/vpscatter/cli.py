@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dispersion import inverse_laplace_Khat, penrose_scan
+from .dispersion import PenroseReport, inverse_laplace_Khat, penrose_scan
 from .errors import (BlowUpError, ConfigError, DivergenceError,
                      NearSingularResolventError, NoContractionError,
                      QuadratureError, RealityError, StepSizeError,
@@ -40,8 +40,9 @@ from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
 from .scattering import (RunGrids, apply_map_F, efield_weighted_norms,
                          fixed_point_drive, free_extension, landau_linear_run,
                          roundtrip_check)
-from .volterra import (SourceHistory, SpectralHistory, build_discrete_resolvent,
-                       solve_direct_backward, solve_resolvent)
+from .volterra import (DensityHistory, SourceHistory, SpectralHistory,
+                       build_discrete_resolvent, solve_direct_backward,
+                       solve_resolvent)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -398,22 +399,41 @@ def _write_efield(path: Path, times, norms,
 # ---------------------------------------------------------------------------
 # command pipelines
 
-def _cmd_penrose(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
-    model, eq = cfg.model(), cfg.equilibrium()
+class _UnstableBackground(Exception):
+    """The boundary stability scan refused the background before a drive."""
+
+    def __init__(self, scan: PenroseReport, summary: dict[str, str]):
+        # a scan that returns unstable has a nonzero winding: a zero kappa0
+        # with none is inconclusive, a configuration error
+        growing = sorted(k for k, n in scan.windings.items() if n)
+        super().__init__(f"the penrose scan finds the background unstable "
+                         f"(nonzero winding at k = {growing}); the "
+                         "construction assumes a Penrose-stable background")
+        self.summary = summary
+
+
+def _penrose(cfg: RunConfig, model: ModelConfig,
+             eq: Equilibrium) -> tuple[PenroseReport, dict[str, str]]:
+    """The scan the ``penrose.*`` keys describe, with its manifest summary."""
     scan = penrose_scan(model, eq, cfg["penrose.kmax"],
                         omega_max=cfg["penrose.omega_max"],
                         n_samples=cfg["penrose.samples"])
+    summary = {
+        "penrose.stable": "true" if scan.stable else "false",
+        "penrose.kappa0": _fmt(scan.kappa0),
+        "penrose.tail_bound": _fmt(scan.tail_bound),
+    }
+    return scan, summary
+
+
+def _cmd_penrose(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+    scan, summary = _penrose(cfg, cfg.model(), cfg.equilibrium())
     rows = [[str(k), _fmt(omega), _fmt(dmin), str(scan.windings[k]),
              _fmt(scan.tail_bound)]
             for k, (omega, dmin) in sorted(scan.axis_minima.items())]
     _write_csv(out_dir / "penrose.csv",
                ["k", "omega_argmin", "abs_D_min", "winding", "tail_bound"],
                rows)
-    summary = {
-        "penrose.stable": "true" if scan.stable else "false",
-        "penrose.kappa0": _fmt(scan.kappa0),
-        "penrose.tail_bound": _fmt(scan.tail_bound),
-    }
     log(f"penrose: stable={summary['penrose.stable']} "
         f"kappa0={scan.kappa0:.6g}")
     return (EXIT_OK if scan.stable else EXIT_HYPOTHESIS), summary
@@ -464,7 +484,11 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
 
 
 def _drive(cfg: RunConfig):
+    """The fixed-point drive, on a background the penrose scan finds stable."""
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
+    scan, summary = _penrose(cfg, model, eq)
+    if not scan.stable:
+        raise _UnstableBackground(scan, summary)
     grids = cfg.grids()
     datum = cfg.datum()
     return model, eq, w, grids, fixed_point_drive(
@@ -596,7 +620,11 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
         grids = RunGrids(PhaseGrid(1, 8.0, 0.5), TimeGrid(2.0, 0.25))
         datum = gaussian_datum({1: 0.0})
         zeros = free_extension(datum, grids)
-        result = apply_map_F(zeros, datum, model, eq, w, grids)
+        times, k = grids.time.times, grids.phase.k_values
+        empty = np.zeros((times.size, k.size), dtype=complex)
+        result = apply_map_F(zeros, DensityHistory(times, k, empty),
+                             SpectralHistory(times, k, empty), datum, model,
+                             eq, w, grids)
         assert all(np.all(st.values == 0) for st in result.states)
         run = fixed_point_drive(datum, model, eq, w, grids, tol=1e-9,
                                 max_iters=5)
@@ -661,6 +689,10 @@ def run_command(command: str, cfg: RunConfig) -> int:
         _write_manifest(out_dir, cfg, command, {"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _UnstableBackground as exc:
+        _write_manifest(out_dir, cfg, command, exc.summary)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except _NUMERICAL_ERRORS as exc:
         _write_manifest(out_dir, cfg, command,
                         {"error": f"{type(exc).__name__}: {exc}"})

@@ -51,6 +51,10 @@ _NODE_CHUNK = 1 << 16  # Simpson nodes per integrand call, bounding memory
 # milliseconds; the bound only has to stay below 1.
 _ARC_MOMENT_TOL = 1e-6
 _CONTOUR_BLOCK = 32  # omega nodes per block of the factored contour sum
+_GRID_TOL = 5e-9  # tail cutoff and halving certificate of a contour transform
+_FIRST_MOMENT_TOL = 1e-10  # quadrature tolerance of the mode tail moment
+_KAPPA_FLOOR = 1e-6  # |1 + P L| floor below which a contour is refused
+_FALLBACK_RE = 0.01  # contour right of the axis, tried when the default fails
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ def _corner_transform(c: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
-                    omega_max: float, span_min: float, tol: float = 5e-9):
+                    omega_max: float, span_min: float):
     """L[t mu_hat(sign k t)](a + i omega) on a uniform omega grid via FFT.
 
     Returns (omega, values, certificate): omega ascending with spacing
@@ -223,7 +227,7 @@ def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
     """
     growth = -a  # integrand carries e^{-a s}
     t_need = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
-                          growth, tol, 200.0 / max(abs(k), 1))
+                          growth, _GRID_TOL, 200.0 / max(abs(k), 1))
     span = max(span_min, t_need + 1.0, 80.0)
     h = math.pi / (1.25 * omega_max)
     n = 1 << max(10, math.ceil(math.log2(span / h)))
@@ -243,7 +247,7 @@ def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
         values = spectrum[keep][order] + _corner_transform(corner, omega_out)
         if prev is not None:
             cert = float(np.max(np.abs(values - prev)))
-            if cert <= tol:
+            if cert <= _GRID_TOL:
                 return omega_out, values, cert
         prev = values
         n *= 2
@@ -266,10 +270,11 @@ def _winding_number(values: np.ndarray) -> float:
     return float(np.sum(np.diff(np.unwrap(np.angle(closed))))) / (2.0 * math.pi)
 
 
-def absolute_first_moment(eq: Equilibrium, tol: float = 1e-10) -> float:
+def absolute_first_moment(eq: Equilibrium) -> float:
     """integral of u |mu_hat(u)| over u >= 0, for the mode tail bound."""
     val = laplace_one_sided(lambda u: u * np.abs(np.asarray(eq.mu_hat(u))),
-                            0.0, tol, decay=0.9 * eq.lambda_analytic)
+                            0.0, _FIRST_MOMENT_TOL,
+                            decay=0.9 * eq.lambda_analytic)
     return float(val.real)
 
 
@@ -383,15 +388,16 @@ def _contour_sum(times: np.ndarray, omega: np.ndarray,
 
 
 def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
-                         time_grid: np.ndarray, contour_re: float | None = None,
-                         omega_max: float = 200.0,
-                         kappa_floor: float = 1e-6) -> ResolventTable:
+                         time_grid: np.ndarray,
+                         omega_max: float = 200.0) -> ResolventTable:
     """Time-side resolvent kernel by vertical-contour inversion.
 
     The exactly invertible part -P L[t mu_hat(-kt)] is split off and restored
     in closed form as -P t mu_hat(-k t); the remaining contour integrand
     (P L)^2 / (1 + P L) decays quartically in Im tau, so truncating at
-    omega_max leaves the reported bound C4 / (3 pi omega_max^3).
+    omega_max leaves the reported bound C4 / (3 pi omega_max^3). The contour
+    Re tau = -margin/2 shifts, with a warning, to ``_FALLBACK_RE`` where |1 +
+    P L| falls below ``_KAPPA_FLOOR``; failing there too raises.
     """
     if k == 0:
         raise ConfigError("k must be nonzero")
@@ -400,60 +406,54 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
         raise ConfigError("time_grid must be a 1-d grid of nonnegative times")
     pref = float(model.poisson_prefactor(k))
     margin = _MARGIN_FRACTION * eq.lambda_analytic * abs(k)
-    attempts = [contour_re] if contour_re is not None else [-margin / 2.0, 0.01]
     span_min = times[-1] + 60.0
 
-    last_err: Exception | None = None
-    for a in attempts:
-        if a < -margin:
-            raise ConfigError(f"contour_re = {a:g} outside the analyticity "
-                              f"margin {-margin:g}")
+    for a in (-margin / 2.0, _FALLBACK_RE):
         omega, transform, cert = _grid_transform(eq, k, -1, a, omega_max, span_min)
         pl = pref * transform
         denom = 1.0 + pl
         small = float(np.min(np.abs(denom)))
-        if small < kappa_floor:
-            last_err = NearSingularResolventError(
+        if small >= _KAPPA_FLOOR:
+            break
+        if a == _FALLBACK_RE:
+            raise NearSingularResolventError(
                 f"|1 + P L| reaches {small:.3e} on the contour Re tau = {a:g}")
-            if contour_re is None:
-                warnings.warn("resolvent nearly singular on the default "
-                              "contour; shifting right of the axis")
-                continue
-            raise last_err
-        remainder = pl * pl / denom
-        c4 = float(np.max(np.abs(remainder) * (1.0 + k * k + omega**2) ** 2))
-        trunc = c4 / (3.0 * math.pi * omega_max**3) * math.exp(max(a, 0.0) * times[-1])
+        warnings.warn("resolvent nearly singular on the default contour; "
+                      "shifting right of the axis")
 
-        d_omega = float(omega[1] - omega[0])
-        w = np.full(omega.size, d_omega)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        contour_part = _contour_sum(times, omega, w * remainder) / (2.0 * math.pi)
-        closed_part = -pref * times * np.asarray(eq.mu_hat(-k * times), dtype=complex)
-        values = np.exp(a * times) * contour_part + closed_part
+    remainder = pl * pl / denom
+    c4 = float(np.max(np.abs(remainder) * (1.0 + k * k + omega**2) ** 2))
+    trunc = c4 / (3.0 * math.pi * omega_max**3) * math.exp(max(a, 0.0) * times[-1])
 
-        floor = max(1e-12, 10.0 * trunc)
-        mag = np.abs(values)
-        # the decay fit targets the resonance tail: start once the closed-form
-        # hump has faded to 1% of its peak, keep only envelope peaks (the
-        # kernel oscillates through zeros, which would wreck a log fit), and
-        # stay above the contour noise floor
-        hump = np.abs(closed_part)
-        past_hump = (hump <= 0.01 * float(np.max(hump))) & (times > 0.2)
-        t_start = times[int(np.argmax(past_hump))] if np.any(past_hump) else times[0]
-        peaks = np.zeros(times.size, dtype=bool)
-        peaks[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:])
-        window = peaks & (times >= t_start) & (mag > floor)
-        if int(np.sum(window)) < 3:
-            window = (times >= t_start) & (mag > floor)
-        if int(np.sum(window)) < 3:
-            window = mag > 1e-12
-        if int(np.sum(window)) < 3:
-            raise ConfigError("kernel magnitude never rises above the fit "
-                              "floor; nothing to fit")
-        slope, intercept, r2 = linear_fit(times[window], np.log(mag[window]))
-        return ResolventTable(
-            k=k, times=times, values=values,
-            fit_C=math.exp(intercept), fit_lambda1=-slope / abs(k), fit_r2=r2,
-            truncation_bound=trunc, contour_re=a, quadrature_certificate=cert)
-    raise last_err if last_err is not None else RuntimeError("no contour tried")
+    d_omega = float(omega[1] - omega[0])
+    w = np.full(omega.size, d_omega)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    contour_part = _contour_sum(times, omega, w * remainder) / (2.0 * math.pi)
+    closed_part = -pref * times * np.asarray(eq.mu_hat(-k * times), dtype=complex)
+    values = np.exp(a * times) * contour_part + closed_part
+
+    floor = max(1e-12, 10.0 * trunc)
+    mag = np.abs(values)
+    # the decay fit targets the resonance tail: start once the closed-form
+    # hump has faded to 1% of its peak, keep only envelope peaks (the
+    # kernel oscillates through zeros, which would wreck a log fit), and
+    # stay above the contour noise floor
+    hump = np.abs(closed_part)
+    past_hump = (hump <= 0.01 * float(np.max(hump))) & (times > 0.2)
+    t_start = times[int(np.argmax(past_hump))] if np.any(past_hump) else times[0]
+    peaks = np.zeros(times.size, dtype=bool)
+    peaks[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:])
+    window = peaks & (times >= t_start) & (mag > floor)
+    if int(np.sum(window)) < 3:
+        window = (times >= t_start) & (mag > floor)
+    if int(np.sum(window)) < 3:
+        window = mag > 1e-12
+    if int(np.sum(window)) < 3:
+        raise ConfigError("kernel magnitude never rises above the fit "
+                          "floor; nothing to fit")
+    slope, intercept, r2 = linear_fit(times[window], np.log(mag[window]))
+    return ResolventTable(
+        k=k, times=times, values=values,
+        fit_C=math.exp(intercept), fit_lambda1=-slope / abs(k), fit_r2=r2,
+        truncation_bound=trunc, contour_re=a, quadrature_certificate=cert)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -210,10 +209,6 @@ class SpectralState:
         defect = self.reality_defect()
         self.values = (self.values + np.conj(self.values[::-1, ::-1])) / 2.0
         return defect
-
-    def boundary_magnitude(self) -> float:
-        return float(max(np.max(np.abs(self.values[:, 0])),
-                         np.max(np.abs(self.values[:, -1]))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -608,7 +603,6 @@ def zero_field_provider(grid: PhaseGrid) -> FieldProvider:
 
 def integrate(initial: SpectralState, provider: FieldProvider,
               time_grid: TimeGrid, eq: Equilibrium, direction: str = "backward",
-              resymmetrize: bool = True, boundary_tol: Optional[float] = None,
               counter: Optional[TruncationCounter] = None) -> IntegrationResult:
     """Four-stage Runge-Kutta sweep over the whole time grid.
 
@@ -669,16 +663,9 @@ def integrate(initial: SpectralState, provider: FieldProvider,
                 f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
                 "or shrink the datum amplitude")
         current = state_at(t1, y_next)
-        if resymmetrize:
-            max_drift = max(max_drift, current.resymmetrize())
+        max_drift = max(max_drift, current.resymmetrize())
         out.append(current)
     mass_drift = abs(current.mass_mode() - mass0)
-    if boundary_tol is not None:
-        worst = max(s.boundary_magnitude() for s in out)
-        if worst > boundary_tol:
-            warnings.warn(
-                f"boundary magnitude {worst:.3e} exceeds {boundary_tol:.3e}; "
-                "the frequency grid is too small for this run", RuntimeWarning)
     if backward:
         out.reverse()
     return IntegrationResult(states=tuple(out), max_reality_drift=max_drift,

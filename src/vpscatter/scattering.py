@@ -1,16 +1,17 @@
 """Fixed-point construction of solutions with a prescribed late-time profile.
 
-The driver iterates a linearizing map: given the previous iterate, it slices
-out that iterate's density and potential, assembles the backward source,
-reconstructs the new density through the resolvent route, and transports the
-asymptotic datum backward with the new field in the linear term and the old
-field in the shear term.  Contraction is measured between consecutive
-iterates in a norm whose regularity radius is scaled to 0.9 of the working
-one; the working radius keeps enough margin that the map stays a contraction
-there.  The converged trajectory yields the t = 0 state (the wave-operator
-image of the datum), the weighted electric-field decay series, and a forward
-round-trip check that re-runs the self-consistent dynamics from t = 0 and
-compares against the datum in physical space.
+The driver iterates a linearizing map.  It slices each iterate once, reading
+off its density and potential; the map consumes those histories, assembles
+the backward source, reconstructs the new density through the resolvent
+route, and transports the asymptotic datum backward with the new field in
+the linear term and the old field in the shear term.  Contraction is
+measured between consecutive iterates in a norm whose regularity radius is
+scaled to 0.9 of the working one; the working radius keeps enough margin
+that the map stays a contraction there.  The converged trajectory yields
+the t = 0 state (the wave-operator image of the datum), the weighted
+electric-field decay series, and a forward round-trip check that re-runs the
+self-consistent dynamics from t = 0 and compares against the datum in
+physical space.
 """
 
 from __future__ import annotations
@@ -170,11 +171,12 @@ def _release(states: Sequence[SpectralState]) -> None:
         state.release_interpolant()
 
 
-def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
-                  w: GevreyWeight, counter: Optional[TruncationCounter],
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice density and potential of an iterate via the elliptic balance."""
-    k = states[0].grid.k_values
+def _slice_fields(model: ModelConfig, grids: RunGrids,
+                  states: Sequence[SpectralState], w: GevreyWeight,
+                  counter: Optional[TruncationCounter],
+                  ) -> tuple[DensityHistory, SpectralHistory]:
+    """Density and potential histories of an iterate via the elliptic balance."""
+    times, k = grids.time.times, grids.phase.k_values
     rho = np.zeros((len(states), k.size), dtype=complex)
     u = np.zeros_like(rho)
     for i, state in enumerate(states):
@@ -182,61 +184,50 @@ def _slice_fields(model: ModelConfig, states: Sequence[SpectralState],
         snap = poisson_fixed_point(model, k, q, w, state.time)
         rho[i] = snap.rho_hat
         u[i] = snap.u_hat
-    return rho, u
+    return DensityHistory(times, k, rho), SpectralHistory(times, k, u)
 
 
-def apply_map_F(phi_states: Sequence[SpectralState], ginf: AsymptoticDatum,
-                model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
-                grids: RunGrids, *,
+def apply_map_F(phi_states: Sequence[SpectralState],
+                phi_density: DensityHistory, phi_potential: SpectralHistory,
+                ginf: AsymptoticDatum, model: ModelConfig, eq: Equilibrium,
+                w: GevreyWeight, grids: RunGrids, *,
                 tables: Optional[Mapping[int, DiscreteResolvent]] = None,
-                linearized: bool = False, ball_n1: Optional[float] = None,
+                ball_n1: Optional[float] = None,
                 counter: Optional[TruncationCounter] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
 
-    Five stages: slice the incoming iterate's density and potential, assemble
-    the backward source, reconstruct the new density through the resolvent
-    tables, form its potential, then transport the datum backward from the
-    horizon with the new field driving the equilibrium gradient and the old
-    field driving the shear term.  With ``linearized`` the incoming fields
-    are replaced by zero, so the output is exactly linear in the datum.
+    ``phi_density`` and ``phi_potential`` are the incoming iterate's sliced
+    histories; zero ones give the linearized map, exactly linear in the
+    datum.  Four stages: assemble the backward source, reconstruct the new
+    density through the resolvent tables, form its potential, then
+    transport the datum backward from the horizon with the new field driving
+    the equilibrium gradient and the old field driving the shear term.
 
     ``ball_n1`` is an optional acceptance bound: a new iterate whose sup-in-
     time distribution norm exceeds it aborts with a no-contraction error, the
     executable sign that the datum amplitude is too large.
 
     The incoming states' splines (kept by the slicing, or by the transport
-    stages of the pass that made them) serve both the slicing and the source
-    assembly, and are released once the source is assembled.  The new
-    iterate's states keep the splines of their k1 transport stages for the
-    next pass.
+    stages of the pass that made them) serve the source assembly and are
+    released once the source is assembled.  The new iterate's states keep
+    the splines of their k1 transport stages for the next slicing.
     """
     grid, tg = grids.phase, grids.time
-    times = tg.times
-    if len(phi_states) != times.size:
-        raise ConfigError(f"iterate holds {len(phi_states)} states, "
-                          f"the time grid has {times.size}")
     if counter is None:
         counter = TruncationCounter()
-    k = grid.k_values
-    if linearized:
-        rho_phi = np.zeros((times.size, k.size), dtype=complex)
-        u_phi = np.zeros_like(rho_phi)
-    else:
-        rho_phi, u_phi = _slice_fields(model, phi_states, w, counter)
-    rho_hist = DensityHistory(times, k, rho_phi)
-    u_hist = SpectralHistory(times, k, u_phi)
-    source = assemble_source_history(model, phi_states, rho_hist, u_hist,
-                                     ginf, counter=counter)
+    source = assemble_source_history(model, phi_states, phi_density,
+                                     phi_potential, ginf, counter=counter)
     _release(phi_states)
     if tables is None:
         tables = build_resolvent_tables(model, eq, grids)
     density = solve_resolvent(model, eq, source, tables)
     # the new potential responds linearly; the series correction lives in the
     # source term of the next pass
-    u_psi_hist = SpectralHistory(times, k,
+    k = grid.k_values
+    u_psi_hist = SpectralHistory(tg.times, k,
                                  potential_from_density(model, k, density.values))
-    # the old potential shears the state (zero when linearized)
-    provider = HistoryFieldProvider(u_psi_hist, u_hist)
+    # the old potential shears the state
+    provider = HistoryFieldProvider(u_psi_hist, phi_potential)
     terminal = ginf.sample(grid, tg.t_final)
     integration = integrate(terminal, provider, tg, eq, direction="backward",
                             counter=counter)
@@ -293,24 +284,26 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                       eq: Equilibrium, w: GevreyWeight, grids: RunGrids,
                       tol: float = 1e-9, max_iters: int = 25, *,
-                      initial_states: Optional[Sequence[SpectralState]] = None,
                       tables: Optional[Mapping[int, DiscreteResolvent]] = None,
                       counter: Optional[TruncationCounter] = None,
                       ) -> ScatteringRun:
     """Iterate the construction map until consecutive iterates agree.
 
-    Starts from the free extension of the datum (or ``initial_states``),
-    measures the distance between consecutive iterates in the radius-reduced
-    norm, and stops once it falls to ``tol``.  Three consecutive distance
-    ratios at or above one abort with a divergence error.  Accepted iterates
-    must keep their distribution norm within ``BALL_FACTOR`` times the
-    starting profile's.
+    Starts from the free extension of the datum, measures the distance
+    between consecutive iterates in the radius-reduced norm, and stops once
+    it falls to ``tol``.  Three consecutive distance ratios at or above one
+    abort with a divergence error.  Accepted iterates must keep their
+    distribution norm within ``BALL_FACTOR`` times the starting profile's.
+
+    The drive slices each iterate a pass consumes once, for the map to
+    consume; the start iterate's slices also give its norm report, and the
+    last output is never sliced.
 
     The returned run carries per-iterate densities and norm reports, the
     converged trajectory and its t = 0 state, the weighted field-decay
     series of the last iterate, and a stretched-exponential envelope fit
     over the middle half of the horizon.  At most one iterate keeps its
-    splines at a time (see :func:`apply_map_F`); the returned run keeps none.
+    splines at a time; the returned run keeps none.
     """
     grids.validate_for(ginf)
     if max_iters < 1:
@@ -319,38 +312,25 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         counter = TruncationCounter()
     if tables is None:
         tables = build_resolvent_tables(model, eq, grids)
-    times = grids.time.times
-    k = grids.phase.k_values
-    free0 = free_extension(ginf, grids)
-    if initial_states is None:
-        start_states = free0
-    else:
-        start_states = tuple(initial_states)
-        if len(start_states) != times.size:
-            raise ConfigError("initial iterate does not match the time grid")
-    rho0, _ = _slice_fields(model, start_states, w, counter)
-    density0 = DensityHistory(times, k, rho0)
-    report0 = weighted_norm_report(start_states, density0, w)
-    if initial_states is None:
-        ball = BALL_FACTOR * report0.n_total
-    else:
-        # the acceptance ball is anchored to the datum, not to the start
-        fr_rho, _ = _slice_fields(model, free0, w, counter)
-        _release(free0)
-        fr_report = weighted_norm_report(
-            free0, DensityHistory(times, k, fr_rho), w)
-        ball = BALL_FACTOR * fr_report.n_total
-    records = [IterateRecord(density=density0, report=report0)]
+    prev_states = free_extension(ginf, grids)
+    phi_density, phi_potential = _slice_fields(model, grids, prev_states, w,
+                                               counter)
+    report0 = weighted_norm_report(prev_states, phi_density, w)
+    ball = BALL_FACTOR * report0.n_total
+    records = [IterateRecord(density=phi_density, report=report0)]
     w_dist = w.reduced()
     distances: list[float] = []
     ratios: list[float] = []
     bad_streak = 0
     converged = False
-    prev_states, prev_density = start_states, density0
-    last: Optional[MapResult] = None
-    for _ in range(max_iters):
-        result = apply_map_F(prev_states, ginf, model, eq, w, grids,
-                             tables=tables, ball_n1=ball, counter=counter)
+    prev_density = phi_density
+    for n in range(max_iters):
+        if n > 0:
+            phi_density, phi_potential = _slice_fields(model, grids,
+                                                       prev_states, w, counter)
+        result = apply_map_F(prev_states, phi_density, phi_potential, ginf,
+                             model, eq, w, grids, tables=tables, ball_n1=ball,
+                             counter=counter)
         dist = iterate_distance(result.states, prev_states, result.density,
                                 prev_density, w_dist)
         distances.append(dist)
@@ -369,12 +349,12 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
         records.append(IterateRecord(density=result.density,
                                      report=result.report))
         prev_states, prev_density = result.states, result.density
-        last = result
         if dist <= tol:
             converged = True
             break
     _release(prev_states)
-    e_times, e_norms = efield_weighted_norms(w, last.potentials)
+    # max_iters >= 1, so the loop ran and ``result`` is the last pass
+    e_times, e_norms = efield_weighted_norms(w, result.potentials)
     t_final = grids.time.t_final
     window = (e_times >= 0.25 * t_final) & (e_times <= 0.75 * t_final)
     decay_fit = None
@@ -385,7 +365,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                          distances=tuple(distances),
                          contraction_ratios=tuple(ratios),
                          g0=prev_states[0].copy(), states=prev_states,
-                         potentials=last.potentials,
+                         potentials=result.potentials,
                          efield_decay=tuple(zip(e_times.tolist(),
                                                 e_norms.tolist())),
                          converged=converged, decay_fit=decay_fit,

@@ -5,6 +5,9 @@ matrix of complex exponentials. The package never samples the Penrose arc or
 searches for dispersion roots, so this route lives here: it backs the
 arc-bound checks and, through ``landau_root``, the damping-rate criterion.
 ``laplace_two_sided`` backs the transform-identity criterion.
+``maxwellian_transform`` is the closed form of that transform for the
+Maxwellian, through the Faddeeva function: it shares no quadrature with the
+package.
 ``laplace_one_sided_full_grid`` is the Simpson refinement that rebuilds and
 re-evaluates the whole grid at every halving; the package's nested loop
 evaluates each node once and must agree with it to roundoff.
@@ -21,7 +24,10 @@ the whole array; ``transport_rhs`` answers every shift in one lookup and
 must agree with it bit for bit.
 """
 
+import math
+
 import numpy as np
+from scipy.special import wofz
 
 from vpscatter.dispersion import (_MAX_DOUBLINGS, _tail_cutoff,
                                   laplace_one_sided)
@@ -60,6 +66,18 @@ def transform_direct(eq: Equilibrium, k: int, sign: int, taus: np.ndarray,
         prev = out
         n *= 2
     raise QuadratureError("direct transform failed to certify under halving")
+
+
+def maxwellian_transform(k, taus):
+    """Closed form of L[t e^{-k^2 t^2/2}](tau) through the Faddeeva function.
+
+    (1 - tau sqrt(pi/2) / |k| w(i tau / (sqrt 2 |k|))) / k^2; w is entire, so
+    this also continues the transform into the left half-plane.
+    """
+    k = abs(k)
+    taus = np.asarray(taus, dtype=complex)
+    return (1.0 - taus * math.sqrt(math.pi / 2) / k
+            * wofz(1j * taus / (math.sqrt(2.0) * k))) / k**2
 
 
 def landau_root(model: ModelConfig, eq: Equilibrium, k: int,

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vpscatter import PhaseGrid, SpectralState, dispersion, scattering
+from vpscatter import PhaseGrid, SpectralState, cli, dispersion, scattering
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            EXIT_OK, config_from_mapping, load_state_csv,
                            main, parse_config, run_command, write_state_csv)
@@ -29,6 +29,9 @@ grid.delta_eta = 0.5
 grid.dt = 0.25
 grid.t_final = 4.0
 """
+
+# a background the penrose scan finds unstable under vp (winding 1 at k = +-1)
+TWO_STREAM_V1 = "equilibrium.kind = two_stream\nequilibrium.v0 = 1.0\n"
 
 # a forward run long enough for three field peaks inside the fit window
 DAMP_RUN = """
@@ -300,6 +303,29 @@ class TestCommands:
             == EXIT_NUMERICAL
         manifest = (out / "manifest.txt").read_text()
         assert "# error = RealityError: solve broke reality symmetry" in manifest
+
+    @pytest.mark.parametrize("command", ["scatter", "roundtrip"])
+    def test_unstable_background_refused_before_the_drive(self, tmp_path,
+                                                          monkeypatch,
+                                                          command):
+        def no_drive(*args, **kwargs):
+            raise AssertionError("the drive started")
+
+        monkeypatch.setattr(cli, "fixed_point_drive", no_drive)
+        code, out = self.run(command, tmp_path, TWO_STREAM_V1)
+        assert code == EXIT_HYPOTHESIS
+        manifest = (out / "manifest.txt").read_text()
+        assert "# penrose.stable = false" in manifest
+        assert not (out / "iterates.csv").exists()
+
+    def test_screened_two_stream_still_drives(self, tmp_path):
+        # vpme screening stabilises the same background, so the drive runs
+        code, out = self.run("scatter", tmp_path, TWO_STREAM_V1
+                             + "model.preset = vpme\npoisson.eps_ball = 1e30\n")
+        assert code == EXIT_OK
+        manifest = (out / "manifest.txt").read_text()
+        assert "# scatter.converged = true" in manifest
+        assert "penrose.stable" not in manifest
 
     def test_roundtrip_within_bound(self, tmp_path):
         code, out = self.run("roundtrip", tmp_path)

@@ -7,9 +7,8 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (laplace_one_sided_full_grid, laplace_two_sided,
-                     landau_root, transform_direct)
+                     landau_root, maxwellian_transform, transform_direct)
 from scipy.integrate import quad
-from scipy.special import wofz
 
 from vpscatter import dispersion
 from vpscatter.dispersion import (
@@ -42,18 +41,6 @@ BACKGROUNDS = [MAXW, *(two_stream(v0) for v0 in (0.5, 1.0, 1.2, 2.0)),
                bump_on_tail(), bump_on_tail(0.2, 3.0, 0.35)]
 # 512 samples on the closing semicircle |tau| = 1, Re tau >= 0
 UNIT_ARC = np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 512))
-
-
-def maxwellian_transform(k, taus):
-    """Closed form of L[t e^{-k^2 t^2/2}](tau) through the Faddeeva function.
-
-    (1 - tau sqrt(pi/2) / |k| w(i tau / (sqrt 2 |k|))) / k^2; w is entire, so
-    this also continues the transform into the left half-plane.
-    """
-    k = abs(k)
-    taus = np.asarray(taus, dtype=complex)
-    return (1.0 - taus * math.sqrt(math.pi / 2) / k
-            * wofz(1j * taus / (math.sqrt(2.0) * k))) / k**2
 
 
 def direct_D(model, eq, k, taus, tol=1e-10):
@@ -371,16 +358,47 @@ def test_khat_zero_profile_gives_zero_kernel():
         inverse_laplace_Khat(VP, silent, 1, tg)
 
 
-def test_khat_contour_fallback_and_explicit_failure():
+def test_khat_contour_fallback_and_explicit_failure(monkeypatch):
     tg = np.arange(0.0, 12.0 + 1e-9, 0.1)
     # floor between the minima on the two candidate contours (0.698 / 0.755)
+    monkeypatch.setattr(dispersion, "_KAPPA_FLOOR", 0.72)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        tab = inverse_laplace_Khat(VP, MAXW, 1, tg, kappa_floor=0.72)
+        tab = inverse_laplace_Khat(VP, MAXW, 1, tg)
     assert tab.contour_re == pytest.approx(0.01)
     assert any("shifting" in str(w.message) for w in wlist)
-    with pytest.raises(NearSingularResolventError):
-        inverse_laplace_Khat(VP, MAXW, 1, tg, contour_re=-0.125, kappa_floor=0.72)
+    # a floor above both minima refuses the fallback contour as well
+    monkeypatch.setattr(dispersion, "_KAPPA_FLOOR", 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NearSingularResolventError,
+                           match=r"reaches 7\.548e-01 on the contour "
+                                 r"Re tau = 0\.01"):
+            inverse_laplace_Khat(VP, MAXW, 1, tg)
+
+
+@pytest.mark.parametrize("model", [VP, SCREENED], ids=lambda m: m.label)
+def test_penrose_margin_matches_faddeeva_closed_form(model):
+    # the scan's axis minima and kappa0 against min |1 + P(k) L(i omega)|
+    # with L in closed form, on the scan's own omega grid
+    omega_max, samples, kmax = 8.0, 1201, 3
+    scan = penrose_scan(model, MAXW, kmax, omega_max=omega_max,
+                        n_samples=samples)
+    closed_min = {}
+    for k in scan.axis_minima:
+        omega, _, _ = dispersion_on_axis(model, MAXW, k, omega_max,
+                                         n_min=samples)
+        closed = np.abs(1.0 + float(model.poisson_prefactor(k))
+                        * maxwellian_transform(k, 1j * omega))
+        i = int(np.argmin(closed))
+        closed_min[k] = float(closed[i])
+        omega_at, d_min = scan.axis_minima[k]
+        assert abs(d_min - closed_min[k]) <= 5e-11, k
+        assert closed[int(np.argmin(np.abs(omega - omega_at)))] \
+            <= closed_min[k] + 5e-11
+    expected = min(min(closed_min.values()),
+                   1.0 - max(scan.arc_bounds.values()), 1.0 - scan.tail_bound)
+    assert abs(scan.kappa0 - expected) <= 5e-11
 
 
 def test_landau_roots():

@@ -8,16 +8,16 @@ import pytest
 
 from vpscatter.errors import ConfigError, NoContractionError
 from vpscatter.gevrey import GevreyWeight, n1_at_time
-from vpscatter import kinetic
+from vpscatter import kinetic, scattering
 from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
                                TimeGrid, density_trace, gaussian_datum)
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.dispersion import penrose_scan
-from vpscatter.scattering import (RunGrids, apply_map_F, free_extension,
-                                  fixed_point_drive, iterate_distance,
-                                  landau_linear_run, roundtrip_check,
-                                  state_to_physical)
-from vpscatter.volterra import DensityHistory
+from vpscatter.scattering import (RunGrids, _slice_fields, apply_map_F,
+                                  free_extension, fixed_point_drive,
+                                  iterate_distance, landau_linear_run,
+                                  roundtrip_check, state_to_physical)
+from vpscatter.volterra import DensityHistory, SpectralHistory
 
 VP = make_preset("vp")
 MAXWELL = maxwellian()
@@ -30,6 +30,20 @@ def zero_states(grids):
     grid = grids.phase
     return [SpectralState(t, grid, np.zeros((grid.n_modes, grid.n_eta), complex))
             for t in grids.time.times]
+
+
+def zero_histories(grids):
+    """Zero density and potential histories: the map becomes linear."""
+    times, k = grids.time.times, grids.phase.k_values
+    zeros = np.zeros((times.size, k.size), complex)
+    return DensityHistory(times, k, zeros), SpectralHistory(times, k, zeros)
+
+
+def map_once(states, datum, grids, model=VP, eq=MAXWELL, w=WEIGHT, **kwargs):
+    """Slice an iterate as the drive does, then apply the map to it."""
+    density, potential = _slice_fields(model, grids, states, w, None)
+    return apply_map_F(states, density, potential, datum, model, eq, w, grids,
+                       **kwargs)
 
 
 def scaled_gap(big, small, w):
@@ -86,8 +100,7 @@ class TestGrids:
 class TestMapApplication:
     def test_zero_datum_is_a_fixed_point(self):
         datum = gaussian_datum({1: 0.0})
-        result = apply_map_F(zero_states(SMALL), datum, VP, MAXWELL, WEIGHT,
-                             SMALL)
+        result = map_once(zero_states(SMALL), datum, SMALL)
         assert all(np.all(st.values == 0) for st in result.states)
         assert np.all(result.density.values == 0)
         assert result.report.n_total == 0.0
@@ -96,8 +109,9 @@ class TestMapApplication:
         # one linearized pass closes the density consistency relation to
         # integrator accuracy; measured gap 2.54e-8 at this fixture
         datum = gaussian_datum({1: 1e-3})
-        result = apply_map_F(free_extension(datum, COMPACT), datum, VP,
-                             MAXWELL, WEIGHT, COMPACT, linearized=True)
+        result = apply_map_F(free_extension(datum, COMPACT),
+                             *zero_histories(COMPACT), datum, VP, MAXWELL,
+                             WEIGHT, COMPACT)
         gap = max(
             float(np.max(np.abs(density_trace(st) - result.density.values[i, :])))
             for i, st in enumerate(result.states))
@@ -108,8 +122,8 @@ class TestMapApplication:
         results = {}
         for eps in (2e-3, 1e-3, 5e-4):
             datum = gaussian_datum({1: eps})
-            results[eps] = apply_map_F(free_extension(datum, COMPACT), datum,
-                                       VP, MAXWELL, WEIGHT, COMPACT)
+            results[eps] = map_once(free_extension(datum, COMPACT), datum,
+                                    COMPACT)
         d1 = scaled_gap(results[2e-3], results[1e-3], WEIGHT)
         d2 = scaled_gap(results[1e-3], results[5e-4], WEIGHT)
         assert d1 > 0 and d2 > 0
@@ -118,8 +132,8 @@ class TestMapApplication:
     def test_ball_exit_raises_with_both_causes_named(self):
         datum = gaussian_datum({1: 1e-3})
         with pytest.raises(NoContractionError, match="acceptance ball"):
-            apply_map_F(free_extension(datum, COMPACT), datum, VP, MAXWELL,
-                        WEIGHT, COMPACT, ball_n1=1e-30)
+            map_once(free_extension(datum, COMPACT), datum, COMPACT,
+                     ball_n1=1e-30)
 
 
 class TestDrive:
@@ -155,31 +169,58 @@ class TestDrive:
     def test_fixed_point_residual_within_twice_tolerance(self, contraction_pair):
         # measured residual 1.1e-13 against tol 1e-9
         run = contraction_pair["runs"][1e-3]
-        again = apply_map_F(run.states, run.datum, contraction_pair["model"],
-                            contraction_pair["eq"], contraction_pair["w"],
-                            contraction_pair["grids"],
-                            tables=contraction_pair["tables"])
+        again = map_once(run.states, run.datum, contraction_pair["grids"],
+                         contraction_pair["model"], contraction_pair["eq"],
+                         contraction_pair["w"],
+                         tables=contraction_pair["tables"])
         residual = iterate_distance(again.states, run.states, again.density,
                                     run.iterates[-1].density,
                                     contraction_pair["w"].reduced())
         assert residual <= 2.0 * contraction_pair["tol"]
 
     def test_second_start_reaches_the_same_image(self, contraction_pair):
-        run = fixed_point_drive(run_datum := contraction_pair["runs"][1e-3].datum,
-                                contraction_pair["model"],
-                                contraction_pair["eq"], contraction_pair["w"],
-                                contraction_pair["grids"],
-                                tol=contraction_pair["tol"], max_iters=25,
-                                initial_states=zero_states(
-                                    contraction_pair["grids"]),
-                                tables=contraction_pair["tables"])
-        assert run.converged
-        reference = contraction_pair["runs"][1e-3].g0
-        gap = n1_at_time(SpectralState(0.0, reference.grid,
-                                       run.g0.values - reference.values),
-                         contraction_pair["w"])
-        assert run_datum.amplitude > 0
-        assert gap <= 10.0 * contraction_pair["tol"]
+        # the map iterated from the zero iterate instead of the free extension
+        pair = contraction_pair
+        reference = pair["runs"][1e-3]
+        w_dist = pair["w"].reduced()
+        states = zero_states(pair["grids"])
+        density = zero_histories(pair["grids"])[0]
+        converged = False
+        for _ in range(25):
+            result = map_once(states, reference.datum, pair["grids"],
+                              pair["model"], pair["eq"], pair["w"],
+                              tables=pair["tables"])
+            dist = iterate_distance(result.states, states, result.density,
+                                    density, w_dist)
+            states, density = result.states, result.density
+            if dist <= pair["tol"]:
+                converged = True
+                break
+        assert converged
+        gap = n1_at_time(SpectralState(0.0, reference.g0.grid,
+                                       states[0].values - reference.g0.values),
+                         pair["w"])
+        assert reference.datum.amplitude > 0
+        assert gap <= 10.0 * pair["tol"]
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-9, 25), (1e-30, 2)],
+                             ids=["converged", "exhausted"])
+    def test_drive_slices_each_iterate_once(self, monkeypatch, tol, max_iters):
+        solve = scattering.poisson_fixed_point
+        times = []
+
+        def counted(model, k, q, w, t):
+            times.append(t)
+            return solve(model, k, q, w, t)
+
+        monkeypatch.setattr(scattering, "poisson_fixed_point", counted)
+        run = fixed_point_drive(gaussian_datum({1: 1e-3}), VP, MAXWELL,
+                                WEIGHT, SMALL, tol=tol, max_iters=max_iters)
+        n_t, passes = SMALL.time.times.size, len(run.distances)
+        assert run.converged == (tol == 1e-9) and passes >= 2
+        # every iterate a pass consumes, the start one included, is sliced
+        # once; the last output is never sliced
+        assert len(times) == n_t * passes
 
 
 class TestUnstableBackground:
@@ -296,7 +337,7 @@ class TestSplineOwnership:
         datum = gaussian_datum({1: 1e-3})
         phi = free_extension(datum, SMALL)
         built = track_builds(monkeypatch)
-        result = apply_map_F(phi, datum, VP, MAXWELL, WEIGHT, SMALL)
+        result = map_once(phi, datum, SMALL)
         n_t = SMALL.time.times.size
         inputs = {id(s) for s in phi}
         # slicing and source assembly share one build per input state

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import resolvent_identity_residual, solve_with_continuum_tables
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
@@ -244,6 +245,33 @@ def test_reality_symmetry_preserved():
               for k in ks if k != 0}
     rec = solve_resolvent(SCREENED, MAXW, src, tables)
     assert rec.reality_defect() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), k_max=st.integers(1, 3), n_steps=st.integers(1, 20),
+       dt=st.floats(0.05, 0.25), screened=st.booleans(),
+       two_streams=st.booleans())
+def test_reality_symmetry_for_any_real_source(data, k_max, n_steps, dt,
+                                              screened, two_streams):
+    model = SCREENED if screened else VP
+    eq = two_stream(1.0, 0.5) if two_streams else MAXW
+    times = dt * np.arange(n_steps + 1)
+    ks = np.arange(-k_max, k_max + 1)
+    half = data.draw(arrays(complex, (times.size, k_max),
+                            elements=st.complex_numbers(
+                                max_magnitude=1.0, allow_nan=False,
+                                allow_infinity=False)))
+    vals = np.zeros((times.size, ks.size), dtype=complex)
+    vals[:, k_max + 1:] = half
+    vals[:, :k_max] = np.conj(half[:, ::-1])
+    if screened:  # a mean mode is only admissible under screening
+        vals[:, k_max] = data.draw(arrays(float, times.size,
+                                          elements=st.floats(-1.0, 1.0)))
+    src = SourceHistory(times, ks, vals)
+    assert src.reality_defect() == 0.0
+    tables = {int(k): build_discrete_resolvent(model, eq, int(k), dt, n_steps)
+              for k in ks if k != 0}
+    assert solve_resolvent(model, eq, src, tables).reality_defect() <= 1e-12
 
 
 def test_mismatched_mirror_table_raises_reality_error():

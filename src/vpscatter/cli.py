@@ -6,7 +6,9 @@ hypotheses, executes its pipeline, and writes a ``manifest.txt`` that is
 itself a valid config file, so any run can be reproduced from its manifest.
 
 Exit codes: 0 success, 2 hypothesis failure (unstable background where
-stability is asserted), 3 numerical failure (divergence, blow-up, missed
+stability is asserted: ``penrose`` finds a nonzero winding, ``kernel`` finds
+one along its inversion contour, ``scatter`` and ``roundtrip`` refuse before
+the first pass), 3 numerical failure (divergence, blow-up, missed
 verification bound), 4 configuration error.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dispersion import PenroseReport, inverse_laplace_Khat, penrose_scan
@@ -367,6 +369,18 @@ def load_state_csv(path) -> SpectralState:
     return SpectralState(time=time, grid=grid, values=values)
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's installed version, read from its package metadata.
+
+    Importing scipy for its ``__version__`` would load it in commands that
+    never use it; one metadata lookup a process keeps the manifest line cheap.
+    """
+    import importlib.metadata
+
+    return importlib.metadata.version("scipy")
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
                     summary: Mapping[str, str]) -> None:
     lines = [
@@ -376,7 +390,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
         f"# package.version = {__version__}",
         f"# python.version = {platform.python_version()}",
         f"# numpy.version = {np.__version__}",
-        f"# scipy.version = {scipy.__version__}",
+        f"# scipy.version = {_scipy_version()}",
     ]
     lines += [f"{key} = {cfg.manifest_value(key)}" for key in sorted(SCHEMA)]
     lines += [f"# {key} = {value}" for key, value in summary.items()]
@@ -461,7 +475,17 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         summary[f"kernel.k{k}.truncation_bound"] = _fmt(table.truncation_bound)
         log(f"kernel: k={k} lambda1={table.fit_lambda1:.6g} "
             f"r2={table.fit_r2:.6g}")
-    return EXIT_OK, summary
+    # a zero of 1 + P L right of the contour: the background is unstable and
+    # the tables are not the causal kernel, though they are still written
+    growing = [k for k, table in zip(ks, tables) if table.winding]
+    if not growing:
+        return EXIT_OK, summary
+    summary["kernel.stable"] = "false"
+    print(f"error: 1 + P L winds around 0 along the kernel contour at "
+          f"k = {growing}, so a zero lies right of it: the background is "
+          "unstable and the kernel tables are not the causal resolvent",
+          file=sys.stderr)
+    return EXIT_HYPOTHESIS, summary
 
 
 def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:

@@ -88,6 +88,11 @@ class ResolventTable:
     ``values[j]`` approximates the kernel at ``times[j]``; the fitted model is
     |kernel| = fit_C exp(-fit_lambda1 |k| t) over the window where the
     magnitude exceeds both 1e-12 and ten times the truncation bound.
+    ``winding`` is the winding number of 1 + P L along the sampled contour
+    Re tau = ``contour_re``, closed through its ends (both near 1).  It is 0
+    when no zero of 1 + P L lies right of the contour; otherwise the
+    Bromwich integral misses that zero and ``values`` is not the causal
+    kernel.
     """
 
     k: int
@@ -99,6 +104,7 @@ class ResolventTable:
     truncation_bound: float
     contour_re: float
     quadrature_certificate: float
+    winding: int
 
 
 def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> float:
@@ -266,8 +272,14 @@ def dispersion_on_axis(model: ModelConfig, eq: Equilibrium, k: int,
 
 
 def _winding_number(values: np.ndarray) -> float:
+    """Turns of the closed path through ``values`` around 0.
+
+    Each step's angle is taken from the product of the point with its
+    predecessor's conjugate, which is what ``np.unwrap`` recovers for steps
+    below pi in one pass instead of several."""
     closed = np.concatenate([values, values[:1]])
-    return float(np.sum(np.diff(np.unwrap(np.angle(closed))))) / (2.0 * math.pi)
+    steps = np.angle(closed[1:] * closed[:-1].conj())
+    return float(np.sum(steps)) / (2.0 * math.pi)
 
 
 def absolute_first_moment(eq: Equilibrium) -> float:
@@ -397,7 +409,8 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
     (P L)^2 / (1 + P L) decays quartically in Im tau, so truncating at
     omega_max leaves the reported bound C4 / (3 pi omega_max^3). The contour
     Re tau = -margin/2 shifts, with a warning, to ``_FALLBACK_RE`` where |1 +
-    P L| falls below ``_KAPPA_FLOOR``; failing there too raises.
+    P L| falls below ``_KAPPA_FLOOR``; failing there too raises.  The table
+    carries the winding of 1 + P L along the contour it used.
     """
     if k == 0:
         raise ConfigError("k must be nonzero")
@@ -421,6 +434,7 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
         warnings.warn("resolvent nearly singular on the default contour; "
                       "shifting right of the axis")
 
+    winding = int(round(_winding_number(denom)))
     remainder = pl * pl / denom
     c4 = float(np.max(np.abs(remainder) * (1.0 + k * k + omega**2) ** 2))
     trunc = c4 / (3.0 * math.pi * omega_max**3) * math.exp(max(a, 0.0) * times[-1])
@@ -456,4 +470,5 @@ def inverse_laplace_Khat(model: ModelConfig, eq: Equilibrium, k: int,
     return ResolventTable(
         k=k, times=times, values=values,
         fit_C=math.exp(intercept), fit_lambda1=-slope / abs(k), fit_r2=r2,
-        truncation_bound=trunc, contour_re=a, quadrature_certificate=cert)
+        truncation_bound=trunc, contour_re=a, quadrature_certificate=cert,
+        winding=winding)

@@ -18,7 +18,6 @@ import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import BlowUpError, ConfigError
 from .field import h_of_field, poisson_fixed_point
@@ -281,14 +280,21 @@ def gaussian_datum(modes, width: float = 1.0) -> AsymptoticDatum:
 
 @functools.lru_cache(maxsize=16)
 def _not_a_knot_factors(n: int) -> tuple:
-    """LU factors of the not-a-knot slope system on n uniform nodes.
+    """LAPACK's ``dgttrs`` and the LU factors of the not-a-knot slope system
+    on n uniform nodes, as ``(dgttrs, *factors)``.
 
     With the spacing h divided out, this is the tridiagonal system scipy's
     ``CubicSpline`` solves for the node slopes s:
     s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside, with secants
     m[i] = (y[i+1] - y[i]) / h, and the not-a-knot ends
     s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 and its mirror.
+
+    scipy's LAPACK wrappers are imported here, at the first spline build,
+    and not with the package: commands that never build a spline (``penrose``,
+    ``kernel``) start on numpy alone.
     """
+    from scipy.linalg import lapack
+
     sub = np.ones(n - 1)
     diag = np.full(n, 4.0)
     sup = np.ones(n - 1)
@@ -297,7 +303,7 @@ def _not_a_knot_factors(n: int) -> tuple:
     *factors, _ = lapack.dgttrf(sub, diag, sup)
     for f in factors:
         f.setflags(write=False)  # shared by every interpolant on n nodes
-    return tuple(factors)
+    return (lapack.dgttrs, *factors)
 
 
 class StateInterpolant:
@@ -306,8 +312,9 @@ class StateInterpolant:
     The interpolant is the one scipy's ``CubicSpline`` builds on the same
     nodes and matches it to roundoff; inner nodes come back bit-exact.  The
     slope system is factored once per grid size, so a build is one real
-    banded back-substitution over the real and imaginary parts of every
-    mode, plus the piecewise-cubic coefficients.
+    banded back-substitution (LAPACK ``dgttrs``, bound at the first build of
+    the process) over the real and imaginary parts of every mode, plus the
+    piecewise-cubic coefficients.
 
     Queries beyond the grid edge return 0, justified by the decay of stored
     profiles toward the boundary; the counter records how often that bound
@@ -340,7 +347,8 @@ class StateInterpolant:
         rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
         rhs[0] = 2.5 * secant[0] + 0.5 * secant[1]
         rhs[-1] = 0.5 * secant[-2] + 2.5 * secant[-1]
-        s, _ = lapack.dgttrs(*_not_a_knot_factors(n), rhs, overwrite_b=True)
+        dgttrs, *factors = _not_a_knot_factors(n)
+        s, _ = dgttrs(*factors, rhs, overwrite_b=True)
         t = (s[:-1] + s[1:] - 2.0 * secant) / h
         # coefficients of (eta - eta_i)^(3, 2, 1, 0) on interval i, viewed
         # back as complex with shape (power, interval, mode)

@@ -430,9 +430,62 @@ class TestCommands:
                             for k in (1, 2)])
         assert outputs[0] == outputs[1]
 
+    def test_kernel_refuses_an_unstable_background(self, tmp_path, capsys):
+        # 1 + P L winds once around 0 along the k = 1 contour
+        code, out = self.run("kernel", tmp_path,
+                             TWO_STREAM_V1 + "kernel.kmax = 2\n")
+        assert code == EXIT_HYPOTHESIS
+        for k in (1, 2):
+            rows = (out / f"kernel_k{k}.csv").read_text().splitlines()
+            assert rows[0] == "t,re_K,im_K,abs_K"
+            assert len(rows) == 18  # header + 17 time points
+        manifest = (out / "manifest.txt").read_text()
+        assert "# kernel.k1.lambda1 = " in manifest
+        assert "# kernel.stable = false" in manifest
+        assert "at k = [1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v0", ["0.5", "2.0"])
+    def test_kernel_on_a_stable_two_stream(self, tmp_path, v0):
+        code, out = self.run("kernel", tmp_path,
+                             "equilibrium.kind = two_stream\n"
+                             f"equilibrium.v0 = {v0}\nkernel.kmax = 2\n")
+        assert code == EXIT_OK
+        assert (out / "kernel_k2.csv").exists()
+        assert "kernel.stable" not in (out / "manifest.txt").read_text()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError, match="unknown command"):
             run_command("simulate", config_from_mapping({}))
+
+
+class TestScipyVersionLine:
+    def test_reads_the_installed_version(self):
+        import scipy
+
+        cli._scipy_version.cache_clear()
+        assert cli._scipy_version() == scipy.__version__
+
+    def test_looked_up_once_per_process(self, tmp_path, monkeypatch):
+        import importlib.metadata
+
+        lookups = []
+        real = importlib.metadata.version
+
+        def counted(name):
+            lookups.append(name)
+            return real(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counted)
+        cli._scipy_version.cache_clear()
+        path = write_config(tmp_path, SMALL_RUN + "kernel.kmax = 1\n"
+                            "penrose.samples = 1201\npenrose.omega_max = 8.0\n")
+        for command in ("penrose", "kernel"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) \
+                == EXIT_OK
+            manifest = (out / "manifest.txt").read_text()
+            assert f"# scipy.version = {real('scipy')}\n" in manifest
+        assert lookups == ["scipy"]
 
 
 class TestMainEntry:

@@ -358,6 +358,20 @@ def test_khat_zero_profile_gives_zero_kernel():
         inverse_laplace_Khat(VP, silent, 1, tg)
 
 
+@pytest.mark.parametrize("eq, k1_winding",
+                         [(MAXW, 0), (two_stream(0.5), 0), (two_stream(1.0), -1),
+                          (two_stream(2.0), 0)], ids=lambda p: getattr(p, "label", p))
+def test_khat_winding_counts_zeros_right_of_the_contour(eq, k1_winding):
+    # the contour runs upward, the penrose axis path downward: a zero right
+    # of both shows with opposite signs (vp two-stream v0 = 1.0 has one at
+    # k = 1; the Maxwellian's Landau roots lie left of Re tau = -margin/2)
+    tg = np.arange(0.0, 4.0 + 1e-9, 0.25)
+    scan = penrose_scan(VP, eq, 2, omega_max=6.0, n_samples=1201)
+    for k, want in ((1, k1_winding), (2, 0)):
+        tab = inverse_laplace_Khat(VP, eq, k, tg, omega_max=60.0)
+        assert tab.winding == want == -scan.windings[k]
+
+
 def test_khat_contour_fallback_and_explicit_failure(monkeypatch):
     tg = np.arange(0.0, 12.0 + 1e-9, 0.1)
     # floor between the minima on the two candidate contours (0.698 / 0.755)

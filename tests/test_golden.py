@@ -17,11 +17,13 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from test_cli import DAMP_RUN, SMALL_RUN
+from test_cli import DAMP_RUN, SMALL_RUN, TWO_STREAM_V1
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-12
@@ -41,6 +43,8 @@ CASES = {
                            "penrose.samples = 1201\npenrose.omega_max = 6.0\n"),
     "kernel": ("kernel", SMALL_RUN
                + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
+    "kernel_two_stream": ("kernel", SMALL_RUN + TWO_STREAM_V1
+                          + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
     "damp": ("damp", DAMP_RUN),
     "damp_vpme": ("damp", DAMP_RUN + VPME + OPEN_GATE),
     "scatter": ("scatter", SMALL_RUN),
@@ -132,6 +136,37 @@ def test_artifacts_match_goldens(tmp_path, threads):
                               rows(GOLDEN / name / file),
                               per_cell=file == "manifest.txt")
     assert not bad, "\n".join(bad[:40])
+
+
+# runs the given cases with cli.main, then prints their exit codes and the
+# scipy modules the process loaded
+FRESH_RUN = """
+import json, sys
+from pathlib import Path
+from vpscatter import cli
+codes = {}
+for name, (command, text) in json.loads(sys.argv[1]).items():
+    Path(name + ".cfg").write_text(text, encoding="utf-8")
+    codes[name] = cli.main([command, "--config", name + ".cfg", "--out", name])
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def test_penrose_and_kernel_load_no_scipy(tmp_path):
+    # the dispersion commands build no spline, so scipy never loads: not at
+    # import, not for the manifest's version line, not on an unstable kernel
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    cases = {name: CASES[name]
+             for name in ("penrose", "kernel", "kernel_two_stream")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert got == {name: codes[name] for name in cases}
+    assert loaded == []
 
 
 def record() -> None:

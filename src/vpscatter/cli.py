@@ -279,8 +279,11 @@ def parse_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    try:
+        content = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -582,7 +585,7 @@ def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     grids = cfg.grids()
     slice0 = cfg.datum().sample(grids.phase, 0.0)
     q_hat = density_trace(slice0)
-    snapshot = poisson_fixed_point(model, grids.phase.k_values, q_hat, w, 0.0)
+    snapshot = poisson_fixed_point(model, q_hat, w, 0.0)
     rows = [[str(int(k)), _fmt(snapshot.u_hat[j].real),
              _fmt(snapshot.u_hat[j].imag), _fmt(abs(snapshot.e_hat[j]))]
             for j, k in enumerate(grids.phase.k_values)]
@@ -613,17 +616,17 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
 
     def check_volterra() -> None:
         times = np.linspace(0.0, 2.0, 9)
-        source = SourceHistory(times=times, k_values=np.array([1]),
-                               values=np.zeros((9, 1), dtype=complex))
+        source = SourceHistory(times=times,
+                               values=np.zeros((9, 3), dtype=complex))
         direct = solve_direct_backward(model, eq, source)
-        table = build_discrete_resolvent(model, eq, 1, 0.25, 8)
-        rebuilt = solve_resolvent(model, eq, source, {1: table})
+        tables = {k: build_discrete_resolvent(model, eq, k, 0.25, 8)
+                  for k in (-1, 1)}
+        rebuilt = solve_resolvent(model, eq, source, tables)
         assert np.all(direct.values == 0) and np.all(rebuilt.values == 0)
 
     def check_field_linearity() -> None:
-        k = np.array([-1, 0, 1])
         q = np.array([0.5e-3j, 0.0, -0.5e-3j])
-        snap = poisson_fixed_point(model, k, q, w, 0.0)
+        snap = poisson_fixed_point(model, q, w, 0.0)
         assert snap.iters == 1 and snap.residual == 0.0
         assert np.array_equal(snap.rho_hat, q)
 
@@ -644,10 +647,10 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
         grids = RunGrids(PhaseGrid(1, 8.0, 0.5), TimeGrid(2.0, 0.25))
         datum = gaussian_datum({1: 0.0})
         zeros = free_extension(datum, grids)
-        times, k = grids.time.times, grids.phase.k_values
-        empty = np.zeros((times.size, k.size), dtype=complex)
-        result = apply_map_F(zeros, DensityHistory(times, k, empty),
-                             SpectralHistory(times, k, empty), datum, model,
+        times = grids.time.times
+        empty = np.zeros((times.size, grids.phase.n_modes), dtype=complex)
+        result = apply_map_F(zeros, DensityHistory(times, empty),
+                             SpectralHistory(times, empty), datum, model,
                              eq, w, grids)
         assert all(np.all(st.values == 0) for st in result.states)
         run = fixed_point_drive(datum, model, eq, w, grids, tol=1e-9,
@@ -701,7 +704,11 @@ def run_command(command: str, cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {command!r}; choose from "
                           + ", ".join(COMMANDS))
     out_dir = Path(cfg["out.dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror}") from None
 
     def log(message: str) -> None:
         if cfg["verbose"]:

@@ -7,10 +7,11 @@ evaluates the series by repeated truncated coefficient products,
 :func:`potential_from_density` is the screened Poisson division every layer
 uses, and :func:`electric_from_density` adds the electric field.
 
-The truncated products need slot j to hold mode j - K of the lattice -K..K,
-so :func:`h_of_field` and :func:`poisson_fixed_point` refuse other labels on
-entry; the other helpers check array shapes only.  How the balance is solved
-is set by the model; :class:`FieldSnapshot` is a plain record of the result.
+Slot position is the mode label: a slice of odd width 2K + 1 (or the last
+axis of an array of slices) holds the modes -K..K in increasing order, so
+slot j is mode j - K.  Every function here refuses a slice of even width.
+How the balance is solved is set by the model; :class:`FieldSnapshot` is a
+plain record of the result.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import ModelConfig
 __all__ = [
     "FieldSnapshot",
     "HSeriesSlice",
-    "spectral_convolve",
     "weighted_density_norm",
     "h_of_field",
     "potential_from_density",
@@ -40,28 +40,35 @@ MEAN_MODE_TOL = 1e-10
 RADIUS_MARGIN = 0.9
 
 
-def _ordered_lattice(k_values) -> np.ndarray:
-    """The labels as an int array, refused unless they are -K..K in order."""
-    k = np.asarray(k_values)
-    ordered = np.arange(-(k.size // 2), k.size // 2 + 1)
-    if k.shape != ordered.shape or not np.array_equal(k, ordered):
-        raise ConfigError("mode labels must be the integers -K..K in "
-                          "increasing order")
-    return ordered
+def _modes(values: np.ndarray) -> np.ndarray:
+    """The labels -K..K of the last axis of ``values``; its width must be odd."""
+    width = values.shape[-1] if values.ndim else 0
+    if width % 2 == 0:
+        raise ConfigError(f"the mode axis must have odd width 2K + 1 (modes "
+                          f"-K..K), got shape {values.shape}")
+    return np.arange(width) - width // 2
+
+
+def _mode_slice(values) -> np.ndarray:
+    """``values`` as a complex 1-d slice on -K..K, refused otherwise."""
+    out = np.asarray(values, dtype=complex)
+    if out.ndim != 1:
+        raise ConfigError(f"a mode slice must be 1-d, got shape {out.shape}")
+    _modes(out)
+    return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FieldSnapshot:
     """Potential, electric field, and density of one time slice.
 
-    ``u_hat[j]`` is the potential coefficient of mode ``k_values[j]``;
-    ``e_hat`` is its spectral gradient with flipped sign.  ``residual`` is
-    the weighted fixed-point defect at exit and ``iters`` the number of map
-    applications (both zero for :func:`electric_from_density`).  ``ratios``
-    holds the successive contraction quotients observed by the solver.
+    ``u_hat[j]`` is the potential coefficient of mode j - K; ``e_hat`` is
+    its spectral gradient with flipped sign.  ``residual`` is the weighted
+    fixed-point defect at exit and ``iters`` the number of map applications
+    (both zero for :func:`electric_from_density`).  ``ratios`` holds the
+    successive contraction quotients observed by the solver.
     """
 
-    k_values: np.ndarray
     u_hat: np.ndarray
     e_hat: np.ndarray
     rho_hat: np.ndarray
@@ -78,38 +85,24 @@ class HSeriesSlice:
     tail_bound: float
 
 
-def spectral_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient convolution of two slices on the same symmetric lattice.
-
-    The product's support is twice as wide; modes outside the input lattice
-    are dropped.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1 or a.size % 2 == 0:
-        raise ConfigError("convolution needs two equal odd-length mode slices")
-    half = a.size // 2
-    return np.convolve(a, b)[half:half + a.size]
-
-
-def _density_weights(w: GevreyWeight, t: float, k_values) -> np.ndarray:
-    """Time-t Gevrey weight of every mode along the density line eta = k t."""
-    k = np.asarray(k_values, dtype=float)
+def _density_weights(w: GevreyWeight, t: float, values) -> np.ndarray:
+    """Time-t Gevrey weight of every mode of a slice along eta = k t."""
+    k = _modes(values).astype(float)
     return np.exp(log_weight_A(w, t, k, k * t))
 
 
-def weighted_density_norm(w: GevreyWeight, t: float, k_values, values, *,
+def weighted_density_norm(w: GevreyWeight, t: float, values, *,
                           weights=None) -> float:
     """Amplitude of one density slice under the time-t Gevrey weight.
 
-    ``weights`` is the weight row of ``w`` at ``t`` on ``k_values``; a caller
-    measuring several slices at one time passes it to compute it once.
+    ``weights`` is the weight row of ``w`` at ``t``; a caller measuring
+    several slices at one time passes it to compute it once.
     """
+    vals = _mode_slice(values)
     if weights is None:
-        weights = _density_weights(w, t, k_values)
-    vals = np.asarray(values, dtype=complex)
+        weights = _density_weights(w, t, vals)
     if vals.shape != weights.shape:
-        raise ConfigError("values must match the mode lattice shape")
+        raise ConfigError("values must match the weight row shape")
     total = float(np.sqrt(np.sum((weights * np.abs(vals)) ** 2)))
     if not math.isfinite(total):
         raise WeightOverflowError(
@@ -117,20 +110,16 @@ def weighted_density_norm(w: GevreyWeight, t: float, k_values, values, *,
     return total
 
 
-def h_of_field(model: ModelConfig, k_values, u_hat) -> HSeriesSlice:
+def h_of_field(model: ModelConfig, u_hat) -> HSeriesSlice:
     """Evaluate the coupling series of a potential slice mode by mode.
 
-    ``k_values`` must be the lattice -K..K.  Powers of the slice are built
-    by the truncated product of :func:`spectral_convolve`, so every term
-    lives on the truncated lattice.
+    Powers of the slice are built by the truncated coefficient product on
+    -K..K, so every term lives on the slice's own lattice.
     The series is the model's own (``model.h_coeffs``); the reported tail is
     the model's series remainder at the slice's l1 amplitude (a sup-norm
     bound).
     """
-    k = _ordered_lattice(k_values)
-    u = np.asarray(u_hat, dtype=complex)
-    if u.shape != k.shape:
-        raise ConfigError("u_hat must match the mode lattice shape")
+    u = _mode_slice(u_hat)
     out = np.zeros_like(u)
     if not model.has_h:
         return HSeriesSlice(values=out, tail_bound=0.0)
@@ -149,15 +138,15 @@ def h_of_field(model: ModelConfig, k_values, u_hat) -> HSeriesSlice:
                         tail_bound=float(model.h_tail_bound(amplitude)))
 
 
-def potential_from_density(model: ModelConfig, k_values, rho_hat) -> np.ndarray:
+def potential_from_density(model: ModelConfig, rho_hat) -> np.ndarray:
     """Screened Poisson potential rho / (beta + k^2) with a silent mean.
 
-    The last axis of ``rho_hat`` runs over ``k_values``; leading axes (a time
-    axis) broadcast.  The potential is fixed up to a constant and the mean
-    gauge is zero, so with beta = 0 a nonzero mean density is refused.
+    The last axis of ``rho_hat`` runs over -K..K; leading axes (a time axis)
+    broadcast.  The potential is fixed up to a constant and the mean gauge
+    is zero, so with beta = 0 a nonzero mean density is refused.
     """
-    k = np.asarray(k_values)
     rho = np.asarray(rho_hat, dtype=complex)
+    k = _modes(rho)
     mean = k == 0
     if model.beta == 0.0 and np.max(np.abs(rho[..., mean]),
                                     initial=0.0) > MEAN_MODE_TOL:
@@ -167,23 +156,19 @@ def potential_from_density(model: ModelConfig, k_values, rho_hat) -> np.ndarray:
     return np.where(mean, 0.0j, rho / denom)
 
 
-def electric_from_density(model: ModelConfig, k_values,
-                          rho_hat) -> FieldSnapshot:
+def electric_from_density(model: ModelConfig, rho_hat) -> FieldSnapshot:
     """Potential and electric field of a density slice.
 
     The potential is :func:`potential_from_density`; the field is the
     spectral derivative with flipped sign.
     """
-    k = np.asarray(k_values)
-    rho = np.asarray(rho_hat, dtype=complex)
-    if rho.shape != k.shape:
-        raise ConfigError("rho_hat must match the mode lattice shape")
-    u_hat = potential_from_density(model, k, rho)
-    return FieldSnapshot(k_values=k, u_hat=u_hat, e_hat=-1j * k * u_hat,
+    rho = _mode_slice(rho_hat)
+    u_hat = potential_from_density(model, rho)
+    return FieldSnapshot(u_hat=u_hat, e_hat=-1j * _modes(rho) * u_hat,
                          rho_hat=rho)
 
 
-def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
+def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
                         t: float) -> FieldSnapshot:
     """Resolve density = slice - series(potential) on the lattice -K..K.
 
@@ -196,15 +181,11 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
     it, or exhausting ``model.picard_max_iters``, aborts rather than
     returning a value outside the contraction regime.
     """
-    k_int = _ordered_lattice(k_values)
-    q = np.asarray(q_hat, dtype=complex)
-    if q.shape != k_int.shape:
-        raise ConfigError("q_hat must match the mode lattice shape")
+    q = _mode_slice(q_hat)
     if not model.has_h:
-        return dataclasses.replace(electric_from_density(model, k_int, q),
-                                   iters=1)
-    weights = _density_weights(w, t, k_int)
-    eps = weighted_density_norm(w, t, k_int, q, weights=weights)
+        return dataclasses.replace(electric_from_density(model, q), iters=1)
+    weights = _density_weights(w, t, q)
+    eps = weighted_density_norm(w, t, q, weights=weights)
     if eps > model.eps_ball:
         raise NoContractionError(
             f"weighted slice amplitude {eps:.3e} exceeds the smallness gate "
@@ -214,21 +195,20 @@ def poisson_fixed_point(model: ModelConfig, k_values, q_hat, w: GevreyWeight,
     ratios: list[float] = []
     prev_dist = None
     for itn in range(1, model.picard_max_iters + 1):
-        u_hat = potential_from_density(model, k_int, rho)
-        series = h_of_field(model, k_int, u_hat)
+        u_hat = potential_from_density(model, rho)
+        series = h_of_field(model, u_hat)
         nxt = q - series.values
-        dist = weighted_density_norm(w, t, k_int, nxt - rho, weights=weights)
+        dist = weighted_density_norm(w, t, nxt - rho, weights=weights)
         if prev_dist is not None and prev_dist > 0.0:
             ratios.append(dist / prev_dist)
         prev_dist = dist
         rho = nxt
-        if weighted_density_norm(w, t, k_int, rho,
-                                 weights=weights) > ball and eps > 0.0:
+        if weighted_density_norm(w, t, rho, weights=weights) > ball and eps > 0.0:
             raise NoContractionError(
                 f"iterate left the contraction ball of radius {ball:.3e} "
                 f"after {itn} steps")
         if dist <= model.picard_tol:
-            return dataclasses.replace(electric_from_density(model, k_int, rho),
+            return dataclasses.replace(electric_from_density(model, rho),
                                        residual=dist, iters=itn,
                                        ratios=tuple(ratios))
     raise NoContractionError(

@@ -441,7 +441,7 @@ def _check_history_alignment(times: np.ndarray, grid: PhaseGrid,
     if history.values.shape[0] != times.size or np.max(
             np.abs(history.times - times)) > GRID_TOL:
         raise ConfigError(f"{name} history is not on the state time grid")
-    if not np.array_equal(history.k_values, grid.k_values):
+    if history.n_modes != grid.n_modes:
         raise ConfigError(f"{name} history is not on the state mode lattice")
 
 
@@ -471,7 +471,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     out = np.zeros((n_t, k.size), dtype=complex)
     for i in range(n_t):
         out[i] = ginf.trace(k, times[i])
-        out[i] -= h_of_field(model, k, u_hats.values[i]).values
+        out[i] -= h_of_field(model, u_hats.values[i]).values
     ells = k[k != 0]
     weights = k.astype(float) * ells[:, None] / (model.beta + ells[:, None] ** 2.0)
     rho = density.values[:, ells + grid.k_max]
@@ -489,7 +489,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
         gaps = (times[j] - times[:j])[:, None]
         for rho_j, weight, g in zip(rho[j, active], weights[active], g_shift):
             conv[:j] += (edge * delta_s * rho_j) * gaps * weight[None, :] * g
-    return SourceHistory(times=times, k_values=k, values=out - conv)
+    return SourceHistory(times=times, values=out - conv)
 
 
 def transport_rhs(state: SpectralState, u_linear: np.ndarray,
@@ -551,7 +551,7 @@ class HistoryFieldProvider:
 
     def __init__(self, u_linear: SpectralHistory, u_nonlinear: SpectralHistory):
         if not np.array_equal(u_linear.times, u_nonlinear.times) or \
-                not np.array_equal(u_linear.k_values, u_nonlinear.k_values):
+                u_linear.n_modes != u_nonlinear.n_modes:
             raise ConfigError("field histories must share one grid")
         self.u_linear = u_linear
         self.u_nonlinear = u_nonlinear
@@ -594,8 +594,7 @@ class SelfConsistentFieldProvider:
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
         q = density_trace(state, self.counter)
-        u_hat = poisson_fixed_point(self.model, state.grid.k_values, q,
-                                    self.w, state.time).u_hat
+        u_hat = poisson_fixed_point(self.model, q, self.w, state.time).u_hat
         return u_hat, u_hat
 
 

@@ -65,9 +65,6 @@ class RunGrids:
     phase: PhaseGrid
     time: TimeGrid
 
-    def validate_for(self, datum: AsymptoticDatum) -> None:
-        self.phase.validate_horizon(self.time.t_final, datum.width)
-
 
 @dataclasses.dataclass(frozen=True)
 class MapResult:
@@ -176,15 +173,15 @@ def _slice_fields(model: ModelConfig, grids: RunGrids,
                   counter: Optional[TruncationCounter],
                   ) -> tuple[DensityHistory, SpectralHistory]:
     """Density and potential histories of an iterate via the elliptic balance."""
-    times, k = grids.time.times, grids.phase.k_values
-    rho = np.zeros((len(states), k.size), dtype=complex)
+    times = grids.time.times
+    rho = np.zeros((len(states), grids.phase.n_modes), dtype=complex)
     u = np.zeros_like(rho)
     for i, state in enumerate(states):
         q = density_trace(state, counter)
-        snap = poisson_fixed_point(model, k, q, w, state.time)
+        snap = poisson_fixed_point(model, q, w, state.time)
         rho[i] = snap.rho_hat
         u[i] = snap.u_hat
-    return DensityHistory(times, k, rho), SpectralHistory(times, k, u)
+    return DensityHistory(times, rho), SpectralHistory(times, u)
 
 
 def apply_map_F(phi_states: Sequence[SpectralState],
@@ -223,9 +220,8 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     density = solve_resolvent(model, eq, source, tables)
     # the new potential responds linearly; the series correction lives in the
     # source term of the next pass
-    k = grid.k_values
-    u_psi_hist = SpectralHistory(tg.times, k,
-                                 potential_from_density(model, k, density.values))
+    u_psi_hist = SpectralHistory(tg.times,
+                                 potential_from_density(model, density.values))
     # the old potential shears the state
     provider = HistoryFieldProvider(u_psi_hist, phi_potential)
     terminal = ginf.sample(grid, tg.t_final)
@@ -259,7 +255,7 @@ def iterate_distance(states_a: Sequence[SpectralState],
     for sa, sb in zip(states_a, states_b):
         diff = SpectralState(sa.time, grid, sa.values - sb.values)
         n1 = max(n1, n1_at_time(diff, w))
-    diff_density = DensityHistory(density_a.times, density_a.k_values,
+    diff_density = DensityHistory(density_a.times,
                                   density_a.values - density_b.values)
     return n1 + norm_N2(diff_density, w)
 
@@ -305,7 +301,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     over the middle half of the horizon.  At most one iterate keeps its
     splines at a time; the returned run keeps none.
     """
-    grids.validate_for(ginf)
+    grids.phase.validate_horizon(grids.time.t_final, ginf.width)
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
     if counter is None:
@@ -481,7 +477,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
             f"before t_final = {grids.time.t_final:g}")
     idx = grids.phase.index_of(int(mode))
     datum = gaussian_datum({int(mode): amplitude})
-    grids.validate_for(datum)
+    grids.phase.validate_horizon(grids.time.t_final, datum.width)
     provider = SelfConsistentFieldProvider(model, w, counter=counter)
     at_time: dict[float, np.ndarray] = {}
 
@@ -498,9 +494,8 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     times = grids.time.times
     # the final state starts no step, so its field is solved here
     potentials = SpectralHistory(
-        times, grids.phase.k_values,
-        np.array([at_time[state.time] for state in result.states[:-1]]
-                 + [provider(result.states[-1])[0]]))
+        times, np.array([at_time[state.time] for state in result.states[:-1]]
+                        + [provider(result.states[-1])[0]]))
     _release(result.states)
     field_abs = np.abs(int(mode) * potentials.values[:, idx])
     window = (times >= lo) & (times <= hi)

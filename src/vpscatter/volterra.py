@@ -49,28 +49,17 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
-def _validate_lattice(k_values) -> np.ndarray:
-    """Integer, distinct mode labels as an int array."""
-    k_raw = np.asarray(k_values)
-    k_int = np.asarray(np.rint(k_raw), dtype=int)
-    if k_raw.ndim != 1 or np.max(np.abs(k_raw - k_int), initial=0.0) > 0:
-        raise ConfigError("mode labels must be a 1-d integer array")
-    if np.unique(k_int).size != k_int.size:
-        raise ConfigError("mode labels must be distinct")
-    return k_int
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralHistory:
     """Mode-resolved complex samples on a uniform time grid.
 
-    ``values[i, j]`` is the coefficient of mode ``k_values[j]`` at
-    ``times[i]``.  The grid must be strictly increasing and uniform; the
-    stored arrays are write-protected copies.
+    ``values[i, j]`` is the coefficient of mode j - K at ``times[i]``: the
+    last axis has odd width 2K + 1 and holds the modes -K..K in increasing
+    order.  The grid must be strictly increasing and uniform; the stored
+    arrays are write-protected copies.
     """
 
     times: np.ndarray
-    k_values: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -82,16 +71,15 @@ class SpectralHistory:
             raise ConfigError("time grid must increase strictly")
         if steps.max() - steps.min() > 1e-9 * steps.mean():
             raise ConfigError("time grid must be uniform")
-        k_values = _validate_lattice(self.k_values)
         values = np.asarray(self.values)
-        if values.shape != (times.size, k_values.size):
+        if values.ndim != 2 or values.shape[0] != times.size \
+                or values.shape[1] % 2 == 0:
             raise ConfigError(
-                f"values must have shape {(times.size, k_values.size)}, "
+                f"values must have shape ({times.size}, 2K + 1), "
                 f"got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ConfigError("history values must be finite")
         object.__setattr__(self, "times", _frozen(times, float))
-        object.__setattr__(self, "k_values", _frozen(k_values, int))
         object.__setattr__(self, "values", _frozen(values, complex))
 
     @property
@@ -104,26 +92,25 @@ class SpectralHistory:
 
     @property
     def n_modes(self) -> int:
-        return int(self.k_values.size)
+        return int(self.values.shape[1])
+
+    @property
+    def k_values(self) -> np.ndarray:
+        """The mode labels -K..K of the slots, derived from the width."""
+        return _frozen(np.arange(self.n_modes) - self.n_modes // 2, int)
 
     def index_of(self, k: int) -> int:
-        hits = np.nonzero(self.k_values == k)[0]
-        if hits.size == 0:
+        half = self.n_modes // 2
+        if abs(k) > half:
             raise ConfigError(f"mode k={k} is not on the lattice")
-        return int(hits[0])
+        return int(k) + half
 
     def mode(self, k: int) -> np.ndarray:
         return self.values[:, self.index_of(k)]
 
     def reality_defect(self) -> float:
         """Largest deviation from value(-k) = conj(value(k)) over the grid."""
-        worst = 0.0
-        for j, k in enumerate(self.k_values):
-            if k < 0 or -k not in self.k_values:
-                continue
-            gap = self.values[:, self.index_of(-int(k))] - np.conj(self.values[:, j])
-            worst = max(worst, float(np.max(np.abs(gap))))
-        return worst
+        return float(np.max(np.abs(self.values[:, ::-1] - np.conj(self.values))))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -282,7 +269,7 @@ def solve_direct_backward(model: ModelConfig, eq: Equilibrium,
             tail = np.sum(entries[1:n - i] * out[i + 1:])
             out[i] = (rhs[i] - tail) / diag
         values[:, j] = out
-    result = DensityHistory(source.times, source.k_values, values,
+    result = DensityHistory(source.times, values,
                             tail_estimate=horizon_tail_estimate(model, eq, source))
     _check_reality(source, result)
     return result
@@ -343,7 +330,7 @@ def solve_resolvent(model: ModelConfig, eq: Equilibrium, source: SourceHistory,
         for i in range(n - 1):
             out[i] = rhs[i] / diag + dt * np.sum(kernel[1:n - i] * rhs[i + 1:])
         out[n - 1] = rhs[n - 1] / diag
-    result = DensityHistory(source.times, source.k_values, values,
+    result = DensityHistory(source.times, values,
                             tail_estimate=horizon_tail_estimate(model, eq, source))
     _check_reality(source, result)
     return result
@@ -359,11 +346,8 @@ def horizon_tail_estimate(model: ModelConfig, eq: Equilibrium,
     working envelope; the worst mode is reported.
     """
     moment = absolute_first_moment(eq)
-    last = source.values[-1, :]
-    worst = 0.0
-    for j, k in enumerate(source.k_values):
-        if k == 0:
-            continue
-        bound = 2.0 * abs(last[j]) * model.poisson_prefactor(int(k)) * moment / k**2
-        worst = max(worst, float(bound))
-    return worst
+    k = source.k_values
+    on = k != 0
+    bounds = (2.0 * np.abs(source.values[-1, on])
+              * model.poisson_prefactor(k[on]) * moment / k[on]**2)
+    return float(np.max(bounds, initial=0.0))

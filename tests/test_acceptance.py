@@ -106,7 +106,7 @@ def test_criterion_04_volterra_route_equivalence():
     ks = np.arange(-8, 9)
     weights = np.where(ks == 0, 0.0, 1.0 / (1.0 + ks.astype(float) ** 2))
     vals = np.exp(-0.5 * times ** 2)[:, None] * weights[None, :]
-    source = SourceHistory(times, ks, vals.astype(complex))
+    source = SourceHistory(times, vals.astype(complex))
     direct = solve_direct_backward(VP, MAXWELL, source)
     tables = {int(k): build_discrete_resolvent(VP, MAXWELL, int(k),
                                                source.delta_t, 256)
@@ -144,11 +144,11 @@ def test_criterion_06_nonlinear_field_recovery():
     u[3] = u[5] = 5e-3  # cosine of physical amplitude 1e-2
     rho = (vpme.beta + k.astype(float) ** 2) * u
     rho[4] = 0.0
-    q = rho + h_of_field(vpme, k, u).values
-    snap = poisson_fixed_point(vpme, k, q, w, 0.0)
+    q = rho + h_of_field(vpme, u).values
+    snap = poisson_fixed_point(vpme, q, w, 0.0)
     err = float(np.linalg.norm(snap.rho_hat - rho) / np.linalg.norm(rho))
     q_lin = k.astype(float) ** 2 * u
-    lin = poisson_fixed_point(VP, k, q_lin, w, 0.0)
+    lin = poisson_fixed_point(VP, q_lin, w, 0.0)
     exact = float(np.max(np.abs(lin.u_hat - np.where(k == 0, 0.0, u))))
     report(6, err <= 1e-8 and snap.iters <= 50 and exact == 0.0,
            f"manufactured density recovered to {err:.3e} in {snap.iters} "

@@ -361,7 +361,7 @@ class TestCommands:
         grids = cfg.grids()
         k = grids.phase.k_values
         q_hat = density_trace(cfg.datum().sample(grids.phase, 0.0))
-        snap = poisson_fixed_point(make_preset("vpme", eps_ball=2.0), k, q_hat,
+        snap = poisson_fixed_point(make_preset("vpme", eps_ball=2.0), q_hat,
                                    cfg.weight(), 0.0)
         rows = [row.split(",") for row in default.splitlines()[1:]]
         assert [int(row[0]) for row in rows] == k.tolist()
@@ -517,6 +517,24 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "poisson.eps_ball must be positive" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\xe9glage\ngrid.kmax = 1\n".encode("latin-1"))
+        code = main(["penrose", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file")
+        assert "Traceback" not in err
+
+    def test_uncreatable_out_dir_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        code = main(["penrose", "--out", str(tmp_path / "afile" / "sub")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert "Traceback" not in err
 
     def test_thread_override_validated(self, capsys):
         assert main(["selftest", "--threads", "0"]) == EXIT_CONFIG

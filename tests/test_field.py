@@ -1,4 +1,4 @@
-"""Spectral convolution, coupling series, and the density fixed point."""
+"""Coupling series, screened potential, and the density fixed point."""
 
 import dataclasses
 import math
@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from vpscatter.errors import ConfigError, DivergenceError, NoContractionError
 from vpscatter.field import (electric_from_density, h_of_field,
                              poisson_fixed_point, potential_from_density,
-                             spectral_convolve, weighted_density_norm)
+                             weighted_density_norm)
 from vpscatter.gevrey import GevreyWeight
 from vpscatter.model import ModelConfig, make_preset
 
@@ -37,11 +37,12 @@ def pair_slice(k_max, k, value):
     return out
 
 
-def manufactured(model, k, u_hat):
+def manufactured(model, u_hat):
     """Density and slice for which u_hat solves the truncated balance."""
+    k = lattice(u_hat.size // 2)
     rho = (model.beta + k.astype(float) ** 2) * u_hat
     rho[k == 0] = 0.0
-    q = rho + h_of_field(model, k, u_hat).values
+    q = rho + h_of_field(model, u_hat).values
     return rho, q
 
 
@@ -49,100 +50,68 @@ COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                   allow_infinity=False)
 
 
-@st.composite
-def slice_pairs(draw):
-    """Two equal odd-length coefficient slices, length 1 to 33."""
-    n = 2 * draw(st.integers(min_value=0, max_value=16)) + 1
-    return (draw(arrays(complex, n, elements=COEFFICIENTS)),
-            draw(arrays(complex, n, elements=COEFFICIENTS)))
-
-
-class TestSpectralConvolve:
+class TestHSeries:
     @settings(deadline=None)
-    @given(slice_pairs())
-    def test_matches_double_sum(self, pair):
-        a, b = pair
-        n, half = a.size, a.size // 2
+    @given(st.integers(min_value=0, max_value=16).flatmap(
+        lambda k_max: arrays(complex, 2 * k_max + 1, elements=COEFFICIENTS)))
+    def test_square_matches_double_sum(self, u):
+        # slot j holds mode j - K; the square keeps the products landing
+        # back on -K..K
+        n, half = u.size, u.size // 2
         direct = np.zeros(n, dtype=complex)
         for i in range(n):
             for j in range(n):
                 m = i + j - half  # output index of the mode sum
                 if 0 <= m < n:
-                    direct[m] += a[i] * b[j]
+                    direct[m] += u[i] * u[j]
         # both sides sum the same products, in possibly different orders
-        scale = float(np.sum(np.abs(a)) * np.sum(np.abs(b)))
-        assert np.max(np.abs(spectral_convolve(a, b) - direct)) \
-            <= 1e-14 * scale
+        scale = float(np.sum(np.abs(u))) ** 2
+        got = h_of_field(SQUARE, u).values
+        assert np.max(np.abs(got - direct), initial=0.0) <= 1e-14 * scale
 
-    def test_symmetry(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=7) + 1j * rng.normal(size=7)
-        b = rng.normal(size=7) + 1j * rng.normal(size=7)
-        defect = np.max(np.abs(spectral_convolve(a, b) - spectral_convolve(b, a)))
-        assert defect <= 1e-12
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(19)
-        a, b, c = (rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3))
-        lhs = spectral_convolve(a, b + c)
-        rhs = spectral_convolve(a, b) + spectral_convolve(a, c)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_rejects_mismatched_slices(self):
-        with pytest.raises(ConfigError, match="odd-length"):
-            spectral_convolve(np.zeros(4), np.zeros(4))
-        with pytest.raises(ConfigError, match="equal"):
-            spectral_convolve(np.zeros(5), np.zeros(7))
-
-
-class TestHSeries:
     def test_square_of_cosine(self):
         # u = cos x has u_hat(+-1) = 1/2, so u^2 = (1 + cos 2x)/2
-        k = lattice(2)
-        out = h_of_field(SQUARE, k, pair_slice(2, 1, 0.5))
+        out = h_of_field(SQUARE, pair_slice(2, 1, 0.5))
         assert np.allclose(out.values, [0.25, 0.0, 0.5, 0.0, 0.25], atol=1e-15)
         assert out.tail_bound == 0.0
 
     def test_zero_potential(self):
-        out = h_of_field(make_preset("vpme"), lattice(3), np.zeros(7, dtype=complex))
+        out = h_of_field(make_preset("vpme"), np.zeros(7, dtype=complex))
         assert np.all(out.values == 0.0)
         assert out.tail_bound == 0.0
 
     def test_no_series_returns_zero(self):
-        out = h_of_field(make_preset("screened"), lattice(2), pair_slice(2, 1, 0.3))
+        out = h_of_field(make_preset("screened"), pair_slice(2, 1, 0.3))
         assert np.all(out.values == 0.0)
         assert out.tail_bound == 0.0
 
     def test_amplitude_halving_is_quadratic(self):
         # leading term is quadratic, so halving the slice quarters the output
-        k = lattice(4)
         rng = np.random.default_rng(7)
         u = (rng.normal(size=9) * 1e-2).astype(complex)
         u = (u + u[::-1]) / 2
-        full = h_of_field(make_preset("vpme"), k, u).values
-        half = h_of_field(make_preset("vpme"), k, u / 2).values
+        full = h_of_field(make_preset("vpme"), u).values
+        half = h_of_field(make_preset("vpme"), u / 2).values
         ratio = np.linalg.norm(full) / np.linalg.norm(half)
         assert 3.9 < ratio < 4.1
 
     def test_series_matches_repeated_convolution_bit_for_bit(self):
         # every power is the same truncated product; no value may move at all
-        k = lattice(2)
         rng = np.random.default_rng(12)
         u = 1e-2 * (rng.normal(size=5) + 1j * rng.normal(size=5))
         model = make_preset("vpme")
         power, want = u.copy(), np.zeros_like(u)
         for coeff in model.h_coeffs[2:]:
-            power = spectral_convolve(power, u)
+            power = np.convolve(power, u)[2:7]
             if coeff != 0.0:
                 want = want + coeff * power
-        assert np.array_equal(h_of_field(model, k, u).values, want)
+        assert np.array_equal(h_of_field(model, u).values, want)
 
     def test_truncation_tail_bounds_dropped_terms(self):
-        k = lattice(4)
         u = pair_slice(4, 1, 0.05)
         amp = float(np.sum(np.abs(u)))
-        full = h_of_field(make_preset("vpme"), k, u)
-        cut = h_of_field(make_preset("vpme", n_h=4), k, u)
+        full = h_of_field(make_preset("vpme"), u)
+        cut = h_of_field(make_preset("vpme", n_h=4), u)
         dropped = sum(amp**n / math.factorial(n) for n in range(5, 13))
         assert cut.tail_bound == pytest.approx(
             amp**5 * math.exp(amp) / math.factorial(5), rel=1e-12)
@@ -155,7 +124,7 @@ class TestHSeries:
         tight = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0), h_radius=1.0,
                             label="tight")
         with pytest.raises(DivergenceError, match="radius"):
-            h_of_field(tight, lattice(2), pair_slice(2, 1, 0.475))
+            h_of_field(tight, pair_slice(2, 1, 0.475))
 
     def test_truncation_must_keep_quadratic(self):
         with pytest.raises(ConfigError, match="quadratic"):
@@ -169,35 +138,33 @@ class TestPotentialFromDensity:
         rho[:, 3] = 0.0
         for name in ("vp", "screened"):
             model = make_preset(name)
-            both = potential_from_density(model, lattice(3), rho)
+            both = potential_from_density(model, rho)
             for row, u in zip(rho, both):
-                assert np.array_equal(
-                    u, electric_from_density(model, lattice(3), row).u_hat)
+                assert np.array_equal(u, electric_from_density(model, row).u_hat)
 
     def test_divides_by_screened_symbol(self):
         rho = np.array([0.5, 0.25, 2.0, 0.25j, 1.0])
-        u = potential_from_density(make_preset("screened"), lattice(2), rho)
+        u = potential_from_density(make_preset("screened"), rho)
         assert np.array_equal(u, [0.1, 0.125, 0.0, 0.125j, 0.2])
 
     def test_unscreened_mean_refused_at_any_time(self):
         rho = np.zeros((4, 5), dtype=complex)
         rho[2, 2] = 1e-6
         with pytest.raises(ConfigError, match="ill-posed"):
-            potential_from_density(make_preset("vp"), lattice(2), rho)
+            potential_from_density(make_preset("vp"), rho)
         rho[2, 2] = 1e-12  # below the tolerance: gauged away silently
-        u = potential_from_density(make_preset("vp"), lattice(2), rho)
+        u = potential_from_density(make_preset("vp"), rho)
         assert np.all(u == 0.0)
 
 
 class TestElectricFromDensity:
     def test_unscreened_unit_mode(self):
-        snap = electric_from_density(make_preset("vp"), lattice(2),
-                                     pair_slice(2, 1, 1.0))
+        snap = electric_from_density(make_preset("vp"), pair_slice(2, 1, 1.0))
         assert snap.u_hat[2 + 1] == 1.0 + 0.0j
         assert snap.e_hat[2 + 1] == -1.0j
 
     def test_screened_unit_mode(self):
-        snap = electric_from_density(make_preset("screened"), lattice(2),
+        snap = electric_from_density(make_preset("screened"),
                                      pair_slice(2, 2, 1.0))
         assert snap.u_hat[2 + 2] == 0.2 + 0.0j
         assert snap.e_hat[2 + 2] == -0.4j
@@ -205,7 +172,7 @@ class TestElectricFromDensity:
     def test_mean_mode_is_gauged_away(self):
         rho = pair_slice(2, 1, 0.3)
         rho[2] = 0.7  # screened model tolerates a mean component
-        snap = electric_from_density(make_preset("screened"), lattice(2), rho)
+        snap = electric_from_density(make_preset("screened"), rho)
         assert snap.u_hat[2] == 0.0
         assert snap.e_hat[2] == 0.0
         assert np.array_equal(snap.rho_hat, rho)
@@ -214,15 +181,15 @@ class TestElectricFromDensity:
         rho = pair_slice(2, 1, 0.3)
         rho[2] = 1e-6
         with pytest.raises(ConfigError, match="ill-posed"):
-            electric_from_density(make_preset("vp"), lattice(2), rho)
+            electric_from_density(make_preset("vp"), rho)
 
     def test_gradient_and_reality(self):
         rng = np.random.default_rng(23)
         rho = rng.normal(size=9) + 1j * rng.normal(size=9)
         rho = (rho + np.conj(rho[::-1])) / 2
         rho[4] = 0.0
-        snap = electric_from_density(make_preset("screened"), lattice(4), rho)
-        assert np.array_equal(snap.e_hat, -1j * snap.k_values * snap.u_hat)
+        snap = electric_from_density(make_preset("screened"), rho)
+        assert np.array_equal(snap.e_hat, -1j * lattice(4) * snap.u_hat)
         assert reality_defect(snap.u_hat, snap.e_hat, snap.rho_hat) <= 1e-12
 
 
@@ -230,14 +197,14 @@ class TestWeightedNorm:
     def test_hand_value_at_unit_modes(self):
         # exp(0.15 * 2^(1/4)) * 2^6 per mode, two modes in quadrature
         w = GevreyWeight()
-        got = weighted_density_norm(w, 0.0, lattice(4), pair_slice(4, 1, 1.0))
+        got = weighted_density_norm(w, 0.0, pair_slice(4, 1, 1.0))
         want = math.exp(0.15 * 2.0**0.25) * 2.0**6 * math.sqrt(2.0)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(108.18446083442119, rel=1e-13)
 
     def test_zero_slice(self):
         w = GevreyWeight()
-        assert weighted_density_norm(w, 3.0, lattice(2), np.zeros(5)) == 0.0
+        assert weighted_density_norm(w, 3.0, np.zeros(5)) == 0.0
 
 
 class TestPoissonFixedPoint:
@@ -245,21 +212,20 @@ class TestPoissonFixedPoint:
 
     def manufactured_run(self, scale=1.0):
         model = make_preset("vpme", eps_ball=2.0)
-        k = lattice(4)
         u = pair_slice(4, 1, scale * 5e-3)
-        rho, q = manufactured(model, k, u)
-        snap = poisson_fixed_point(model, k, q, self.W, 0.0)
-        return model, k, rho, q, snap
+        rho, q = manufactured(model, u)
+        snap = poisson_fixed_point(model, q, self.W, 0.0)
+        return model, rho, q, snap
 
     def test_recovers_manufactured_density(self):
-        model, k, rho, q, snap = self.manufactured_run()
+        model, rho, q, snap = self.manufactured_run()
         err = np.linalg.norm(snap.rho_hat - rho) / np.linalg.norm(rho)
         assert err <= 1e-8
         assert snap.iters <= 50
         assert snap.residual <= 1e-12
         # reapplying the balance map must not move the returned density
-        reapplied = q - h_of_field(model, k, snap.u_hat).values
-        defect = weighted_density_norm(self.W, 0.0, k, reapplied - snap.rho_hat)
+        reapplied = q - h_of_field(model, snap.u_hat).values
+        defect = weighted_density_norm(self.W, 0.0, reapplied - snap.rho_hat)
         assert defect <= 1e-12
         assert reality_defect(snap.u_hat, snap.e_hat, snap.rho_hat) <= 1e-12
 
@@ -272,37 +238,34 @@ class TestPoissonFixedPoint:
 
     def test_no_series_is_exactly_linear(self):
         model = make_preset("screened")
-        k = lattice(3)
         rng = np.random.default_rng(5)
         q1 = rng.normal(size=7) * 1e-3
         q2 = rng.normal(size=7) * 1e-3
-        s1 = poisson_fixed_point(model, k, q1, self.W, 1.0)
-        s2 = poisson_fixed_point(model, k, q2, self.W, 1.0)
-        s12 = poisson_fixed_point(model, k, q1 + q2, self.W, 1.0)
+        s1 = poisson_fixed_point(model, q1, self.W, 1.0)
+        s2 = poisson_fixed_point(model, q2, self.W, 1.0)
+        s12 = poisson_fixed_point(model, q1 + q2, self.W, 1.0)
         assert s1.iters == 1 and s1.residual == 0.0
         assert np.array_equal(s1.rho_hat, q1.astype(complex))
         assert np.array_equal(s12.rho_hat, s1.rho_hat + s2.rho_hat)
 
     def test_smallness_gate_rejects_default(self):
         model = make_preset("vpme")
-        k = lattice(4)
-        _, q = manufactured(model, k, pair_slice(4, 1, 5e-3))
+        _, q = manufactured(model, pair_slice(4, 1, 5e-3))
         with pytest.raises(NoContractionError, match="smallness gate"):
-            poisson_fixed_point(model, k, q, self.W, 0.0)
+            poisson_fixed_point(model, q, self.W, 0.0)
 
     def test_ball_exit_aborts(self):
         # quadratic coupling at order-one amplitude overshoots immediately
         with pytest.raises(NoContractionError, match="ball"):
             poisson_fixed_point(dataclasses.replace(SQUARE, eps_ball=200.0),
-                                lattice(2), pair_slice(2, 1, 1.5), self.W, 0.0)
+                                pair_slice(2, 1, 1.5), self.W, 0.0)
 
     def test_iteration_budget_aborts(self):
         model = make_preset("vpme", picard_tol=1e-30, picard_max_iters=3,
                             eps_ball=2.0)
-        k = lattice(4)
-        _, q = manufactured(model, k, pair_slice(4, 1, 5e-3))
+        _, q = manufactured(model, pair_slice(4, 1, 5e-3))
         with pytest.raises(NoContractionError, match="within 3 iterations"):
-            poisson_fixed_point(model, k, q, self.W, 0.0)
+            poisson_fixed_point(model, q, self.W, 0.0)
 
     def test_mean_mode_stays_zero(self):
         *_, snap = self.manufactured_run()
@@ -311,37 +274,40 @@ class TestPoissonFixedPoint:
 
 
 class TestLatticeCheck:
-    """The series products need slot j to hold mode j - K of -K..K."""
+    """Slot j of a slice holds mode j - K of -K..K; no labels travel along."""
 
     W = GevreyWeight()
 
     def test_lattice_validation(self):
         model = make_preset("vpme", eps_ball=2.0)
-        with pytest.raises(ConfigError, match="integers"):
-            poisson_fixed_point(model, np.array([-0.5, 0.5, 1.5]),
-                                np.zeros(3), self.W, 0.0)
-        with pytest.raises(ConfigError, match="shape"):
-            poisson_fixed_point(model, lattice(1), np.zeros(2), self.W, 0.0)
-        with pytest.raises(ConfigError, match="shape"):
-            h_of_field(model, lattice(1), np.zeros(5))
+        with pytest.raises(ConfigError, match="1-d"):
+            poisson_fixed_point(model, np.zeros((3, 3)), self.W, 0.0)
+        with pytest.raises(ConfigError, match="1-d"):
+            h_of_field(model, np.zeros((1, 5)))
+        with pytest.raises(ConfigError, match="1-d"):
+            electric_from_density(model, np.zeros((3, 3)))
+        with pytest.raises(ConfigError, match="odd width"):
+            potential_from_density(model, np.zeros((3, 4)))
+        with pytest.raises(ConfigError, match="odd width"):
+            potential_from_density(model, 1.0)
+        with pytest.raises(ConfigError, match="weight row"):
+            weighted_density_norm(self.W, 0.0, np.zeros(3), weights=np.ones(5))
 
-    def test_permuted_lattice_refused(self):
-        # the same modes out of order would be multiplied as if ordered
+    def test_slot_position_is_the_mode(self):
+        # the same numbers in another slot order are another slice
         q = np.array([0.0, 0.01, 0.01])
-        for model in (make_preset("vpme", eps_ball=2.0), make_preset("vp")):
-            with pytest.raises(ConfigError, match="increasing order"):
-                poisson_fixed_point(model, np.array([0, 1, -1]), q, self.W, 0.0)
-            with pytest.raises(ConfigError, match="increasing order"):
-                h_of_field(model, np.array([0, 1, -1]), q)
-        snap = poisson_fixed_point(make_preset("vpme", eps_ball=2.0),
-                                   lattice(1), q[[2, 0, 1]], self.W, 0.0)
+        model = make_preset("vpme", eps_ball=2.0)
+        snap = poisson_fixed_point(model, q[[2, 0, 1]], self.W, 0.0)
         assert snap.u_hat[0] == snap.u_hat[2]
         assert snap.u_hat[2].real == pytest.approx(0.0049999792, abs=1e-10)
+        shifted = poisson_fixed_point(model, q, self.W, 0.0)
+        assert shifted.u_hat[0] == 0.0 and shifted.e_hat[2] != 0.0
 
     def test_even_lattice_refused(self):
         model = make_preset("vpme", eps_ball=2.0)
         with pytest.raises(ConfigError, match="-K..K"):
-            h_of_field(model, np.array([1, 2]), np.array([0.01, 0.01]))
+            h_of_field(model, np.array([0.01, 0.01]))
         with pytest.raises(ConfigError, match="-K..K"):
-            poisson_fixed_point(model, np.arange(-2, 2), np.zeros(4),
-                                self.W, 0.0)
+            poisson_fixed_point(model, np.zeros(4), self.W, 0.0)
+        with pytest.raises(ConfigError, match="-K..K"):
+            weighted_density_norm(self.W, 0.0, np.zeros(4))

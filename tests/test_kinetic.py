@@ -35,7 +35,7 @@ def assemble_source(model, states, density, u_hats, ginf, t, counter=None):
     delta_s = float(times[1] - times[0])
     k = states[0].grid.k_values
     source = ginf.trace(k, times[i0]).astype(complex)
-    source = source - h_of_field(model, k, u_hats.values[i0]).values
+    source = source - h_of_field(model, u_hats.values[i0]).values
     for ell in k[k != 0]:
         weight = k * ell / (model.beta + float(ell) ** 2)
         rho_ell = density.mode(ell)
@@ -525,18 +525,15 @@ class TestSourceAssembly:
             s.values *= 1e-3
         n_t = self.tg.times.size
         self.zero_rho = DensityHistory(
-            times=self.tg.times, k_values=GRID.k_values,
-            values=np.zeros((n_t, GRID.n_modes), complex))
+            times=self.tg.times, values=np.zeros((n_t, GRID.n_modes), complex))
         self.zero_u = SpectralHistory(
-            times=self.tg.times, k_values=GRID.k_values,
-            values=np.zeros((n_t, GRID.n_modes), complex))
+            times=self.tg.times, values=np.zeros((n_t, GRID.n_modes), complex))
 
     def rho_history(self, amp):
         vals = np.zeros((self.tg.times.size, GRID.n_modes), complex)
         vals[:, GRID.index_of(1)] = amp * np.exp(-0.2 * self.tg.times)
         vals[:, GRID.index_of(-1)] = np.conj(vals[:, GRID.index_of(1)])
-        return DensityHistory(times=self.tg.times, k_values=GRID.k_values,
-                              values=vals)
+        return DensityHistory(times=self.tg.times, values=vals)
 
     def test_vanishing_corrections_leave_datum_trace(self):
         got = assemble_source(SCREENED, self.states, self.zero_rho,
@@ -557,11 +554,10 @@ class TestSourceAssembly:
         u_vals = np.zeros((self.tg.times.size, GRID.n_modes), complex)
         u_vals[:, GRID.index_of(1)] = 0.01
         u_vals[:, GRID.index_of(-1)] = 0.01
-        u_hist = SpectralHistory(times=self.tg.times, k_values=GRID.k_values,
-                                 values=u_vals)
+        u_hist = SpectralHistory(times=self.tg.times, values=u_vals)
         got = assemble_source(vpme, self.states, self.rho_history(1e-3),
                               u_hist, self.datum, 0.5)
-        want = -h_of_field(vpme, GRID.k_values, u_vals[2]).values[GRID.index_of(0)]
+        want = -h_of_field(vpme, u_vals[2]).values[GRID.index_of(0)]
         assert got[GRID.index_of(0)] == want
 
     def test_history_assembler_matches_single_time_op(self):
@@ -569,8 +565,7 @@ class TestSourceAssembly:
         u_vals = np.zeros((self.tg.times.size, GRID.n_modes), complex)
         u_vals[:, GRID.index_of(1)] = 0.01 * np.exp(-0.1 * self.tg.times)
         u_vals[:, GRID.index_of(-1)] = np.conj(u_vals[:, GRID.index_of(1)])
-        u_hist = SpectralHistory(times=self.tg.times, k_values=GRID.k_values,
-                                 values=u_vals)
+        u_hist = SpectralHistory(times=self.tg.times, values=u_vals)
         rho = self.rho_history(1e-3)
         hist = assemble_source_history(vpme, self.states, rho, u_hist, self.datum)
         worst = 0.0
@@ -584,8 +579,7 @@ class TestSourceAssembly:
         vals = self.rho_history(1e-3).values.copy()
         vals[3] = 0.0  # a slice with no density: no spline, no lookup
         vals[5, GRID.index_of(-1)] = 0.0  # one transfer mode left
-        rho = DensityHistory(times=self.tg.times, k_values=GRID.k_values,
-                             values=vals)
+        rho = DensityHistory(times=self.tg.times, values=vals)
         builds = count_calls(monkeypatch, "__init__")
         lookups = count_calls(monkeypatch, "at_pairs")
         assemble_source_history(SCREENED, self.states, rho, self.zero_u,
@@ -599,13 +593,12 @@ class TestSourceAssembly:
 
     def test_grid_mismatch_rejected(self):
         bad_rho = DensityHistory(
-            times=self.tg.times, k_values=np.arange(-3, 4),
+            times=self.tg.times,
             values=np.zeros((self.tg.times.size, 7), complex))
         with pytest.raises(ConfigError, match="lattice"):
             assemble_source_history(SCREENED, self.states, bad_rho,
                                     self.zero_u, self.datum)
         short_u = SpectralHistory(times=self.tg.times[:-1],
-                                  k_values=GRID.k_values,
                                   values=np.zeros((self.tg.n_steps, GRID.n_modes)))
         with pytest.raises(ConfigError, match="not on the state time grid"):
             assemble_source_history(SCREENED, self.states, self.zero_rho,
@@ -619,8 +612,7 @@ class TestFieldProviders:
         vals = np.zeros((tg.times.size, GRID.n_modes), complex)
         vals[:, GRID.index_of(1)] = tg.times
         vals[:, GRID.index_of(2)] = tg.times ** 3 - 2.0 * tg.times ** 2
-        hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
-                               values=vals)
+        hist = SpectralHistory(times=tg.times, values=vals)
         provider = HistoryFieldProvider(hist, hist)
         lin, nl = provider(zero_state(GRID, t=1.125))
         assert lin is nl
@@ -635,18 +627,15 @@ class TestFieldProviders:
     def test_history_provider_keeps_histories_apart(self):
         tg = TimeGrid(1.0, 0.25)
         ones = np.ones((tg.times.size, GRID.n_modes), complex)
-        lin_hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
-                                   values=ones)
-        nl_hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
-                                  values=2.0 * ones)
+        lin_hist = SpectralHistory(times=tg.times, values=ones)
+        nl_hist = SpectralHistory(times=tg.times, values=2.0 * ones)
         lin, nl = HistoryFieldProvider(lin_hist, nl_hist)(zero_state(GRID, t=0.5))
         assert np.array_equal(lin, ones[0]) and np.array_equal(nl, 2.0 * ones[0])
 
     def test_history_provider_time_range(self):
         tg = TimeGrid(1.0, 0.25)
         vals = np.zeros((tg.times.size, GRID.n_modes), complex)
-        hist = SpectralHistory(times=tg.times, k_values=GRID.k_values,
-                               values=vals)
+        hist = SpectralHistory(times=tg.times, values=vals)
         provider = HistoryFieldProvider(hist, hist)
         with pytest.raises(ConfigError, match="outside"):
             provider(zero_state(GRID, t=1.5))

@@ -34,9 +34,9 @@ def zero_states(grids):
 
 def zero_histories(grids):
     """Zero density and potential histories: the map becomes linear."""
-    times, k = grids.time.times, grids.phase.k_values
-    zeros = np.zeros((times.size, k.size), complex)
-    return DensityHistory(times, k, zeros), SpectralHistory(times, k, zeros)
+    times = grids.time.times
+    zeros = np.zeros((times.size, grids.phase.n_modes), complex)
+    return DensityHistory(times, zeros), SpectralHistory(times, zeros)
 
 
 def map_once(states, datum, grids, model=VP, eq=MAXWELL, w=WEIGHT, **kwargs):
@@ -51,12 +51,10 @@ def scaled_gap(big, small, w):
     states = [SpectralState(a.time, a.grid, a.values - 2.0 * b.values)
               for a, b in zip(big.states, small.states)]
     density = DensityHistory(times=big.density.times,
-                             k_values=big.density.k_values,
                              values=big.density.values - 2.0 * small.density.values)
     zeros = [SpectralState(a.time, a.grid, np.zeros_like(a.values))
              for a in big.states]
     zero_density = DensityHistory(times=big.density.times,
-                                  k_values=big.density.k_values,
                                   values=np.zeros_like(big.density.values))
     return iterate_distance(states, zeros, density, zero_density, w)
 
@@ -87,8 +85,11 @@ def alive(built, state_ids=None):
 class TestGrids:
     def test_horizon_must_hold_the_trace(self):
         grids = RunGrids(PhaseGrid(2, 10.0, 0.5), TimeGrid(8.0, 0.1))
+        datum = gaussian_datum({1: 1e-3})
         with pytest.raises(ConfigError, match="density trace"):
-            grids.validate_for(gaussian_datum({1: 1e-3}))
+            fixed_point_drive(datum, VP, MAXWELL, WEIGHT, grids)
+        with pytest.raises(ConfigError, match="density trace"):
+            landau_linear_run(VP, MAXWELL, WEIGHT, grids, 1e-3)
 
     def test_free_extension_is_constant_in_profile_coordinates(self):
         datum = gaussian_datum({1: 1e-3})
@@ -209,9 +210,9 @@ class TestDrive:
         solve = scattering.poisson_fixed_point
         times = []
 
-        def counted(model, k, q, w, t):
+        def counted(model, q, w, t):
             times.append(t)
-            return solve(model, k, q, w, t)
+            return solve(model, q, w, t)
 
         monkeypatch.setattr(scattering, "poisson_fixed_point", counted)
         run = fixed_point_drive(gaussian_datum({1: 1e-3}), VP, MAXWELL,

@@ -43,7 +43,7 @@ def gaussian_source(k_max, n_t, delta_t, width=1.0):
     ks = np.arange(-k_max, k_max + 1)
     weights = np.where(ks == 0, 0.0, 1.0 / (1.0 + ks.astype(float) ** 2))
     vals = np.exp(-0.5 * (times / width) ** 2)[:, None] * weights[None, :]
-    return SourceHistory(times, ks, vals.astype(complex))
+    return SourceHistory(times, vals.astype(complex))
 
 
 def rel_l2(a, b):
@@ -81,7 +81,7 @@ def contour_fixture():
 def test_zero_source_zero_density_both_routes():
     times = 0.25 * np.arange(33)
     ks = np.arange(-2, 3)
-    src = SourceHistory(times, ks, np.zeros((33, 5), dtype=complex))
+    src = SourceHistory(times, np.zeros((33, 5), dtype=complex))
     direct = solve_direct_backward(VP, MAXW, src)
     tables = {int(k): build_discrete_resolvent(VP, MAXW, int(k), 0.25, 32)
               for k in ks if k != 0}
@@ -216,8 +216,8 @@ def test_backward_causality_exact():
     bumped = base.copy()
     bumped[:20, :] += rng.normal(size=(20, 5))
     bumped[:, 2] = 0.0
-    src_a = SourceHistory(times, ks, base)
-    src_b = SourceHistory(times, ks, bumped)
+    src_a = SourceHistory(times, base)
+    src_b = SourceHistory(times, bumped)
     sol_a = solve_direct_backward(VP, MAXW, src_a)
     sol_b = solve_direct_backward(VP, MAXW, src_b)
     assert np.array_equal(sol_a.values[20:], sol_b.values[20:])
@@ -237,7 +237,7 @@ def test_reality_symmetry_preserved():
     vals = np.zeros((49, 7), dtype=complex)
     vals[:, 4:] = half
     vals[:, :3] = np.conj(half[:, ::-1])
-    src = SourceHistory(times, ks, vals)
+    src = SourceHistory(times, vals)
     assert src.reality_defect() <= 1e-14
     sol = solve_direct_backward(SCREENED, MAXW, src)
     assert sol.reality_defect() <= 1e-12
@@ -267,7 +267,7 @@ def test_reality_symmetry_for_any_real_source(data, k_max, n_steps, dt,
     if screened:  # a mean mode is only admissible under screening
         vals[:, k_max] = data.draw(arrays(float, times.size,
                                           elements=st.floats(-1.0, 1.0)))
-    src = SourceHistory(times, ks, vals)
+    src = SourceHistory(times, vals)
     assert src.reality_defect() == 0.0
     tables = {int(k): build_discrete_resolvent(model, eq, int(k), dt, n_steps)
               for k in ks if k != 0}
@@ -286,16 +286,15 @@ def test_mismatched_mirror_table_raises_reality_error():
 
 def test_mean_mode_passthrough_and_zeroing():
     times = 0.25 * np.arange(17)
-    ks = np.array([-1, 0, 1])
     vals = np.ones((17, 3), dtype=complex)
-    src = SourceHistory(times, ks, vals)
+    src = SourceHistory(times, vals)
     sol = solve_direct_backward(SCREENED, MAXW, src)
     assert np.array_equal(sol.mode(0), src.mode(0))
     with pytest.raises(ConfigError, match="mean-zero"):
         solve_direct_backward(VP, MAXW, src)
     silent = vals.copy()
     silent[:, 1] = 0.0
-    sol_vp = solve_direct_backward(VP, MAXW, SourceHistory(times, ks, silent))
+    sol_vp = solve_direct_backward(VP, MAXW, SourceHistory(times, silent))
     assert np.all(sol_vp.mode(0) == 0.0)
 
 
@@ -310,8 +309,7 @@ def test_degenerate_diagonal_raises_step_size_error():
     diag = corrected_diagonal(VP, bad, 1, 1.0)
     assert abs(diag) < 1e-8
     times = 1.0 * np.arange(9)
-    ks = np.array([-1, 0, 1])
-    src = SourceHistory(times, ks, np.zeros((9, 3), dtype=complex))
+    src = SourceHistory(times, np.zeros((9, 3), dtype=complex))
     with pytest.raises(StepSizeError, match="reduce the time step"):
         solve_direct_backward(VP, bad, src)
 
@@ -344,25 +342,27 @@ def test_kernel_helpers_validate_inputs():
 
 def test_history_validation_and_write_protection():
     times = 0.5 * np.arange(5)
-    ks = np.arange(-1, 2)
     good = np.zeros((5, 3), dtype=complex)
     with pytest.raises(ConfigError, match="uniform"):
-        SpectralHistory(np.array([0.0, 0.5, 1.1, 1.5, 2.0]), ks, good)
+        SpectralHistory(np.array([0.0, 0.5, 1.1, 1.5, 2.0]), good)
     with pytest.raises(ConfigError, match="strictly"):
-        SpectralHistory(np.array([0.0, 0.5, 0.5, 1.5, 2.0]), ks, good)
-    with pytest.raises(ConfigError, match="integer"):
-        SpectralHistory(times, np.array([-1.0, 0.5, 1.0]), good)
-    with pytest.raises(ConfigError, match="distinct"):
-        SpectralHistory(times, np.array([1, 1, 0]), good)
-    with pytest.raises(ConfigError, match="shape"):
-        SpectralHistory(times, ks, np.zeros((5, 2), dtype=complex))
+        SpectralHistory(np.array([0.0, 0.5, 0.5, 1.5, 2.0]), good)
+    # the mode axis must have odd width 2K + 1 and one row per time
+    for shape in ((5, 2), (4, 3), (5,)):
+        with pytest.raises(ConfigError, match="shape"):
+            SpectralHistory(times, np.zeros(shape, dtype=complex))
     bad = good.copy()
     bad[2, 1] = np.nan
     with pytest.raises(ConfigError, match="finite"):
-        SpectralHistory(times, ks, bad)
-    hist = SpectralHistory(times, ks, good)
+        SpectralHistory(times, bad)
+    hist = SpectralHistory(times, good)
     with pytest.raises(ValueError):
         hist.values[0, 0] = 1.0
+    # slot position is the mode label: slot j holds mode j - K
+    assert np.array_equal(hist.k_values, [-1, 0, 1])
+    with pytest.raises(ValueError):
+        hist.k_values[0] = 5
+    assert hist.index_of(-1) == 0 and hist.index_of(1) == 2
     with pytest.raises(ConfigError, match="lattice"):
         hist.mode(7)
     assert hist.delta_t == 0.5

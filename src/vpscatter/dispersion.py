@@ -46,10 +46,10 @@ __all__ = [
 _MARGIN_FRACTION = 0.25  # safe analyticity fraction, strictly below 1/2
 _MAX_DOUBLINGS = 22  # Simpson panel halvings before a transform gives up
 _NODE_CHUNK = 1 << 16  # Simpson nodes per integrand call, bounding memory
-# Quadrature tolerance of the arc moment, added to it as slack. |.| puts kinks
-# in its integrand, so certifying 1e-10 takes seconds where 1e-6 takes
-# milliseconds; the bound only has to stay below 1.
+# Quadrature tolerance of the arc moment, added to it as slack: the bound only
+# has to stay below 1, and split at its kinks the integral takes milliseconds
 _ARC_MOMENT_TOL = 1e-6
+_ROOT_STEPS = 60  # cap on the Illinois steps that refine one batch of kinks
 _CONTOUR_BLOCK = 32  # omega nodes per block of the factored contour sum
 _GRID_TOL = 5e-9  # tail cutoff and halving certificate of a contour transform
 _FIRST_MOMENT_TOL = 1e-10  # quadrature tolerance of the mode tail moment
@@ -107,9 +107,10 @@ class ResolventTable:
     winding: int
 
 
-def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> float:
+def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float):
     """Smallest T with |phi(t)| e^{growth t} <= tol for all sampled t >= T.
 
+    Returns T with the sample grid, so a caller can look for more on it.
     Worked in log magnitudes so steep growth factors cannot overflow."""
     t = np.linspace(0.0, t_cap, 4001)
     mag = np.abs(np.asarray(phi(t), dtype=complex))
@@ -123,24 +124,73 @@ def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float) -> floa
         raise QuadratureError(
             "integrand tail does not fall below tolerance; declared decay "
             "rate appears violated")
-    return float(t[int(np.argmax(ok))])
+    return float(t[int(np.argmax(ok))]), t
 
 
-def _node_sum(phi: Callable, tau: complex, h: float, first: float,
-              count: int) -> complex:
-    """Sum of phi(t) e^{-tau t} over t = (first + 2 j) h, 0 <= j < count.
+def _node_sums(phi: Callable, tau: complex, lo: np.ndarray, h: np.ndarray,
+               first: float, counts: np.ndarray) -> np.ndarray:
+    """Per piece i, the sum of phi(t) e^{-tau t} over its nodes
+    t = lo_i + (first + 2 j) h_i, 0 <= j < counts_i.
 
     Node abscissae are the integer index times h, as ``np.linspace`` forms
-    them, and the integrand is called on at most ``_NODE_CHUNK`` of them at
-    a time."""
-    total = 0j
-    for lo in range(0, count, _NODE_CHUNK):
-        t = (first + 2.0 * np.arange(lo, min(lo + _NODE_CHUNK, count))) * h
+    them. The pieces' nodes are taken in order as one sequence, and the
+    integrand is called on at most ``_NODE_CHUNK`` of them at a time."""
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    total = int(offsets[-1])
+    sums = np.zeros(counts.size, dtype=complex)
+    for start in range(0, total, _NODE_CHUNK):
+        index = np.arange(start, min(start + _NODE_CHUNK, total))
+        piece = np.searchsorted(offsets, index, side="right") - 1
+        t = lo[piece] + (first + 2.0 * (index - offsets[piece])) * h[piece]
         f = np.asarray(phi(t), dtype=complex)
         if tau != 0:  # exp(0) = 1 exactly: skip the factor
             f = f * np.exp(-tau * t)
-        total += complex(np.sum(f))
-    return total
+        for i in range(piece[0], piece[-1] + 1):
+            sums[i] += np.sum(f[max(offsets[i] - start, 0):offsets[i + 1] - start])
+    return sums
+
+
+def _nested_simpson(phi: Callable, tau: complex, tol: float,
+                    breaks: np.ndarray) -> complex:
+    """Composite Simpson of phi(t) e^{-tau t} over the pieces between
+    consecutive ``breaks``, refined until two successive values agree to tol/2.
+
+    The whole range starts with n panel pairs, n >= 64 growing with its
+    length and |tau|; each piece starts with its share of them, at least
+    one. Every halving halves all pieces together and evaluates the integrand
+    only at the new midpoints, keeping running sums of the nodes already seen,
+    so every node is evaluated once. ``_MAX_DOUBLINGS`` halvings at most.
+    """
+    lo, width = breaks[:-1], np.diff(breaks)
+    total = float(breaks[-1] - breaks[0])
+    n = 64
+    while n * 4 < total * (4.0 + abs(tau.imag) + abs(tau.real)):
+        n *= 2
+    m = np.maximum(1, np.ceil(n * width / total)).astype(np.int64)
+    # Simpson on 2m intervals of width h: weight 1 at the ends, 2 at the
+    # interior even nodes, 4 at the odd ones; halving h turns every node into
+    # an even one and adds the midpoints as the new odd nodes
+    h = width / (2 * m)
+    at_breaks = np.asarray(phi(breaks), dtype=complex)
+    if tau != 0:
+        at_breaks = at_breaks * np.exp(-tau * breaks)
+    ends = at_breaks[:-1] + at_breaks[1:]
+    even = _node_sums(phi, tau, lo, h, 2.0, m - 1)
+    previous = None
+    for _ in range(_MAX_DOUBLINGS):
+        odd = _node_sums(phi, tau, lo, h, 1.0, m)
+        # in Python scalars: numpy would multiply by 1/3 instead of dividing
+        # by 3, and one piece must round as (ends + 2 even + 4 odd) h / 3
+        value = sum(complex(s) * float(step) / 3.0
+                    for s, step in zip(ends + 2.0 * even + 4.0 * odd, h))
+        if previous is not None and abs(value - previous) <= tol / 2.0:
+            return value
+        previous = value
+        even += odd
+        m *= 2
+        h = width / (2 * m)
+    raise QuadratureError("Simpson refinement did not certify the requested "
+                          "tolerance; integrand may be too rough")
 
 
 def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
@@ -148,12 +198,9 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
     """One-sided transform of an exponentially decaying function.
 
     ``decay`` is the declared rate c with |phi(t)| <~ e^{-ct}; the transform
-    needs Re tau > -c. Composite Simpson panels are halved, at most
-    ``_MAX_DOUBLINGS`` times, until two successive refinements agree to
-    tol/2, and the truncated tail is certified below tol/2 before
-    integration starts. The refinement is nested: each halving evaluates the
-    integrand only at the new midpoints and keeps running sums of the nodes
-    already seen, so every node is evaluated once, ``_NODE_CHUNK`` at a time.
+    needs Re tau > -c. The truncated tail is certified below tol/2 before
+    integration starts, and :func:`_nested_simpson` integrates the single
+    piece [0, T] that remains.
     """
     tau = complex(tau)
     if decay <= 0:
@@ -163,29 +210,59 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
         raise QuadratureError(
             f"Re tau = {tau.real:g} is at or below the declared decay rate; "
             "the transform diverges")
-    t_end = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0, 120.0 / min(decay, alpha))
+    t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
+                            120.0 / min(decay, alpha))
+    return _nested_simpson(phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
+
+
+def _sign_changes(signed: Callable, t: np.ndarray, t_end: float) -> np.ndarray:
+    """Sorted zeros of a real ``signed`` strictly inside (0, t_end).
+
+    Sign changes between samples t_j <= t_end (and one sample past it) are
+    refined by vectorised Illinois steps; a zero that lands on a sample is
+    kept as it is. An integrand whose imaginary part exceeds 1e-12 of its
+    largest modulus has none: its modulus stays smooth where the real part
+    changes sign.
+    """
+    t = t[:int(np.searchsorted(t, t_end, side="right")) + 1]
+    g = np.asarray(signed(t))
+    if np.iscomplexobj(g):
+        if np.max(np.abs(g.imag)) > 1e-12 * np.max(np.abs(g)):
+            return np.empty(0)
+        g = g.real
+    s = np.sign(g)
+    j = np.flatnonzero(s[:-1] * s[1:] < 0)
+    # Illinois: regula falsi that halves the stale end's value, so both ends
+    # of every bracket [a, b] close in on its zero
+    a, b, fa, fb = t[j], t[j + 1], g[j], g[j + 1]
+    for _ in range(_ROOT_STEPS):
+        if np.all((np.abs(b - a) <= 1e-13 * t_end) | (fb == 0)):
+            break
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = np.real(signed(c))
+        flip = fc * fb < 0
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = c, fc
+    zeros = np.unique(np.concatenate((t[s == 0], b)))
+    return zeros[(zeros > 0) & (zeros < t_end)]
+
+
+def _absolute_integral(signed: Callable, magnitude: Callable, tol: float,
+                       decay: float) -> float:
+    """integral over u >= 0 of magnitude(u) = |signed(u)|, to tol.
+
+    The modulus has a kink wherever a real ``signed`` changes sign, and
+    Simpson converges only at O(h^2) across one; the range [0, T] left by
+    the tail certificate is split at those zeros, so every piece is smooth.
+    A sign-definite or complex ``signed`` leaves one piece, as in
+    :func:`laplace_one_sided` at tau = 0.
+    """
+    if decay <= 0:
+        raise ConfigError("declared decay rate must be positive")
+    t_end, t = _tail_cutoff(magnitude, 0.0, tol * decay / 2.0, 120.0 / decay)
     t_end = max(t_end, 1.0 / decay)
-    n = 64
-    while n * 4 < t_end * (4.0 + abs(tau.imag) + abs(tau.real)):
-        n *= 2
-    # Simpson on 2n intervals of width h: weight 1 at the ends, 2 at the interior
-    # even nodes, 4 at the odd ones; halving h turns every node into an even
-    # one and adds the midpoints as the new odd nodes
-    h = t_end / (2 * n)
-    ends = _node_sum(phi, tau, t_end / 2.0, 0.0, 2)  # t = 0 and t = t_end
-    even = _node_sum(phi, tau, h, 2.0, n - 1)
-    previous = None
-    for _ in range(_MAX_DOUBLINGS):
-        odd = _node_sum(phi, tau, h, 1.0, n)
-        value = (ends + 2.0 * even + 4.0 * odd) * h / 3.0
-        if previous is not None and abs(value - previous) <= tol / 2.0:
-            return value
-        previous = value
-        even += odd
-        n *= 2
-        h = t_end / (2 * n)
-    raise QuadratureError("Simpson refinement did not certify the requested "
-                          "tolerance; integrand may be too rough")
+    breaks = np.concatenate(([0.0], _sign_changes(signed, t, t_end), [t_end]))
+    return _nested_simpson(magnitude, 0j, tol, breaks).real
 
 
 def _corner_coeffs(eq: Equilibrium, k: int, sign: int, a: float) -> np.ndarray:
@@ -232,8 +309,8 @@ def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
     one time-step halving.
     """
     growth = -a  # integrand carries e^{-a s}
-    t_need = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
-                          growth, _GRID_TOL, 200.0 / max(abs(k), 1))
+    t_need, _ = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
+                             growth, _GRID_TOL, 200.0 / max(abs(k), 1))
     span = max(span_min, t_need + 1.0, 80.0)
     h = math.pi / (1.25 * omega_max)
     n = 1 << max(10, math.ceil(math.log2(span / h)))
@@ -283,11 +360,14 @@ def _winding_number(values: np.ndarray) -> float:
 
 
 def absolute_first_moment(eq: Equilibrium) -> float:
-    """integral of u |mu_hat(u)| over u >= 0, for the mode tail bound."""
-    val = laplace_one_sided(lambda u: u * np.abs(np.asarray(eq.mu_hat(u))),
-                            0.0, _FIRST_MOMENT_TOL,
-                            decay=0.9 * eq.lambda_analytic)
-    return float(val.real)
+    """integral of u |mu_hat(u)| over u >= 0, for the mode tail bound.
+
+    Split at the sign changes of a real mu_hat (see
+    :func:`_absolute_integral`), so a kinked integrand costs thousands of
+    nodes, not millions."""
+    return _absolute_integral(lambda u: u * np.asarray(eq.mu_hat(u)),
+                              lambda u: u * np.abs(np.asarray(eq.mu_hat(u))),
+                              _FIRST_MOMENT_TOL, decay=0.9 * eq.lambda_analytic)
 
 
 def arc_moment(eq: Equilibrium) -> float:
@@ -296,15 +376,20 @@ def arc_moment(eq: Equilibrium) -> float:
     Integrating L[t mu_hat(k t)](tau) by parts twice gives, for Re tau >= 0,
     |L| <= (|mu_hat(0)| + M) / |tau|^2 with M independent of k. A real
     velocity profile has mu_hat(-u) = conj mu_hat(u), so the same M serves
-    the modes k < 0.
+    the modes k < 0. The integral is split at the sign changes of a real
+    integrand (see :func:`_absolute_integral`) and certified to
+    ``_ARC_MOMENT_TOL``, which the bound adds as slack.
     """
     if eq.mu_hat_deriv is None:
         raise ConfigError(f"the Penrose arc bound needs the analytic "
                           f"derivatives of mu_hat, which {eq.label} lacks")
-    val = laplace_one_sided(
-        lambda u: np.abs(2.0 * eq.deriv(u, 1) + u * eq.deriv(u, 2)),
-        0.0, _ARC_MOMENT_TOL, decay=0.9 * eq.lambda_analytic)
-    return float(val.real) + _ARC_MOMENT_TOL
+
+    def signed(u):
+        return 2.0 * eq.deriv(u, 1) + u * eq.deriv(u, 2)
+
+    val = _absolute_integral(signed, lambda u: np.abs(signed(u)),
+                             _ARC_MOMENT_TOL, decay=0.9 * eq.lambda_analytic)
+    return val + _ARC_MOMENT_TOL
 
 
 def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,

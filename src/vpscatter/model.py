@@ -14,6 +14,7 @@ so a unit-mass profile has ``mu_hat(0) = 1``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -117,18 +118,27 @@ def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
     raise ConfigError(f"unknown model preset {name!r} (choose vp, screened, vpme)")
 
 
-def _exp_quadratic_derivs(a: complex, b: complex, eta: np.ndarray, order: int) -> np.ndarray:
-    """Derivatives of exp(a eta^2 + b eta) of the given order, evaluated at eta.
-
-    Uses the polynomial recurrence H_{n+1} = H_n' + (2 a eta + b) H_n with
-    d^n f = H_n f, which stays exact for the Gaussian-type profiles here.
-    """
+@functools.lru_cache(maxsize=64, typed=True)
+def _exp_quadratic_poly(a: complex, b: complex, order: int) -> np.ndarray:
+    """Read-only coefficients of H_order, built once per (a, b, order) by the
+    polynomial recurrence H_{n+1} = H_n' + (2 a eta + b) H_n."""
     coeffs = np.array([1.0 + 0.0j])
     lin = np.array([b, 2.0 * a])
     for _ in range(order):
         coeffs = npoly.polyadd(npoly.polyder(coeffs), npoly.polymul(lin, coeffs))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _exp_quadratic_derivs(a: complex, b: complex, eta: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives of exp(a eta^2 + b eta) of the given order, evaluated at eta.
+
+    d^n f = H_n f with the polynomial H_n of :func:`_exp_quadratic_poly`,
+    which stays exact for the Gaussian-type profiles here.
+    """
     eta = np.asarray(eta, dtype=float)
-    return npoly.polyval(eta, coeffs) * np.exp(a * eta**2 + b * eta)
+    return (npoly.polyval(eta, _exp_quadratic_poly(a, b, order))
+            * np.exp(a * eta**2 + b * eta))
 
 
 @dataclass(frozen=True)

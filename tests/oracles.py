@@ -8,9 +8,13 @@ arc-bound checks and, through ``landau_root``, the damping-rate criterion.
 ``maxwellian_transform`` is the closed form of that transform for the
 Maxwellian, through the Faddeeva function: it shares no quadrature with the
 package.
-``laplace_one_sided_full_grid`` is the Simpson refinement that rebuilds and
-re-evaluates the whole grid at every halving; the package's nested loop
-evaluates each node once and must agree with it to roundoff.
+``nested_simpson_full_grid`` is the piecewise Simpson refinement that
+rebuilds and re-evaluates every piece's grid at every halving, and
+``laplace_one_sided_full_grid`` runs it on the single piece of a transform;
+the package's nested loop evaluates each node once and must agree with them
+to roundoff. ``two_stream_first_moment`` integrates the kinked two-stream
+first moment by Gauss-Legendre rules between the known zeros of the cosine:
+it shares no quadrature with the package.
 
 ``resolvent_identity_residual`` forms the dense direct and reconstruction
 operators of the backward Volterra solve and measures how far their product
@@ -42,8 +46,8 @@ def transform_direct(eq: Equilibrium, k: int, sign: int, taus: np.ndarray,
                      tol: float = 5e-9) -> np.ndarray:
     """Dense-grid transform at arbitrary complex points, refinement-certified."""
     re_min = float(np.min(taus.real))
-    t_end = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
-                         -re_min, tol, 200.0 / max(abs(k), 1))
+    t_end, _ = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
+                            -re_min, tol, 200.0 / max(abs(k), 1))
     t_end = max(t_end, 1.0)
     im_max = float(np.max(np.abs(taus.imag)))
     n = 128
@@ -128,31 +132,62 @@ def second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
                        eq.lambda_analytic, None)
 
 
+def nested_simpson_full_grid(phi, tau: complex, tol: float,
+                             breaks: np.ndarray) -> complex:
+    """``dispersion._nested_simpson`` with every refinement level of every
+    piece rebuilt by ``np.linspace`` and summed afresh."""
+    lo, width = breaks[:-1], np.diff(breaks)
+    total = float(breaks[-1] - breaks[0])
+    n = 64
+    while n * 4 < total * (4.0 + abs(tau.imag) + abs(tau.real)):
+        n *= 2
+    m = np.maximum(1, np.ceil(n * width / total)).astype(np.int64)
+    previous = None
+    for _ in range(_MAX_DOUBLINGS):
+        value = 0j
+        for a, b, pairs in zip(lo, breaks[1:], m):
+            t = np.linspace(a, b, 2 * pairs + 1)
+            f = np.asarray(phi(t), dtype=complex)
+            if tau != 0:
+                f = f * np.exp(-tau * t)
+            w = np.ones(2 * pairs + 1)
+            w[1:-1:2] = 4.0
+            w[2:-1:2] = 2.0
+            value += complex(np.sum(w * f)) * ((b - a) / (2 * pairs)) / 3.0
+        if previous is not None and abs(value - previous) <= tol / 2.0:
+            return value
+        previous = value
+        m *= 2
+    raise QuadratureError("full-grid Simpson refinement did not certify")
+
+
 def laplace_one_sided_full_grid(phi, tau: complex, tol: float = 1e-10,
                                 decay: float = 1.0) -> complex:
     """``laplace_one_sided`` with every refinement level summed afresh."""
     tau = complex(tau)
     alpha = decay + tau.real
-    t_end = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0, 120.0 / min(decay, alpha))
-    t_end = max(t_end, 1.0 / decay)
-    n = 64
-    while n * 4 < t_end * (4.0 + abs(tau.imag) + abs(tau.real)):
-        n *= 2
-    previous = None
-    for _ in range(_MAX_DOUBLINGS):
-        t = np.linspace(0.0, t_end, 2 * n + 1)
-        f = np.asarray(phi(t), dtype=complex)
-        if tau != 0:
-            f = f * np.exp(-tau * t)
-        w = np.ones(2 * n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        value = complex(np.sum(w * f)) * (t_end / (2 * n)) / 3.0
-        if previous is not None and abs(value - previous) <= tol / 2.0:
-            return value
-        previous = value
-        n *= 2
-    raise QuadratureError("full-grid Simpson refinement did not certify")
+    t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
+                            120.0 / min(decay, alpha))
+    return nested_simpson_full_grid(
+        phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
+
+
+def two_stream_first_moment(v0: float, width: float = 0.5) -> float:
+    """integral over u >= 0 of u |cos(v0 u)| e^{-(width u)^2 / 2}.
+
+    A 64-point Gauss-Legendre rule on each piece between the zeros
+    (n + 1/2) pi / v0 of the cosine, where the modulus has its kinks, up to
+    u = 12 / width, past which the integrand is below e^{-70}."""
+    u_max = 12.0 / width
+    zeros = (np.arange(math.ceil(u_max * v0 / math.pi)) + 0.5) * math.pi / v0
+    breaks = np.concatenate(([0.0], zeros[zeros < u_max], [u_max]))
+    x, w = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        u = 0.5 * (b - a) * x + 0.5 * (a + b)
+        f = u * np.abs(np.cos(v0 * u)) * np.exp(-0.5 * (width * u) ** 2)
+        total += 0.5 * (b - a) * float(np.dot(w, f))
+    return total
 
 
 def laplace_two_sided(phi, tau: complex, tol: float = 1e-10,

@@ -228,7 +228,7 @@ class TestCommands:
 
     def test_penrose_uncertified_quadrature_exits_three(self, tmp_path,
                                                         monkeypatch):
-        # two halvings cannot resolve the kinks of the two-stream moments
+        # two halvings from the starting spacing cannot certify the moments
         monkeypatch.setattr(dispersion, "_MAX_DOUBLINGS", 2)
         code, out = self.run("penrose", tmp_path,
                              "equilibrium.kind = two_stream\n"

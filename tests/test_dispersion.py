@@ -7,13 +7,15 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (laplace_one_sided_full_grid, laplace_two_sided,
-                     landau_root, maxwellian_transform, transform_direct)
+                     landau_root, maxwellian_transform, nested_simpson_full_grid,
+                     transform_direct, two_stream_first_moment)
 from scipy.integrate import quad
 
 from vpscatter import dispersion
 from vpscatter.dispersion import (
     _ARC_MOMENT_TOL,
     _contour_sum,
+    _sign_changes,
     _winding_number,
     absolute_first_moment,
     arc_moment,
@@ -69,11 +71,61 @@ def test_one_sided_rejects_divergence():
                                 bump_on_tail()], ids=lambda eq: eq.label)
 def test_nested_refinement_matches_full_grid_oracle(eq, monkeypatch):
     nested = (absolute_first_moment(eq), arc_moment(eq))
-    monkeypatch.setattr(dispersion, "laplace_one_sided",
-                        laplace_one_sided_full_grid)
+    monkeypatch.setattr(dispersion, "_nested_simpson", nested_simpson_full_grid)
     full = (absolute_first_moment(eq), arc_moment(eq))
-    # the same nodes and weights summed in another order
+    # the same pieces, nodes and weights summed in another order
     assert nested == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("v0", [0.5, 1.0, 2.0])
+def test_kinked_moments_match_independent_oracles(v0):
+    eq = two_stream(v0)
+    assert absolute_first_moment(eq) == pytest.approx(
+        two_stream_first_moment(v0), abs=2e-10, rel=0.0)
+    # the unsplit kinked integrand, refined on one piece until it certifies
+    unsplit = laplace_one_sided_full_grid(
+        lambda u: np.abs(2.0 * eq.deriv(u, 1) + u * eq.deriv(u, 2)), 0.0,
+        _ARC_MOMENT_TOL, decay=0.9).real + _ARC_MOMENT_TOL
+    assert abs(arc_moment(eq) - unsplit) <= 2.0 * _ARC_MOMENT_TOL
+
+
+def test_sign_changes_keep_sample_zeros_and_refine_the_rest():
+    t = np.linspace(0.0, 20.0, 4001)
+
+    def signed(u):
+        return (u - t[700]) * (u - math.pi) * (u - 12.0) * np.exp(-u)
+
+    zeros = _sign_changes(signed, t, 10.0)
+    # t[700] is a sample, pi lies between two; 12 is past t_end
+    assert zeros.size == 2 and zeros[1] == t[700]
+    assert zeros[0] == pytest.approx(math.pi, abs=1e-12, rel=0.0)
+    # a complex integrand has no kinks to split at
+    assert _sign_changes(lambda u: np.exp(1j * u) * signed(u), t, 10.0).size == 0
+
+
+def test_kinked_first_moment_takes_thousands_of_nodes():
+    base = two_stream(1.0)
+    points = []
+
+    def mu_hat(u):
+        points.append(np.size(u))
+        return base.mu_hat(u)
+
+    absolute_first_moment(Equilibrium(base.label, mu_hat, base.lambda_analytic))
+    # one piece refines to 2,097,153 nodes, after the 4,001 tail samples
+    assert sum(points) < 20_000
+
+
+@pytest.mark.parametrize("eq, moments", [
+    (MAXW, {absolute_first_moment: 0.9999999999970114}),
+    (bump_on_tail(), {absolute_first_moment: 1.0534392539068602,
+                      arc_moment: 7.242237844102556}),
+], ids=["maxwellian", "bump_on_tail"])
+def test_unkinked_moments_keep_single_piece_values(eq, moments):
+    # values of the single-piece refinement that the split route replaced:
+    # a sign-definite or complex integrand evaluates the same nodes
+    for moment, value in moments.items():
+        assert moment(eq) == value
 
 
 def test_nested_refinement_matches_full_grid_off_axis():
@@ -119,6 +171,8 @@ def test_absolute_first_moment_memory_is_bounded():
 
 
 def test_refinement_cap_raises(monkeypatch):
+    # split at its kinks the integrand is smooth, but two halvings from the
+    # starting spacing still cannot certify 1e-10
     monkeypatch.setattr(dispersion, "_MAX_DOUBLINGS", 2)
     with pytest.raises(QuadratureError, match="did not certify"):
         absolute_first_moment(two_stream(1.0))

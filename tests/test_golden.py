@@ -154,10 +154,11 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))
 
 def test_penrose_and_kernel_load_no_scipy(tmp_path):
     # the dispersion commands build no spline, so scipy never loads: not at
-    # import, not for the manifest's version line, not on an unstable kernel
+    # import, not for the manifest's version line, not on an unstable kernel,
+    # not in the kink search of the two-stream moments
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-    cases = {name: CASES[name]
-             for name in ("penrose", "kernel", "kernel_two_stream")}
+    cases = {name: CASES[name] for name in
+             ("penrose", "penrose_two_stream", "kernel", "kernel_two_stream")}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -11,6 +11,7 @@ from vpscatter.errors import ConfigError
 from vpscatter.model import (
     Equilibrium,
     ModelConfig,
+    _exp_quadratic_poly,
     bump_on_tail,
     make_preset,
     maxwellian,
@@ -90,6 +91,15 @@ def test_analytic_derivatives_match_finite_differences():
             approx = fallback.deriv(eta, order)
             assert np.max(np.abs(exact - approx)) < tol[order], (eq.label, order)
     assert abs(maxwellian().deriv(0.7, 3) - MAXW_D3_AT_0_7) < 1e-13
+
+
+def test_derivative_polynomials_are_built_once_and_read_only():
+    # every derivative call of a profile shares the cached polynomial
+    first = _exp_quadratic_poly(-0.125, 1j, 3)
+    assert _exp_quadratic_poly(-0.125, 1j, 3) is first
+    assert not first.flags.writeable
+    # d^3/d eta^3 exp(-eta^2 / 2) = (3 eta - eta^3) exp(-eta^2 / 2)
+    assert np.array_equal(_exp_quadratic_poly(-0.5, 0.0, 3), [0, 3, 0, -1])
 
 
 def test_h3_normalization():

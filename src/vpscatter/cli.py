@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,9 +35,8 @@ from .errors import (BlowUpError, ConfigError, DivergenceError,
                      WeightOverflowError)
 from .field import poisson_fixed_point
 from .gevrey import GevreyWeight, gevrey_inequality_suite, weight_violations
-from .kinetic import (PhaseGrid, SpectralState, TimeGrid, density_trace,
-                      gaussian_datum, horizon_violation, integrate,
-                      zero_field_provider)
+from .kinetic import (PhaseGrid, SpectralState, TimeGrid, gaussian_datum,
+                      horizon_violation, integrate, zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
                     maxwellian, two_stream)
 from .scattering import (RunGrids, apply_map_F, efield_weighted_norms,
@@ -58,8 +58,16 @@ COMMANDS = ("penrose", "kernel", "damp", "scatter", "roundtrip", "poisson",
 # ---------------------------------------------------------------------------
 # configuration schema
 
+def _as_float(raw: str) -> float:
+    """A finite float: nan and +-inf (spelled out or overflowed) are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _as_optional_float(raw: str) -> Optional[float]:
-    return None if raw.strip() == "" else float(raw)
+    return None if raw.strip() == "" else _as_float(raw)
 
 
 def _as_bool(raw: str) -> bool:
@@ -95,7 +103,7 @@ def _as_modes(raw: str) -> dict[int, float]:
             raise ValueError("the mean mode k=0 cannot carry datum amplitude")
         if k in modes:
             raise ValueError(f"mode {k} listed twice")
-        modes[k] = float(a_text)
+        modes[k] = _as_float(a_text)
     if not modes:
         raise ValueError("datum.modes must list at least one k:amplitude pair")
     return modes
@@ -116,43 +124,43 @@ SCHEMA: dict[str, _Option] = {
                               _as_choice("maxwellian", "two_stream",
                                          "bump_on_tail"),
                               "background profile family"),
-    "equilibrium.v0": _Option("1.0", float,
+    "equilibrium.v0": _Option("1.0", _as_float,
                             "stream or bump center speed"),
-    "equilibrium.width": _Option("0.5", float,
+    "equilibrium.width": _Option("0.5", _as_float,
                                "stream or bump thermal width"),
-    "equilibrium.alpha": _Option("0.1", float, "bump mass fraction"),
+    "equilibrium.alpha": _Option("0.1", _as_float, "bump mass fraction"),
     "grid.kmax": _Option("2", int, "largest spatial mode"),
-    "grid.eta_max": _Option("70.0", float, "frequency-grid half width"),
-    "grid.delta_eta": _Option("0.25", float, "frequency-grid spacing"),
-    "grid.dt": _Option("0.1", float, "time step"),
-    "grid.t_final": _Option("32.0", float, "horizon T"),
-    "gevrey.gamma": _Option("0.5", float, "Gevrey index, in (1/3, 1)"),
-    "gevrey.sigma": _Option("12.0", float,
+    "grid.eta_max": _Option("70.0", _as_float, "frequency-grid half width"),
+    "grid.delta_eta": _Option("0.25", _as_float, "frequency-grid spacing"),
+    "grid.dt": _Option("0.1", _as_float, "time step"),
+    "grid.t_final": _Option("32.0", _as_float, "horizon T"),
+    "gevrey.gamma": _Option("0.5", _as_float, "Gevrey index, in (1/3, 1)"),
+    "gevrey.sigma": _Option("12.0", _as_float,
                           "polynomial weight order, > 10 + d"),
-    "gevrey.lambda_inf": _Option("0.2", float, "late-time radius"),
-    "gevrey.c_decay": _Option("0.05", float, "radius ramp size"),
-    "gevrey.delta": _Option("0.05", float, "radius ramp exponent, in (0, 1)"),
-    "gevrey.b": _Option("11.0", float, "time-bracket exponent, > 10"),
+    "gevrey.lambda_inf": _Option("0.2", _as_float, "late-time radius"),
+    "gevrey.c_decay": _Option("0.05", _as_float, "radius ramp size"),
+    "gevrey.delta": _Option("0.05", _as_float, "radius ramp exponent, in (0, 1)"),
+    "gevrey.b": _Option("11.0", _as_float, "time-bracket exponent, > 10"),
     "gevrey.moments": _Option("2", int, "velocity moment order, > d/2"),
     "datum.modes": _Option("1:1e-3", _as_modes,
                          "k:amplitude pairs of the prescribed profile"),
-    "datum.width": _Option("1.0", float, "frequency width of the profile"),
-    "drive.tol": _Option("1e-9", float, "fixed-point distance tolerance"),
+    "datum.width": _Option("1.0", _as_float, "frequency width of the profile"),
+    "drive.tol": _Option("1e-9", _as_float, "fixed-point distance tolerance"),
     "drive.max_iters": _Option("25", int, "fixed-point iteration cap"),
-    "poisson.tol": _Option("1e-12", float, "field solve tolerance"),
+    "poisson.tol": _Option("1e-12", _as_float, "field solve tolerance"),
     "poisson.max_iters": _Option("50", int, "field solve iteration cap"),
     "poisson.eps_ball": _Option("", _as_optional_float,
-                              "field smallness gate; empty keeps the default"),
+                              "field smallness gate; empty means 0.05"),
     "penrose.kmax": _Option("2", int, "largest scanned mode"),
-    "penrose.omega_max": _Option("40.0", float, "scan boundary radius"),
+    "penrose.omega_max": _Option("40.0", _as_float, "scan boundary radius"),
     "penrose.samples": _Option("4001", int, "scan samples per mode"),
     "kernel.kmax": _Option("3", int, "largest tabulated kernel mode"),
-    "kernel.omega_max": _Option("200.0", float,
+    "kernel.omega_max": _Option("200.0", _as_float,
                               "kernel inversion contour cutoff"),
-    "damp.amplitude": _Option("1e-4", float, "linear-regime amplitude"),
+    "damp.amplitude": _Option("1e-4", _as_float, "linear-regime amplitude"),
     "damp.mode": _Option("1", int, "tracked field mode"),
-    "fit.t_start": _Option("5.0", float, "decay fit window start"),
-    "fit.t_end": _Option("25.0", float, "decay fit window end"),
+    "fit.t_start": _Option("5.0", _as_float, "decay fit window start"),
+    "fit.t_end": _Option("25.0", _as_float, "decay fit window end"),
     "out.dir": _Option("runs", lambda raw: raw.strip(), "output directory"),
     "threads": _Option("1", int, "worker threads for per-mode tables"),
     "verbose": _Option("false", _as_bool, "chatty progress on stderr"),
@@ -583,8 +591,7 @@ def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
 def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     model, w = cfg.model(), cfg.weight()
     grids = cfg.grids()
-    slice0 = cfg.datum().sample(grids.phase, 0.0)
-    q_hat = density_trace(slice0)
+    q_hat = cfg.datum().trace(grids.phase.k_values, 0.0)
     snapshot = poisson_fixed_point(model, q_hat, w, 0.0)
     rows = [[str(int(k)), _fmt(snapshot.u_hat[j].real),
              _fmt(snapshot.u_hat[j].imag), _fmt(abs(snapshot.e_hat[j]))]

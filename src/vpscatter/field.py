@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NoContractionError, WeightOverflowError
+from .errors import ConfigError, NoContractionError, WeightOverflowError
 from .gevrey import GevreyWeight, log_weight_A
 from .model import ModelConfig
 
@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 MEAN_MODE_TOL = 1e-10
-# fraction of the series radius at which evaluation is refused
-RADIUS_MARGIN = 0.9
 
 
 def _modes(values: np.ndarray) -> np.ndarray:
@@ -124,10 +122,6 @@ def h_of_field(model: ModelConfig, u_hat) -> HSeriesSlice:
     if not model.has_h:
         return HSeriesSlice(values=out, tail_bound=0.0)
     amplitude = float(np.sum(np.abs(u)))
-    if math.isfinite(model.h_radius) and amplitude >= RADIUS_MARGIN * model.h_radius:
-        raise DivergenceError(
-            f"slice amplitude {amplitude:.3e} reaches the margin of the "
-            f"series radius {model.h_radius:.3e}")
     half = u.size // 2
     power = u
     for coeff in model.h_coeffs[2:]:

@@ -145,6 +145,10 @@ class TruncationCounter:
 class SpectralState:
     """One time slice of the transported perturbation, Fourier in both variables.
 
+    ``values`` is stored as a complex array that owns its data: an array
+    assigned to it that is a view of another (or of another dtype) is copied
+    once, on assignment, so no write through a base can reach it.
+
     :meth:`interpolant` splines the frequency axis on first use and keeps the
     spline in a slot until :meth:`release_interpolant` or until ``values`` is
     assigned a new array.  Filling the slot locks ``values`` read-only, so an
@@ -156,29 +160,23 @@ class SpectralState:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n_modes, self.grid.n_eta):
+        if self.values.shape != (self.grid.n_modes, self.grid.n_eta):
             raise ConfigError("values must have shape (n_modes, n_eta)")
-        self.values = vals
 
     def __setattr__(self, name, value) -> None:
         if name == "values":
+            value = np.asarray(value, dtype=complex)
+            if not value.flags.owndata:
+                value = value.copy()
             super().__setattr__("_interp", None)
         super().__setattr__(name, value)
 
     def interpolant(self) -> "StateInterpolant":
-        """The spline of ``values``, built on first use and kept in the slot.
-
-        Values that are a view of another array are splined afresh on every
-        call: a write through their base would not be seen.
-        """
-        if self._interp is not None:
-            return self._interp
-        interp = StateInterpolant(self)
-        if self.values.flags.owndata:
+        """The spline of ``values``, built on first use and kept in the slot."""
+        if self._interp is None:
             self.values.flags.writeable = False
-            self._interp = interp
-        return interp
+            self._interp = StateInterpolant(self)
+        return self._interp
 
     def release_interpolant(self) -> None:
         """Drop the kept spline; ``values`` stays read-only."""
@@ -205,8 +203,9 @@ class SpectralState:
 
     def resymmetrize(self) -> float:
         """Project onto the real-symmetric subspace; returns the defect removed."""
-        defect = self.reality_defect()
-        self.values = (self.values + np.conj(self.values[::-1, ::-1])) / 2.0
+        mirror = np.conj(self.values[::-1, ::-1])
+        defect = float(np.max(np.abs(self.values - mirror)))
+        self.values = (self.values + mirror) / 2.0
         return defect
 
 
@@ -426,25 +425,6 @@ def density_trace(state: SpectralState,
     return state.interpolant().at_pairs(k, k * state.time, counter)
 
 
-def _uniform_times(states: Sequence[SpectralState]) -> np.ndarray:
-    times = np.array([s.time for s in states], dtype=float)
-    if times.size < 2:
-        raise ConfigError("state history needs at least two time slices")
-    steps = np.diff(times)
-    if steps[0] <= 0 or np.max(np.abs(steps - steps[0])) > GRID_TOL:
-        raise ConfigError("state history must sit on a uniform increasing grid")
-    return times
-
-
-def _check_history_alignment(times: np.ndarray, grid: PhaseGrid,
-                             history: SpectralHistory, name: str) -> None:
-    if history.values.shape[0] != times.size or np.max(
-            np.abs(history.times - times)) > GRID_TOL:
-        raise ConfigError(f"{name} history is not on the state time grid")
-    if history.n_modes != grid.n_modes:
-        raise ConfigError(f"{name} history is not on the state mode lattice")
-
-
 def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             density: DensityHistory, u_hats: SpectralHistory,
                             ginf: AsymptoticDatum,
@@ -460,14 +440,24 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     slice's own spline: the one its density trace or its transport stage
     already built, else a new one kept in its slot.  The caller releases the
     slots once the source is assembled.
+
+    The time axis is the density's, which :class:`SpectralHistory` has
+    already checked uniform; the states and the potential must sit on it.
     """
     grid = states[0].grid
-    times = _uniform_times(states)
-    _check_history_alignment(times, grid, density, "density")
-    _check_history_alignment(times, grid, u_hats, "potential")
+    times = density.times
+    if density.n_modes != grid.n_modes or u_hats.n_modes != grid.n_modes:
+        raise ConfigError("density or potential history is not on the state "
+                          "mode lattice")
+    state_times = np.array([state.time for state in states])
+    if state_times.shape != times.shape or u_hats.times.shape != times.shape \
+            or np.max(np.abs(state_times - times)) > GRID_TOL \
+            or np.max(np.abs(u_hats.times - times)) > GRID_TOL:
+        raise ConfigError("density or potential history is not on the state "
+                          "time grid")
     n_t = times.size
     k = grid.k_values
-    delta_s = float(times[1] - times[0])
+    delta_s = density.delta_t
     out = np.zeros((n_t, k.size), dtype=complex)
     for i in range(n_t):
         out[i] = ginf.trace(k, times[i])
@@ -543,6 +533,8 @@ class IntegrationResult:
 class HistoryFieldProvider:
     """Stage potentials interpolated in time from precomputed histories.
 
+    ``u_linear`` drives the equilibrium gradient and ``u_nonlinear`` the
+    shear; given one history for both, a stage gets one array for both.
     Uses four-point Lagrange interpolation (exact at grid nodes, falls back
     to linear when the history is shorter than four slices).  Stage values
     must match the history's own accuracy order: a lower-order stage lookup
@@ -584,16 +576,19 @@ class HistoryFieldProvider:
 
 
 class SelfConsistentFieldProvider:
-    """Stage potential from the stage state itself: trace, then elliptic balance."""
+    """Stage potential from the stage state itself: trace, then elliptic balance.
 
-    def __init__(self, model: ModelConfig, w: GevreyWeight,
-                 counter: Optional[TruncationCounter] = None):
+    Both returned potentials are the one solved from the stage state's
+    density trace at the stage time.  The trace reads the state's kept
+    spline, so :func:`transport_rhs` on the same stage reuses it.
+    """
+
+    def __init__(self, model: ModelConfig, w: GevreyWeight):
         self.model = model
         self.w = w
-        self.counter = counter
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-        q = density_trace(state, self.counter)
+        q = density_trace(state)
         u_hat = poisson_fixed_point(self.model, q, self.w, state.time).u_hat
         return u_hat, u_hat
 

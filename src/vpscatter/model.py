@@ -39,20 +39,18 @@ class ModelConfig:
     """Coupling constants of the field equation.
 
     ``h_coeffs[n]`` is the coefficient ``a_n``; the series starts at n = 2
-    (``a_0 = a_1 = 0``). ``h_radius`` is the convergence radius used to reject
-    field amplitudes outside the series' domain, and ``h_tail`` optionally
-    bounds the truncation remainder ``|sum_{n > N} a_n y^n|``.
+    (``a_0 = a_1 = 0``) and is taken to converge everywhere, as the vpme
+    series e^y - 1 - y does.  ``h_tail`` optionally bounds the truncation
+    remainder ``|sum_{n > N} a_n y^n|``.
 
     The last three fields set how a series-carrying balance is solved:
     Picard iteration stops at a step of ``picard_tol`` and gives up after
     ``picard_max_iters``, and slices of weighted amplitude above ``eps_ball``
-    are refused.  ``eps_ball = None`` resolves to 0.05 times a finite
-    ``h_radius``, or to 0.05.
+    are refused.  ``eps_ball = None`` resolves to 0.05.
     """
 
     beta: float
     h_coeffs: tuple[float, ...] = ()
-    h_radius: float = math.inf
     label: str = "custom"
     h_tail: Optional[Callable[[float], float]] = field(default=None, compare=False)
     picard_tol: float = 1e-12
@@ -66,8 +64,7 @@ class ModelConfig:
             raise ConfigError("the field solve needs picard_tol > 0 and "
                               "picard_max_iters >= 1")
         if self.eps_ball is None:
-            object.__setattr__(self, "eps_ball", 0.05 * self.h_radius
-                               if math.isfinite(self.h_radius) else 0.05)
+            object.__setattr__(self, "eps_ball", 0.05)
         elif not self.eps_ball > 0.0:
             raise ConfigError(f"eps_ball must be positive, got {self.eps_ball}")
         if len(self.h_coeffs) >= 1 and any(c != 0.0 for c in self.h_coeffs[:2]):
@@ -113,8 +110,8 @@ def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
             # remainder of the exponential series: |y|^(N+1) e^|y| / (N+1)!
             return abs(y) ** (_n + 1) * math.exp(abs(y)) / math.factorial(_n + 1)
 
-        return ModelConfig(beta=1.0, h_coeffs=coeffs, h_radius=math.inf,
-                           label="vpme", h_tail=exp_tail, **solve)
+        return ModelConfig(beta=1.0, h_coeffs=coeffs, label="vpme",
+                           h_tail=exp_tail, **solve)
     raise ConfigError(f"unknown model preset {name!r} (choose vp, screened, vpme)")
 
 

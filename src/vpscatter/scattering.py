@@ -27,9 +27,8 @@ from .gevrey import (RADIUS_REDUCTION, GevreyWeight, WeightedNormReport,
                      bracket, lambda_of_t, n1_at_time, norm_N2,
                      weighted_norm_report)
 from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
-from .volterra import (DensityHistory, DiscreteResolvent, SourceHistory,
-                       SpectralHistory, build_discrete_resolvent,
-                       solve_resolvent)
+from .volterra import (DensityHistory, DiscreteResolvent, SpectralHistory,
+                       build_discrete_resolvent, solve_resolvent)
 from .field import poisson_fixed_point, potential_from_density
 from .kinetic import (AsymptoticDatum, HistoryFieldProvider, IntegrationResult,
                       PhaseGrid, SelfConsistentFieldProvider, SpectralState,
@@ -72,14 +71,13 @@ class MapResult:
 
     ``states`` is the new iterate (ascending time), ``density`` and
     ``potentials`` its reconstructed density and potential histories,
-    ``source`` the assembled backward source, ``report`` the weighted norms
-    of the new iterate, and ``integration`` the raw transport diagnostics.
+    ``report`` the weighted norms of the new iterate, and ``integration``
+    the raw transport diagnostics.
     """
 
     states: tuple
     density: DensityHistory
     potentials: SpectralHistory
-    source: SourceHistory
     report: WeightedNormReport
     integration: IntegrationResult
 
@@ -235,7 +233,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
             f"boundary stability scan: an unstable background amplifies the "
             f"response past any ball regardless of amplitude")
     return MapResult(states=integration.states, density=density,
-                     potentials=u_psi_hist, source=source, report=report,
+                     potentials=u_psi_hist, report=report,
                      integration=integration)
 
 
@@ -279,9 +277,7 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                       eq: Equilibrium, w: GevreyWeight, grids: RunGrids,
-                      tol: float = 1e-9, max_iters: int = 25, *,
-                      tables: Optional[Mapping[int, DiscreteResolvent]] = None,
-                      counter: Optional[TruncationCounter] = None,
+                      tol: float = 1e-9, max_iters: int = 25,
                       ) -> ScatteringRun:
     """Iterate the construction map until consecutive iterates agree.
 
@@ -293,7 +289,8 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
 
     The drive slices each iterate a pass consumes once, for the map to
     consume; the start iterate's slices also give its norm report, and the
-    last output is never sliced.
+    last output is never sliced.  The resolvent tables are built once, and
+    one truncation counter tallies every lookup of the drive.
 
     The returned run carries per-iterate densities and norm reports, the
     converged trajectory and its t = 0 state, the weighted field-decay
@@ -304,10 +301,8 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     grids.phase.validate_horizon(grids.time.t_final, ginf.width)
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
-    if counter is None:
-        counter = TruncationCounter()
-    if tables is None:
-        tables = build_resolvent_tables(model, eq, grids)
+    counter = TruncationCounter()
+    tables = build_resolvent_tables(model, eq, grids)
     prev_states = free_extension(ginf, grids)
     phi_density, phi_potential = _slice_fields(model, grids, prev_states, w,
                                                counter)
@@ -405,9 +400,7 @@ def _physical_at(state: SpectralState, x: np.ndarray,
 
 
 def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
-                    w: GevreyWeight, grids: RunGrids, *,
-                    counter: Optional[TruncationCounter] = None,
-                    ) -> RoundTripReport:
+                    w: GevreyWeight, grids: RunGrids) -> RoundTripReport:
     """Forward re-simulation of a converged run against its target profile.
 
     Integrates the t = 0 state forward under the self-consistent field (both
@@ -420,9 +413,9 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     """
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
-    provider = SelfConsistentFieldProvider(model, w, counter=counter)
+    provider = SelfConsistentFieldProvider(model, w)
     forward = integrate(run.g0.copy(), provider, grids.time, eq,
-                        direction="forward", counter=counter)
+                        direction="forward")
     _release(forward.states)
     target = state_to_physical(run.datum.sample(grids.phase, 0.0))[2]
     errors = np.array([
@@ -435,7 +428,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     if grids.time.n_steps % 2 == 0:
         coarse_grid = TimeGrid(grids.time.t_final, 2.0 * grids.time.dt)
         coarse = integrate(run.g0.copy(), provider, coarse_grid, eq,
-                           direction="forward", counter=counter)
+                           direction="forward")
         _release(coarse.states)
         fine_end = state_to_physical(fine)[2]
         coarse_end = state_to_physical(coarse.states[-1])[2]
@@ -445,7 +438,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         wide = PhaseGrid(phase.k_max, phase.eta_max, 2.0 * phase.delta_eta)
         start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
         sparse = integrate(start, provider, grids.time, eq,
-                           direction="forward", counter=counter)
+                           direction="forward")
         _release(sparse.states)
         x, v, sparse_end = state_to_physical(sparse.states[-1])
         fine_at = _physical_at(fine, x, v)
@@ -458,8 +451,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
 
 def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                       grids: RunGrids, amplitude: float, mode: int = 1,
-                      fit_window: tuple[float, float] = (5.0, 25.0), *,
-                      counter: Optional[TruncationCounter] = None,
+                      fit_window: tuple[float, float] = (5.0, 25.0),
                       ) -> LinearDecayReport:
     """Forward run of a small single-mode datum with a field-envelope fit.
 
@@ -478,7 +470,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
     idx = grids.phase.index_of(int(mode))
     datum = gaussian_datum({int(mode): amplitude})
     grids.phase.validate_horizon(grids.time.t_final, datum.width)
-    provider = SelfConsistentFieldProvider(model, w, counter=counter)
+    provider = SelfConsistentFieldProvider(model, w)
     at_time: dict[float, np.ndarray] = {}
 
     def recording(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +482,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
 
     initial = datum.sample(grids.phase, 0.0)
     result = integrate(initial, recording, grids.time, eq,
-                       direction="forward", counter=counter)
+                       direction="forward")
     times = grids.time.times
     # the final state starts no step, so its field is solved here
     potentials = SpectralHistory(

@@ -45,6 +45,18 @@ fit.t_end = 7.5
 """
 
 
+def _takes_a_float(spec) -> bool:
+    try:
+        return isinstance(spec.convert("0.5"), float)
+    except ValueError:
+        return False
+
+
+# every key read as a float, plus the datum amplitudes
+FLOAT_KEYS = sorted(key for key, spec in cli.SCHEMA.items()
+                    if _takes_a_float(spec)) + ["datum.modes"]
+
+
 class TestConfigParsing:
     def test_defaults_resolve(self):
         cfg = config_from_mapping({})
@@ -517,6 +529,22 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "poisson.eps_ball must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key):
+        # nan slips past every "must be positive" comparison; inf and an
+        # overflowing literal reach the grids as infinite sizes
+        out = tmp_path / "out"
+        for bad in ("nan", "inf", "-inf", "1e400"):
+            value = f"1:{bad}" if key == "datum.modes" else bad
+            path = write_config(tmp_path, f"{key} = {value}\n")
+            for command in cli.COMMANDS:
+                code = main([command, "--config", str(path), "--out", str(out)])
+                err = capsys.readouterr().err.splitlines()
+                assert code == EXIT_CONFIG, (command, bad)
+                assert len(err) == 1 and err[0].startswith("error: ")
+                assert f"bad value for {key}: expected a finite number" in err[0]
+                assert not out.exists()  # refused before any run starts
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"

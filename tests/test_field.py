@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vpscatter.errors import ConfigError, DivergenceError, NoContractionError
+from vpscatter.errors import ConfigError, NoContractionError
 from vpscatter.field import (electric_from_density, h_of_field,
                              poisson_fixed_point, potential_from_density,
                              weighted_density_norm)
@@ -119,12 +119,6 @@ class TestHSeries:
         # the degree-4 remainder covers degrees 5..12 and the degree-12 tail
         assert dropped + full.tail_bound <= cut.tail_bound
         assert np.max(np.abs(full.values - cut.values)) <= cut.tail_bound
-
-    def test_radius_margin_rejects_large_slice(self):
-        tight = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0), h_radius=1.0,
-                            label="tight")
-        with pytest.raises(DivergenceError, match="radius"):
-            h_of_field(tight, pair_slice(2, 1, 0.475))
 
     def test_truncation_must_keep_quadratic(self):
         with pytest.raises(ConfigError, match="quadratic"):

@@ -33,6 +33,8 @@ SKIPPED = ("# vpscatter ", "# package.version", "# python.version",
 VPME = "model.preset = vpme\n"
 # vpme runs outgrow the default smallness gate, so it is opened wide
 OPEN_GATE = "poisson.eps_ball = 1e30\n"
+# a complex mu_hat: the only background whose moments have complex integrands
+BUMP_ON_TAIL = "equilibrium.kind = bump_on_tail\n"
 
 # case name -> (command, config text)
 CASES = {
@@ -45,6 +47,11 @@ CASES = {
                + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
     "kernel_two_stream": ("kernel", SMALL_RUN + TWO_STREAM_V1
                           + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
+    "penrose_bump_on_tail": ("penrose", SMALL_RUN + BUMP_ON_TAIL
+                             + "penrose.samples = 1201\n"
+                             "penrose.omega_max = 8.0\n"),
+    "kernel_bump_on_tail": ("kernel", SMALL_RUN + BUMP_ON_TAIL
+                            + "kernel.kmax = 2\nkernel.omega_max = 60.0\n"),
     "damp": ("damp", DAMP_RUN),
     "damp_vpme": ("damp", DAMP_RUN + VPME + OPEN_GATE),
     "scatter": ("scatter", SMALL_RUN),
@@ -153,12 +160,15 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))
 
 
 def test_penrose_and_kernel_load_no_scipy(tmp_path):
-    # the dispersion commands build no spline, so scipy never loads: not at
-    # import, not for the manifest's version line, not on an unstable kernel,
-    # not in the kink search of the two-stream moments
+    # the dispersion commands and poisson build no spline, so scipy never
+    # loads: not at import, not for the manifest's version line, not on an
+    # unstable kernel, not in the kink search of the two-stream moments, not
+    # for the datum's trace or a refused field solve
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     cases = {name: CASES[name] for name in
-             ("penrose", "penrose_two_stream", "kernel", "kernel_two_stream")}
+             ("penrose", "penrose_two_stream", "penrose_bump_on_tail",
+              "kernel", "kernel_two_stream", "kernel_bump_on_tail",
+              "poisson", "poisson_gate")}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -143,6 +143,16 @@ class TestDatum:
         assert state.reality_defect() == 0.0
         assert state.mass_mode() == 0.0
 
+    def test_resymmetrize_reports_and_removes_the_defect(self):
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(GRID.n_modes, GRID.n_eta)) * (1 - 0.5j)
+        state = SpectralState(0.0, GRID, vals)
+        defect = state.reality_defect()
+        assert state.resymmetrize() == defect > 0.0
+        assert np.array_equal(state.values,
+                              (vals + np.conj(vals[::-1, ::-1])) / 2.0)
+        assert state.reality_defect() == 0.0
+
 
 class TestInterpolation:
     def test_nodes_reproduced(self):
@@ -330,14 +340,17 @@ class TestSplineSlot:
         assert np.array_equal(again, density_trace(state.copy()))
         assert not np.array_equal(again, q)
 
-    def test_view_of_another_array_is_splined_afresh(self):
+    def test_view_of_another_array_is_copied(self):
         base = gaussian_datum({1: 1.0}).sample(GRID, 1.0).values
         state = SpectralState(1.0, GRID, base[:, :])
+        assert state.values.flags.owndata
+        assert not np.shares_memory(state.values, base)
         q = density_trace(state)
-        base *= 2.0  # writes through to the state's values
-        again = density_trace(state)
-        assert np.array_equal(again, density_trace(state.copy()))
-        assert not np.array_equal(again, q)
+        base *= 2.0  # the state holds its own copy, so its spline stays valid
+        assert state.interpolant() is state.interpolant()
+        assert np.array_equal(density_trace(state), q)
+        state.values = base[:, ::-1]  # assignment copies a view too
+        assert state.values.flags.owndata and state.values.flags.writeable
 
 
 class TestTransportRhs:
@@ -454,15 +467,16 @@ class TestIntegrate:
 
     def test_self_consistent_run_conserves_invariants(self):
         datum = gaussian_datum({1: 1e-4})
-        counter = TruncationCounter()
-        provider = SelfConsistentFieldProvider(SCREENED, GevreyWeight(),
-                                               counter=counter)
+        provider = SelfConsistentFieldProvider(SCREENED, GevreyWeight())
         res = integrate(datum.sample(GRID, 0.0), provider, TimeGrid(2.0, 0.05),
                         maxwellian(), direction="forward")
         assert res.mass_drift <= 1e-12
         assert res.max_reality_drift <= 1e-12
-        assert counter.truncated == 0  # traces stay inside the grid
         assert res.counter.evaluations > 0  # shear lookups were interpolated
+        traces = TruncationCounter()
+        for state in res.states:
+            density_trace(state, traces)
+        assert traces.truncated == 0  # traces stay inside the grid
 
     def test_wrong_start_time_rejected(self):
         state = zero_state(GRID, t=1.0)

@@ -133,9 +133,7 @@ def test_preset_couplings():
 def test_field_solve_settings():
     me = make_preset("vpme")
     assert (me.picard_tol, me.picard_max_iters, me.eps_ball) == (1e-12, 50, 0.05)
-    # the default gate is five percent of a finite series radius
-    assert ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0),
-                       h_radius=2.0).eps_ball == 0.1
+    assert ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0)).eps_ball == 0.05
     assert make_preset("vpme", eps_ball=2.0).eps_ball == 2.0
     for bad in ({"picard_tol": 0.0}, {"picard_max_iters": 0},
                 {"eps_ball": 0.0}, {"eps_ball": -1.0}):

@@ -39,9 +39,9 @@ from .kinetic import (PhaseGrid, SpectralState, TimeGrid, gaussian_datum,
                       horizon_violation, integrate, zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
                     maxwellian, two_stream)
-from .scattering import (RunGrids, apply_map_F, efield_weighted_norms,
-                         fixed_point_drive, free_extension, landau_linear_run,
-                         roundtrip_check)
+from .scattering import (RunGrids, apply_map_F, build_resolvent_tables,
+                         efield_weighted_norms, fixed_point_drive,
+                         free_extension, landau_linear_run, roundtrip_check)
 from .volterra import (DensityHistory, SourceHistory, SpectralHistory,
                        build_discrete_resolvent, solve_direct_backward,
                        solve_resolvent)
@@ -641,8 +641,8 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
         grid = PhaseGrid(1, 6.0, 0.5)
         datum = gaussian_datum({1: 1e-3})
         start = datum.sample(grid, 0.0)
-        result = integrate(start, zero_field_provider(grid), TimeGrid(2.0, 0.01),
-                           eq, direction="forward")
+        result = integrate(start, zero_field_provider(grid),
+                           TimeGrid(2.0, 0.01), eq)
         drift = max(float(np.max(np.abs(st.values - start.values)))
                     for st in result.states)
         assert drift <= 1e-13
@@ -658,7 +658,8 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
         empty = np.zeros((times.size, grids.phase.n_modes), dtype=complex)
         result = apply_map_F(zeros, DensityHistory(times, empty),
                              SpectralHistory(times, empty), datum, model,
-                             eq, w, grids)
+                             eq, w, grids,
+                             tables=build_resolvent_tables(model, eq, grids))
         assert all(np.all(st.values == 0) for st in result.states)
         run = fixed_point_drive(datum, model, eq, w, grids, tol=1e-9,
                                 max_iters=5)

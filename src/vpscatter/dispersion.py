@@ -378,11 +378,10 @@ def arc_moment(eq: Equilibrium) -> float:
     velocity profile has mu_hat(-u) = conj mu_hat(u), so the same M serves
     the modes k < 0. The integral is split at the sign changes of a real
     integrand (see :func:`_absolute_integral`) and certified to
-    ``_ARC_MOMENT_TOL``, which the bound adds as slack.
+    ``_ARC_MOMENT_TOL``, which the bound adds as slack.  It needs the exact
+    derivatives of mu_hat; :meth:`Equilibrium.deriv` refuses a profile
+    without them.
     """
-    if eq.mu_hat_deriv is None:
-        raise ConfigError(f"the Penrose arc bound needs the analytic "
-                          f"derivatives of mu_hat, which {eq.label} lacks")
 
     def signed(u):
         return 2.0 * eq.deriv(u, 1) + u * eq.deriv(u, 2)

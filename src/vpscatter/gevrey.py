@@ -279,7 +279,7 @@ class WeightedNormReport:
 def weighted_norm_report(state_history, density, w: GevreyWeight) -> WeightedNormReport:
     per_time = tuple((float(s.time), n1_at_time(s, w)) for s in state_history)
     n1 = max((v for _, v in per_time), default=0.0)
-    n2 = norm_N2(density, w) if density is not None else 0.0
+    n2 = norm_N2(density, w)
     return WeightedNormReport(n1=n1, n2=n2, n_total=n1 + n2, per_time=per_time)
 
 

@@ -13,6 +13,7 @@ integrator thus runs prescribed-field, linearized, and self-consistent flows.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from typing import Callable, Optional, Sequence
@@ -52,6 +53,16 @@ GRID_TOL = 1e-9
 FieldProvider = Callable[["SpectralState"], tuple[np.ndarray, np.ndarray]]
 
 
+@contextlib.contextmanager
+def _size_refusal(grid: str):
+    """Report a point count too large for numpy as a config error on ``grid``."""
+    try:
+        yield
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"{grid} has too many points to allocate "
+                          f"({exc})") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class PhaseGrid:
     """Symmetric mode lattice |k| <= k_max times uniform frequencies |eta| <= eta_max."""
@@ -65,12 +76,14 @@ class PhaseGrid:
             raise ConfigError("k_max must be a positive integer")
         if self.delta_eta <= 0 or self.eta_max <= 0:
             raise ConfigError("eta_max and delta_eta must be positive")
-        n_half = int(round(self.eta_max / self.delta_eta))
+        with _size_refusal(f"phase grid eta_max = {self.eta_max:g}, "
+                           f"delta_eta = {self.delta_eta:g}"):
+            n_half = int(round(self.eta_max / self.delta_eta))
+            eta = (np.arange(2 * n_half + 1) - n_half) * self.delta_eta
         if n_half < 2 or abs(n_half * self.delta_eta - self.eta_max) > GRID_TOL:
             raise ConfigError("delta_eta must divide eta_max evenly")
         object.__setattr__(self, "k_max", int(self.k_max))
         k = np.arange(-self.k_max, self.k_max + 1)
-        eta = (np.arange(2 * n_half + 1) - n_half) * self.delta_eta
         object.__setattr__(self, "k_values", _frozen(k, int))
         object.__setattr__(self, "eta", _frozen(eta, float))
 
@@ -118,11 +131,13 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.t_final <= 0 or self.dt <= 0:
             raise ConfigError("t_final and dt must be positive")
-        n = int(round(self.t_final / self.dt))
+        with _size_refusal(f"time grid t_final = {self.t_final:g}, "
+                           f"dt = {self.dt:g}"):
+            n = int(round(self.t_final / self.dt))
+            times = np.linspace(0.0, self.t_final, n + 1)
         if n < 1 or abs(n * self.dt - self.t_final) > GRID_TOL * max(1.0, self.t_final):
             raise ConfigError("dt must divide t_final evenly")
-        object.__setattr__(self, "times", _frozen(
-            np.linspace(0.0, self.t_final, n + 1), float))
+        object.__setattr__(self, "times", _frozen(times, float))
 
     @property
     def n_steps(self) -> int:
@@ -141,18 +156,18 @@ class TruncationCounter:
         return self.truncated / self.evaluations if self.evaluations else 0.0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class SpectralState:
     """One time slice of the transported perturbation, Fourier in both variables.
 
-    ``values`` is stored as a complex array that owns its data: an array
-    assigned to it that is a view of another (or of another dtype) is copied
-    once, on assignment, so no write through a base can reach it.
+    A state is a value: ``values`` is a read-only complex array that the
+    state owns from construction.  An array given that is a view of another
+    (or of another dtype) is copied once, so no write through a base can
+    reach it; an array that owns its data is taken over and locked.
 
     :meth:`interpolant` splines the frequency axis on first use and keeps the
-    spline in a slot until :meth:`release_interpolant` or until ``values`` is
-    assigned a new array.  Filling the slot locks ``values`` read-only, so an
-    in-place write raises instead of leaving the spline stale.
+    spline in a slot until :meth:`release_interpolant`; since ``values``
+    never change, a kept spline never goes stale.
     """
 
     time: float
@@ -160,27 +175,24 @@ class SpectralState:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.n_modes, self.grid.n_eta):
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.grid.n_modes, self.grid.n_eta):
             raise ConfigError("values must have shape (n_modes, n_eta)")
-
-    def __setattr__(self, name, value) -> None:
-        if name == "values":
-            value = np.asarray(value, dtype=complex)
-            if not value.flags.owndata:
-                value = value.copy()
-            super().__setattr__("_interp", None)
-        super().__setattr__(name, value)
+        if not values.flags.owndata:
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_interp", None)
 
     def interpolant(self) -> "StateInterpolant":
         """The spline of ``values``, built on first use and kept in the slot."""
         if self._interp is None:
-            self.values.flags.writeable = False
-            self._interp = StateInterpolant(self)
+            object.__setattr__(self, "_interp", StateInterpolant(self))
         return self._interp
 
     def release_interpolant(self) -> None:
-        """Drop the kept spline; ``values`` stays read-only."""
-        self._interp = None
+        """Drop the kept spline."""
+        object.__setattr__(self, "_interp", None)
 
     @property
     def k_values(self) -> np.ndarray:
@@ -190,9 +202,6 @@ class SpectralState:
     def eta(self) -> np.ndarray:
         return self.grid.eta
 
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.time, self.grid, self.values.copy())
-
     def mass_mode(self) -> complex:
         i, j = self.grid.origin
         return complex(self.values[i, j])
@@ -200,13 +209,6 @@ class SpectralState:
     def reality_defect(self) -> float:
         mirror = np.conj(self.values[::-1, ::-1])
         return float(np.max(np.abs(self.values - mirror)))
-
-    def resymmetrize(self) -> float:
-        """Project onto the real-symmetric subspace; returns the defect removed."""
-        mirror = np.conj(self.values[::-1, ::-1])
-        defect = float(np.max(np.abs(self.values - mirror)))
-        self.values = (self.values + mirror) / 2.0
-        return defect
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,8 +328,9 @@ class StateInterpolant:
     :func:`transport_rhs`, then the next pass's :func:`density_trace` and
     :func:`assemble_source_history`, which releases it.  In a forward
     self-consistent run the field provider and :func:`transport_rhs` share
-    one build per stage.  The coefficients take four times the memory of
-    the state.
+    one build per stage.  A state's values never change, so a kept spline
+    never goes stale.  The coefficients take four times the memory of the
+    state.
     """
 
     def __init__(self, state: SpectralState):
@@ -534,11 +537,10 @@ class HistoryFieldProvider:
     """Stage potentials interpolated in time from precomputed histories.
 
     ``u_linear`` drives the equilibrium gradient and ``u_nonlinear`` the
-    shear; given one history for both, a stage gets one array for both.
-    Uses four-point Lagrange interpolation (exact at grid nodes, falls back
-    to linear when the history is shorter than four slices).  Stage values
-    must match the history's own accuracy order: a lower-order stage lookup
-    caps the whole sweep at that order.
+    shear.  Uses four-point Lagrange interpolation (exact at grid nodes,
+    falls back to linear when the history is shorter than four slices).
+    Stage values must match the history's own accuracy order: a lower-order
+    stage lookup caps the whole sweep at that order.
     """
 
     def __init__(self, u_linear: SpectralHistory, u_nonlinear: SpectralHistory):
@@ -569,10 +571,8 @@ class HistoryFieldProvider:
                 + w2 * rows[j + 2] + w3 * rows[j + 3])
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-        lin = self._slice(self.u_linear, state.time)
-        if self.u_nonlinear is self.u_linear:
-            return lin, lin
-        return lin, self._slice(self.u_nonlinear, state.time)
+        return (self._slice(self.u_linear, state.time),
+                self._slice(self.u_nonlinear, state.time))
 
 
 class SelfConsistentFieldProvider:
@@ -604,15 +604,17 @@ def zero_field_provider(grid: PhaseGrid) -> FieldProvider:
 
 
 def integrate(initial: SpectralState, provider: FieldProvider,
-              time_grid: TimeGrid, eq: Equilibrium, direction: str = "backward",
+              time_grid: TimeGrid, eq: Equilibrium,
               counter: Optional[TruncationCounter] = None) -> IntegrationResult:
     """Four-stage Runge-Kutta sweep over the whole time grid.
 
-    Backward runs start at the final time (the asymptotic samples) and sweep
-    to 0; forward runs start at 0.  States are returned in ascending time
-    order either way.  Each step is projected back onto the real-symmetric
-    subspace and the removed defect is tracked; the origin mode is conserved
-    by the dynamics and its end-to-end drift is reported.
+    The start state's time picks the direction: a state at the final time
+    (the asymptotic samples) sweeps backward to 0, a state at 0 sweeps
+    forward; any other start is refused.  The start state is the first
+    state of the trajectory, taken as is.  States are returned in ascending
+    time order either way.  Each step is projected back onto the
+    real-symmetric subspace and the removed defect is tracked; the origin
+    mode is conserved by the dynamics and its end-to-end drift is reported.
 
     The k1 stage of each step is the stored state it leaves, so whatever
     spline that stage builds stays in the stored state's slot: every
@@ -620,20 +622,18 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     the slots once no later consumer (the next pass of the construction map)
     needs them.
     """
-    if direction not in ("backward", "forward"):
-        raise ConfigError("direction must be 'backward' or 'forward'")
     if counter is None:
         counter = TruncationCounter()
     times = time_grid.times
-    backward = direction == "backward"
+    backward = abs(initial.time - times[-1]) < abs(initial.time - times[0])
     start = times[-1] if backward else times[0]
     if abs(initial.time - start) > GRID_TOL * max(1.0, abs(start)):
         raise ConfigError(
-            f"{direction} integration must start at t={start:g}, "
-            f"got state at t={initial.time:g}")
+            f"integration must start at t=0 (forward) or t={times[-1]:g} "
+            f"(backward), got state at t={initial.time:g}")
     order = range(times.size - 2, -1, -1) if backward else range(1, times.size)
     grid = initial.grid
-    current = initial.copy()
+    current = initial
     out = [current]
     mass0 = current.mass_mode()
     max_drift = 0.0
@@ -664,8 +664,10 @@ def integrate(initial: SpectralState, provider: FieldProvider,
             raise BlowUpError(
                 f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
                 "or shrink the datum amplitude")
-        current = state_at(t1, y_next)
-        max_drift = max(max_drift, current.resymmetrize())
+        # project onto the real-symmetric subspace, tracking the defect removed
+        mirror = np.conj(y_next[::-1, ::-1])
+        max_drift = max(max_drift, float(np.max(np.abs(y_next - mirror))))
+        current = state_at(t1, (y_next + mirror) / 2.0)
         out.append(current)
     mass_drift = abs(current.mass_mode() - mass0)
     if backward:

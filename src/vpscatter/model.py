@@ -144,9 +144,8 @@ class Equilibrium:
 
     ``lambda_analytic`` is a rate for which ``|mu_hat(eta)| <= C exp(-lambda_analytic |eta|)``
     is certified; solvers must keep every Gevrey radius they use strictly below
-    half of it. ``mu_hat_deriv(eta, order)`` returns the order-th eta derivative
-    when an analytic formula exists; otherwise derivative checks fall back to
-    centered differences.
+    half of it. ``mu_hat_deriv(eta, order)`` returns the exact order-th eta
+    derivative; :meth:`deriv` refuses orders above 0 without it.
     """
 
     label: str
@@ -158,17 +157,10 @@ class Equilibrium:
         eta = np.asarray(eta, dtype=float)
         if order == 0:
             return np.asarray(self.mu_hat(eta), dtype=complex)
-        if self.mu_hat_deriv is not None:
-            return np.asarray(self.mu_hat_deriv(eta, order), dtype=complex)
-        # single binomial central-difference stencil; step balances the
-        # O(h^2) truncation against the eps/h^order roundoff amplification
-        h = np.sqrt(1.0 + eta**2) * 1e-16 ** (1.0 / (order + 2))
-        acc = np.zeros(np.broadcast(eta, h).shape, dtype=complex)
-        for i in range(order + 1):
-            shift = (order / 2.0 - i) * h
-            acc += ((-1) ** i * math.comb(order, i)
-                    * np.asarray(self.mu_hat(eta + shift), dtype=complex))
-        return acc / h**order
+        if self.mu_hat_deriv is None:
+            raise ConfigError(f"the analytic derivatives of mu_hat are not "
+                              f"given for the equilibrium {self.label}")
+        return np.asarray(self.mu_hat_deriv(eta, order), dtype=complex)
 
 
 def maxwellian() -> Equilibrium:

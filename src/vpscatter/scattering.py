@@ -96,13 +96,16 @@ class IterateRecord:
 
 @dataclasses.dataclass(frozen=True)
 class ScatteringRun:
-    """Outcome of the fixed-point drive."""
+    """Outcome of the fixed-point drive.
+
+    ``states`` is the last iterate's trajectory in ascending time; its first
+    state is the constructed t = 0 state, :attr:`g0`.
+    """
 
     datum: AsymptoticDatum
     iterates: tuple
     distances: tuple
     contraction_ratios: tuple
-    g0: SpectralState
     states: tuple
     potentials: SpectralHistory
     efield_decay: tuple
@@ -110,6 +113,10 @@ class ScatteringRun:
     decay_fit: Optional[DecayFit]
     ball_bound: float
     tolerance: float
+
+    @property
+    def g0(self) -> SpectralState:
+        return self.states[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,7 +193,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
                 phi_density: DensityHistory, phi_potential: SpectralHistory,
                 ginf: AsymptoticDatum, model: ModelConfig, eq: Equilibrium,
                 w: GevreyWeight, grids: RunGrids, *,
-                tables: Optional[Mapping[int, DiscreteResolvent]] = None,
+                tables: Mapping[int, DiscreteResolvent],
                 ball_n1: Optional[float] = None,
                 counter: Optional[TruncationCounter] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
@@ -197,6 +204,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     density through the resolvent tables, form its potential, then
     transport the datum backward from the horizon with the new field driving
     the equilibrium gradient and the old field driving the shear term.
+    ``tables`` are the resolvent tables of :func:`build_resolvent_tables`.
 
     ``ball_n1`` is an optional acceptance bound: a new iterate whose sup-in-
     time distribution norm exceeds it aborts with a no-contraction error, the
@@ -213,8 +221,6 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     source = assemble_source_history(model, phi_states, phi_density,
                                      phi_potential, ginf, counter=counter)
     _release(phi_states)
-    if tables is None:
-        tables = build_resolvent_tables(model, eq, grids)
     density = solve_resolvent(model, eq, source, tables)
     # the new potential responds linearly; the series correction lives in the
     # source term of the next pass
@@ -223,8 +229,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     # the old potential shears the state
     provider = HistoryFieldProvider(u_psi_hist, phi_potential)
     terminal = ginf.sample(grid, tg.t_final)
-    integration = integrate(terminal, provider, tg, eq, direction="backward",
-                            counter=counter)
+    integration = integrate(terminal, provider, tg, eq, counter=counter)
     report = weighted_norm_report(integration.states, density, w)
     if ball_n1 is not None and report.n1 > ball_n1:
         raise NoContractionError(
@@ -355,7 +360,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     return ScatteringRun(datum=ginf, iterates=tuple(records),
                          distances=tuple(distances),
                          contraction_ratios=tuple(ratios),
-                         g0=prev_states[0].copy(), states=prev_states,
+                         states=prev_states,
                          potentials=result.potentials,
                          efield_decay=tuple(zip(e_times.tolist(),
                                                 e_norms.tolist())),
@@ -414,8 +419,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
     provider = SelfConsistentFieldProvider(model, w)
-    forward = integrate(run.g0.copy(), provider, grids.time, eq,
-                        direction="forward")
+    forward = integrate(run.g0, provider, grids.time, eq)
     _release(forward.states)
     target = state_to_physical(run.datum.sample(grids.phase, 0.0))[2]
     errors = np.array([
@@ -427,8 +431,7 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     fine = forward.states[-1]
     if grids.time.n_steps % 2 == 0:
         coarse_grid = TimeGrid(grids.time.t_final, 2.0 * grids.time.dt)
-        coarse = integrate(run.g0.copy(), provider, coarse_grid, eq,
-                           direction="forward")
+        coarse = integrate(run.g0, provider, coarse_grid, eq)
         _release(coarse.states)
         fine_end = state_to_physical(fine)[2]
         coarse_end = state_to_physical(coarse.states[-1])[2]
@@ -436,9 +439,8 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     phase = grids.phase
     if (phase.n_eta - 1) % 4 == 0:
         wide = PhaseGrid(phase.k_max, phase.eta_max, 2.0 * phase.delta_eta)
-        start = SpectralState(0.0, wide, run.g0.values[:, ::2].copy())
-        sparse = integrate(start, provider, grids.time, eq,
-                           direction="forward")
+        start = SpectralState(0.0, wide, run.g0.values[:, ::2])
+        sparse = integrate(start, provider, grids.time, eq)
         _release(sparse.states)
         x, v, sparse_end = state_to_physical(sparse.states[-1])
         fine_at = _physical_at(fine, x, v)
@@ -481,8 +483,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
         return fields
 
     initial = datum.sample(grids.phase, 0.0)
-    result = integrate(initial, recording, grids.time, eq,
-                       direction="forward")
+    result = integrate(initial, recording, grids.time, eq)
     times = grids.time.times
     # the final state starts no step, so its field is solved here
     potentials = SpectralHistory(

@@ -127,9 +127,14 @@ def landau_root(model: ModelConfig, eq: Equilibrium, k: int,
 
 def second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
     # reuse the certified transform of t * f by folding one extra t factor
-    # into the profile evaluator
+    # into the profile evaluator; d^n[(eta/k) mu] = (eta/k) mu^(n) + (n/k) mu^(n-1)
+    def deriv(eta, order):
+        eta = np.asarray(eta, dtype=float)
+        return ((eta / k) * eq.deriv(eta, order)
+                + (order / k) * eq.deriv(eta, order - 1))
+
     return Equilibrium(eq.label, lambda eta: (np.asarray(eta) / k) * eq.mu_hat(eta),
-                       eq.lambda_analytic, None)
+                       eq.lambda_analytic, deriv)
 
 
 def nested_simpson_full_grid(phi, tau: complex, tol: float,

@@ -200,7 +200,7 @@ def test_criterion_10_conservation_and_determinism(landau_small_amplitude,
     grid = PhaseGrid(1, 16.0, 0.5)
     start = gaussian_datum({1: 1e-3}).sample(grid, 0.0)
     free = integrate(start, zero_field_provider(grid), TimeGrid(10.0, 0.01),
-                     MAXWELL, direction="forward")
+                     MAXWELL)
     drift = max(float(np.max(np.abs(st.values - start.values)))
                 for st in free.states)
     outputs = []

@@ -546,6 +546,25 @@ class TestMainEntry:
                 assert f"bad value for {key}: expected a finite number" in err[0]
                 assert not out.exists()  # refused before any run starts
 
+    @pytest.mark.parametrize("command,text,grid", [
+        ("poisson", "grid.delta_eta = 1e-300\n", "phase grid"),
+        ("poisson", "grid.eta_max = 1e300\ngrid.delta_eta = 1e-300\n",
+         "phase grid"),
+        ("kernel", "grid.dt = 1e-300\n", "time grid"),
+    ])
+    def test_huge_finite_grid_is_config_error(self, tmp_path, capsys,
+                                              command, text, grid):
+        # finite sizes pass the schema; numpy refuses the point count
+        out = tmp_path / "out"
+        path = write_config(tmp_path, text)
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(f"error: {grid} ")
+        assert "too many points" in err[0]
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"# error = {grid} " in manifest
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes("# r\xe9glage\ngrid.kmax = 1\n".encode("latin-1"))

@@ -1,5 +1,7 @@
 """Spectral state plumbing, transport right-hand side, and the RK4 sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,14 +146,19 @@ class TestDatum:
         assert state.mass_mode() == 0.0
 
     def test_resymmetrize_reports_and_removes_the_defect(self):
+        # free transport leaves the state as it is, so one step shows the
+        # projection integrate applies to every new state, bit for bit
         rng = np.random.default_rng(3)
         vals = rng.normal(size=(GRID.n_modes, GRID.n_eta)) * (1 - 0.5j)
         state = SpectralState(0.0, GRID, vals)
         defect = state.reality_defect()
-        assert state.resymmetrize() == defect > 0.0
-        assert np.array_equal(state.values,
+        res = integrate(state, zero_field_provider(GRID), TimeGrid(0.1, 0.1),
+                        maxwellian())
+        assert res.max_reality_drift == defect > 0.0
+        projected = res.states[-1]
+        assert np.array_equal(projected.values,
                               (vals + np.conj(vals[::-1, ::-1])) / 2.0)
-        assert state.reality_defect() == 0.0
+        assert projected.reality_defect() == 0.0
 
 
 class TestInterpolation:
@@ -313,7 +320,7 @@ class TestDensityTrace:
     def test_free_streaming_trace_is_gaussian_in_time(self):
         datum = gaussian_datum({1: 1.0})
         res = integrate(datum.sample(GRID, 0.0), zero_field_provider(GRID),
-                        TimeGrid(4.0, 0.1), maxwellian(), direction="forward")
+                        TimeGrid(4.0, 0.1), maxwellian())
         worst = max(abs(density_trace(s)[GRID.index_of(1)]
                         - np.exp(-s.time**2 / 2)) for s in res.states)
         assert worst <= 5e-6
@@ -326,7 +333,7 @@ class TestSplineSlot:
         provider = SelfConsistentFieldProvider(SCREENED, GevreyWeight())
         tg = TimeGrid(1.0, 0.1)
         integrate(gaussian_datum({1: 1e-4}).sample(GRID, 0.0), provider, tg,
-                  maxwellian(), direction="forward")
+                  maxwellian())
         assert len(builds) == 4 * tg.n_steps
 
     def test_in_place_write_to_splined_state_raises(self):
@@ -334,23 +341,25 @@ class TestSplineSlot:
         q = density_trace(state)
         with pytest.raises(ValueError, match="read-only"):
             state.values *= 2.0
-        assert np.array_equal(density_trace(state), q)
-        state.values = 2.0 * state.values  # a new array empties the slot
-        again = density_trace(state)
-        assert np.array_equal(again, density_trace(state.copy()))
-        assert not np.array_equal(again, q)
-
-    def test_view_of_another_array_is_copied(self):
-        base = gaussian_datum({1: 1.0}).sample(GRID, 1.0).values
-        state = SpectralState(1.0, GRID, base[:, :])
-        assert state.values.flags.owndata
-        assert not np.shares_memory(state.values, base)
-        q = density_trace(state)
-        base *= 2.0  # the state holds its own copy, so its spline stays valid
         assert state.interpolant() is state.interpolant()
         assert np.array_equal(density_trace(state), q)
-        state.values = base[:, ::-1]  # assignment copies a view too
-        assert state.values.flags.owndata and state.values.flags.writeable
+
+    def test_values_are_read_only_from_construction(self):
+        state = gaussian_datum({1: 1.0}).sample(GRID, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            state.values *= 2.0  # before any spline is built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.values = 2.0 * state.values
+
+    def test_view_of_another_array_is_copied(self):
+        base = 1.0 * gaussian_datum({1: 1.0}).sample(GRID, 1.0).values
+        state = SpectralState(1.0, GRID, base[:, :])
+        assert state.values.flags.owndata and not state.values.flags.writeable
+        assert not np.shares_memory(state.values, base)
+        assert base.flags.writeable
+        q = density_trace(state)
+        base *= 2.0  # the state holds its own copy, so its spline stays valid
+        assert np.array_equal(density_trace(state), q)
 
 
 class TestTransportRhs:
@@ -427,7 +436,7 @@ class TestIntegrate:
         datum = gaussian_datum({1: 1.0})
         start = datum.sample(GRID, 0.0)
         res = integrate(start, zero_field_provider(GRID), TimeGrid(5.0, 0.05),
-                        maxwellian(), direction="forward")
+                        maxwellian())
         assert all(np.array_equal(s.values, start.values) for s in res.states)
         assert res.mass_drift == 0.0 and res.max_reality_drift == 0.0
 
@@ -435,10 +444,10 @@ class TestIntegrate:
         datum = gaussian_datum({1: 1.0, 2: 0.25j})
         tg = TimeGrid(3.0, 0.1)
         back = integrate(datum.sample(GRID, 3.0), zero_field_provider(GRID),
-                         tg, maxwellian(), direction="backward")
+                         tg, maxwellian())
         assert back.states[0].time == 0.0
         fwd = integrate(back.states[0], zero_field_provider(GRID), tg,
-                        maxwellian(), direction="forward")
+                        maxwellian())
         assert np.array_equal(fwd.states[-1].values,
                               datum.sample(GRID, 3.0).values)
 
@@ -455,8 +464,7 @@ class TestIntegrate:
         start = gaussian_datum({1: 0.1}).sample(GRID, 0.0)
 
         def final(dt):
-            res = integrate(start.copy(), provider, TimeGrid(2.0, dt),
-                            maxwellian(), direction="forward")
+            res = integrate(start, provider, TimeGrid(2.0, dt), maxwellian())
             return res.states[-1].values
 
         ref = final(0.00625)
@@ -469,7 +477,7 @@ class TestIntegrate:
         datum = gaussian_datum({1: 1e-4})
         provider = SelfConsistentFieldProvider(SCREENED, GevreyWeight())
         res = integrate(datum.sample(GRID, 0.0), provider, TimeGrid(2.0, 0.05),
-                        maxwellian(), direction="forward")
+                        maxwellian())
         assert res.mass_drift <= 1e-12
         assert res.max_reality_drift <= 1e-12
         assert res.counter.evaluations > 0  # shear lookups were interpolated
@@ -478,14 +486,18 @@ class TestIntegrate:
             density_trace(state, traces)
         assert traces.truncated == 0  # traces stay inside the grid
 
+    def test_start_time_picks_the_direction(self):
+        tg = TimeGrid(2.0, 0.1)
+        for t, first in ((2.0, -1), (0.0, 0)):
+            start = zero_state(GRID, t=t)
+            res = integrate(start, zero_field_provider(GRID), tg, maxwellian())
+            assert res.states[first] is start  # taken as is, not copied
+            assert [s.time for s in res.states] == tg.times.tolist()
+
     def test_wrong_start_time_rejected(self):
-        state = zero_state(GRID, t=1.0)
-        with pytest.raises(ConfigError, match="start"):
-            integrate(state, zero_field_provider(GRID), TimeGrid(2.0, 0.1),
-                      maxwellian(), direction="forward")
-        with pytest.raises(ConfigError, match="direction"):
-            integrate(state, zero_field_provider(GRID), TimeGrid(2.0, 0.1),
-                      maxwellian(), direction="sideways")
+        with pytest.raises(ConfigError, match="must start at"):
+            integrate(zero_state(GRID, t=1.0), zero_field_provider(GRID),
+                      TimeGrid(2.0, 0.1), maxwellian())
 
     def test_blow_up_reported(self):
         def provider(state):
@@ -495,8 +507,7 @@ class TestIntegrate:
 
         start = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
         with pytest.raises(BlowUpError, match="reduce dt"):
-            integrate(start, provider, TimeGrid(1.0, 0.1), maxwellian(),
-                      direction="forward")
+            integrate(start, provider, TimeGrid(1.0, 0.1), maxwellian())
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data(), k_max=st.integers(1, 2),
@@ -525,7 +536,7 @@ class TestIntegrate:
             return 0.5 * decay * linear, 0.5 * decay * shear
 
         eq = two_stream(1.0, 0.5) if two_streams else maxwellian()
-        res = integrate(start, provider, tg, eq, direction=direction)
+        res = integrate(start, provider, tg, eq)
         assert res.max_reality_drift <= 1e-12
         assert all(state.reality_defect() == 0.0 for state in res.states)
 
@@ -534,9 +545,10 @@ class TestSourceAssembly:
     def setup_method(self):
         self.tg = TimeGrid(3.0, 0.25)
         self.datum = gaussian_datum({1: 1.0})
-        self.states = [self.datum.sample(GRID, float(t)) for t in self.tg.times]
-        for s in self.states:
-            s.values *= 1e-3
+        self.states = [
+            SpectralState(float(t), GRID,
+                          1e-3 * self.datum.sample(GRID, float(t)).values)
+            for t in self.tg.times]
         n_t = self.tg.times.size
         self.zero_rho = DensityHistory(
             times=self.tg.times, values=np.zeros((n_t, GRID.n_modes), complex))
@@ -629,7 +641,7 @@ class TestFieldProviders:
         hist = SpectralHistory(times=tg.times, values=vals)
         provider = HistoryFieldProvider(hist, hist)
         lin, nl = provider(zero_state(GRID, t=1.125))
-        assert lin is nl
+        assert np.array_equal(lin, nl)
         assert lin.shape == (GRID.n_modes,)
         assert lin[GRID.index_of(1)] == 1.125
         want = 1.125 ** 3 - 2.0 * 1.125 ** 2

@@ -14,7 +14,7 @@ from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.dispersion import penrose_scan
 from vpscatter.scattering import (RunGrids, _slice_fields, apply_map_F,
-                                  free_extension, fixed_point_drive,
+                                  build_resolvent_tables, free_extension, fixed_point_drive,
                                   iterate_distance, landau_linear_run,
                                   roundtrip_check, state_to_physical)
 from vpscatter.volterra import DensityHistory, SpectralHistory
@@ -39,11 +39,14 @@ def zero_histories(grids):
     return DensityHistory(times, zeros), SpectralHistory(times, zeros)
 
 
-def map_once(states, datum, grids, model=VP, eq=MAXWELL, w=WEIGHT, **kwargs):
+def map_once(states, datum, grids, model=VP, eq=MAXWELL, w=WEIGHT,
+             tables=None, **kwargs):
     """Slice an iterate as the drive does, then apply the map to it."""
+    if tables is None:
+        tables = build_resolvent_tables(model, eq, grids)
     density, potential = _slice_fields(model, grids, states, w, None)
     return apply_map_F(states, density, potential, datum, model, eq, w, grids,
-                       **kwargs)
+                       tables=tables, **kwargs)
 
 
 def scaled_gap(big, small, w):
@@ -112,7 +115,8 @@ class TestMapApplication:
         datum = gaussian_datum({1: 1e-3})
         result = apply_map_F(free_extension(datum, COMPACT),
                              *zero_histories(COMPACT), datum, VP, MAXWELL,
-                             WEIGHT, COMPACT)
+                             WEIGHT, COMPACT,
+                             tables=build_resolvent_tables(VP, MAXWELL, COMPACT))
         gap = max(
             float(np.max(np.abs(density_trace(st) - result.density.values[i, :])))
             for i, st in enumerate(result.states))

@@ -34,7 +34,12 @@ MAXW = maxwellian()
 VP = make_preset("vp")
 SCREENED = make_preset("screened")
 
-FLAT_EQ = Equilibrium(label="off", mu_hat=lambda eta: np.zeros_like(np.asarray(eta, dtype=float), dtype=complex), lambda_analytic=1.0)
+def _zeros(eta, order=0):
+    return np.zeros_like(np.asarray(eta, dtype=float), dtype=complex)
+
+
+FLAT_EQ = Equilibrium(label="off", mu_hat=_zeros, lambda_analytic=1.0,
+                      mu_hat_deriv=_zeros)
 
 
 def gaussian_source(k_max, n_t, delta_t, width=1.0):
@@ -305,7 +310,7 @@ def test_degenerate_diagonal_raises_step_size_error():
                       mu_hat=lambda eta: np.full_like(np.asarray(eta, dtype=float),
                                                       (-40.0 / 3.0) * (1.0 - 1e-9),
                                                       dtype=complex),
-                      lambda_analytic=1.0)
+                      lambda_analytic=1.0, mu_hat_deriv=_zeros)
     diag = corrected_diagonal(VP, bad, 1, 1.0)
     assert abs(diag) < 1e-8
     times = 1.0 * np.arange(9)

@@ -21,6 +21,7 @@ certified and reported truncation bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -307,6 +308,11 @@ def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
     Returns (omega, values, certificate): omega ascending with spacing
     2 pi / span, |omega| <= omega_max; the certificate is the change under
     one time-step halving.
+
+    Every halving keeps the period, so the omega grid and its corner
+    transform stay fixed; the even nodes of the halved grid are the previous
+    nodes bit for bit (span / 2n = (span / n) / 2 exactly), so the integrand
+    is evaluated only at the new odd nodes.
     """
     growth = -a  # integrand carries e^{-a s}
     t_need, _ = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
@@ -316,36 +322,61 @@ def _grid_transform(eq: Equilibrium, k: int, sign: int, a: float,
     n = 1 << max(10, math.ceil(math.log2(span / h)))
     span = n * h  # realized period; omega spacing 2 pi / span
     corner = _corner_coeffs(eq, k, sign, a)
+
+    def integrand(s):
+        return (s * np.asarray(eq.mu_hat(sign * k * s), dtype=complex)
+                * np.exp(-a * s) - _corner_values(corner, s))
+
+    step = span / n
+    omega = 2.0 * math.pi * np.fft.fftfreq(n, d=step)
+    # the kept frequencies are 0..m and their negatives, omega == -omega[::-1]
+    m = int(np.count_nonzero(omega[:n // 2] <= omega_max + 1e-12)) - 1
+    omega_out = np.concatenate((omega[n - m:], omega[:m + 1]))
+    corner_out = _corner_transform(corner, omega_out)
+    f = integrand(np.arange(n) * step)
     prev = None
     for _ in range(6):
-        step = span / n
-        s = np.arange(n) * step
-        f = (s * np.asarray(eq.mu_hat(sign * k * s), dtype=complex)
-             * np.exp(-a * s) - _corner_values(corner, s))
-        spectrum = np.fft.fft(f) * step
-        omega = 2.0 * math.pi * np.fft.fftfreq(n, d=step)
-        keep = np.abs(omega) <= omega_max + 1e-12
-        order = np.argsort(omega[keep], kind="stable")
-        omega_out = omega[keep][order]
-        values = spectrum[keep][order] + _corner_transform(corner, omega_out)
+        spectrum = np.fft.fft(f)
+        values = (np.concatenate((spectrum[n - m:], spectrum[:m + 1])) * step
+                  + corner_out)
         if prev is not None:
             cert = float(np.max(np.abs(values - prev)))
             if cert <= _GRID_TOL:
                 return omega_out, values, cert
         prev = values
         n *= 2
+        step = span / n
+        halved = np.empty(n, dtype=complex)
+        halved[::2] = f
+        halved[1::2] = integrand(np.arange(1, n, 2) * step)
+        f = halved
     raise QuadratureError("contour transform failed to certify under halving")
+
+
+def _mirror(values: np.ndarray) -> np.ndarray:
+    """Samples at -omega of a real profile's -k transform from the +k ones.
+
+    A real velocity profile has mu_hat(-u) = conj mu_hat(u), so
+    L[t mu_hat(-k t)](i omega) = conj L[t mu_hat(k t)](-i omega); on a grid
+    with omega == -omega[::-1] that is the conjugate reversed."""
+    return np.conj(values[::-1])
 
 
 def dispersion_on_axis(model: ModelConfig, eq: Equilibrium, k: int,
                        omega_max: float, n_min: int = 1024):
-    """D(k, i omega) on a uniform grid covering [-omega_max, omega_max]."""
+    """D(k, i omega) on a uniform grid covering [-omega_max, omega_max].
+
+    Only |k| is transformed: D(-k, i omega) = conj D(k, -i omega) for a real
+    profile (see :class:`Equilibrium`), so k < 0 returns the mirror of the
+    |k| values on the same symmetric grid."""
     if k == 0:
         raise ConfigError("k must be nonzero")
     span_min = math.pi * n_min / omega_max
-    omega, transform, cert = _grid_transform(eq, k, +1, 0.0, omega_max, span_min)
+    omega, transform, cert = _grid_transform(eq, abs(k), +1, 0.0, omega_max,
+                                             span_min)
     pref = float(model.poisson_prefactor(k))
-    return omega, 1.0 + pref * transform, cert
+    values = 1.0 + pref * transform
+    return omega, (values if k > 0 else _mirror(values)), cert
 
 
 def _winding_number(values: np.ndarray) -> float:
@@ -359,12 +390,15 @@ def _winding_number(values: np.ndarray) -> float:
     return float(np.sum(steps)) / (2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=16)
 def absolute_first_moment(eq: Equilibrium) -> float:
     """integral of u |mu_hat(u)| over u >= 0, for the mode tail bound.
 
     Split at the sign changes of a real mu_hat (see
     :func:`_absolute_integral`), so a kinked integrand costs thousands of
-    nodes, not millions."""
+    nodes, not millions.  Computed once per equilibrium object: equilibria
+    compare by their profile callables' identity (see :class:`Equilibrium`),
+    so a value never carries over to an equilibrium built by another call."""
     return _absolute_integral(lambda u: u * np.asarray(eq.mu_hat(u)),
                               lambda u: u * np.abs(np.asarray(eq.mu_hat(u))),
                               _FIRST_MOMENT_TOL, decay=0.9 * eq.lambda_analytic)
@@ -374,9 +408,9 @@ def arc_moment(eq: Equilibrium) -> float:
     """Upper bound on M = integral over u >= 0 of |2 mu_hat'(u) + u mu_hat''(u)|.
 
     Integrating L[t mu_hat(k t)](tau) by parts twice gives, for Re tau >= 0,
-    |L| <= (|mu_hat(0)| + M) / |tau|^2 with M independent of k. A real
-    velocity profile has mu_hat(-u) = conj mu_hat(u), so the same M serves
-    the modes k < 0. The integral is split at the sign changes of a real
+    |L| <= (|mu_hat(0)| + M) / |tau|^2 with M independent of k. The
+    real-profile identity of :class:`Equilibrium` makes the same M serve the
+    modes k < 0. The integral is split at the sign changes of a real
     integrand (see :func:`_absolute_integral`) and certified to
     ``_ARC_MOMENT_TOL``, which the bound adds as slack.  It needs the exact
     derivatives of mu_hat; :meth:`Equilibrium.deriv` refuses a profile
@@ -406,6 +440,10 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
     Nyquist winding number of the whole boundary. Nonzero winding counts
     right-half-plane zeros; stability additionally needs the unscanned-mode
     tail bound to stay below the running minimum.
+
+    Each |k| is transformed once: the mode -k is the mirror of +k (see
+    :func:`dispersion_on_axis`), so its minimum |D| equals that of +k at the
+    reflected omega, and so does its winding number.
     """
     if k_scan_max < 1:
         raise ConfigError("k_scan_max must be >= 1")
@@ -427,9 +465,14 @@ def penrose_scan(model: ModelConfig, eq: Equilibrium, k_scan_max: int,
     axis_minima: dict[int, tuple[float, float]] = {}
     kappa0 = math.inf
     argmin: tuple[int, complex] = (0, 0j)
-    for k in modes:
+    scans = {}
+    for k in range(1, k_scan_max + 1):
         omega, axis_vals, _ = dispersion_on_axis(model, eq, k, omega_max,
                                                  n_min=n_samples)
+        scans[k] = omega, axis_vals
+        scans[-k] = omega, _mirror(axis_vals)
+    for k in modes:
+        omega, axis_vals = scans[k]
         i = int(np.argmin(np.abs(axis_vals)))
         axis_minima[k] = (float(omega[i]), float(np.abs(axis_vals[i])))
         if abs(axis_vals[i]) < kappa0:

@@ -384,7 +384,11 @@ class StateInterpolant:
         """
         eta = np.asarray(eta, dtype=float)
         idx, d = self._locate(eta.ravel())
-        out = self._horner(np.take(self._coef, idx, axis=1), d[:, None])
+        block = np.take(self._coef, idx, axis=1)
+        # numpy would cast the real offsets to complex inside every multiply
+        offsets = np.empty(block.shape[1:], dtype=complex)
+        offsets[...] = d[:, None]
+        out = self._horner(block, offsets)
         out = out.T.reshape((-1,) + eta.shape)
         outside = np.abs(eta) > self._edge
         n_outside = int(np.count_nonzero(outside))
@@ -411,7 +415,8 @@ class StateInterpolant:
             idx, d = self._locate(eta[sel])
             flat = idx * self.grid.n_modes + (k[sel] + self.grid.k_max).astype(int)
             coef = self._coef.reshape(4, -1)
-            out[sel] = self._horner(np.take(coef, flat, axis=1), d)
+            out[sel] = self._horner(np.take(coef, flat, axis=1),
+                                    d.astype(complex))
         if counter is not None:
             counter.evaluations += k.size
             counter.truncated += int(np.count_nonzero(on_lattice & ~inside))

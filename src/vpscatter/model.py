@@ -146,6 +146,12 @@ class Equilibrium:
     is certified; solvers must keep every Gevrey radius they use strictly below
     half of it. ``mu_hat_deriv(eta, order)`` returns the exact order-th eta
     derivative; :meth:`deriv` refuses orders above 0 without it.
+
+    The velocity profile is real, so ``mu_hat(-eta) = conj mu_hat(eta)``;
+    the stability scan mirrors each mode -k from +k on that identity, and
+    the arc bound serves both signs with one moment.  Equality and hashing
+    compare the profile callables by identity: two calls of one factory give
+    unequal equilibria.
     """
 
     label: str

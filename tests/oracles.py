@@ -16,6 +16,11 @@ to roundoff. ``two_stream_first_moment`` integrates the kinked two-stream
 first moment by Gauss-Legendre rules between the known zeros of the cosine:
 it shares no quadrature with the package.
 
+``grid_transform_fresh`` is the FFT contour transform that samples the
+whole integrand again at every time-step halving and recomputes the corner
+transform each round; the package's loop keeps the previous round's samples
+as the even nodes and must agree with it bit for bit.
+
 ``resolvent_identity_residual`` forms the dense direct and reconstruction
 operators of the backward Volterra solve and measures how far their product
 is from the identity. ``solve_with_continuum_tables`` applies sampled
@@ -33,8 +38,9 @@ import math
 import numpy as np
 from scipy.special import wofz
 
-from vpscatter.dispersion import (_MAX_DOUBLINGS, _tail_cutoff,
-                                  laplace_one_sided)
+from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
+                                  _corner_transform, _corner_values,
+                                  _tail_cutoff, laplace_one_sided)
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.kinetic import StateInterpolant
 from vpscatter.model import Equilibrium, ModelConfig
@@ -70,6 +76,37 @@ def transform_direct(eq: Equilibrium, k: int, sign: int, taus: np.ndarray,
         prev = out
         n *= 2
     raise QuadratureError("direct transform failed to certify under halving")
+
+
+def grid_transform_fresh(eq: Equilibrium, k: int, sign: int, a: float,
+                         omega_max: float, span_min: float):
+    """``_grid_transform`` with every round sampled and transformed afresh."""
+    t_need, _ = _tail_cutoff(lambda s: s * np.asarray(eq.mu_hat(sign * k * s)),
+                             -a, _GRID_TOL, 200.0 / max(abs(k), 1))
+    span = max(span_min, t_need + 1.0, 80.0)
+    h = math.pi / (1.25 * omega_max)
+    n = 1 << max(10, math.ceil(math.log2(span / h)))
+    span = n * h
+    corner = _corner_coeffs(eq, k, sign, a)
+    prev = None
+    for _ in range(6):
+        step = span / n
+        s = np.arange(n) * step
+        f = (s * np.asarray(eq.mu_hat(sign * k * s), dtype=complex)
+             * np.exp(-a * s) - _corner_values(corner, s))
+        spectrum = np.fft.fft(f) * step
+        omega = 2.0 * math.pi * np.fft.fftfreq(n, d=step)
+        keep = np.abs(omega) <= omega_max + 1e-12
+        order = np.argsort(omega[keep], kind="stable")
+        omega_out = omega[keep][order]
+        values = spectrum[keep][order] + _corner_transform(corner, omega_out)
+        if prev is not None:
+            cert = float(np.max(np.abs(values - prev)))
+            if cert <= _GRID_TOL:
+                return omega_out, values, cert
+        prev = values
+        n *= 2
+    raise QuadratureError("contour transform failed to certify under halving")
 
 
 def maxwellian_transform(k, taus):

@@ -229,6 +229,29 @@ class TestCommands:
             assert float(omega_min) == float(omega[idx])
             assert float(d_min) == float(np.abs(d_values[idx]))
 
+    @pytest.mark.parametrize("kind", ["maxwellian", "bump_on_tail"])
+    def test_penrose_negative_rows_mirror_positive_rows(self, tmp_path, kind):
+        code, out = self.run("penrose", tmp_path,
+                             f"equilibrium.kind = {kind}\n"
+                             "model.preset = screened\n"
+                             "penrose.samples = 1201\n"
+                             "penrose.omega_max = 8.0\n")
+        assert code == EXIT_OK
+        rows = {int(row.split(",")[0]): row.split(",") for row in
+                (out / "penrose.csv").read_text().splitlines()[1:]}
+        eq = config_from_mapping({"equilibrium.kind": kind}).equilibrium()
+        for k in (1, 2):
+            assert rows[-k][2:] == rows[k][2:]  # |D| minimum, winding, tail
+            omega, d_values, _ = dispersion_on_axis(
+                make_preset("screened"), eq, k, 8.0, n_min=1201)
+            minima = omega[np.abs(d_values) == np.min(np.abs(d_values))]
+            # row -k reflects the last minimiser of row k; only the even
+            # Maxwellian ties +-omega (at k = 1), so elsewhere it is -row k
+            assert float(rows[k][1]) == minima[0]
+            assert float(rows[-k][1]) == -minima[-1]
+            if kind == "bump_on_tail":
+                assert float(rows[-k][1]) == -float(rows[k][1])
+
     def test_penrose_unstable_background_exits_two(self, tmp_path):
         code, out = self.run("penrose", tmp_path,
                              "equilibrium.kind = two_stream\n"
@@ -291,6 +314,17 @@ class TestCommands:
         assert state.time == 0.0
         assert state.grid.k_max == 1
         assert np.all(np.isfinite(state.values))
+
+    def test_first_moment_computed_once_per_op(self, tmp_path):
+        # the pre-drive scan and every Volterra solve ask for the moment;
+        # each op builds its own equilibrium, so no value carries between ops
+        dispersion.absolute_first_moment.cache_clear()
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            code, _ = self.run("scatter", tmp_path / name)
+            assert code == EXIT_OK
+        info = dispersion.absolute_first_moment.cache_info()
+        assert info.misses == 2 and info.hits >= 2
 
     def test_scatter_exhausted_iterations_exit_three(self, tmp_path):
         code, out = self.run("scatter", tmp_path,

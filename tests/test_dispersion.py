@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (laplace_one_sided_full_grid, laplace_two_sided,
-                     landau_root, maxwellian_transform, nested_simpson_full_grid,
-                     transform_direct, two_stream_first_moment)
+from oracles import (grid_transform_fresh, laplace_one_sided_full_grid,
+                     laplace_two_sided, landau_root, maxwellian_transform,
+                     nested_simpson_full_grid, transform_direct,
+                     two_stream_first_moment)
 from scipy.integrate import quad
 
 from vpscatter import dispersion
@@ -72,6 +73,7 @@ def test_one_sided_rejects_divergence():
 def test_nested_refinement_matches_full_grid_oracle(eq, monkeypatch):
     nested = (absolute_first_moment(eq), arc_moment(eq))
     monkeypatch.setattr(dispersion, "_nested_simpson", nested_simpson_full_grid)
+    absolute_first_moment.cache_clear()  # else the oracle route is never run
     full = (absolute_first_moment(eq), arc_moment(eq))
     # the same pieces, nodes and weights summed in another order
     assert nested == pytest.approx(full, rel=1e-14, abs=0.0)
@@ -236,6 +238,60 @@ def test_axis_sampler_against_faddeeva_closed_form(model):
         closed = 1.0 + float(model.poisson_prefactor(k)) \
             * maxwellian_transform(k, 1j * omega)
         assert np.max(np.abs(vals - closed)) <= 5e-11, k
+
+
+# the profiles the CLI builds, each real in velocity
+MIRRORED = [MAXW, *(two_stream(v0) for v0 in (0.5, 1.0, 2.0)), bump_on_tail()]
+
+
+@pytest.mark.parametrize("eq", MIRRORED, ids=lambda eq: eq.label)
+def test_negative_modes_mirror_the_direct_transform(eq):
+    # the mirror holds because mu_hat(-u) = conj mu_hat(u): the -k transform
+    # computed directly agrees with it to roundoff
+    span_min = math.pi * 1201 / 8.0
+    for k in (1, 2, 3):
+        omega, mirrored, _ = dispersion_on_axis(VP, eq, -k, 8.0, n_min=1201)
+        direct_omega, transform, _ = dispersion._grid_transform(
+            eq, -k, +1, 0.0, 8.0, span_min)
+        assert np.array_equal(omega, direct_omega)
+        assert np.max(np.abs(mirrored - (1.0 + transform))) <= 1e-12, k
+
+
+def test_penrose_scan_transforms_each_pair_once(monkeypatch):
+    axis_ks, grid_ks = [], []
+    on_axis, grid = dispersion.dispersion_on_axis, dispersion._grid_transform
+
+    def counted_on_axis(model, eq, k, *args, **kwargs):
+        axis_ks.append(k)
+        return on_axis(model, eq, k, *args, **kwargs)
+
+    def counted_grid(eq, k, *args):
+        grid_ks.append(k)
+        return grid(eq, k, *args)
+
+    monkeypatch.setattr(dispersion, "dispersion_on_axis", counted_on_axis)
+    monkeypatch.setattr(dispersion, "_grid_transform", counted_grid)
+    rep = penrose_scan(VP, MAXW, 3)
+    assert axis_ks == grid_ks == [1, 2, 3]
+    assert sorted(rep.axis_minima) == [-3, -2, -1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("eq", [MAXW, two_stream(1.0), two_stream(2.0),
+                                bump_on_tail()], ids=lambda eq: eq.label)
+def test_grid_transform_matches_fresh_rounds_oracle(eq):
+    # reused even nodes and a once-computed corner transform change no bit
+    for k in (1, 2, 3):
+        for sign in (1, -1):
+            for a in (0.0, -0.3, 0.1):
+                for omega_max, span_min in ((8.0, math.pi * 1201 / 8.0),
+                                            (60.0, 70.0)):
+                    got = dispersion._grid_transform(eq, k, sign, a,
+                                                     omega_max, span_min)
+                    want = grid_transform_fresh(eq, k, sign, a, omega_max,
+                                                span_min)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+                    assert got[2] == want[2]
 
 
 def test_penrose_stable_backgrounds():

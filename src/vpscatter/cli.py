@@ -321,18 +321,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write CSV lines the caller has formatted.  Callers format float cells
+    as ``f"{x:.16e}"`` on ``.tolist()`` values, the text :func:`_fmt` gives,
+    in one comprehension rather than one call per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _kernel_lines(times, values) -> list[str]:
+    """Header and ``t,re_K,im_K,abs_K`` rows of one kernel table."""
+    values = np.asarray(values, dtype=complex)
+    # hypot per element is the modulus abs(value) gives a numpy scalar (the
+    # vectorized np.abs can differ in the last bit), inf past the largest double
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(values.real, values.imag).tolist()
+    cells = zip(np.asarray(times, dtype=float).tolist(), values.real.tolist(),
+                values.imag.tolist(), moduli)
+    return ["t,re_K,im_K,abs_K", *[
+        f"{t:.16e},{re:.16e},{im:.16e},{mod:.16e}" for t, re, im, mod in cells]]
+
+
 def write_state_csv(path: Path, state: SpectralState) -> None:
     """Snapshot rows ``k_index,eta_index,re,im`` under a grid-metadata header."""
     grid = state.grid
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# k_max = {grid.k_max}; eta_max = {grid.eta_max!r}; "
-                     f"delta_eta = {grid.delta_eta!r}; time = {state.time!r}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["k_index", "eta_index", "re", "im"])
-        for i in range(grid.n_modes):
-            for j in range(grid.n_eta):
-                value = state.values[i, j]
-                writer.writerow([i, j, _fmt(value.real), _fmt(value.imag)])
+    _write_lines(path, [
+        f"# k_max = {grid.k_max}; eta_max = {grid.eta_max!r}; "
+        f"delta_eta = {grid.delta_eta!r}; time = {state.time!r}",
+        "k_index,eta_index,re,im",
+        *[f"{i},{j},{v.real:.16e},{v.imag:.16e}"
+          for i, row in enumerate(state.values.tolist())
+          for j, v in enumerate(row)]])
 
 
 def load_state_csv(path) -> SpectralState:
@@ -477,10 +496,8 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         tables = list(pool.map(table_for, ks))
     summary: dict[str, str] = {}
     for k, table in zip(ks, tables):
-        rows = [[_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-                for t, v in zip(table.times, table.values)]
-        _write_csv(out_dir / f"kernel_k{k}.csv",
-                   ["t", "re_K", "im_K", "abs_K"], rows)
+        _write_lines(out_dir / f"kernel_k{k}.csv",
+                     _kernel_lines(table.times, table.values))
         summary[f"kernel.k{k}.lambda1"] = _fmt(table.fit_lambda1)
         summary[f"kernel.k{k}.fit_r2"] = _fmt(table.fit_r2)
         summary[f"kernel.k{k}.truncation_bound"] = _fmt(table.truncation_bound)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ __all__ = [
 # relative slack when deciding whether a query sits on the frequency grid edge
 EDGE_SLACK = 1e-12
 GRID_TOL = 1e-9
+
+# offsets of the two nodes of an interval, as a column
+_NEXT_NODE = np.array([[0], [1]])
 
 # stage state -> (linear, nonlinear) potentials, each in grid.k_values order
 FieldProvider = Callable[["SpectralState"], tuple[np.ndarray, np.ndarray]]
@@ -160,14 +164,14 @@ class TruncationCounter:
 class SpectralState:
     """One time slice of the transported perturbation, Fourier in both variables.
 
-    A state is a value: ``values`` is a read-only complex array that the
-    state owns from construction.  An array given that is a view of another
-    (or of another dtype) is copied once, so no write through a base can
-    reach it; an array that owns its data is taken over and locked.
+    A state is a value: ``values`` is a read-only complex copy, made at
+    construction, of the array given.  No view of that array, taken before
+    or after, can reach it.
 
     :meth:`interpolant` splines the frequency axis on first use and keeps the
-    spline in a slot until :meth:`release_interpolant`; since ``values``
-    never change, a kept spline never goes stale.
+    spline in a slot until :meth:`release_interpolant`.  The spline reads
+    ``values`` by reference; since they never change, a kept spline never
+    goes stale.
     """
 
     time: float
@@ -175,11 +179,9 @@ class SpectralState:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex, order="C")
         if values.shape != (self.grid.n_modes, self.grid.n_eta):
             raise ConfigError("values must have shape (n_modes, n_eta)")
-        if not values.flags.owndata:
-            values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_interp", None)
@@ -281,14 +283,16 @@ def gaussian_datum(modes, width: float = 1.0) -> AsymptoticDatum:
 
 @functools.lru_cache(maxsize=16)
 def _not_a_knot_factors(n: int) -> tuple:
-    """LAPACK's ``dgttrs`` and the LU factors of the not-a-knot slope system
-    on n uniform nodes, as ``(dgttrs, *factors)``.
+    """LAPACK's ``zgttrs`` and the LU factors of the not-a-knot slope system
+    on n uniform nodes, as ``(zgttrs, *factors)``.
 
-    With the spacing h divided out, this is the tridiagonal system scipy's
-    ``CubicSpline`` solves for the node slopes s:
-    s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside, with secants
-    m[i] = (y[i+1] - y[i]) / h, and the not-a-knot ends
-    s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 and its mirror.
+    This is the tridiagonal system scipy's ``CubicSpline`` solves for the
+    node slopes s, written for hs = h s on spacing h:
+    hs[i-1] + 4 hs[i] + hs[i+1] = 3 (dy[i-1] + dy[i]) inside, with node
+    differences dy[i] = y[i+1] - y[i], and the not-a-knot ends
+    hs[0] + 2 hs[1] = (5 dy[0] + dy[1]) / 2 and its mirror.  The matrix is
+    real but factored as complex, so one solve takes a state's mode rows as
+    they are stored.
 
     scipy's LAPACK wrappers are imported here, at the first spline build,
     and not with the package: commands that never build a spline (``penrose``,
@@ -296,29 +300,51 @@ def _not_a_knot_factors(n: int) -> tuple:
     """
     from scipy.linalg import lapack
 
-    sub = np.ones(n - 1)
-    diag = np.full(n, 4.0)
-    sup = np.ones(n - 1)
+    sub = np.ones(n - 1, dtype=complex)
+    diag = np.full(n, 4.0, dtype=complex)
+    sup = np.ones(n - 1, dtype=complex)
     diag[0] = diag[-1] = 1.0
     sup[0] = sub[-1] = 2.0
-    *factors, _ = lapack.dgttrf(sub, diag, sup)
+    *factors, _ = lapack.zgttrf(sub, diag, sup)
     for f in factors:
         f.setflags(write=False)  # shared by every interpolant on n nodes
-    return (lapack.dgttrs, *factors)
+    return (lapack.zgttrs, *factors)
+
+
+@functools.lru_cache(maxsize=1)
+def _daxpy():
+    """BLAS ``daxpy`` (y += a x in place on a contiguous y), bound like the
+    LAPACK routines at the first spline build."""
+    from scipy.linalg import blas
+
+    return blas.daxpy
 
 
 class StateInterpolant:
     """Uniform-grid not-a-knot cubic spline of one state's frequency axis.
 
-    The interpolant is the one scipy's ``CubicSpline`` builds on the same
-    nodes and matches it to roundoff; inner nodes come back bit-exact.  The
-    slope system is factored once per grid size, so a build is one real
-    banded back-substitution (LAPACK ``dgttrs``, bound at the first build of
-    the process) over the real and imaginary parts of every mode, plus the
-    piecewise-cubic coefficients.
+    The spline is kept in Hermite form: the state's own read-only ``values``
+    y and ``hs``, h times the node slopes.  At fraction theta of the interval
+    [eta_i, eta_i + h] it reads
 
-    Queries beyond the grid edge return 0, justified by the decay of stored
-    profiles toward the boundary; the counter records how often that bound
+        h00 y[i] + h01 y[i+1] + h10 hs[i] + h11 hs[i+1],
+        h00 = (1 + 2 theta)(1 - theta)^2,  h01 = theta^2 (3 - 2 theta),
+        h10 = theta (1 - theta)^2,         h11 = -theta^2 (1 - theta).
+
+    It is the interpolant scipy's ``CubicSpline`` builds on the same nodes
+    and matches it to roundoff; nodes come back bit-exact.  The slope system
+    is factored once per grid size, so a build is one banded
+    back-substitution (LAPACK ``zgttrs``, bound at the first build of the
+    process) over every mode row.  The kept spline costs ``hs``, as much
+    memory as the state.
+
+    Two lookups serve the pipelines.  :meth:`all_rows` reads rows that are
+    the grid shifted by one constant, the shear of :func:`transport_rhs`;
+    :meth:`at_pairs` reads single (mode, frequency) points, the density
+    trace and the source assembly.  Queries beyond the grid edge (``_edge``,
+    eta_max plus a relative slack of ``EDGE_SLACK``) return 0, justified by
+    the decay of stored profiles toward the boundary; queries inside the
+    slack band read the end node.  The counter records how often the bound
     was invoked.
 
     Pipelines do not build one directly: they ask the state for it
@@ -329,8 +355,7 @@ class StateInterpolant:
     :func:`assemble_source_history`, which releases it.  In a forward
     self-consistent run the field provider and :func:`transport_rhs` share
     one build per stage.  A state's values never change, so a kept spline
-    never goes stale.  The coefficients take four times the memory of the
-    state.
+    never goes stale.
     """
 
     def __init__(self, state: SpectralState):
@@ -340,64 +365,88 @@ class StateInterpolant:
         # searching the inner nodes gives the interval index already clamped
         # to [0, n_eta - 2], as scipy's side="right" search does
         self._inner = grid.eta[1:-1]
-        n = grid.n_eta
-        h = grid.delta_eta
-        # node-major real view: row i holds (re, im) of every mode at eta_i
-        y = np.ascontiguousarray(state.values.T).view(float)
-        secant = np.diff(y, axis=0) / h
-        rhs = np.empty(y.shape, order="F")
-        rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
-        rhs[0] = 2.5 * secant[0] + 0.5 * secant[1]
-        rhs[-1] = 0.5 * secant[-2] + 2.5 * secant[-1]
-        dgttrs, *factors = _not_a_knot_factors(n)
-        s, _ = dgttrs(*factors, rhs, overwrite_b=True)
-        t = (s[:-1] + s[1:] - 2.0 * secant) / h
-        # coefficients of (eta - eta_i)^(3, 2, 1, 0) on interval i, viewed
-        # back as complex with shape (power, interval, mode)
-        coef = np.empty((4, n - 1, y.shape[1]))
-        coef[0] = t / h
-        coef[1] = (secant - s[:-1]) / h - t
-        coef[2] = s[:-1]
-        coef[3] = y[:-1]
-        self._coef = coef.view(complex)
-
-    def _locate(self, eta: np.ndarray):
-        pts = np.clip(eta, -self.grid.eta_max, self.grid.eta_max)
-        idx = np.searchsorted(self._inner, pts, side="right")
-        return idx, pts - self.grid.eta[idx]
-
-    @staticmethod
-    def _horner(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        out = c[0] * d
-        out += c[1]
-        out *= d
-        out += c[2]
-        out *= d
-        out += c[3]
-        return out
+        y = state.values
+        dy = np.subtract(y[:, 1:], y[:, :-1])
+        rhs = np.empty(y.shape, dtype=complex)
+        np.add(dy[:, :-1], dy[:, 1:], out=rhs[:, 1:-1])
+        rhs[:, 1:-1] *= 3.0
+        rhs[:, 0] = 2.5 * dy[:, 0] + 0.5 * dy[:, 1]
+        rhs[:, -1] = 0.5 * dy[:, -2] + 2.5 * dy[:, -1]
+        zgttrs, *factors = _not_a_knot_factors(grid.n_eta)
+        # the transpose is the column-major (node, mode) system LAPACK solves
+        hs, _ = zgttrs(*factors, rhs.T, overwrite_b=True)
+        self._y = y
+        self._hs = hs.T
+        self._hs.setflags(write=False)
+        self._flat = (y.reshape(-1).view(float), self._hs.reshape(-1).view(float))
 
     def all_rows(self, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
-        """Every mode row at the points ``eta``, of any shape.
+        """Every mode row at copies of the grid, each shifted by one constant.
+
+        Each row of ``eta`` (last axis of length ``n_eta``) must be
+        ``grid.eta + s`` for a constant s; the row's centre point, where the
+        grid reads 0, gives s.  s / h splits into an integer offset m and a
+        fraction theta, so point i sits at theta on interval i + m for every
+        i, and a row is four scalar-weighted slices of y and hs: no search,
+        no gather.  Rows of any other form are not detected.  Points past an
+        end node read that node inside the slack band and 0 beyond
+        ``_edge``.
 
         Returns shape ``(n_modes,) + eta.shape``; the counter counts one
-        evaluation per point of ``eta``.
+        evaluation per point of ``eta`` and one truncation per point with
+        ``|eta| > _edge``.
         """
         eta = np.asarray(eta, dtype=float)
-        idx, d = self._locate(eta.ravel())
-        block = np.take(self._coef, idx, axis=1)
-        # numpy would cast the real offsets to complex inside every multiply
-        offsets = np.empty(block.shape[1:], dtype=complex)
-        offsets[...] = d[:, None]
-        out = self._horner(block, offsets)
-        out = out.T.reshape((-1,) + eta.shape)
-        outside = np.abs(eta) > self._edge
-        n_outside = int(np.count_nonzero(outside))
+        grid = self.grid
+        n = grid.n_eta
+        if eta.shape[-1:] != (n,):
+            raise ConfigError(f"all_rows reads rows of the {n} grid frequencies "
+                              f"shifted by a constant, got shape {eta.shape}")
+        rows = eta.reshape(-1, n)
+        centre = n // 2
+        shifts = (rows[:, centre] - grid.eta[centre]) / grid.delta_eta
+        # a shifted row rises, so its truncated points are a prefix and a suffix
+        beyond = np.empty((2,) + rows.shape, dtype=bool)
+        np.less(rows, -self._edge, out=beyond[0])
+        np.greater(rows, self._edge, out=beyond[1])
+        below, above = np.add.reduce(beyond, axis=2, dtype=np.intp).tolist()
+        # row-major blocks: one row's slices over every mode are contiguous
+        # runs of the flat (re, im) arrays, a mode's length apart
+        out = np.empty((rows.shape[0], grid.n_modes, n), dtype=complex)
+        y, hs = self._flat
+        axpy = _daxpy()
+        span = 2 * (grid.n_modes - 1) * n
+        for r, shift in enumerate(shifts.tolist()):
+            m = math.floor(shift)
+            theta = shift - m
+            u = 1.0 - theta
+            # points lo..hi-1 of every mode sit at theta on intervals lo+m..hi-1+m
+            lo = min(max(-m, 0), n)
+            hi = max(min(n - 1 - m, n), lo)
+            block = out[r]
+            if hi > lo:
+                # one run covers the gaps between modes too; the fills below
+                # overwrite what it wrote there
+                size = span + 2 * (hi - lo)
+                a = 2 * (lo + m)
+                run = block.reshape(-1).view(float)[2 * lo:2 * lo + size]
+                np.multiply(y[a:a + size], (1.0 + 2.0 * theta) * u * u, out=run)
+                axpy(y[a + 2:a + 2 + size], run, a=theta * theta * (3.0 - 2.0 * theta))
+                axpy(hs[a:a + size], run, a=theta * u * u)
+                axpy(hs[a + 2:a + 2 + size], run, a=-theta * theta * u)
+            n_below, n_above = below[r], above[r]
+            if n_below:
+                block[:, :n_below] = 0.0
+            if n_below < lo:
+                block[:, n_below:lo] = self._y[:, :1]
+            if hi < n - n_above:
+                block[:, hi:n - n_above] = self._y[:, -1:]
+            if n_above:
+                block[:, n - n_above:] = 0.0
         if counter is not None:
             counter.evaluations += eta.size
-            counter.truncated += n_outside
-        if n_outside:
-            out[:, outside] = 0.0
-        return out
+            counter.truncated += sum(below) + sum(above)
+        return out.transpose(1, 0, 2).reshape((grid.n_modes,) + eta.shape)
 
     def at_pairs(self, k, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
         """Pointwise lookup at (k[i], eta[i]); off-lattice modes read as 0.
@@ -407,16 +456,33 @@ class StateInterpolant:
         evaluation per point of it.
         """
         k, eta = np.broadcast_arrays(np.asarray(k), np.asarray(eta, dtype=float))
-        on_lattice = np.abs(k) <= self.grid.k_max
+        grid = self.grid
+        on_lattice = np.abs(k) <= grid.k_max
         inside = np.abs(eta) <= self._edge
         sel = on_lattice & inside
+        pts = np.clip(eta[sel], -grid.eta_max, grid.eta_max)
+        idx = np.searchsorted(self._inner, pts, side="right")
+        theta = ((pts - grid.eta[idx]) / grid.delta_eta).astype(complex)
+        # flat indices of each point's two nodes, (2, points)
+        nodes = (k[sel] + grid.k_max).astype(int) * grid.n_eta + idx + _NEXT_NODE
+        y = np.take(self._y, nodes)
+        hs = np.take(self._hs, nodes)
+        # the Hermite form as y0 + theta (hs0 + theta (c2 + theta c3)) with
+        # c3 = hs0 + hs1 - 2 dy, c2 = dy - hs0 - c3 and dy = y1 - y0
+        dy = y[1] - y[0]
+        c3 = hs[1] + hs[0]
+        c3 -= dy
+        c3 -= dy
+        value = c3 * theta
+        value += dy
+        value -= hs[0]
+        value -= c3
+        value *= theta
+        value += hs[0]
+        value *= theta
+        value += y[0]
         out = np.zeros(k.shape, dtype=complex)
-        if np.any(sel):
-            idx, d = self._locate(eta[sel])
-            flat = idx * self.grid.n_modes + (k[sel] + self.grid.k_max).astype(int)
-            coef = self._coef.reshape(4, -1)
-            out[sel] = self._horner(np.take(coef, flat, axis=1),
-                                    d.astype(complex))
+        out[sel] = value
         if counter is not None:
             counter.evaluations += k.size
             counter.truncated += int(np.count_nonzero(on_lattice & ~inside))
@@ -490,6 +556,24 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     return SourceHistory(times=times, values=out - conv)
 
 
+def _shear(grid: PhaseGrid, t: float) -> np.ndarray:
+    return grid.eta[None, :] - grid.k_values[:, None].astype(float) * t
+
+
+@functools.lru_cache(maxsize=2)
+def _sheared_profile(eq: Equilibrium, grid: PhaseGrid, t: float) -> tuple:
+    """The shear eta - k t on the grid at time t and mu_hat of it, read-only.
+
+    Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
+    next step's k1, so each distinct stage time evaluates mu_hat once.
+    """
+    shear = _shear(grid, t)
+    shear.setflags(write=False)
+    mu = np.array(eq.mu_hat(shear), dtype=complex)
+    mu.setflags(write=False)
+    return shear, mu
+
+
 def transport_rhs(state: SpectralState, u_linear: np.ndarray,
                   u_nonlinear: np.ndarray, eq: Equilibrium,
                   counter: Optional[TruncationCounter] = None) -> np.ndarray:
@@ -501,29 +585,32 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     differ: the linearized fixed-point map drives the equilibrium with the
     new potential and the shear with the previous iterate's.  The state's
     spline (shared with the field provider's trace of the same stage) is
-    queried once, at every shift eta - l t together.
+    queried once, at every shift eta - l t together.  The shear and mu_hat
+    of it are remembered for the last two stage times.
     """
     grid = state.grid
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
     if u_lin.shape != (grid.n_modes,) or u_nl.shape != (grid.n_modes,):
         raise ConfigError("stage potentials must hold one value per lattice mode")
     t = state.time
-    k_col = grid.k_values[:, None].astype(float)
-    eta_row = grid.eta[None, :]
-    shear = eta_row - k_col * t
-    rhs = np.zeros_like(state.values)
-    if np.any(u_lin != 0.0):
-        rhs -= shear * k_col * u_lin[:, None] * eq.mu_hat(shear)
-    ells = grid.k_values[(grid.k_values != 0) & (u_nl != 0.0)]
-    if ells.size:
+    rhs = np.zeros(state.values.shape, dtype=complex)
+    if any(u_lin.tolist()):
+        shear, mu = _sheared_profile(eq, grid, t)
+        rhs -= shear * grid.k_values[:, None].astype(float) * u_lin[:, None] * mu
+    else:
+        shear = _shear(grid, t)
+    k_max = grid.k_max
+    coefs = u_nl.tolist()
+    ells = [ell for ell in range(-k_max, k_max + 1) if ell and coefs[ell + k_max]]
+    if ells:
         # shifted[:, j] is the state at eta - ells[j] t; row k of the shear
         # term reads row k - ell, so |ell| rows fall off the lattice
         shifted = state.interpolant().all_rows(
-            grid.eta - ells[:, None] * t, counter)
+            grid.eta - np.array(ells)[:, None] * t, counter)
         n = grid.n_modes
         for j, ell in enumerate(ells):
             lo, hi = max(0, ell), n + min(0, ell)
-            rhs[lo:hi] -= (shear[lo:hi] * (ell * u_nl[ell + grid.k_max])
+            rhs[lo:hi] -= (shear[lo:hi] * (ell * coefs[ell + k_max])
                            * shifted[lo - ell:hi - ell, j])
     return rhs
 
@@ -552,32 +639,34 @@ class HistoryFieldProvider:
         if not np.array_equal(u_linear.times, u_nonlinear.times) or \
                 u_linear.n_modes != u_nonlinear.n_modes:
             raise ConfigError("field histories must share one grid")
-        self.u_linear = u_linear
-        self.u_nonlinear = u_nonlinear
+        self._times = u_linear.times
+        self._delta_t = u_linear.delta_t
+        # both potentials of a time slice side by side, (n_t, 2, n_modes):
+        # one set of weights interpolates both
+        self._rows = np.stack([u_linear.values, u_nonlinear.values], axis=1)
 
-    def _slice(self, history: SpectralHistory, t: float) -> np.ndarray:
-        times = history.times
+    def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
+        t = state.time
+        times = self._times
         if t < times[0] - GRID_TOL or t > times[-1] + GRID_TOL:
             raise ConfigError(f"time {t:g} is outside the field history")
         n = times.size
-        pos = (t - times[0]) / history.delta_t
+        pos = (t - times[0]) / self._delta_t
+        rows = self._rows
         if n < 4:
             j = min(int(pos), n - 2)
             theta = min(max(pos - j, 0.0), 1.0)
-            return (1.0 - theta) * history.values[j] + theta * history.values[j + 1]
-        j = min(max(int(pos) - 1, 0), n - 4)
-        theta = pos - j
-        w0 = -(theta - 1.0) * (theta - 2.0) * (theta - 3.0) / 6.0
-        w1 = theta * (theta - 2.0) * (theta - 3.0) / 2.0
-        w2 = -theta * (theta - 1.0) * (theta - 3.0) / 2.0
-        w3 = theta * (theta - 1.0) * (theta - 2.0) / 6.0
-        rows = history.values
-        return (w0 * rows[j] + w1 * rows[j + 1]
-                + w2 * rows[j + 2] + w3 * rows[j + 3])
-
-    def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-        return (self._slice(self.u_linear, state.time),
-                self._slice(self.u_nonlinear, state.time))
+            both = (1.0 - theta) * rows[j] + theta * rows[j + 1]
+        else:
+            j = min(max(int(pos) - 1, 0), n - 4)
+            theta = pos - j
+            w0 = -(theta - 1.0) * (theta - 2.0) * (theta - 3.0) / 6.0
+            w1 = theta * (theta - 2.0) * (theta - 3.0) / 2.0
+            w2 = -theta * (theta - 1.0) * (theta - 3.0) / 2.0
+            w3 = theta * (theta - 1.0) * (theta - 2.0) / 6.0
+            both = (w0 * rows[j] + w1 * rows[j + 1]
+                    + w2 * rows[j + 2] + w3 * rows[j + 3])
+        return both[0], both[1]
 
 
 class SelfConsistentFieldProvider:

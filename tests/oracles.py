@@ -31,6 +31,16 @@ trapezoid rule; the package only applies exact lag-recursion tables.
 spline lookup per shear shift, copied into zeroed rows and subtracted over
 the whole array; ``transport_rhs`` answers every shift in one lookup and
 must agree with it bit for bit.
+
+``CoefficientSpline`` is the not-a-knot spline in coefficient form: four
+per-interval coefficient arrays from a real ``dgttrs`` solve, each point
+located by ``searchsorted`` and evaluated by Horner on its own offset.  It
+reads any points; the package's Hermite-form ``StateInterpolant`` reads
+shifted grid rows and must agree with it to roundoff.
+
+``history_slice`` interpolates one potential history at one time, the
+per-history route ``HistoryFieldProvider`` replaced with one set of weights
+for both histories; the provider must agree with it bit for bit.
 """
 
 import math
@@ -42,7 +52,7 @@ from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
                                   _corner_transform, _corner_values,
                                   _tail_cutoff, laplace_one_sided)
 from vpscatter.errors import ConfigError, QuadratureError
-from vpscatter.kinetic import StateInterpolant
+from vpscatter.kinetic import EDGE_SLACK, StateInterpolant
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
                                 build_discrete_resolvent)
@@ -307,3 +317,81 @@ def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq, counter=None):
         g_shift[rows] = shifted[rows - ell]
         rhs -= shear * (ell * coef) * g_shift
     return rhs
+
+
+class CoefficientSpline:
+    """The not-a-knot spline of a state's frequency axis in coefficient form."""
+
+    def __init__(self, state):
+        from scipy.linalg import lapack
+
+        grid = state.grid
+        self.grid = grid
+        self._edge = grid.eta_max * (1.0 + EDGE_SLACK) + EDGE_SLACK
+        self._inner = grid.eta[1:-1]
+        n = grid.n_eta
+        h = grid.delta_eta
+        sub, diag, sup = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)
+        diag[0] = diag[-1] = 1.0
+        sup[0] = sub[-1] = 2.0
+        *factors, _ = lapack.dgttrf(sub, diag, sup)
+        # node-major real view: row i holds (re, im) of every mode at eta_i
+        y = np.ascontiguousarray(state.values.T).view(float)
+        secant = np.diff(y, axis=0) / h
+        rhs = np.empty(y.shape, order="F")
+        rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
+        rhs[0] = 2.5 * secant[0] + 0.5 * secant[1]
+        rhs[-1] = 0.5 * secant[-2] + 2.5 * secant[-1]
+        s, _ = lapack.dgttrs(*factors, rhs, overwrite_b=True)
+        t = (s[:-1] + s[1:] - 2.0 * secant) / h
+        # coefficients of (eta - eta_i)^(3, 2, 1, 0) on interval i, viewed
+        # back as complex with shape (power, interval, mode)
+        coef = np.empty((4, n - 1, y.shape[1]))
+        coef[0] = t / h
+        coef[1] = (secant - s[:-1]) / h - t
+        coef[2] = s[:-1]
+        coef[3] = y[:-1]
+        self._coef = coef.view(complex)
+
+    def _locate(self, eta):
+        pts = np.clip(eta, -self.grid.eta_max, self.grid.eta_max)
+        idx = np.searchsorted(self._inner, pts, side="right")
+        return idx, pts - self.grid.eta[idx]
+
+    @staticmethod
+    def _horner(c, d):
+        return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
+
+    def all_rows(self, eta, counter=None):
+        """Every mode row at the points ``eta``, of any shape."""
+        eta = np.asarray(eta, dtype=float)
+        idx, d = self._locate(eta.ravel())
+        out = self._horner(np.take(self._coef, idx, axis=1), d[:, None])
+        out = out.T.reshape((-1,) + eta.shape)
+        outside = np.abs(eta) > self._edge
+        if counter is not None:
+            counter.evaluations += eta.size
+            counter.truncated += int(np.count_nonzero(outside))
+        out[:, outside] = 0.0
+        return out
+
+
+def history_slice(history, t):
+    """Four-point Lagrange interpolation of one history at time t (linear
+    below four slices)."""
+    times = history.times
+    n = times.size
+    pos = (t - times[0]) / history.delta_t
+    if n < 4:
+        j = min(int(pos), n - 2)
+        theta = min(max(pos - j, 0.0), 1.0)
+        return (1.0 - theta) * history.values[j] + theta * history.values[j + 1]
+    j = min(max(int(pos) - 1, 0), n - 4)
+    theta = pos - j
+    w0 = -(theta - 1.0) * (theta - 2.0) * (theta - 3.0) / 6.0
+    w1 = theta * (theta - 2.0) * (theta - 3.0) / 2.0
+    w2 = -theta * (theta - 1.0) * (theta - 3.0) / 2.0
+    w3 = theta * (theta - 1.0) * (theta - 2.0) / 6.0
+    rows = history.values
+    return (w0 * rows[j] + w1 * rows[j + 1]
+            + w2 * rows[j + 2] + w3 * rows[j + 3])

@@ -151,6 +151,26 @@ class TestStateCsv:
         assert back.grid.eta_max == grid.eta_max
         assert np.array_equal(back.values, state.values)
 
+    def test_bulk_cells_match_fmt_on_extreme_doubles(self, tmp_path):
+        # the state and kernel tables format .tolist() floats in bulk; each
+        # cell must be the text the per-cell _fmt writes
+        special = [-0.0, 5e-324, 1.7976931348623157e308, float("nan"),
+                   float("inf"), -float("inf"), -5e-324, 0.1]
+        values = np.array([complex(a, b) for a in special for b in special])
+        grid = PhaseGrid(1, 1.0, 0.0625)
+        state = SpectralState(0.0, grid,
+                              np.resize(values, (grid.n_modes, grid.n_eta)))
+        path = tmp_path / "state.csv"
+        write_state_csv(path, state)
+        want = [f"{i},{j},{cli._fmt(v.real)},{cli._fmt(v.imag)}"
+                for i in range(grid.n_modes) for j, v in enumerate(state.values[i])]
+        assert path.read_text(encoding="utf-8").splitlines()[2:] == want
+        times = np.linspace(0.0, 1.0, values.size)
+        want = ["t,re_K,im_K,abs_K"] + [
+            ",".join([cli._fmt(t), cli._fmt(v.real), cli._fmt(v.imag),
+                      cli._fmt(abs(v))]) for t, v in zip(times, values)]
+        assert cli._kernel_lines(times, values) == want
+
     @staticmethod
     def edited(tmp_path, edit):
         grid = PhaseGrid(1, 3.0, 0.5)

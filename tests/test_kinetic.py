@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
-from oracles import transport_rhs_per_shift
+from oracles import CoefficientSpline, history_slice, transport_rhs_per_shift
 from vpscatter.errors import BlowUpError, ConfigError
 from vpscatter.field import h_of_field
 from vpscatter.gevrey import GevreyWeight
-from vpscatter.kinetic import (AsymptoticDatum, HistoryFieldProvider, PhaseGrid,
-                               SelfConsistentFieldProvider, SpectralState,
-                               StateInterpolant, TimeGrid, TruncationCounter,
-                               assemble_source_history, density_trace,
-                               gaussian_datum, horizon_violation, integrate,
-                               transport_rhs, zero_field_provider)
+from vpscatter.kinetic import (EDGE_SLACK, AsymptoticDatum, HistoryFieldProvider,
+                               PhaseGrid, SelfConsistentFieldProvider,
+                               SpectralState, StateInterpolant, TimeGrid,
+                               TruncationCounter, assemble_source_history,
+                               density_trace, gaussian_datum, horizon_violation,
+                               integrate, transport_rhs, zero_field_provider)
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
@@ -252,6 +252,25 @@ def oracle_rows(grid, kind, rng):
     return amp * np.exp(-(grid.eta - rng.uniform(-2.0, 2.0)) ** 2 / 4.5)
 
 
+def row_scale(state):
+    """Largest magnitude of each mode row, shaped to broadcast over blocks."""
+    return np.max(np.abs(state.values), axis=1)[:, None, None]
+
+
+def shifted_block(grid, rng):
+    """Rows of the grid shifted by constants: fractions of a step and a few
+    steps of both signs, and shifts that run far past either end.
+
+    The shifts are multiples of 2^-10, so on a dyadic grid every shifted
+    point is exact: the row lookup, which reads the shift once, and a point
+    lookup read the same points, not points a rounding apart."""
+    steps = np.concatenate([rng.uniform(-0.99, 0.99, 4),
+                            rng.uniform(-6.0, 6.0, 4)]) * grid.delta_eta
+    far = rng.uniform(0.2, 0.9, 4) * grid.eta_max * np.array([1, -1, 1, -1])
+    shifts = np.round(np.concatenate([steps, far]) * 1024.0) / 1024.0
+    return grid.eta + shifts[:, None]
+
+
 @pytest.mark.parametrize("kind", ["random", "gaussian"])
 @pytest.mark.parametrize("grid", ORACLE_GRIDS,
                          ids=lambda g: f"k{g.k_max}-{g.eta_max:g}-{g.delta_eta:g}")
@@ -270,30 +289,64 @@ class TestSplineOracle:
 
     def test_matches_cubic_spline(self, grid, kind):
         state, probe, rng = self.make_case(grid, kind)
-        want = CubicSpline(grid.eta, state.values, axis=1)(probe)
+        spline = CubicSpline(grid.eta, state.values, axis=1)
         interp = StateInterpolant(state)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(interp.all_rows(probe) - want)) <= 1e-13 * scale
+        scale = row_scale(state)
+        block = shifted_block(grid, rng)
+        want = np.where(np.abs(block) <= interp._edge,
+                        spline(np.clip(block, -grid.eta_max, grid.eta_max)), 0.0)
+        assert np.all(np.abs(interp.all_rows(block) - want) <= 1e-13 * scale)
+        want = spline(probe)
         rows = rng.integers(0, grid.n_modes, probe.size)
         got = interp.at_pairs(grid.k_values[rows], probe)
-        assert np.max(np.abs(got - want[rows, np.arange(probe.size)])) \
-            <= 1e-13 * scale
+        assert np.all(np.abs(got - want[rows, np.arange(probe.size)])
+                      <= 1e-13 * scale[rows, 0, 0])
 
     def test_inner_nodes_bit_exact(self, grid, kind):
         state, _, _ = self.make_case(grid, kind)
         interp = StateInterpolant(state)
+        # the unshifted grid reads every node, both ends included
+        assert np.array_equal(interp.all_rows(grid.eta), state.values)
+        # a shift of whole steps reads theta = 0: the shifted nodes, and 0
+        # past the ends
+        steps = np.array([1, -2, 4, -8, 16])
+        got = interp.all_rows(grid.eta + steps[:, None] * grid.delta_eta)
+        for m, rows in zip(steps, got.transpose(1, 0, 2)):
+            want = np.zeros_like(state.values)
+            src = np.arange(grid.n_eta) + m
+            keep = (src >= 0) & (src < grid.n_eta)
+            want[:, keep] = state.values[:, src[keep]]
+            assert np.array_equal(rows, want)
         inner = grid.eta[1:-1]
-        assert np.array_equal(interp.all_rows(inner), state.values[:, 1:-1])
         k = np.repeat(grid.k_values, inner.size)
         got = interp.at_pairs(k, np.tile(inner, grid.n_modes))
         assert np.array_equal(got, state.values[:, 1:-1].ravel())
 
     def test_pairs_equal_matching_row(self, grid, kind):
-        state, probe, rng = self.make_case(grid, kind)
+        state, _, rng = self.make_case(grid, kind)
         interp = StateInterpolant(state)
-        rows = rng.integers(0, grid.n_modes, probe.size)
-        got = interp.at_pairs(grid.k_values[rows], probe)
-        assert np.array_equal(got, interp.all_rows(probe)[rows, np.arange(probe.size)])
+        k = grid.k_values[:, None, None]
+        # node-aligned shifts: both lookups read the nodes themselves (the
+        # point lookup reads the last node off its interval's far end, so
+        # it only matches there to roundoff)
+        steps = np.array([2, -4, 0, 8])[:, None]
+        src = np.arange(grid.n_eta) + steps
+        on_grid = (src >= 0) & (src < grid.n_eta)
+        block = np.where(on_grid, grid.eta[np.clip(src, 0, grid.n_eta - 1)],
+                         grid.eta + steps * grid.delta_eta)
+        rows = interp.all_rows(block)
+        pairs = interp.at_pairs(np.broadcast_to(k, rows.shape),
+                                np.broadcast_to(block, rows.shape))
+        keep = src != grid.n_eta - 1
+        assert np.array_equal(pairs[:, keep], rows[:, keep])
+        # any other shift: both within roundoff of the coefficient-form spline
+        block = shifted_block(grid, rng)
+        want = CoefficientSpline(state).all_rows(block)
+        pairs = interp.at_pairs(np.broadcast_to(k, want.shape),
+                                np.broadcast_to(block, want.shape))
+        scale = row_scale(state)
+        assert np.all(np.abs(pairs - want) <= 1e-13 * scale)
+        assert np.all(np.abs(interp.all_rows(block) - want) <= 1e-13 * scale)
 
     def test_density_trace_at_node_times(self, grid, kind):
         state, _, _ = self.make_case(grid, kind)
@@ -303,6 +356,67 @@ class TestSplineOracle:
             moved = SpectralState(t, grid, state.values)
             want = state.values[np.arange(grid.n_modes), n_half + grid.k_values * j]
             assert np.array_equal(density_trace(moved), want)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"k{g.k_max}-{g.eta_max:g}-{g.delta_eta:g}")
+class TestShiftedRows:
+    """``all_rows`` on rows of the grid shifted by constants, against the
+    coefficient-form spline it replaced."""
+
+    def make_case(self, grid):
+        rng = np.random.default_rng(17)
+        state = SpectralState(0.0, grid, oracle_rows(grid, "random", rng))
+        return state, StateInterpolant(state), rng
+
+    def test_matches_coefficient_oracle(self, grid):
+        state, interp, rng = self.make_case(grid)
+        block = shifted_block(grid, rng)
+        counter, oracle_counter = TruncationCounter(), TruncationCounter()
+        got = interp.all_rows(block, counter)
+        want = CoefficientSpline(state).all_rows(block, oracle_counter)
+        assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
+        assert counter == oracle_counter
+        # rows may come in any leading shape
+        stacked = interp.all_rows(block.reshape(2, -1, grid.n_eta))
+        assert np.array_equal(stacked.reshape(got.shape), got)
+
+    def test_edge_band_reads_the_end_node(self, grid):
+        state, interp, _ = self.make_case(grid)
+        band = 2.0 ** -40  # inside the slack band, and exact on the grid
+        assert band < EDGE_SLACK
+        block = grid.eta + np.array([band, -band])[:, None]
+        counter = TruncationCounter()
+        got = interp.all_rows(block, counter)
+        assert block[0, -1] > grid.eta_max and block[1, 0] < -grid.eta_max
+        assert np.array_equal(got[:, 0, -1], state.values[:, -1])
+        assert np.array_equal(got[:, 1, 0], state.values[:, 0])
+        assert counter.truncated == 0
+        want = CoefficientSpline(state).all_rows(block)
+        assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
+
+    def test_beyond_both_ends_reads_zero(self, grid):
+        state, interp, _ = self.make_case(grid)
+        past = 2.0 ** -30  # past the slack band, and exact on the grid
+        assert grid.eta_max + past > interp._edge
+        shifts = np.array([past, -past, 0.5, -0.5, 3.0, -3.0]) * np.array(
+            [1.0, 1.0, grid.eta_max, grid.eta_max, grid.eta_max, grid.eta_max])
+        block = grid.eta + shifts[:, None]
+        counter = TruncationCounter()
+        got = interp.all_rows(block, counter)
+        beyond = np.abs(block) > interp._edge
+        assert beyond[0, -1] and beyond[1, 0] and np.all(beyond[4:])
+        assert np.all(got[:, beyond] == 0.0)
+        assert counter.evaluations == block.size
+        assert counter.truncated == np.count_nonzero(beyond)
+        want = CoefficientSpline(state).all_rows(block)
+        assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
+
+    def test_last_axis_must_be_the_grid(self, grid):
+        _, interp, _ = self.make_case(grid)
+        for eta in (grid.eta[1:], grid.eta[:, None], np.float64(0.0)):
+            with pytest.raises(ConfigError, match="all_rows"):
+                interp.all_rows(eta)
 
 
 class TestDensityTrace:
@@ -359,6 +473,18 @@ class TestSplineSlot:
         assert base.flags.writeable
         q = density_trace(state)
         base *= 2.0  # the state holds its own copy, so its spline stays valid
+        assert np.array_equal(density_trace(state), q)
+
+
+    def test_view_taken_before_the_state_cannot_reach_it(self):
+        base = 1.0 * gaussian_datum({1: 1.0}).sample(GRID, 0.0).values
+        view = base[:, :]
+        state = SpectralState(0.0, GRID, base)
+        before = state.values.copy()
+        q = density_trace(state)
+        view[:] = 1.0  # the state copied base, so neither it nor its spline moves
+        assert not np.shares_memory(state.values, base)
+        assert np.array_equal(state.values, before)
         assert np.array_equal(density_trace(state), q)
 
 
@@ -541,6 +667,33 @@ class TestIntegrate:
         assert all(state.reality_defect() == 0.0 for state in res.states)
 
 
+    def test_mu_hat_once_per_stage_time(self):
+        # k2 and k3 share a time, and so do k4 and the next step's k1
+        base = maxwellian()
+        calls = []
+
+        def mu_hat(eta):
+            calls.append(np.shape(eta))
+            return base.mu_hat(eta)
+
+        eq = dataclasses.replace(base, mu_hat=mu_hat)
+        tg = TimeGrid(1.0, 0.1)
+        rng = np.random.default_rng(4)
+        u = real_symmetric(rng.normal(size=(tg.times.size, GRID.n_modes))
+                           + 1j * rng.normal(size=(tg.times.size, GRID.n_modes)))
+        u[:, GRID.index_of(0)] = 0.0
+        hist = SpectralHistory(times=tg.times, values=1e-3 * u)
+        state = gaussian_datum({1: 1e-3}).sample(GRID, 1.0)
+        integrate(state, HistoryFieldProvider(hist, hist), tg, eq)
+        assert len(calls) == 2 * tg.n_steps + 1
+        # a remembered profile gives the bits of a fresh evaluation
+        stage = SpectralState(0.55, GRID, state.values)
+        u_lin = hist.values[5]
+        want = transport_rhs_per_shift(stage, u_lin, u_lin, base)
+        for _ in range(2):
+            assert np.array_equal(transport_rhs(stage, u_lin, u_lin, eq), want)
+
+
 class TestSourceAssembly:
     def setup_method(self):
         self.tg = TimeGrid(3.0, 0.25)
@@ -657,6 +810,21 @@ class TestFieldProviders:
         nl_hist = SpectralHistory(times=tg.times, values=2.0 * ones)
         lin, nl = HistoryFieldProvider(lin_hist, nl_hist)(zero_state(GRID, t=0.5))
         assert np.array_equal(lin, ones[0]) and np.array_equal(nl, 2.0 * ones[0])
+
+    @pytest.mark.parametrize("n_steps", [2, 8], ids=["linear", "cubic"])
+    def test_history_provider_matches_per_history_route(self, n_steps):
+        tg = TimeGrid(0.25 * n_steps, 0.25)
+        rng = np.random.default_rng(6)
+        shape = (tg.times.size, GRID.n_modes)
+        lin, nl = (SpectralHistory(times=tg.times, values=rng.normal(size=shape)
+                                   + 1j * rng.normal(size=shape))
+                   for _ in range(2))
+        provider = HistoryFieldProvider(lin, nl)
+        mids = (tg.times[:-1] + tg.times[1:]) / 2.0
+        for t in np.concatenate([tg.times, mids, [0.3, tg.t_final - 0.01]]):
+            got_lin, got_nl = provider(zero_state(GRID, t=float(t)))
+            assert np.array_equal(got_lin, history_slice(lin, t))
+            assert np.array_equal(got_nl, history_slice(nl, t))
 
     def test_history_provider_time_range(self):
         tg = TimeGrid(1.0, 0.25)

@@ -69,18 +69,20 @@ CASES = {
 
 
 def run_case(name: str, out: Path, threads: int = 1) -> int:
-    """Run one case into ``out``, stdout included; returns its exit code."""
+    """Run one case into ``out``, stdout and stderr included; returns its
+    exit code."""
     from vpscatter import cli
 
     command, text = CASES[name]
     out.mkdir(parents=True)
     config = out.parent / f"{out.name}.cfg"
     config.write_text(text, encoding="utf-8")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([command, "--config", str(config), "--out", str(out),
                          "--threads", str(threads)])
     (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    (out / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
     return code
 
 

@@ -21,6 +21,7 @@ from .errors import (
     DivergenceError,
     NearSingularResolventError,
     NoContractionError,
+    NumericalError,
     QuadratureError,
     RealityError,
     StepSizeError,

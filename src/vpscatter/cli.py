@@ -5,11 +5,19 @@ resolves the full configuration, validates it against the norm and grid
 hypotheses, executes its pipeline, and writes a ``manifest.txt`` that is
 itself a valid config file, so any run can be reproduced from its manifest.
 
+Command-line flags are config keys: ``main`` merges them into the file's
+raw ``key = value`` pairs, so a flag passes the same converter and
+hypothesis check as the key it overrides.
+
 Exit codes: 0 success, 2 hypothesis failure (unstable background where
 stability is asserted: ``penrose`` finds a nonzero winding, ``kernel`` finds
 one along its inversion contour, ``scatter`` and ``roundtrip`` refuse before
 the first pass), 3 numerical failure (divergence, blow-up, missed
-verification bound), 4 configuration error.
+verification bound), 4 configuration error, a command-line usage error
+included.  :func:`run_command` is the one place that turns a run's
+exception into an exit code: :class:`~vpscatter.errors.NumericalError`
+decides exit 3.  A refusal before a run starts (a config file, key, flag or
+output directory) leaves ``main`` as exit 4 and writes no manifest.
 """
 
 from __future__ import annotations
@@ -29,10 +37,7 @@ import numpy as np
 
 from . import __version__
 from .dispersion import PenroseReport, inverse_laplace_Khat, penrose_scan
-from .errors import (BlowUpError, ConfigError, DivergenceError,
-                     NearSingularResolventError, NoContractionError,
-                     QuadratureError, RealityError, StepSizeError,
-                     WeightOverflowError)
+from .errors import ConfigError, NumericalError
 from .field import poisson_fixed_point
 from .gevrey import GevreyWeight, gevrey_inequality_suite, weight_violations
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, gaussian_datum,
@@ -50,9 +55,6 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
-
-COMMANDS = ("penrose", "kernel", "damp", "scatter", "roundtrip", "poisson",
-            "selftest")
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +283,9 @@ def config_from_mapping(raw: Mapping[str, str],
     return RunConfig(values=values, source=source)
 
 
-def parse_config(path) -> RunConfig:
-    """Read a flat ``key = value`` file with ``#`` comments and dotted keys."""
+def _read_config(path) -> dict[str, str]:
+    """The raw pairs of a flat ``key = value`` file with ``#`` comments and
+    dotted keys."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -303,7 +306,12 @@ def parse_config(path) -> RunConfig:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    return config_from_mapping(raw, source=str(path))
+    return raw
+
+
+def parse_config(path) -> RunConfig:
+    """Read and resolve a flat config file."""
+    return config_from_mapping(_read_config(path), source=str(Path(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +322,10 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write CSV lines the caller has formatted.  Callers format float cells
-    as ``f"{x:.16e}"`` on ``.tolist()`` values, the text :func:`_fmt` gives,
-    in one comprehension rather than one call per cell."""
+    """Write CSV lines the caller has formatted.  Callers of large tables
+    format float cells as ``f"{x:.16e}"`` on ``.tolist()`` values, the text
+    :func:`_fmt` gives, in one comprehension rather than one call per cell."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -428,31 +429,29 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
                                           encoding="utf-8")
 
 
-def _write_efield(path: Path, times, norms,
+def _write_efield(path: Path, w: GevreyWeight,
                   potentials: SpectralHistory) -> None:
     """Weighted field norm and |E_k| of every positive mode, per time."""
+    times, norms = efield_weighted_norms(w, potentials)
     k = potentials.k_values
     positive = np.nonzero(k > 0)[0]
     abs_e = np.abs(k[positive] * potentials.values[:, positive])
-    _write_csv(path, ["t", "weighted_norm"]
-               + [f"abs_E_k{k[j]}" for j in positive],
-               ([_fmt(t), _fmt(n)] + [_fmt(v) for v in row]
-                for t, n, row in zip(times, norms, abs_e)))
+    _write_lines(path, [
+        ",".join(["t", "weighted_norm"] + [f"abs_E_k{k[j]}" for j in positive]),
+        *[",".join(f"{x:.16e}" for x in (t, n, *row))
+          for t, n, row in zip(times.tolist(), norms.tolist(),
+                               abs_e.tolist())]])
 
 
 # ---------------------------------------------------------------------------
 # command pipelines
 
 class _UnstableBackground(Exception):
-    """The boundary stability scan refused the background before a drive."""
+    """A winding showed the background unstable where a command asserts
+    stability (exit 2); ``summary`` is the manifest summary so far."""
 
-    def __init__(self, scan: PenroseReport, summary: dict[str, str]):
-        # a scan that returns unstable has a nonzero winding: a zero kappa0
-        # with none is inconclusive, a configuration error
-        growing = sorted(k for k, n in scan.windings.items() if n)
-        super().__init__(f"the penrose scan finds the background unstable "
-                         f"(nonzero winding at k = {growing}); the "
-                         "construction assumes a Penrose-stable background")
+    def __init__(self, message: str, summary: dict[str, str]):
+        super().__init__(message)
         self.summary = summary
 
 
@@ -472,12 +471,11 @@ def _penrose(cfg: RunConfig, model: ModelConfig,
 
 def _cmd_penrose(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     scan, summary = _penrose(cfg, cfg.model(), cfg.equilibrium())
-    rows = [[str(k), _fmt(omega), _fmt(dmin), str(scan.windings[k]),
-             _fmt(scan.tail_bound)]
-            for k, (omega, dmin) in sorted(scan.axis_minima.items())]
-    _write_csv(out_dir / "penrose.csv",
-               ["k", "omega_argmin", "abs_D_min", "winding", "tail_bound"],
-               rows)
+    _write_lines(out_dir / "penrose.csv", [
+        "k,omega_argmin,abs_D_min,winding,tail_bound",
+        *[f"{k},{_fmt(omega)},{_fmt(dmin)},{scan.windings[k]},"
+          f"{_fmt(scan.tail_bound)}"
+          for k, (omega, dmin) in sorted(scan.axis_minima.items())]])
     log(f"penrose: stable={summary['penrose.stable']} "
         f"kappa0={scan.kappa0:.6g}")
     return (EXIT_OK if scan.stable else EXIT_HYPOTHESIS), summary
@@ -509,11 +507,10 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     if not growing:
         return EXIT_OK, summary
     summary["kernel.stable"] = "false"
-    print(f"error: 1 + P L winds around 0 along the kernel contour at "
-          f"k = {growing}, so a zero lies right of it: the background is "
-          "unstable and the kernel tables are not the causal resolvent",
-          file=sys.stderr)
-    return EXIT_HYPOTHESIS, summary
+    raise _UnstableBackground(
+        f"1 + P L winds around 0 along the kernel contour at k = {growing}, "
+        "so a zero lies right of it: the background is unstable and the "
+        "kernel tables are not the causal resolvent", summary)
 
 
 def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
@@ -523,8 +520,7 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
                                mode=cfg["damp.mode"],
                                fit_window=(cfg["fit.t_start"],
                                            cfg["fit.t_end"]))
-    times, norms = efield_weighted_norms(w, report.potentials)
-    _write_efield(out_dir / "efield.csv", times, norms, report.potentials)
+    _write_efield(out_dir / "efield.csv", w, report.potentials)
     summary = {
         "damp.mode": str(report.mode),
         "damp.fit_rate": _fmt(report.fit.rate),
@@ -540,7 +536,13 @@ def _drive(cfg: RunConfig):
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
     scan, summary = _penrose(cfg, model, eq)
     if not scan.stable:
-        raise _UnstableBackground(scan, summary)
+        # a scan that returns unstable has a nonzero winding: a zero kappa0
+        # with none is inconclusive, a configuration error
+        growing = sorted(k for k, n in scan.windings.items() if n)
+        raise _UnstableBackground(
+            f"the penrose scan finds the background unstable (nonzero "
+            f"winding at k = {growing}); the construction assumes a "
+            "Penrose-stable background", summary)
     grids = cfg.grids()
     datum = cfg.datum()
     return model, eq, w, grids, fixed_point_drive(
@@ -548,18 +550,17 @@ def _drive(cfg: RunConfig):
         max_iters=cfg["drive.max_iters"])
 
 
-def _write_drive_artifacts(out_dir: Path, run) -> dict[str, str]:
-    rows = []
+def _write_drive_artifacts(out_dir: Path, w: GevreyWeight,
+                           run) -> dict[str, str]:
+    lines = ["iter,N1,N2,distance,ratio"]
     for i, record in enumerate(run.iterates):
         # first row is the map applied to the free extension: no gap yet
         distance = _fmt(run.distances[i - 1]) if i >= 1 else ""
         ratio = _fmt(run.contraction_ratios[i - 2]) if i >= 2 else ""
-        rows.append([str(i + 1), _fmt(record.report.n1),
-                     _fmt(record.report.n2), distance, ratio])
-    _write_csv(out_dir / "iterates.csv",
-               ["iter", "N1", "N2", "distance", "ratio"], rows)
-    times, norms = zip(*run.efield_decay)
-    _write_efield(out_dir / "efield.csv", times, norms, run.potentials)
+        lines.append(f"{i + 1},{_fmt(record.report.n1)},"
+                     f"{_fmt(record.report.n2)},{distance},{ratio}")
+    _write_lines(out_dir / "iterates.csv", lines)
+    _write_efield(out_dir / "efield.csv", w, run.potentials)
     write_state_csv(out_dir / "g0_state.csv", run.g0)
     summary = {
         "scatter.converged": "true" if run.converged else "false",
@@ -574,8 +575,8 @@ def _write_drive_artifacts(out_dir: Path, run) -> dict[str, str]:
 
 
 def _cmd_scatter(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
-    _, _, _, _, run = _drive(cfg)
-    summary = _write_drive_artifacts(out_dir, run)
+    _, _, w, _, run = _drive(cfg)
+    summary = _write_drive_artifacts(out_dir, w, run)
     log(f"scatter: converged={summary['scatter.converged']} after "
         f"{summary['scatter.iterations']} passes")
     return (EXIT_OK if run.converged else EXIT_NUMERICAL), summary
@@ -583,14 +584,15 @@ def _cmd_scatter(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
 
 def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     model, eq, w, grids, run = _drive(cfg)
-    summary = _write_drive_artifacts(out_dir, run)
+    summary = _write_drive_artifacts(out_dir, w, run)
     if not run.converged:
         log("roundtrip: drive did not converge; no forward pass")
         return EXIT_NUMERICAL, summary
     report = roundtrip_check(run, model, eq, w, grids)
-    _write_csv(out_dir / "roundtrip.csv", ["t", "profile_error"],
-               [[_fmt(t), _fmt(e)]
-                for t, e in zip(report.times, report.profile_errors)])
+    _write_lines(out_dir / "roundtrip.csv", [
+        "t,profile_error",
+        *[f"{_fmt(t)},{_fmt(e)}"
+          for t, e in zip(report.times, report.profile_errors)]])
     bound = 10.0 * (run.tolerance + report.richardson_estimate)
     within = report.sup_error <= bound
     summary.update({
@@ -610,10 +612,11 @@ def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
     grids = cfg.grids()
     q_hat = cfg.datum().trace(grids.phase.k_values, 0.0)
     snapshot = poisson_fixed_point(model, q_hat, w, 0.0)
-    rows = [[str(int(k)), _fmt(snapshot.u_hat[j].real),
-             _fmt(snapshot.u_hat[j].imag), _fmt(abs(snapshot.e_hat[j]))]
-            for j, k in enumerate(grids.phase.k_values)]
-    _write_csv(out_dir / "poisson.csv", ["k", "re_u", "im_u", "abs_e"], rows)
+    _write_lines(out_dir / "poisson.csv", [
+        "k,re_u,im_u,abs_e",
+        *[f"{int(k)},{_fmt(snapshot.u_hat[j].real)},"
+          f"{_fmt(snapshot.u_hat[j].imag)},{_fmt(abs(snapshot.e_hat[j]))}"
+          for j, k in enumerate(grids.phase.k_values)]])
     summary = {
         "poisson.residual": _fmt(snapshot.residual),
         "poisson.iterations": str(snapshot.iters),
@@ -718,13 +721,16 @@ _PIPELINES = {
     "selftest": _cmd_selftest,
 }
 
-_NUMERICAL_ERRORS = (BlowUpError, DivergenceError, NearSingularResolventError,
-                     NoContractionError, QuadratureError, RealityError,
-                     StepSizeError, WeightOverflowError)
+COMMANDS = tuple(_PIPELINES)
 
 
 def run_command(command: str, cfg: RunConfig) -> int:
-    """Execute one pipeline; returns the exit code and writes all artifacts."""
+    """Execute one pipeline; returns the exit code and writes all artifacts.
+
+    The one place a run's exception becomes an exit code, an ``error:``
+    line and the manifest's summary.  An unknown command or an output
+    directory that cannot be made raises :class:`ConfigError` instead.
+    """
     if command not in _PIPELINES:
         raise ConfigError(f"unknown command {command!r}; choose from "
                           + ", ".join(COMMANDS))
@@ -739,23 +745,24 @@ def run_command(command: str, cfg: RunConfig) -> int:
         if cfg["verbose"]:
             print(message, file=sys.stderr)
 
+    error = None
     try:
         code, summary = _PIPELINES[command](cfg, out_dir, log)
-    except ConfigError as exc:
-        _write_manifest(out_dir, cfg, command, {"error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _UnstableBackground as exc:
-        _write_manifest(out_dir, cfg, command, exc.summary)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except _NUMERICAL_ERRORS as exc:
-        _write_manifest(out_dir, cfg, command,
-                        {"error": f"{type(exc).__name__}: {exc}"})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        error, code, summary = exc, EXIT_HYPOTHESIS, exc.summary
+    except ConfigError as exc:
+        error, code, summary = exc, EXIT_CONFIG, {"error": str(exc)}
+    except NumericalError as exc:
+        error, code, summary = exc, EXIT_NUMERICAL, {
+            "error": f"{type(exc).__name__}: {exc}"}
     _write_manifest(out_dir, cfg, command, summary)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
     return code
+
+
+def _usage_error(message: str):
+    raise ConfigError(f"command line: {message} (see vpscatter --help)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -767,41 +774,33 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Vlasov-Poisson equations on the torus.",
         epilog="config keys and defaults:\n" + defaults,
         formatter_class=argparse.RawDescriptionHelpFormatter)
+    # a usage error is a configuration error (exit 4), not argparse's exit 2
+    parser.error = _usage_error
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file")
-    parser.add_argument("--out", metavar="DIR",
+    # every other dest is the config key its flag overrides, set as text
+    parser.add_argument("--out", dest="out.dir", metavar="DIR",
                         help="output directory (overrides out.dir)")
-    parser.add_argument("--threads", type=int, metavar="N",
+    parser.add_argument("--threads", metavar="N",
                         help="worker threads (overrides threads)")
-    parser.add_argument("--verbose", action="store_true",
+    parser.add_argument("--verbose", action="store_const", const="true",
                         help="progress lines on stderr")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config \
-            else config_from_mapping({}, source="<defaults>")
-        overrides: dict[str, object] = {}
-        if args.out is not None:
-            overrides["out.dir"] = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            overrides["threads"] = args.threads
-        if args.verbose:
-            overrides["verbose"] = True
-        if overrides:
-            cfg = cfg.replaced(**overrides)
-        return run_command(args.command, cfg)
+        flags = vars(_build_parser().parse_args(argv))
+        command, path = flags.pop("command"), flags.pop("config")
+        raw = _read_config(path) if path else {}
+        raw.update((key, text) for key, text in flags.items()
+                   if text is not None)
+        return run_command(command,
+                           config_from_mapping(raw, path or "<defaults>"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -556,10 +556,6 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     return SourceHistory(times=times, values=out - conv)
 
 
-def _shear(grid: PhaseGrid, t: float) -> np.ndarray:
-    return grid.eta[None, :] - grid.k_values[:, None].astype(float) * t
-
-
 @functools.lru_cache(maxsize=2)
 def _sheared_profile(eq: Equilibrium, grid: PhaseGrid, t: float) -> tuple:
     """The shear eta - k t on the grid at time t and mu_hat of it, read-only.
@@ -567,7 +563,7 @@ def _sheared_profile(eq: Equilibrium, grid: PhaseGrid, t: float) -> tuple:
     Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
     next step's k1, so each distinct stage time evaluates mu_hat once.
     """
-    shear = _shear(grid, t)
+    shear = grid.eta[None, :] - grid.k_values[:, None].astype(float) * t
     shear.setflags(write=False)
     mu = np.array(eq.mu_hat(shear), dtype=complex)
     mu.setflags(write=False)
@@ -594,11 +590,9 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
         raise ConfigError("stage potentials must hold one value per lattice mode")
     t = state.time
     rhs = np.zeros(state.values.shape, dtype=complex)
+    shear, mu = _sheared_profile(eq, grid, t)
     if any(u_lin.tolist()):
-        shear, mu = _sheared_profile(eq, grid, t)
         rhs -= shear * grid.k_values[:, None].astype(float) * u_lin[:, None] * mu
-    else:
-        shear = _shear(grid, t)
     k_max = grid.k_max
     coefs = u_nl.tolist()
     ells = [ell for ell in range(-k_max, k_max + 1) if ell and coefs[ell + k_max]]

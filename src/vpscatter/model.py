@@ -89,9 +89,15 @@ class ModelConfig:
         return out
 
 
+# the largest n_h whose coefficients 1/n! and tail divisor (n_h + 1)! are
+# doubles: 170! is the largest factorial below the double range
+_MAX_N_H = 169
+
+
 def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
     """Built-in couplings: ``vp`` (beta 0, h = 0), ``screened`` (beta 1, h = 0),
-    ``vpme`` (beta 1, h(y) = e^y - 1 - y truncated at degree ``n_h``).
+    ``vpme`` (beta 1, h(y) = e^y - 1 - y truncated at degree ``n_h``, at
+    most 169).
 
     Keyword arguments set the field-solve fields of :class:`ModelConfig`:
     ``picard_tol``, ``picard_max_iters`` and ``eps_ball``.
@@ -104,11 +110,18 @@ def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
     if key == "vpme":
         if n_h < 2:
             raise ConfigError("vpme needs at least the quadratic term (n_h >= 2)")
+        if n_h > _MAX_N_H:
+            raise ConfigError(f"vpme needs n_h <= {_MAX_N_H}, got {n_h}: "
+                              "a higher degree's factorial leaves the double range")
         coeffs = tuple(0.0 if n < 2 else 1.0 / math.factorial(n) for n in range(n_h + 1))
 
         def exp_tail(y: float, _n: int = n_h) -> float:
-            # remainder of the exponential series: |y|^(N+1) e^|y| / (N+1)!
-            return abs(y) ** (_n + 1) * math.exp(abs(y)) / math.factorial(_n + 1)
+            # remainder of the exponential series: |y|^(N+1) e^|y| / (N+1)!,
+            # inf once a factor leaves the double range (it is only reported)
+            try:
+                return abs(y) ** (_n + 1) * math.exp(abs(y)) / math.factorial(_n + 1)
+            except OverflowError:
+                return math.inf
 
         return ModelConfig(beta=1.0, h_coeffs=coeffs, label="vpme",
                            h_tail=exp_tail, **solve)

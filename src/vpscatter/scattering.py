@@ -108,7 +108,6 @@ class ScatteringRun:
     contraction_ratios: tuple
     states: tuple
     potentials: SpectralHistory
-    efield_decay: tuple
     converged: bool
     decay_fit: Optional[DecayFit]
     ball_bound: float
@@ -298,9 +297,10 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     one truncation counter tallies every lookup of the drive.
 
     The returned run carries per-iterate densities and norm reports, the
-    converged trajectory and its t = 0 state, the weighted field-decay
-    series of the last iterate, and a stretched-exponential envelope fit
-    over the middle half of the horizon.  At most one iterate keeps its
+    converged trajectory and its t = 0 state, the last iterate's
+    potentials, and a stretched-exponential fit of their weighted field
+    decay (:func:`efield_weighted_norms`) over the middle half of the
+    horizon.  At most one iterate keeps its
     splines at a time; the returned run keeps none.
     """
     grids.phase.validate_horizon(grids.time.t_final, ginf.width)
@@ -362,8 +362,6 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
                          contraction_ratios=tuple(ratios),
                          states=prev_states,
                          potentials=result.potentials,
-                         efield_decay=tuple(zip(e_times.tolist(),
-                                                e_norms.tolist())),
                          converged=converged, decay_fit=decay_fit,
                          ball_bound=ball, tolerance=tol)
 

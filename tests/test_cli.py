@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vpscatter import PhaseGrid, SpectralState, cli, dispersion, scattering
+from vpscatter import (PhaseGrid, SpectralState, cli, dispersion, errors,
+                       scattering)
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
                            EXIT_OK, config_from_mapping, load_state_csv,
                            main, parse_config, run_command, write_state_csv)
 from vpscatter.dispersion import dispersion_on_axis
-from vpscatter.errors import ConfigError
+from vpscatter.errors import ConfigError, NumericalError
 from vpscatter.field import poisson_fixed_point
 from vpscatter.kinetic import density_trace, horizon_violation
 from vpscatter.model import make_preset, maxwellian
@@ -523,6 +524,34 @@ class TestCommands:
         with pytest.raises(ConfigError, match="unknown command"):
             run_command("simulate", config_from_mapping({}))
 
+    def test_vpme_series_past_the_double_range_exits_four(self, tmp_path,
+                                                          capsys):
+        # 171! is no double: the parent raised OverflowError, a traceback
+        gate = "model.preset = vpme\npoisson.eps_ball = 1e30\n"
+        code, out = self.run("poisson", tmp_path, gate + "model.n_h = 169\n",
+                             name="top.cfg")
+        assert code == EXIT_OK
+        for n_h in (170, 171):
+            code, out = self.run("poisson", tmp_path,
+                                 gate + f"model.n_h = {n_h}\n",
+                                 name=f"n{n_h}.cfg")
+            assert code == EXIT_CONFIG
+            assert "# error = vpme needs n_h <= 169, got " \
+                f"{n_h}" in (out / "manifest.txt").read_text()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_vpme_tail_past_the_double_range_exits_three(self, tmp_path):
+        # the l1 potential amplitude passes 709.8, so e^|y| leaves the
+        # double range: the tail is inf and the smallness check refuses
+        code, out = self.run("poisson", tmp_path,
+                             "model.preset = vpme\ndatum.modes = 1:1e3\n"
+                             "poisson.eps_ball = 1e30\n")
+        assert code == EXIT_NUMERICAL
+        assert ("# error = NoContractionError: iterate left the contraction "
+                "ball of radius 2.164e+05 after 1 steps"
+                in (out / "manifest.txt").read_text())
+
 
 class TestScipyVersionLine:
     def test_reads_the_installed_version(self):
@@ -639,6 +668,52 @@ class TestMainEntry:
 
     def test_thread_override_validated(self, capsys):
         assert main(["selftest", "--threads", "0"]) == EXIT_CONFIG
+
+    def test_thread_flag_takes_the_key_route(self, tmp_path, capsys):
+        # the flag passes the key's converter: the parent's argparse exited 2
+        assert main(["selftest", "--threads", "abc"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: <defaults>: bad value for threads: ")
+        # and overrides the key before the hypothesis check: the parent
+        # refused the file's value first
+        path = write_config(tmp_path, "threads = 0\n")
+        out = tmp_path / "out"
+        assert main(["selftest", "--config", str(path), "--out", str(out),
+                     "--threads", "2"]) == EXIT_OK
+        assert "\nthreads = 2\n" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [["simulate"], [], ["selftest", "--bogus"],
+                                      ["selftest", "--threads"]])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: command line: ")
+
+    def test_error_types_take_the_exit_map(self):
+        # a new error type must be one of the two the CLI maps
+        types = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, BaseException)]
+        assert len(types) == 10
+        for kind in types:
+            assert issubclass(kind, (ConfigError, NumericalError)), kind
+
+    @pytest.mark.parametrize("kind", [
+        obj for obj in vars(errors).values() if isinstance(obj, type)
+        and issubclass(obj, NumericalError) and obj is not NumericalError])
+    def test_numerical_error_exits_three(self, tmp_path, capsys, monkeypatch,
+                                         kind):
+        def failing(cfg, out_dir, log):
+            raise kind("injected failure")
+
+        monkeypatch.setitem(cli._PIPELINES, "poisson", failing)
+        out = tmp_path / "out"
+        assert main(["poisson", "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = (out / "manifest.txt").read_text()
+        assert f"# error = {kind.__name__}: injected failure\n" in manifest
+        assert capsys.readouterr().err == "error: injected failure\n"
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as stop:

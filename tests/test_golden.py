@@ -1,9 +1,9 @@
 """Every command's artifacts against goldens recorded on a reference commit.
 
-Each case runs one CLI command on a tiny grid.  Exit codes, stdout, counts,
-flags, windings and every other non-float cell must match exactly; a float
-may move by 1e-12 of the largest magnitude in its CSV column, or of its own
-magnitude in the manifest.  Manifest lines naming versions, the output
+Each case runs one CLI command on a tiny grid.  Exit codes, stdout, stderr,
+counts, flags, windings and every other non-float cell must match exactly; a
+float may move by 1e-12 of the largest magnitude in its CSV column, or of its
+own magnitude in the manifest.  Manifest lines naming versions, the output
 directory or the thread count are skipped.
 
 Record the goldens from the repository root with

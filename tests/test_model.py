@@ -136,6 +136,25 @@ def test_vpme_series_matches_exponential_remainder():
     assert cfg.h_tail_bound(0.3) < 1e-16
 
 
+def test_vpme_tail_is_inf_past_the_double_range():
+    cfg = make_preset("vpme")
+    y = 0.3
+    assert cfg.h_tail_bound(y) == y ** 13 * math.exp(y) / math.factorial(13)
+    # e^|y| overflows past |y| = 709.78, |y|^13 past about 1e23
+    for y in (710.0, -1e3, 1e24):
+        assert cfg.h_tail_bound(y) == math.inf
+
+
+def test_vpme_series_degree_is_capped():
+    # 1/n! and the tail's (n_h + 1)! stay doubles up to n_h = 169
+    top = make_preset("vpme", n_h=169)
+    assert top.h_coeffs[-1] == 1.0 / math.factorial(169)
+    assert top.h_tail_bound(1.0) == math.e / math.factorial(170)
+    for n_h in (170, 171):
+        with pytest.raises(ConfigError, match="n_h <= 169"):
+            make_preset("vpme", n_h=n_h)
+
+
 def test_preset_couplings():
     vp = make_preset("vp")
     assert vp.beta == 0.0 and not vp.has_h

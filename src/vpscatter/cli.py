@@ -260,6 +260,14 @@ def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
     return bad
 
 
+def _converted(key: str, text: str, source: str):
+    """``text`` as the schema's value of ``key``; a bad one names ``source``."""
+    try:
+        return SCHEMA[key].convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
+
+
 def config_from_mapping(raw: Mapping[str, str],
                         source: str = "<mapping>") -> RunConfig:
     """Resolve raw strings against the schema, then validate hypotheses."""
@@ -268,13 +276,8 @@ def config_from_mapping(raw: Mapping[str, str],
         raise ConfigError(
             f"{source}: unknown key(s) {', '.join(unknown)}; valid keys: "
             + ", ".join(sorted(SCHEMA)))
-    values: dict[str, object] = {}
-    for key, spec in SCHEMA.items():
-        text = raw.get(key, spec.default)
-        try:
-            values[key] = spec.convert(text)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
+    values = {key: _converted(key, raw.get(key, spec.default), source)
+              for key, spec in SCHEMA.items()}
     violations = _hypothesis_violations(values)
     if violations:
         raise ConfigError(f"{source}: config violates "
@@ -779,7 +782,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file")
-    # every other dest is the config key its flag overrides, set as text
+    # every other dest is the config key its flag overrides, set as text;
+    # the flag is named by the key's first part
     parser.add_argument("--out", dest="out.dir", metavar="DIR",
                         help="output directory (overrides out.dir)")
     parser.add_argument("--threads", metavar="N",
@@ -794,8 +798,11 @@ def main(argv=None) -> int:
         flags = vars(_build_parser().parse_args(argv))
         command, path = flags.pop("command"), flags.pop("config")
         raw = _read_config(path) if path else {}
-        raw.update((key, text) for key, text in flags.items()
-                   if text is not None)
+        for key, text in flags.items():
+            if text is not None:
+                # a bad value is blamed on its flag, not on the file
+                _converted(key, text, "--" + key.split(".")[0])
+                raw[key] = text
         return run_command(command,
                            config_from_mapping(raw, path or "<defaults>"))
     except ConfigError as exc:

@@ -27,7 +27,6 @@ from .model import ModelConfig
 
 __all__ = [
     "FieldSnapshot",
-    "HSeriesSlice",
     "weighted_density_norm",
     "h_of_field",
     "potential_from_density",
@@ -75,18 +74,26 @@ class FieldSnapshot:
     ratios: tuple = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class HSeriesSlice:
-    """Coupling series of a potential slice plus its truncation remainder."""
-
-    values: np.ndarray
-    tail_bound: float
-
-
 def _density_weights(w: GevreyWeight, t: float, values) -> np.ndarray:
     """Time-t Gevrey weight of every mode of a slice along eta = k t."""
     k = _modes(values).astype(float)
     return np.exp(log_weight_A(w, t, k, k * t))
+
+
+def _root_sum_squares(x: np.ndarray) -> np.ndarray:
+    """sqrt(sum(x**2)) over the last axis of a nonnegative 2-d array.
+
+    A row whose squares underflow to 0 despite a nonzero entry, or overflow
+    to inf with every entry finite, is summed again scaled by its maximum;
+    every other row keeps the plain sum's bits.
+    """
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(x * x, axis=-1))
+    peak = np.max(x, axis=-1)
+    redo = np.where(out == 0.0, peak > 0.0, np.isinf(out) & np.isfinite(peak))
+    scaled = x[redo] / peak[redo, None]
+    out[redo] = peak[redo] * np.sqrt(np.sum(scaled * scaled, axis=-1))
+    return out
 
 
 def weighted_density_norm(w: GevreyWeight, t: float, values, *,
@@ -101,35 +108,36 @@ def weighted_density_norm(w: GevreyWeight, t: float, values, *,
         weights = _density_weights(w, t, vals)
     if vals.shape != weights.shape:
         raise ConfigError("values must match the weight row shape")
-    total = float(np.sqrt(np.sum((weights * np.abs(vals)) ** 2)))
+    x = weights * np.abs(vals)
+    # the plain sum first: the Picard loop measures every iterate
+    with np.errstate(over="ignore"):
+        total = float(np.sqrt(np.sum(x * x)))
+    if not 0.0 < total < math.inf:
+        total = float(_root_sum_squares(x[None])[0])
     if not math.isfinite(total):
         raise WeightOverflowError(
             "weighted slice norm overflowed; reduce lambda_inf or sigma")
     return total
 
 
-def h_of_field(model: ModelConfig, u_hat) -> HSeriesSlice:
+def h_of_field(model: ModelConfig, u_hat) -> np.ndarray:
     """Evaluate the coupling series of a potential slice mode by mode.
 
     Powers of the slice are built by the truncated coefficient product on
     -K..K, so every term lives on the slice's own lattice.
-    The series is the model's own (``model.h_coeffs``); the reported tail is
-    the model's series remainder at the slice's l1 amplitude (a sup-norm
-    bound).
+    The series is the model's own (``model.h_coeffs``).
     """
     u = _mode_slice(u_hat)
     out = np.zeros_like(u)
     if not model.has_h:
-        return HSeriesSlice(values=out, tail_bound=0.0)
-    amplitude = float(np.sum(np.abs(u)))
+        return out
     half = u.size // 2
     power = u
     for coeff in model.h_coeffs[2:]:
         power = np.convolve(power, u)[half:half + u.size]
         if coeff != 0.0:
             out = out + coeff * power
-    return HSeriesSlice(values=out,
-                        tail_bound=float(model.h_tail_bound(amplitude)))
+    return out
 
 
 def potential_from_density(model: ModelConfig, rho_hat) -> np.ndarray:
@@ -190,8 +198,7 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     prev_dist = None
     for itn in range(1, model.picard_max_iters + 1):
         u_hat = potential_from_density(model, rho)
-        series = h_of_field(model, u_hat)
-        nxt = q - series.values
+        nxt = q - h_of_field(model, u_hat)
         dist = weighted_density_norm(w, t, nxt - rho, weights=weights)
         if prev_dist is not None and prev_dist > 0.0:
             ratios.append(dist / prev_dist)

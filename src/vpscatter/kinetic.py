@@ -31,7 +31,6 @@ __all__ = [
     "PhaseGrid",
     "horizon_violation",
     "TimeGrid",
-    "TruncationCounter",
     "SpectralState",
     "AsymptoticDatum",
     "gaussian_datum",
@@ -146,18 +145,6 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-
-@dataclasses.dataclass
-class TruncationCounter:
-    """Tally of off-grid frequency lookups resolved by the decay bound."""
-
-    evaluations: int = 0
-    truncated: int = 0
-
-    @property
-    def fraction(self) -> float:
-        return self.truncated / self.evaluations if self.evaluations else 0.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -344,8 +331,7 @@ class StateInterpolant:
     trace and the source assembly.  Queries beyond the grid edge (``_edge``,
     eta_max plus a relative slack of ``EDGE_SLACK``) return 0, justified by
     the decay of stored profiles toward the boundary; queries inside the
-    slack band read the end node.  The counter records how often the bound
-    was invoked.
+    slack band read the end node.
 
     Pipelines do not build one directly: they ask the state for it
     (:meth:`SpectralState.interpolant`), so every consumer of one state
@@ -380,7 +366,7 @@ class StateInterpolant:
         self._hs.setflags(write=False)
         self._flat = (y.reshape(-1).view(float), self._hs.reshape(-1).view(float))
 
-    def all_rows(self, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
+    def all_rows(self, eta) -> np.ndarray:
         """Every mode row at copies of the grid, each shifted by one constant.
 
         Each row of ``eta`` (last axis of length ``n_eta``) must be
@@ -392,9 +378,7 @@ class StateInterpolant:
         end node read that node inside the slack band and 0 beyond
         ``_edge``.
 
-        Returns shape ``(n_modes,) + eta.shape``; the counter counts one
-        evaluation per point of ``eta`` and one truncation per point with
-        ``|eta| > _edge``.
+        Returns shape ``(n_modes,) + eta.shape``.
         """
         eta = np.asarray(eta, dtype=float)
         grid = self.grid
@@ -443,17 +427,13 @@ class StateInterpolant:
                 block[:, hi:n - n_above] = self._y[:, -1:]
             if n_above:
                 block[:, n - n_above:] = 0.0
-        if counter is not None:
-            counter.evaluations += eta.size
-            counter.truncated += sum(below) + sum(above)
         return out.transpose(1, 0, 2).reshape((grid.n_modes,) + eta.shape)
 
-    def at_pairs(self, k, eta, counter: Optional[TruncationCounter] = None) -> np.ndarray:
+    def at_pairs(self, k, eta) -> np.ndarray:
         """Pointwise lookup at (k[i], eta[i]); off-lattice modes read as 0.
 
         Only the requested mode row is evaluated at each point.  Returns the
-        broadcast shape of ``k`` and ``eta``; the counter counts one
-        evaluation per point of it.
+        broadcast shape of ``k`` and ``eta``.
         """
         k, eta = np.broadcast_arrays(np.asarray(k), np.asarray(eta, dtype=float))
         grid = self.grid
@@ -483,27 +463,21 @@ class StateInterpolant:
         value += y[0]
         out = np.zeros(k.shape, dtype=complex)
         out[sel] = value
-        if counter is not None:
-            counter.evaluations += k.size
-            counter.truncated += int(np.count_nonzero(on_lattice & ~inside))
         return out
 
 
-def density_trace(state: SpectralState,
-                  counter: Optional[TruncationCounter] = None) -> np.ndarray:
+def density_trace(state: SpectralState) -> np.ndarray:
     """Density-generating slice: coefficients along eta = k t.
 
     Read from the state's kept spline (:meth:`SpectralState.interpolant`).
     """
     k = state.grid.k_values
-    return state.interpolant().at_pairs(k, k * state.time, counter)
+    return state.interpolant().at_pairs(k, k * state.time)
 
 
 def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
                             density: DensityHistory, u_hats: SpectralHistory,
-                            ginf: AsymptoticDatum,
-                            counter: Optional[TruncationCounter] = None,
-                            ) -> SourceHistory:
+                            ginf: AsymptoticDatum) -> SourceHistory:
     """Backward-equation right-hand side on the whole time grid.
 
     At each grid time t: the datum trace, minus the coupling series of the
@@ -535,7 +509,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     out = np.zeros((n_t, k.size), dtype=complex)
     for i in range(n_t):
         out[i] = ginf.trace(k, times[i])
-        out[i] -= h_of_field(model, u_hats.values[i]).values
+        out[i] -= h_of_field(model, u_hats.values[i])
     ells = k[k != 0]
     weights = k.astype(float) * ells[:, None] / (model.beta + ells[:, None] ** 2.0)
     rho = density.values[:, ells + grid.k_max]
@@ -548,7 +522,7 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
         # frequencies k t_i - ell s_j for every active ell and earlier slice i
         eta_pts = k * times[:j, None] - ell * times[j]
         g_shift = states[j].interpolant().at_pairs(
-            np.broadcast_to(k - ell, eta_pts.shape), eta_pts, counter)
+            np.broadcast_to(k - ell, eta_pts.shape), eta_pts)
         edge = 0.5 if j == n_t - 1 else 1.0
         gaps = (times[j] - times[:j])[:, None]
         for rho_j, weight, g in zip(rho[j, active], weights[active], g_shift):
@@ -571,8 +545,7 @@ def _sheared_profile(eq: Equilibrium, grid: PhaseGrid, t: float) -> tuple:
 
 
 def transport_rhs(state: SpectralState, u_linear: np.ndarray,
-                  u_nonlinear: np.ndarray, eq: Equilibrium,
-                  counter: Optional[TruncationCounter] = None) -> np.ndarray:
+                  u_nonlinear: np.ndarray, eq: Equilibrium) -> np.ndarray:
     """Time derivative of the transported perturbation under two potentials.
 
     ``u_linear`` feeds the equilibrium profile; ``u_nonlinear`` shears the
@@ -600,7 +573,7 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
         # shifted[:, j] is the state at eta - ells[j] t; row k of the shear
         # term reads row k - ell, so |ell| rows fall off the lattice
         shifted = state.interpolant().all_rows(
-            grid.eta - np.array(ells)[:, None] * t, counter)
+            grid.eta - np.array(ells)[:, None] * t)
         n = grid.n_modes
         for j, ell in enumerate(ells):
             lo, hi = max(0, ell), n + min(0, ell)
@@ -616,7 +589,6 @@ class IntegrationResult:
     states: tuple
     max_reality_drift: float
     mass_drift: float
-    counter: TruncationCounter
 
 
 class HistoryFieldProvider:
@@ -692,8 +664,7 @@ def zero_field_provider(grid: PhaseGrid) -> FieldProvider:
 
 
 def integrate(initial: SpectralState, provider: FieldProvider,
-              time_grid: TimeGrid, eq: Equilibrium,
-              counter: Optional[TruncationCounter] = None) -> IntegrationResult:
+              time_grid: TimeGrid, eq: Equilibrium) -> IntegrationResult:
     """Four-stage Runge-Kutta sweep over the whole time grid.
 
     The start state's time picks the direction: a state at the final time
@@ -710,8 +681,6 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     the slots once no later consumer (the next pass of the construction map)
     needs them.
     """
-    if counter is None:
-        counter = TruncationCounter()
     times = time_grid.times
     backward = abs(initial.time - times[-1]) < abs(initial.time - times[0])
     start = times[-1] if backward else times[0]
@@ -731,7 +700,7 @@ def integrate(initial: SpectralState, provider: FieldProvider,
             raise BlowUpError(
                 f"non-finite stage state near t={stage.time:g}; reduce dt "
                 f"below {time_grid.dt:g} or shrink the datum amplitude")
-        return transport_rhs(stage, *provider(stage), eq, counter)
+        return transport_rhs(stage, *provider(stage), eq)
 
     def state_at(t: float, values: np.ndarray) -> SpectralState:
         return SpectralState(time=t, grid=grid, values=values)
@@ -761,4 +730,4 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     if backward:
         out.reverse()
     return IntegrationResult(states=tuple(out), max_reality_drift=max_drift,
-                             mass_drift=mass_drift, counter=counter)
+                             mass_drift=mass_drift)

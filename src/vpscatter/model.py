@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,8 +40,7 @@ class ModelConfig:
 
     ``h_coeffs[n]`` is the coefficient ``a_n``; the series starts at n = 2
     (``a_0 = a_1 = 0``) and is taken to converge everywhere, as the vpme
-    series e^y - 1 - y does.  ``h_tail`` optionally bounds the truncation
-    remainder ``|sum_{n > N} a_n y^n|``.
+    series e^y - 1 - y does.
 
     The last three fields set how a series-carrying balance is solved:
     Picard iteration stops at a step of ``picard_tol`` and gives up after
@@ -52,7 +51,6 @@ class ModelConfig:
     beta: float
     h_coeffs: tuple[float, ...] = ()
     label: str = "custom"
-    h_tail: Optional[Callable[[float], float]] = field(default=None, compare=False)
     picard_tol: float = 1e-12
     picard_max_iters: int = 50
     eps_ball: Optional[float] = None
@@ -76,11 +74,6 @@ class ModelConfig:
     def has_h(self) -> bool:
         return any(c != 0.0 for c in self.h_coeffs)
 
-    def h_tail_bound(self, y: float) -> float:
-        if self.h_tail is None:
-            return 0.0
-        return self.h_tail(abs(y))
-
     def poisson_prefactor(self, k) -> np.ndarray:
         """|k|^2 / (beta + |k|^2), the Volterra kernel prefactor."""
         k2 = np.square(np.asarray(k, dtype=float))
@@ -89,8 +82,8 @@ class ModelConfig:
         return out
 
 
-# the largest n_h whose coefficients 1/n! and tail divisor (n_h + 1)! are
-# doubles: 170! is the largest factorial below the double range
+# cap on the vpme degree: every n! up to it is a double, so every 1/n! is a
+# normal one; in the small-data regime its terms sit far below roundoff
 _MAX_N_H = 169
 
 
@@ -114,17 +107,7 @@ def make_preset(name: str, n_h: int = 12, **solve) -> ModelConfig:
             raise ConfigError(f"vpme needs n_h <= {_MAX_N_H}, got {n_h}: "
                               "a higher degree's factorial leaves the double range")
         coeffs = tuple(0.0 if n < 2 else 1.0 / math.factorial(n) for n in range(n_h + 1))
-
-        def exp_tail(y: float, _n: int = n_h) -> float:
-            # remainder of the exponential series: |y|^(N+1) e^|y| / (N+1)!,
-            # inf once a factor leaves the double range (it is only reported)
-            try:
-                return abs(y) ** (_n + 1) * math.exp(abs(y)) / math.factorial(_n + 1)
-            except OverflowError:
-                return math.inf
-
-        return ModelConfig(beta=1.0, h_coeffs=coeffs, label="vpme",
-                           h_tail=exp_tail, **solve)
+        return ModelConfig(beta=1.0, h_coeffs=coeffs, label="vpme", **solve)
     raise ConfigError(f"unknown model preset {name!r} (choose vp, screened, vpme)")
 
 

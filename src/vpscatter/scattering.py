@@ -29,11 +29,12 @@ from .gevrey import (RADIUS_REDUCTION, GevreyWeight, WeightedNormReport,
 from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
 from .volterra import (DensityHistory, DiscreteResolvent, SpectralHistory,
                        build_discrete_resolvent, solve_resolvent)
-from .field import poisson_fixed_point, potential_from_density
+from .field import (_root_sum_squares, poisson_fixed_point,
+                    potential_from_density)
 from .kinetic import (AsymptoticDatum, HistoryFieldProvider, IntegrationResult,
                       PhaseGrid, SelfConsistentFieldProvider, SpectralState,
-                      TimeGrid, TruncationCounter, assemble_source_history,
-                      density_trace, gaussian_datum, integrate)
+                      TimeGrid, assemble_source_history, density_trace,
+                      gaussian_datum, integrate)
 
 __all__ = [
     "RunGrids",
@@ -173,15 +174,14 @@ def _release(states: Sequence[SpectralState]) -> None:
 
 
 def _slice_fields(model: ModelConfig, grids: RunGrids,
-                  states: Sequence[SpectralState], w: GevreyWeight,
-                  counter: Optional[TruncationCounter],
+                  states: Sequence[SpectralState], w: GevreyWeight
                   ) -> tuple[DensityHistory, SpectralHistory]:
     """Density and potential histories of an iterate via the elliptic balance."""
     times = grids.time.times
     rho = np.zeros((len(states), grids.phase.n_modes), dtype=complex)
     u = np.zeros_like(rho)
     for i, state in enumerate(states):
-        q = density_trace(state, counter)
+        q = density_trace(state)
         snap = poisson_fixed_point(model, q, w, state.time)
         rho[i] = snap.rho_hat
         u[i] = snap.u_hat
@@ -193,8 +193,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
                 ginf: AsymptoticDatum, model: ModelConfig, eq: Equilibrium,
                 w: GevreyWeight, grids: RunGrids, *,
                 tables: Mapping[int, DiscreteResolvent],
-                ball_n1: Optional[float] = None,
-                counter: Optional[TruncationCounter] = None) -> MapResult:
+                ball_n1: Optional[float] = None) -> MapResult:
     """One pass of the construction map: previous iterate in, new iterate out.
 
     ``phi_density`` and ``phi_potential`` are the incoming iterate's sliced
@@ -215,10 +214,8 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     the splines of their k1 transport stages for the next slicing.
     """
     grid, tg = grids.phase, grids.time
-    if counter is None:
-        counter = TruncationCounter()
     source = assemble_source_history(model, phi_states, phi_density,
-                                     phi_potential, ginf, counter=counter)
+                                     phi_potential, ginf)
     _release(phi_states)
     density = solve_resolvent(model, eq, source, tables)
     # the new potential responds linearly; the series correction lives in the
@@ -228,7 +225,7 @@ def apply_map_F(phi_states: Sequence[SpectralState],
     # the old potential shears the state
     provider = HistoryFieldProvider(u_psi_hist, phi_potential)
     terminal = ginf.sample(grid, tg.t_final)
-    integration = integrate(terminal, provider, tg, eq, counter=counter)
+    integration = integrate(terminal, provider, tg, eq)
     report = weighted_norm_report(integration.states, density, w)
     if ball_n1 is not None and report.n1 > ball_n1:
         raise NoContractionError(
@@ -275,8 +272,7 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     e_hat = -1j * k[None, :] * potentials.values
     br = bracket(k[None, :], k[None, :] * times[:, None])
     log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
-    weighted = np.exp(log_w) * np.abs(e_hat)
-    return times.copy(), np.sqrt(np.sum(weighted * weighted, axis=1))
+    return times.copy(), _root_sum_squares(np.exp(log_w) * np.abs(e_hat))
 
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
@@ -293,8 +289,7 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
 
     The drive slices each iterate a pass consumes once, for the map to
     consume; the start iterate's slices also give its norm report, and the
-    last output is never sliced.  The resolvent tables are built once, and
-    one truncation counter tallies every lookup of the drive.
+    last output is never sliced.  The resolvent tables are built once.
 
     The returned run carries per-iterate densities and norm reports, the
     converged trajectory and its t = 0 state, the last iterate's
@@ -306,11 +301,9 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     grids.phase.validate_horizon(grids.time.t_final, ginf.width)
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
-    counter = TruncationCounter()
     tables = build_resolvent_tables(model, eq, grids)
     prev_states = free_extension(ginf, grids)
-    phi_density, phi_potential = _slice_fields(model, grids, prev_states, w,
-                                               counter)
+    phi_density, phi_potential = _slice_fields(model, grids, prev_states, w)
     report0 = weighted_norm_report(prev_states, phi_density, w)
     ball = BALL_FACTOR * report0.n_total
     records = [IterateRecord(density=phi_density, report=report0)]
@@ -323,10 +316,9 @@ def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
     for n in range(max_iters):
         if n > 0:
             phi_density, phi_potential = _slice_fields(model, grids,
-                                                       prev_states, w, counter)
+                                                       prev_states, w)
         result = apply_map_F(prev_states, phi_density, phi_potential, ginf,
-                             model, eq, w, grids, tables=tables, ball_n1=ball,
-                             counter=counter)
+                             model, eq, w, grids, tables=tables, ball_n1=ball)
         dist = iterate_distance(result.states, prev_states, result.density,
                                 prev_density, w_dist)
         distances.append(dist)

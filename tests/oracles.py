@@ -297,7 +297,7 @@ def solve_with_continuum_tables(source, tables) -> np.ndarray:
     return out
 
 
-def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq, counter=None):
+def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq):
     """Transport right-hand side with the shear term built one shift at a time."""
     grid = state.grid
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
@@ -311,7 +311,7 @@ def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq, counter=None):
     for ell, coef in zip(grid.k_values, u_nl):
         if ell == 0 or coef == 0.0:
             continue
-        shifted = interp.all_rows(grid.eta - ell * t, counter)
+        shifted = interp.all_rows(grid.eta - ell * t)
         g_shift = np.zeros_like(state.values)
         rows = np.arange(max(0, ell), grid.n_modes + min(0, ell))
         g_shift[rows] = shifted[rows - ell]
@@ -362,17 +362,13 @@ class CoefficientSpline:
     def _horner(c, d):
         return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
 
-    def all_rows(self, eta, counter=None):
+    def all_rows(self, eta):
         """Every mode row at the points ``eta``, of any shape."""
         eta = np.asarray(eta, dtype=float)
         idx, d = self._locate(eta.ravel())
         out = self._horner(np.take(self._coef, idx, axis=1), d[:, None])
         out = out.T.reshape((-1,) + eta.shape)
-        outside = np.abs(eta) > self._edge
-        if counter is not None:
-            counter.evaluations += eta.size
-            counter.truncated += int(np.count_nonzero(outside))
-        out[:, outside] = 0.0
+        out[:, np.abs(eta) > self._edge] = 0.0
         return out
 
 

@@ -144,7 +144,7 @@ def test_criterion_06_nonlinear_field_recovery():
     u[3] = u[5] = 5e-3  # cosine of physical amplitude 1e-2
     rho = (vpme.beta + k.astype(float) ** 2) * u
     rho[4] = 0.0
-    q = rho + h_of_field(vpme, u).values
+    q = rho + h_of_field(vpme, u)
     snap = poisson_fixed_point(vpme, q, w, 0.0)
     err = float(np.linalg.norm(snap.rho_hat - rho) / np.linalg.norm(rho))
     q_lin = k.astype(float) ** 2 * u

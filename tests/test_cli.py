@@ -1,6 +1,7 @@
 """Config parsing, artifact formats, and command exit codes."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -552,6 +553,20 @@ class TestCommands:
                 "ball of radius 2.164e+05 after 1 steps"
                 in (out / "manifest.txt").read_text())
 
+    def test_finite_norm_of_overflowing_squares_meets_the_gate(self, tmp_path,
+                                                               capsys):
+        # the weighted squares of this slice overflow, its norm does not:
+        # the parent refused the norm itself, with a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = self.run("poisson", tmp_path, "model.preset = vpme\n"
+                                 "datum.modes = 1:1e153\n")
+        assert code == EXIT_NUMERICAL
+        assert not caught
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weighted slice amplitude 1.082e+155 exceeds the smallness "
+            "gate 5.000e-02; the perturbative regime does not apply"]
+
 
 class TestScipyVersionLine:
     def test_reads_the_installed_version(self):
@@ -670,11 +685,15 @@ class TestMainEntry:
         assert main(["selftest", "--threads", "0"]) == EXIT_CONFIG
 
     def test_thread_flag_takes_the_key_route(self, tmp_path, capsys):
-        # the flag passes the key's converter: the parent's argparse exited 2
-        assert main(["selftest", "--threads", "abc"]) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: <defaults>: bad value for threads: ")
+        # the flag passes the key's converter: the parent's argparse exited 2;
+        # a bad value names the flag, not the file, which does not set the
+        # key (the parent named the file, or <defaults> without one)
+        plain = write_config(tmp_path, "grid.kmax = 1\n", name="plain.cfg")
+        for config in ([], ["--config", str(plain)]):
+            assert main(["selftest", *config, "--threads", "abc"]) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: --threads: bad value for threads: ")
         # and overrides the key before the hypothesis check: the parent
         # refused the file's value first
         path = write_config(tmp_path, "threads = 0\n")

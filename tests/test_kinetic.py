@@ -16,9 +16,9 @@ from vpscatter.gevrey import GevreyWeight
 from vpscatter.kinetic import (EDGE_SLACK, AsymptoticDatum, HistoryFieldProvider,
                                PhaseGrid, SelfConsistentFieldProvider,
                                SpectralState, StateInterpolant, TimeGrid,
-                               TruncationCounter, assemble_source_history,
-                               density_trace, gaussian_datum, horizon_violation,
-                               integrate, transport_rhs, zero_field_provider)
+                               assemble_source_history, density_trace,
+                               gaussian_datum, horizon_violation, integrate,
+                               transport_rhs, zero_field_provider)
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
@@ -26,7 +26,7 @@ GRID = PhaseGrid(k_max=2, eta_max=8.0, delta_eta=0.125)
 SCREENED = make_preset("screened")
 
 
-def assemble_source(model, states, density, u_hats, ginf, t, counter=None):
+def assemble_source(model, states, density, u_hats, ginf, t):
     """Per-time oracle for :func:`assemble_source_history`.
 
     Same quadrature at the single grid time ``t``, written as a direct loop
@@ -37,7 +37,7 @@ def assemble_source(model, states, density, u_hats, ginf, t, counter=None):
     delta_s = float(times[1] - times[0])
     k = states[0].grid.k_values
     source = ginf.trace(k, times[i0]).astype(complex)
-    source = source - h_of_field(model, u_hats.values[i0]).values
+    source = source - h_of_field(model, u_hats.values[i0])
     for ell in k[k != 0]:
         weight = k * ell / (model.beta + float(ell) ** 2)
         rho_ell = density.mode(ell)
@@ -47,7 +47,7 @@ def assemble_source(model, states, density, u_hats, ginf, t, counter=None):
             if gap == 0.0 or rho_ell[j] == 0.0:
                 continue
             g_shift = StateInterpolant(states[j]).at_pairs(
-                k - ell, k * times[i0] - ell * times[j], counter)
+                k - ell, k * times[i0] - ell * times[j])
             term = gap * weight * rho_ell[j] * g_shift
             acc += term if j < times.size - 1 else 0.5 * term
         source = source - delta_s * acc
@@ -193,33 +193,25 @@ class TestInterpolation:
 
     def test_beyond_edge_reads_zero_and_counts(self):
         state = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
-        counter = TruncationCounter()
         probe = np.array([0.0, 9.0, -8.5, 3.25])
-        got = StateInterpolant(state).at_pairs(np.ones(4, int), probe, counter)
+        got = StateInterpolant(state).at_pairs(np.ones(4, int), probe)
         assert got[1] == 0.0 and got[2] == 0.0
-        assert counter.evaluations == 4 and counter.truncated == 2
-        assert counter.fraction == 0.5
 
     def test_off_lattice_mode_reads_zero_uncounted(self):
         state = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
-        counter = TruncationCounter()
         got = StateInterpolant(state).at_pairs(
-            np.array([5, -3, 1]), np.array([0.0, 9.0, 0.0]), counter)
+            np.array([5, -3, 1]), np.array([0.0, 9.0, 0.0]))
         assert got[0] == 0.0 and got[1] == 0.0
         assert got[2] == state.values[GRID.index_of(1), GRID.origin[1]]
-        assert counter.evaluations == 3 and counter.truncated == 0
 
     def test_all_rows_on_a_block_stacks_the_row_calls(self):
         state = gaussian_datum({1: 1.0, 2: 0.5j}).sample(GRID, 0.0)
         interp = StateInterpolant(state)
         block = GRID.eta - np.array([-2.0, -0.7, 0.0, 1.3, 2.0])[:, None] * 1.9
-        counter, row_counter = TruncationCounter(), TruncationCounter()
-        got = interp.all_rows(block, counter)
+        got = interp.all_rows(block)
         assert got.shape == (GRID.n_modes,) + block.shape
-        want = np.stack([interp.all_rows(row, row_counter) for row in block], axis=1)
+        want = np.stack([interp.all_rows(row) for row in block], axis=1)
         assert np.array_equal(got, want)
-        assert counter == row_counter
-        assert counter.evaluations == block.size and counter.truncated > 0
 
     def test_at_pairs_on_a_block_stacks_the_slab_calls(self):
         state = gaussian_datum({1: 1.0, 2: 0.5j}).sample(GRID, 0.0)
@@ -227,14 +219,11 @@ class TestInterpolation:
         k, times = GRID.k_values, np.linspace(0.0, 5.0, 6)
         ells = np.array([-2, -1, 1, 2])[:, None, None]
         eta = k * times[:, None] - ells * 3.5
-        counter, slab_counter = TruncationCounter(), TruncationCounter()
-        got = interp.at_pairs(k - ells, eta, counter)
+        got = interp.at_pairs(k - ells, eta)
         assert got.shape == eta.shape
-        want = np.stack([interp.at_pairs(k - ell, e, slab_counter)
+        want = np.stack([interp.at_pairs(k - ell, e)
                          for ell, e in zip(ells, eta)])
         assert np.array_equal(got, want)
-        assert counter == slab_counter
-        assert counter.evaluations == eta.size and counter.truncated > 0
 
 
 # conftest fixture grids (contraction, round trip, Landau), then the scatter
@@ -372,11 +361,9 @@ class TestShiftedRows:
     def test_matches_coefficient_oracle(self, grid):
         state, interp, rng = self.make_case(grid)
         block = shifted_block(grid, rng)
-        counter, oracle_counter = TruncationCounter(), TruncationCounter()
-        got = interp.all_rows(block, counter)
-        want = CoefficientSpline(state).all_rows(block, oracle_counter)
+        got = interp.all_rows(block)
+        want = CoefficientSpline(state).all_rows(block)
         assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
-        assert counter == oracle_counter
         # rows may come in any leading shape
         stacked = interp.all_rows(block.reshape(2, -1, grid.n_eta))
         assert np.array_equal(stacked.reshape(got.shape), got)
@@ -386,12 +373,10 @@ class TestShiftedRows:
         band = 2.0 ** -40  # inside the slack band, and exact on the grid
         assert band < EDGE_SLACK
         block = grid.eta + np.array([band, -band])[:, None]
-        counter = TruncationCounter()
-        got = interp.all_rows(block, counter)
+        got = interp.all_rows(block)
         assert block[0, -1] > grid.eta_max and block[1, 0] < -grid.eta_max
         assert np.array_equal(got[:, 0, -1], state.values[:, -1])
         assert np.array_equal(got[:, 1, 0], state.values[:, 0])
-        assert counter.truncated == 0
         want = CoefficientSpline(state).all_rows(block)
         assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
 
@@ -402,13 +387,10 @@ class TestShiftedRows:
         shifts = np.array([past, -past, 0.5, -0.5, 3.0, -3.0]) * np.array(
             [1.0, 1.0, grid.eta_max, grid.eta_max, grid.eta_max, grid.eta_max])
         block = grid.eta + shifts[:, None]
-        counter = TruncationCounter()
-        got = interp.all_rows(block, counter)
+        got = interp.all_rows(block)
         beyond = np.abs(block) > interp._edge
         assert beyond[0, -1] and beyond[1, 0] and np.all(beyond[4:])
         assert np.all(got[:, beyond] == 0.0)
-        assert counter.evaluations == block.size
-        assert counter.truncated == np.count_nonzero(beyond)
         want = CoefficientSpline(state).all_rows(block)
         assert np.all(np.abs(got - want) <= 1e-13 * row_scale(state))
 
@@ -532,13 +514,9 @@ class TestTransportRhs:
         u_nl = rng.normal(size=GRID.n_modes) + 1j * rng.normal(size=GRID.n_modes)
         u_nl[GRID.index_of(0)] = 0.0
         u_lin = u_nl[::-1].conj() if linear else np.zeros(GRID.n_modes, complex)
-        counter, oracle_counter = TruncationCounter(), TruncationCounter()
-        got = transport_rhs(state, u_lin, u_nl, maxwellian(), counter)
-        want = transport_rhs_per_shift(state, u_lin, u_nl, maxwellian(),
-                                       oracle_counter)
+        got = transport_rhs(state, u_lin, u_nl, maxwellian())
+        want = transport_rhs_per_shift(state, u_lin, u_nl, maxwellian())
         assert np.array_equal(got, want)
-        assert counter == oracle_counter
-        assert counter.evaluations == 4 * GRID.n_eta and counter.truncated > 0
 
     def test_one_lookup_per_stage(self, monkeypatch):
         calls = count_calls(monkeypatch, "all_rows")
@@ -606,11 +584,9 @@ class TestIntegrate:
                         maxwellian())
         assert res.mass_drift <= 1e-12
         assert res.max_reality_drift <= 1e-12
-        assert res.counter.evaluations > 0  # shear lookups were interpolated
-        traces = TruncationCounter()
+        # traces stay inside the grid
         for state in res.states:
-            density_trace(state, traces)
-        assert traces.truncated == 0  # traces stay inside the grid
+            assert np.all(np.abs(GRID.k_values * state.time) <= GRID.eta_max)
 
     def test_start_time_picks_the_direction(self):
         tg = TimeGrid(2.0, 0.1)
@@ -736,7 +712,7 @@ class TestSourceAssembly:
         u_hist = SpectralHistory(times=self.tg.times, values=u_vals)
         got = assemble_source(vpme, self.states, self.rho_history(1e-3),
                               u_hist, self.datum, 0.5)
-        want = -h_of_field(vpme, u_vals[2]).values[GRID.index_of(0)]
+        want = -h_of_field(vpme, u_vals[2])[GRID.index_of(0)]
         assert got[GRID.index_of(0)] == want
 
     def test_history_assembler_matches_single_time_op(self):

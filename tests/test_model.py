@@ -127,29 +127,27 @@ def test_h3_normalization():
         assert abs(complex(eq.mu_hat(0.0)) - 1.0) <= 1e-12, eq.label
 
 
+def exp_tail(y, n):
+    """Remainder of the exponential series past degree n: |y|^(n+1) e^|y| / (n+1)!."""
+    return abs(y) ** (n + 1) * math.exp(abs(y)) / math.factorial(n + 1)
+
+
 def test_vpme_series_matches_exponential_remainder():
     cfg = make_preset("vpme")
     for y in (0.05, 0.3, -0.4, 1.0):
         exact = math.exp(y) - 1.0 - y
         series = npoly.polyval(y, cfg.h_coeffs)
-        assert abs(series - exact) <= cfg.h_tail_bound(y) + 1e-15
-    assert cfg.h_tail_bound(0.3) < 1e-16
-
-
-def test_vpme_tail_is_inf_past_the_double_range():
-    cfg = make_preset("vpme")
-    y = 0.3
-    assert cfg.h_tail_bound(y) == y ** 13 * math.exp(y) / math.factorial(13)
-    # e^|y| overflows past |y| = 709.78, |y|^13 past about 1e23
-    for y in (710.0, -1e3, 1e24):
-        assert cfg.h_tail_bound(y) == math.inf
+        assert abs(series - exact) <= exp_tail(y, 12) + 1e-15
+    assert exp_tail(0.3, 12) < 1e-16
 
 
 def test_vpme_series_degree_is_capped():
-    # 1/n! and the tail's (n_h + 1)! stay doubles up to n_h = 169
+    # every 1/n! up to the cap n_h = 169 is a double
     top = make_preset("vpme", n_h=169)
     assert top.h_coeffs[-1] == 1.0 / math.factorial(169)
-    assert top.h_tail_bound(1.0) == math.e / math.factorial(170)
+    assert len(top.h_coeffs) == 170
+    series = npoly.polyval(1.0, top.h_coeffs)
+    assert abs(series - (math.e - 2.0)) <= exp_tail(1.0, 169) + 1e-15
     for n_h in (170, 171):
         with pytest.raises(ConfigError, match="n_h <= 169"):
             make_preset("vpme", n_h=n_h)

@@ -14,7 +14,8 @@ from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.dispersion import penrose_scan
 from vpscatter.scattering import (RunGrids, _slice_fields, apply_map_F,
-                                  build_resolvent_tables, free_extension, fixed_point_drive,
+                                  build_resolvent_tables, efield_weighted_norms,
+                                  free_extension, fixed_point_drive,
                                   iterate_distance, landau_linear_run,
                                   roundtrip_check, state_to_physical)
 from vpscatter.volterra import DensityHistory, SpectralHistory
@@ -44,7 +45,7 @@ def map_once(states, datum, grids, model=VP, eq=MAXWELL, w=WEIGHT,
     """Slice an iterate as the drive does, then apply the map to it."""
     if tables is None:
         tables = build_resolvent_tables(model, eq, grids)
-    density, potential = _slice_fields(model, grids, states, w, None)
+    density, potential = _slice_fields(model, grids, states, w)
     return apply_map_F(states, density, potential, datum, model, eq, w, grids,
                        tables=tables, **kwargs)
 
@@ -170,6 +171,19 @@ class TestDrive:
         assert run.decay_fit.rate > 0
         assert run.decay_fit.r_squared >= 0.9
         assert np.isfinite(run.decay_fit.log_amplitude)  # amplitude > 0
+
+    def test_field_norms_survive_underflowing_squares(self):
+        # |u_(+-1)| = 1e-224 on the contraction fixture's 321 times: every
+        # weighted square underflows, and a plain sum of squares reads 0
+        times = np.linspace(0.0, 32.0, 321)
+        u = np.zeros((times.size, 3), dtype=complex)
+        u[:, 0] = u[:, 2] = 1e-224
+        t, norms = efield_weighted_norms(WEIGHT, SpectralHistory(times, u))
+        assert np.array_equal(t, times)
+        # the norm is homogeneous: the same field at 1e200 times the size
+        _, big = efield_weighted_norms(WEIGHT, SpectralHistory(times, 1e200 * u))
+        assert np.all(norms > 0.0)
+        assert np.max(np.abs(norms * 1e200 / big - 1.0)) <= 1e-14
 
     def test_fixed_point_residual_within_twice_tolerance(self, contraction_pair):
         # measured residual 1.1e-13 against tol 1e-9

@@ -800,8 +800,10 @@ def main(argv=None) -> int:
         raw = _read_config(path) if path else {}
         for key, text in flags.items():
             if text is not None:
-                # a bad value is blamed on its flag, not on the file
-                _converted(key, text, "--" + key.split(".")[0])
+                # a bad value, or a hypothesis it breaks, is blamed on its
+                # flag, not on the file; a flag key's hypotheses read that
+                # key alone, so the defaults stand in for the other keys
+                config_from_mapping({key: text}, "--" + key.split(".")[0])
                 raw[key] = text
         return run_command(command,
                            config_from_mapping(raw, path or "<defaults>"))

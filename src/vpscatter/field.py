@@ -108,16 +108,20 @@ def weighted_density_norm(w: GevreyWeight, t: float, values, *,
         weights = _density_weights(w, t, vals)
     if vals.shape != weights.shape:
         raise ConfigError("values must match the weight row shape")
-    x = weights * np.abs(vals)
     # the plain sum first: the Picard loop measures every iterate
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weight * 0 is nan
+        x = weights * np.abs(vals)
         total = float(np.sqrt(np.sum(x * x)))
     if not 0.0 < total < math.inf:
         total = float(_root_sum_squares(x[None])[0])
-    if not math.isfinite(total):
+    if math.isfinite(total):
+        return total
+    if not np.isfinite(weights).all():
         raise WeightOverflowError(
             "weighted slice norm overflowed; reduce lambda_inf or sigma")
-    return total
+    raise WeightOverflowError(
+        f"weighted slice norm overflowed: the slice amplitude {np.max(np.abs(vals)):.3e} "
+        "times its finite weight leaves the double range; shrink the datum amplitude")
 
 
 def h_of_field(model: ModelConfig, u_hat) -> np.ndarray:

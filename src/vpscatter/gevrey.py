@@ -31,7 +31,6 @@ __all__ = [
     "time_bracket",
     "lambda_of_t",
     "log_weight_A",
-    "eta_derivative",
     "norm_N2",
     "weighted_norm_report",
     "gevrey_inequality_suite",
@@ -116,33 +115,33 @@ def log_weight_A(w: GevreyWeight, t, k, eta):
     return lambda_of_t(w, t) * br**w.gamma + w.sigma * np.log(br)
 
 
-# 4th-order centered stencils; data is zero outside the grid
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# 4th-order centered stencils, one row per tap: first derivative, second
+# derivative; data is zero outside the grid
+_TAPS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
+                  [-1.0, 16.0, -30.0, 16.0, -1.0]]).T[:, :, None, None] / 12.0
 
 
-def _apply_stencil(values: np.ndarray, stencil: np.ndarray, scale: float) -> np.ndarray:
+def _eta_derivatives(values: np.ndarray, d_eta: float, moments: int) -> np.ndarray:
+    """Orders 0..moments of repeated 4th-order centered differencing along
+    eta, stacked: shape ``(moments + 1, modes, n_eta)``.
+
+    Orders 2p+1 and 2p+2 are the first- and second-derivative stencils on
+    order 2p, taken together from one zero-padded copy of it: the taps are
+    added in stencil order (the first derivative's zero centre tap skipped),
+    then the scales 1/d_eta and 1/d_eta^2 applied.
+    """
     n = values.shape[-1]
-    ext = np.zeros(values.shape[:-1] + (n + 4,), dtype=values.dtype)
-    ext[..., 2:-2] = values
-    out = np.zeros_like(values)
-    for i, c in enumerate(stencil):
-        if c != 0.0:
-            out += c * ext[..., i:i + n]
-    out *= scale
-    return out
-
-
-def eta_derivative(values: np.ndarray, d_eta: float, order: int) -> np.ndarray:
-    """Repeated 4th-order centered differencing along the last axis."""
-    if order < 0:
-        raise ConfigError("derivative order must be >= 0")
-    out = np.asarray(values)
-    while order >= 2:
-        out = _apply_stencil(out, _D2, 1.0 / d_eta**2)
-        order -= 2
-    if order == 1:
-        out = _apply_stencil(out, _D1, 1.0 / d_eta)
+    out = np.empty((moments + 1,) + values.shape, dtype=complex)
+    out[0] = values
+    ext = np.zeros(values.shape[:-1] + (n + 4,), dtype=complex)
+    for order in range(1, moments + 1, 2):
+        ext[:, 2:-2] = out[order - 1]
+        pair = out[order:order + 2]  # one order only when moments is odd
+        pair.fill(0.0)
+        for i in range(5):
+            lo = 1 if i == 2 else 0
+            pair[lo:] += _TAPS[i, lo:len(pair)] * ext[:, i:i + n]
+        pair *= np.array([1.0 / d_eta, 1.0 / d_eta**2])[:len(pair), None, None]
     return out
 
 
@@ -224,7 +223,9 @@ def n1_at_time(state, w: GevreyWeight) -> float:
 
     sqrt of sum over derivative orders j <= moments, modes k, and eta of
     exp(2 lambda(t) <k,eta>^gamma) <k,eta>^(2 sigma + 2) |d^j ghat|^2,
-    with trapezoidal eta quadrature.
+    with trapezoidal eta quadrature.  Every order comes from one
+    :func:`_eta_derivatives` stack; |.|^2, the log and the weight are taken
+    once over it.  The grid's weight tables are remembered (``_n1_tables``).
     """
     values = np.asarray(state.values)
     _require_finite(values, "state")
@@ -234,11 +235,9 @@ def n1_at_time(state, w: GevreyWeight) -> float:
     log_w2 = 2.0 * float(lambda_of_t(w, state.time)) * br_gamma
     log_w2 += log_poly
     log_w2 += quad
-    d_eta = float(eta[1] - eta[0])
-    logs = np.empty((w.moments + 1,) + log_w2.shape)
-    for order in range(w.moments + 1):
-        piece = _log_abs_sq(eta_derivative(values, d_eta, order), logs[order])
-        piece += log_w2
+    derivs = _eta_derivatives(values, float(eta[1] - eta[0]), w.moments)
+    logs = _log_abs_sq(derivs, np.empty(derivs.shape))
+    logs += log_w2
     return _sqrt_of_exp_sum(logs, "weighted distribution norm")
 
 

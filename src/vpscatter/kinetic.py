@@ -532,16 +532,21 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
 
 @functools.lru_cache(maxsize=2)
 def _sheared_profile(eq: Equilibrium, grid: PhaseGrid, t: float) -> tuple:
-    """The shear eta - k t on the grid at time t and mu_hat of it, read-only.
+    """What :func:`transport_rhs` reads of the stage time t alone, read-only:
+    the shear eta - k t on the grid, mu_hat of it, the shear times k, and
+    the frequencies eta - l t for every nonzero mode l, in lattice order.
 
     Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
-    next step's k1, so each distinct stage time evaluates mu_hat once.
+    next step's k1, so each distinct stage time evaluates them once.
     """
-    shear = grid.eta[None, :] - grid.k_values[:, None].astype(float) * t
-    shear.setflags(write=False)
+    k = grid.k_values.astype(float)
+    shear = grid.eta[None, :] - k[:, None] * t
     mu = np.array(eq.mu_hat(shear), dtype=complex)
-    mu.setflags(write=False)
-    return shear, mu
+    shifts = grid.eta - grid.k_values[k != 0][:, None] * t
+    out = shear, mu, shear * k[:, None], shifts
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 def transport_rhs(state: SpectralState, u_linear: np.ndarray,
@@ -554,31 +559,32 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     differ: the linearized fixed-point map drives the equilibrium with the
     new potential and the shear with the previous iterate's.  The state's
     spline (shared with the field provider's trace of the same stage) is
-    queried once, at every shift eta - l t together.  The shear and mu_hat
-    of it are remembered for the last two stage times.
+    queried once, at every shift eta - l t with a nonzero coefficient
+    together.  Everything that depends on the stage time alone comes from
+    :func:`_sheared_profile`, which remembers the last two stage times.
     """
     grid = state.grid
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
     if u_lin.shape != (grid.n_modes,) or u_nl.shape != (grid.n_modes,):
         raise ConfigError("stage potentials must hold one value per lattice mode")
-    t = state.time
     rhs = np.zeros(state.values.shape, dtype=complex)
-    shear, mu = _sheared_profile(eq, grid, t)
+    shear, mu, shear_k, shifts = _sheared_profile(eq, grid, state.time)
     if any(u_lin.tolist()):
-        rhs -= shear * grid.k_values[:, None].astype(float) * u_lin[:, None] * mu
+        rhs -= shear_k * u_lin[:, None] * mu
     k_max = grid.k_max
     coefs = u_nl.tolist()
     ells = [ell for ell in range(-k_max, k_max + 1) if ell and coefs[ell + k_max]]
     if ells:
         # shifted[:, j] is the state at eta - ells[j] t; row k of the shear
         # term reads row k - ell, so |ell| rows fall off the lattice
-        shifted = state.interpolant().all_rows(
-            grid.eta - np.array(ells)[:, None] * t)
+        if len(ells) < 2 * k_max:
+            shifts = shifts[[ell + k_max - (ell > 0) for ell in ells]]
+        shifted = state.interpolant().all_rows(shifts)
+        scaled = shear * np.array([ell * coefs[ell + k_max] for ell in ells])[:, None, None]
         n = grid.n_modes
         for j, ell in enumerate(ells):
             lo, hi = max(0, ell), n + min(0, ell)
-            rhs[lo:hi] -= (shear[lo:hi] * (ell * coefs[ell + k_max])
-                           * shifted[lo - ell:hi - ell, j])
+            rhs[lo:hi] -= scaled[j, lo:hi] * shifted[lo - ell:hi - ell, j]
     return rhs
 
 
@@ -599,6 +605,10 @@ class HistoryFieldProvider:
     falls back to linear when the history is shorter than four slices).
     Stage values must match the history's own accuracy order: a lower-order
     stage lookup caps the whole sweep at that order.
+
+    The read-only potentials of the last two stage times are remembered: in
+    an RK4 sweep k2 and k3 share a stage time, and so do k4 and the next
+    step's k1.
     """
 
     def __init__(self, u_linear: SpectralHistory, u_nonlinear: SpectralHistory):
@@ -610,9 +620,12 @@ class HistoryFieldProvider:
         # both potentials of a time slice side by side, (n_t, 2, n_modes):
         # one set of weights interpolates both
         self._rows = np.stack([u_linear.values, u_nonlinear.values], axis=1)
+        self._recent: dict = {}
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
         t = state.time
+        if t in self._recent:
+            return self._recent[t]
         times = self._times
         if t < times[0] - GRID_TOL or t > times[-1] + GRID_TOL:
             raise ConfigError(f"time {t:g} is outside the field history")
@@ -632,6 +645,10 @@ class HistoryFieldProvider:
             w3 = theta * (theta - 1.0) * (theta - 2.0) / 6.0
             both = (w0 * rows[j] + w1 * rows[j + 1]
                     + w2 * rows[j + 2] + w3 * rows[j + 3])
+        both.setflags(write=False)
+        if len(self._recent) == 2:
+            del self._recent[next(iter(self._recent))]
+        self._recent[t] = both[0], both[1]
         return both[0], both[1]
 
 
@@ -679,7 +696,9 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     spline that stage builds stays in the stored state's slot: every
     returned state but the last one reached carries it.  The caller releases
     the slots once no later consumer (the next pass of the construction map)
-    needs them.
+    needs them.  k2/k3 and k4/the next k1 share a stage time, so
+    :func:`transport_rhs` and :class:`HistoryFieldProvider` remember the
+    last two; the whole sweep runs in one ``np.errstate``.
     """
     times = time_grid.times
     backward = abs(initial.time - times[-1]) < abs(initial.time - times[0])
@@ -705,27 +724,27 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     def state_at(t: float, values: np.ndarray) -> SpectralState:
         return SpectralState(time=t, grid=grid, values=values)
 
-    for idx in order:
-        t0 = current.time
-        t1 = float(times[idx])
-        h = t1 - t0
-        y = current.values
-        # overflow shows up as inf and is handled by the blow-up check
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows up as inf and is handled by the blow-up checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in order:
+            t0 = current.time
+            t1 = float(times[idx])
+            h = t1 - t0
+            y = current.values
             k1 = rhs(current)
             k2 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k1))
             k3 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k2))
             k4 = rhs(state_at(t1, y + h * k3))
             y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_next)):
-            raise BlowUpError(
-                f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
-                "or shrink the datum amplitude")
-        # project onto the real-symmetric subspace, tracking the defect removed
-        mirror = np.conj(y_next[::-1, ::-1])
-        max_drift = max(max_drift, float(np.max(np.abs(y_next - mirror))))
-        current = state_at(t1, (y_next + mirror) / 2.0)
-        out.append(current)
+            if not np.all(np.isfinite(y_next)):
+                raise BlowUpError(
+                    f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
+                    "or shrink the datum amplitude")
+            # project onto the real-symmetric subspace, tracking the defect removed
+            mirror = np.conj(y_next[::-1, ::-1])
+            max_drift = max(max_drift, float(np.max(np.abs(y_next - mirror))))
+            current = state_at(t1, (y_next + mirror) / 2.0)
+            out.append(current)
     mass_drift = abs(current.mass_mode() - mass0)
     if backward:
         out.reverse()

@@ -567,6 +567,21 @@ class TestCommands:
             "error: weighted slice amplitude 1.082e+155 exceeds the smallness "
             "gate 5.000e-02; the perturbative regime does not apply"]
 
+    def test_weighted_amplitude_past_the_double_range_names_the_amplitude(
+            self, tmp_path, capsys):
+        # the slice amplitude times its finite weight overflows: no numpy
+        # warning, and the error blames the amplitude, not lambda_inf or sigma
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = self.run("poisson", tmp_path, "model.preset = vpme\n"
+                                 "datum.modes = 1:1e307\n")
+        assert code == EXIT_NUMERICAL
+        assert not caught
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weighted slice norm overflowed: the slice amplitude "
+            "1.000e+307 times its finite weight leaves the double range; "
+            "shrink the datum amplitude"]
+
 
 class TestScipyVersionLine:
     def test_reads_the_installed_version(self):
@@ -683,6 +698,21 @@ class TestMainEntry:
 
     def test_thread_override_validated(self, capsys):
         assert main(["selftest", "--threads", "0"]) == EXIT_CONFIG
+
+    def test_flag_hypothesis_names_the_flag(self, tmp_path, capsys):
+        # a hypothesis broken by a flag's value names the flag, with or
+        # without a file
+        plain = write_config(tmp_path, "grid.kmax = 1\n", name="plain.cfg")
+        for config in ([], ["--config", str(plain)]):
+            assert main(["selftest", *config, "--threads", "0"]) == EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [
+                "error: --threads: config violates 1 hypothesis(es):",
+                "  - threads must be at least 1, got 0"]
+        # a file's own violation still names the file
+        bad = write_config(tmp_path, "threads = 0\n", name="bad.cfg")
+        assert main(["selftest", "--config", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: config violates 1 hypothesis(es):")
 
     def test_thread_flag_takes_the_key_route(self, tmp_path, capsys):
         # the flag passes the key's converter: the parent's argparse exited 2;

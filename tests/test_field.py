@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vpscatter.errors import ConfigError, NoContractionError
+from vpscatter.errors import ConfigError, NoContractionError, WeightOverflowError
 from vpscatter.field import (electric_from_density, h_of_field,
                              poisson_fixed_point, potential_from_density,
                              weighted_density_norm)
@@ -206,6 +206,15 @@ class TestWeightedNorm:
         # itself is a double: the hand value above, scaled
         got = weighted_density_norm(GevreyWeight(), 0.0, pair_slice(4, 1, scale))
         assert got == pytest.approx(108.18446083442119 * scale, rel=1e-13, abs=0.0)
+
+    def test_weighted_amplitude_past_the_double_range_names_the_amplitude(self):
+        # finite weights times the amplitude overflow: the error blames the
+        # amplitude; an infinite weight is blamed on lambda_inf and sigma
+        with pytest.raises(WeightOverflowError, match="slice amplitude 1.000e"):
+            weighted_density_norm(GevreyWeight(), 0.0, pair_slice(4, 1, 1e307))
+        with pytest.raises(WeightOverflowError, match="lambda_inf or sigma"):
+            weighted_density_norm(GevreyWeight(), 0.0, pair_slice(4, 1, 1.0),
+                                  weights=np.full(9, np.inf))
 
 
 class TestPoissonFixedPoint:

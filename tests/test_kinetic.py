@@ -1,6 +1,7 @@
 """Spectral state plumbing, transport right-hand side, and the RK4 sweep."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +519,22 @@ class TestTransportRhs:
         want = transport_rhs_per_shift(state, u_lin, u_nl, maxwellian())
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("zero", [-2, -1, 1, 2])
+    def test_zero_shear_coefficient_matches_per_shift_oracle(self, zero):
+        # the shifts of the nonzero coefficients are rows picked from the
+        # remembered block of every shift
+        rng = np.random.default_rng(9)
+        shape = (GRID.n_modes, GRID.n_eta)
+        vals = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * np.exp(-GRID.eta**2 / 8.0)
+        state = SpectralState(1.9, GRID, vals)
+        u_nl = rng.normal(size=GRID.n_modes) + 1j * rng.normal(size=GRID.n_modes)
+        u_nl[[GRID.index_of(0), GRID.index_of(zero)]] = 0.0
+        u_lin = u_nl[::-1].conj()
+        got = transport_rhs(state, u_lin, u_nl, maxwellian())
+        want = transport_rhs_per_shift(state, u_lin, u_nl, maxwellian())
+        assert np.array_equal(got, want)
+
     def test_one_lookup_per_stage(self, monkeypatch):
         calls = count_calls(monkeypatch, "all_rows")
         state = gaussian_datum({1: 1.0, 2: 0.5}).sample(GRID, 1.2)
@@ -608,8 +625,12 @@ class TestIntegrate:
             return u, u
 
         start = gaussian_datum({1: 1.0}).sample(GRID, 0.0)
-        with pytest.raises(BlowUpError, match="reduce dt"):
-            integrate(start, provider, TimeGrid(1.0, 0.1), maxwellian())
+        # one errstate covers the sweep: the overflow reads as inf and
+        # reaches a blow-up check, never a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match="reduce dt"):
+                integrate(start, provider, TimeGrid(1.0, 0.1), maxwellian())
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data(), k_max=st.integers(1, 2),
@@ -801,6 +822,25 @@ class TestFieldProviders:
             got_lin, got_nl = provider(zero_state(GRID, t=float(t)))
             assert np.array_equal(got_lin, history_slice(lin, t))
             assert np.array_equal(got_nl, history_slice(nl, t))
+
+    def test_history_provider_remembers_two_stage_times(self):
+        # RK4 asks for each stage time twice in a row; a time a hair away
+        # from a remembered one is a new entry
+        tg = TimeGrid(1.0, 0.25)
+        rng = np.random.default_rng(8)
+        shape = (tg.times.size, GRID.n_modes)
+        lin, nl = (SpectralHistory(times=tg.times, values=rng.normal(size=shape)
+                                   + 1j * rng.normal(size=shape))
+                   for _ in range(2))
+        provider = HistoryFieldProvider(lin, nl)
+        t_a, t_c = 0.3, 0.8
+        t_b = t_a + 2.0**-30
+        for t in (t_a, t_b, t_a, t_c, t_b):
+            got = provider(zero_state(GRID, t=t))
+            want = HistoryFieldProvider(lin, nl)(zero_state(GRID, t=t))
+            for g, fresh in zip(got, want):
+                assert np.array_equal(g, fresh)
+                assert not g.flags.writeable
 
     def test_history_provider_time_range(self):
         tg = TimeGrid(1.0, 0.25)

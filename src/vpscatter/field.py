@@ -3,9 +3,9 @@
 The density equals a prescribed slice minus the coupling series applied to
 the screened potential.  :func:`poisson_fixed_point` resolves that balance by
 Picard iteration inside a weighted amplitude ball, :func:`h_of_field`
-evaluates the series by repeated truncated coefficient products,
-:func:`potential_from_density` is the screened Poisson division every layer
-uses, and :func:`electric_from_density` adds the electric field.
+evaluates the series as powers of the slice's truncated-product Toeplitz
+matrix, :func:`potential_from_density` is the screened Poisson division every
+layer uses, and :func:`electric_from_density` adds the electric field.
 
 Slot position is the mode label: a slice of odd width 2K + 1 (or the last
 axis of an array of slices) holds the modes -K..K in increasing order, so
@@ -17,12 +17,13 @@ plain record of the result.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .errors import ConfigError, NoContractionError, WeightOverflowError
-from .gevrey import GevreyWeight, log_weight_A
+from .gevrey import GevreyWeight, _require_finite, log_weight_A
 from .model import ModelConfig
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 MEAN_MODE_TOL = 1e-10
+_PAD = np.zeros(1, dtype=complex)  # the zero that T(u) reads outside -K..K
 
 
 def _modes(values: np.ndarray) -> np.ndarray:
@@ -74,10 +76,28 @@ class FieldSnapshot:
     ratios: tuple = ()
 
 
-def _density_weights(w: GevreyWeight, t: float, values) -> np.ndarray:
-    """Time-t Gevrey weight of every mode of a slice along eta = k t."""
-    k = _modes(values).astype(float)
-    return np.exp(log_weight_A(w, t, k, k * t))
+@functools.lru_cache(maxsize=2)
+def _density_weights(w: GevreyWeight, t: float, width: int) -> np.ndarray:
+    """Time-t Gevrey weight of every mode of a width-mode slice along
+    eta = k t, read-only.
+
+    Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
+    next step's k1, so the Picard loop evaluates each stage time's row once.
+    """
+    k = (np.arange(width) - width // 2).astype(float)
+    row = np.exp(log_weight_A(w, t, k, k * t))
+    row.setflags(write=False)
+    return row
+
+
+@functools.lru_cache(maxsize=16)
+def _screening(beta: float, width: int) -> np.ndarray:
+    """Screened Poisson denominators beta + k^2 of a width-mode slice,
+    read-only; the mean slot holds 1 (its potential is gauged to 0)."""
+    k = (np.arange(width) - width // 2).astype(float)
+    denom = np.where(k == 0.0, 1.0, beta + k ** 2)
+    denom.setflags(write=False)
+    return denom
 
 
 def _root_sum_squares(x: np.ndarray) -> np.ndarray:
@@ -96,26 +116,38 @@ def _root_sum_squares(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted_amplitude(weights: np.ndarray, vals: np.ndarray) -> float:
+    """:func:`weighted_density_norm` of a checked slice, without its checks.
+
+    Returns nan or inf where that function raises.  The caller holds an
+    ``np.errstate`` that ignores overflow and invalid operations (an
+    infinite weight times a zero amplitude is nan).
+    """
+    x = weights * np.abs(vals)
+    total = math.sqrt(np.sum(x * x))
+    if 0.0 < total < math.inf or not x.any():
+        return total
+    return float(_root_sum_squares(x[None])[0])
+
+
 def weighted_density_norm(w: GevreyWeight, t: float, values, *,
                           weights=None) -> float:
     """Amplitude of one density slice under the time-t Gevrey weight.
 
     ``weights`` is the weight row of ``w`` at ``t``; a caller measuring
-    several slices at one time passes it to compute it once.
+    several slices at one time passes it to compute it once.  A slice
+    holding non-finite values is refused with :class:`BlowUpError`.
     """
     vals = _mode_slice(values)
     if weights is None:
-        weights = _density_weights(w, t, vals)
+        weights = _density_weights(w, t, vals.size)
     if vals.shape != weights.shape:
         raise ConfigError("values must match the weight row shape")
-    # the plain sum first: the Picard loop measures every iterate
-    with np.errstate(over="ignore", invalid="ignore"):  # inf weight * 0 is nan
-        x = weights * np.abs(vals)
-        total = float(np.sqrt(np.sum(x * x)))
-    if not 0.0 < total < math.inf:
-        total = float(_root_sum_squares(x[None])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _weighted_amplitude(weights, vals)
     if math.isfinite(total):
         return total
+    _require_finite(vals, "weighted density slice")
     if not np.isfinite(weights).all():
         raise WeightOverflowError(
             "weighted slice norm overflowed; reduce lambda_inf or sigma")
@@ -124,24 +156,57 @@ def weighted_density_norm(w: GevreyWeight, t: float, values, *,
         "times its finite weight leaves the double range; shrink the datum amplitude")
 
 
+@functools.lru_cache(maxsize=16)
+def _toeplitz_index(width: int) -> np.ndarray:
+    """Slot i - j + K of every entry (i, j) of a width-mode slice's
+    truncated-product matrix, or ``width`` (a zero pad) outside -K..K."""
+    slot = np.subtract.outer(np.arange(width), np.arange(width)) + width // 2
+    index = np.where((slot >= 0) & (slot < width), slot, width)
+    index.setflags(write=False)
+    return index
+
+
+@functools.lru_cache(maxsize=16)
+def _series_terms(h_coeffs: tuple) -> tuple:
+    """How many powers a series needs, which of them it sums, and their
+    coefficients.
+
+    The powers run over degrees 2..n, n the degree of the last nonzero
+    coefficient; slot j holds degree j + 2.  The summed slots are those
+    with a nonzero coefficient (a slice when that is every one).
+    """
+    degrees = np.flatnonzero(h_coeffs)
+    slots = degrees - 2
+    coeffs = np.array(h_coeffs)[degrees]
+    slots.setflags(write=False)
+    coeffs.setflags(write=False)
+    count = int(degrees[-1]) - 1
+    if slots.size == count:
+        slots = slice(None)  # every power is summed: a view, not a copy
+    return count, slots, coeffs
+
+
 def h_of_field(model: ModelConfig, u_hat) -> np.ndarray:
     """Evaluate the coupling series of a potential slice mode by mode.
 
-    Powers of the slice are built by the truncated coefficient product on
-    -K..K, so every term lives on the slice's own lattice.
-    The series is the model's own (``model.h_coeffs``).
+    The truncated product on -K..K is the Toeplitz matrix T(u) with
+    T[i, j] = u[i - j + K] inside -K..K and 0 outside, so each power is
+    T(u) times the power one degree lower, and every term lives on the
+    slice's own lattice.  Only the powers with a nonzero coefficient enter
+    the sum.  The series is the model's own (``model.h_coeffs``).
     """
     u = _mode_slice(u_hat)
-    out = np.zeros_like(u)
     if not model.has_h:
-        return out
-    half = u.size // 2
+        return np.zeros_like(u)
+    count, slots, coeffs = _series_terms(model.h_coeffs)
+    # the rows of T(u), conjugated: np.vecdot conjugates its first argument,
+    # and unlike a BLAS matrix-vector product it stays on one thread
+    rows = np.concatenate((u.conj(), _PAD))[_toeplitz_index(u.size)]
+    powers = np.empty((count, u.size), dtype=complex)
     power = u
-    for coeff in model.h_coeffs[2:]:
-        power = np.convolve(power, u)[half:half + u.size]
-        if coeff != 0.0:
-            out = out + coeff * power
-    return out
+    for out in powers:
+        power = np.vecdot(rows, power, out=out)
+    return np.vecdot(coeffs, powers[slots].T)  # real coefficients: no conjugate
 
 
 def potential_from_density(model: ModelConfig, rho_hat) -> np.ndarray:
@@ -149,17 +214,18 @@ def potential_from_density(model: ModelConfig, rho_hat) -> np.ndarray:
 
     The last axis of ``rho_hat`` runs over -K..K; leading axes (a time axis)
     broadcast.  The potential is fixed up to a constant and the mean gauge
-    is zero, so with beta = 0 a nonzero mean density is refused.
+    is zero, so with beta = 0 a nonzero mean density is refused, and a
+    non-finite one too.
     """
     rho = np.asarray(rho_hat, dtype=complex)
-    k = _modes(rho)
-    mean = k == 0
-    if model.beta == 0.0 and np.max(np.abs(rho[..., mean]),
-                                    initial=0.0) > MEAN_MODE_TOL:
-        raise ConfigError(
-            "mean density component makes the beta = 0 potential ill-posed")
-    denom = np.where(mean, 1.0, model.beta + k.astype(float) ** 2)
-    return np.where(mean, 0.0j, rho / denom)
+    mean = _modes(rho) == 0
+    if model.beta == 0.0:
+        peak = np.max(np.abs(rho[..., mean]), initial=0.0)
+        if not peak <= MEAN_MODE_TOL:
+            _require_finite(peak, "mean density component")
+            raise ConfigError(
+                "mean density component makes the beta = 0 potential ill-posed")
+    return np.where(mean, 0.0j, rho / _screening(model.beta, rho.shape[-1]))
 
 
 def electric_from_density(model: ModelConfig, rho_hat) -> FieldSnapshot:
@@ -186,36 +252,50 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     iterate must stay inside the ball of twice the input amplitude; leaving
     it, or exhausting ``model.picard_max_iters``, aborts rather than
     returning a value outside the contraction regime.
+
+    The slice is checked once; the iterates are measured unchecked, and a
+    non-finite measure is handed to :func:`weighted_density_norm` to raise.
     """
     q = _mode_slice(q_hat)
     if not model.has_h:
         return dataclasses.replace(electric_from_density(model, q), iters=1)
-    weights = _density_weights(w, t, q)
+    weights = _density_weights(w, t, q.size)
     eps = weighted_density_norm(w, t, q, weights=weights)
     if eps > model.eps_ball:
         raise NoContractionError(
             f"weighted slice amplitude {eps:.3e} exceeds the smallness gate "
             f"{model.eps_ball:.3e}; the perturbative regime does not apply")
     ball = 2.0 * eps
-    rho = q.copy()
+    denom = _screening(model.beta, q.size)  # beta > 0 whenever there is a series
+    mean = q.size // 2
+
+    def measure(vals):
+        total = _weighted_amplitude(weights, vals)
+        if not math.isfinite(total):  # the checked norm raises, naming the cause
+            weighted_density_norm(w, t, vals, weights=weights)
+        return total
+
+    rho = q
     ratios: list[float] = []
     prev_dist = None
-    for itn in range(1, model.picard_max_iters + 1):
-        u_hat = potential_from_density(model, rho)
-        nxt = q - h_of_field(model, u_hat)
-        dist = weighted_density_norm(w, t, nxt - rho, weights=weights)
-        if prev_dist is not None and prev_dist > 0.0:
-            ratios.append(dist / prev_dist)
-        prev_dist = dist
-        rho = nxt
-        if weighted_density_norm(w, t, rho, weights=weights) > ball and eps > 0.0:
-            raise NoContractionError(
-                f"iterate left the contraction ball of radius {ball:.3e} "
-                f"after {itn} steps")
-        if dist <= model.picard_tol:
-            return dataclasses.replace(electric_from_density(model, rho),
-                                       residual=dist, iters=itn,
-                                       ratios=tuple(ratios))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for itn in range(1, model.picard_max_iters + 1):
+            u_hat = rho / denom
+            u_hat[mean] = 0.0
+            nxt = q - h_of_field(model, u_hat)
+            dist = measure(nxt - rho)
+            if prev_dist is not None and prev_dist > 0.0:
+                ratios.append(dist / prev_dist)
+            prev_dist = dist
+            rho = nxt
+            if measure(rho) > ball and eps > 0.0:
+                raise NoContractionError(
+                    f"iterate left the contraction ball of radius {ball:.3e} "
+                    f"after {itn} steps")
+            if dist <= model.picard_tol:
+                return dataclasses.replace(electric_from_density(model, rho),
+                                           residual=dist, iters=itn,
+                                           ratios=tuple(ratios))
     raise NoContractionError(
         f"no convergence to {model.picard_tol:.1e} within "
         f"{model.picard_max_iters} iterations; last step moved {prev_dist:.3e}")

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vpscatter.errors import ConfigError, NoContractionError, WeightOverflowError
+from vpscatter import field
+from vpscatter.errors import (BlowUpError, ConfigError, NoContractionError,
+                              WeightOverflowError)
 from vpscatter.field import (electric_from_density, h_of_field,
                              poisson_fixed_point, potential_from_density,
                              weighted_density_norm)
-from vpscatter.gevrey import GevreyWeight
+from vpscatter.gevrey import GevreyWeight, log_weight_A
 from vpscatter.model import ModelConfig, make_preset
 
 SQUARE = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0), label="sq")
@@ -44,6 +46,18 @@ def manufactured(model, u_hat):
     rho[k == 0] = 0.0
     q = rho + h_of_field(model, u_hat)
     return rho, q
+
+
+def convolution_series(model, u):
+    """The series by repeated np.convolve cut back to -K..K: the truncated
+    product's own definition, summed lowest degree first."""
+    half = u.size // 2
+    power, out = u, np.zeros_like(u)
+    for coeff in model.h_coeffs[2:]:
+        power = np.convolve(power, u)[half:half + u.size]
+        if coeff != 0.0:
+            out = out + coeff * power
+    return out
 
 
 COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
@@ -92,17 +106,27 @@ class TestHSeries:
         ratio = np.linalg.norm(full) / np.linalg.norm(half)
         assert 3.9 < ratio < 4.1
 
-    def test_series_matches_repeated_convolution_bit_for_bit(self):
-        # every power is the same truncated product; no value may move at all
-        rng = np.random.default_rng(12)
-        u = 1e-2 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(min_value=0, max_value=8).flatmap(
+        lambda k_max: arrays(complex, 2 * k_max + 1, elements=st.builds(
+            complex, st.integers(-4, 4), st.integers(-4, 4)))))
+    def test_series_matches_repeated_convolution_bit_for_bit(self, u):
+        # integer slices and dyadic coefficients: every product and sum is
+        # exact in any order, so the truncation itself is pinned bit for bit
+        model = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 0.5, 0.25, 0.125))
+        assert np.array_equal(h_of_field(model, u), convolution_series(model, u))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(min_value=0, max_value=16).flatmap(
+        lambda k_max: arrays(complex, 2 * k_max + 1, elements=COEFFICIENTS)))
+    def test_series_matches_repeated_convolution_to_roundoff(self, u):
+        # both sides sum the same products in different orders; degree n
+        # carries n rounded products of at most the l1 amplitude each
         model = make_preset("vpme")
-        power, want = u.copy(), np.zeros_like(u)
-        for coeff in model.h_coeffs[2:]:
-            power = np.convolve(power, u)[2:7]
-            if coeff != 0.0:
-                want = want + coeff * power
-        assert np.array_equal(h_of_field(model, u), want)
+        amp = float(np.sum(np.abs(u)))
+        scale = sum(n * c * amp**n for n, c in enumerate(model.h_coeffs))
+        got = h_of_field(model, u)
+        assert np.max(np.abs(got - convolution_series(model, u))) <= 1e-14 * scale
 
     def test_truncation_tail_bounds_dropped_terms(self):
         u = pair_slice(4, 1, 0.05)
@@ -149,6 +173,15 @@ class TestPotentialFromDensity:
         rho[2, 2] = 1e-12  # below the tolerance: gauged away silently
         u = potential_from_density(make_preset("vp"), rho)
         assert np.all(u == 0.0)
+
+    def test_unscreened_non_finite_mean_refused(self):
+        # nan > tol is False, so a plain comparison would gauge a nan mean
+        # away as a zero
+        rho = np.zeros((4, 5), dtype=complex)
+        for bad in (np.nan, np.inf):
+            rho[2, 2] = bad
+            with pytest.raises(BlowUpError, match="holds non-finite values"):
+                potential_from_density(make_preset("vp"), rho)
 
 
 class TestElectricFromDensity:
@@ -206,6 +239,31 @@ class TestWeightedNorm:
         # itself is a double: the hand value above, scaled
         got = weighted_density_norm(GevreyWeight(), 0.0, pair_slice(4, 1, scale))
         assert got == pytest.approx(108.18446083442119 * scale, rel=1e-13, abs=0.0)
+
+    def test_zero_slice_skips_the_rescaled_sum(self, monkeypatch):
+        # only a row whose squares underflow or overflow is summed again
+        rescaled = []
+
+        def spy(x):
+            rescaled.append(x.copy())
+            return field_root_sum_squares(x)
+
+        field_root_sum_squares = field._root_sum_squares
+        monkeypatch.setattr(field, "_root_sum_squares", spy)
+        w = GevreyWeight()
+        got = weighted_density_norm(w, 3.0, np.zeros(5))
+        assert got == 0.0 and type(got) is float and not rescaled
+        for scale in (1e-224, 1e153):
+            weighted_density_norm(w, 0.0, pair_slice(4, 1, scale))
+        assert len(rescaled) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_slice_is_a_blow_up(self, bad):
+        # a non-finite slice is a blow-up, not an amplitude past the range
+        vals = pair_slice(4, 1, 1e-3)
+        vals[2] = bad
+        with pytest.raises(BlowUpError, match="holds non-finite values"):
+            weighted_density_norm(GevreyWeight(), 0.0, vals)
 
     def test_weighted_amplitude_past_the_double_range_names_the_amplitude(self):
         # finite weights times the amplitude overflow: the error blames the
@@ -281,6 +339,107 @@ class TestPoissonFixedPoint:
         *_, snap = self.manufactured_run()
         assert snap.u_hat[4] == 0.0
         assert snap.e_hat[4] == 0.0
+
+    def test_non_finite_slice_refused_at_the_gate(self):
+        q = pair_slice(4, 1, 1e-3)
+        q[5] = np.nan
+        with pytest.raises(BlowUpError, match="holds non-finite values"):
+            poisson_fixed_point(make_preset("vpme", eps_ball=2.0), q, self.W, 0.0)
+
+    def test_iterate_past_the_double_range_is_a_blow_up(self):
+        # the fourth power of 5e99 overflows, so the first iterate is nan:
+        # refused as a blow-up, with no numpy warning
+        model = make_preset("vpme", eps_ball=1e300)
+        with pytest.raises(BlowUpError, match="holds non-finite values"):
+            poisson_fixed_point(model, pair_slice(2, 1, 1e100), self.W, 0.0)
+
+    def test_weight_rows_of_two_stage_times_are_remembered(self):
+        # an RK4 step solves at t, t + h/2 twice and t + h, and the next
+        # step's first solve is at t + h again: three rows, each the fresh
+        # weight row of its own time
+        model = make_preset("vpme", eps_ball=10.0)
+        _, q = manufactured(model, pair_slice(4, 1, 5e-3))
+        t_a, t_b, t_c = 0.5, 0.5 + 2.0**-30, 0.5 + 2.0**-29
+        field._density_weights.cache_clear()
+        for t in (t_a, t_b, t_b, t_c, t_c):
+            poisson_fixed_point(model, q, self.W, t)
+        info = field._density_weights.cache_info()
+        assert (info.hits, info.misses) == (2, 3)
+        k = lattice(4).astype(float)
+        for t in (t_a, t_b, t_c):
+            row = field._density_weights(self.W, t, q.size)
+            assert not row.flags.writeable
+            assert np.array_equal(row, np.exp(log_weight_A(self.W, t, k, k * t)))
+
+
+def translated(values, theta):
+    """The slice of the field shifted by x -> x + theta: mode k times e^{ik theta}."""
+    return np.exp(1j * lattice(values.size // 2) * theta) * values
+
+
+def reflected(values):
+    """The slice of the field reflected x -> -x: conj of the reversed slice."""
+    return np.conj(values[::-1])
+
+
+def assert_covariant(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= \
+        1e-13 * np.max(np.abs(want), initial=0.0)
+
+
+SLICES = st.integers(min_value=0, max_value=16).flatmap(
+    lambda k_max: arrays(complex, 2 * k_max + 1, elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
+ANGLES = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+# (model, slice scale): the vpme series; a square whose zero-coefficient
+# cube overflows, so a power without coefficient must not enter the sum
+SERIES_CASES = st.sampled_from([
+    (make_preset("vpme"), 1.0),
+    (ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0, 0.0), label="sq0"), 1e120),
+])
+
+
+class TestCovariance:
+    """Translation and reflection of x commute with the field layer.
+
+    A shift x -> x + theta multiplies mode k by e^{ik theta}; the reflection
+    x -> -x sends a slice to its conjugate reversal.  Products of modes
+    conserve the mode sum and the Gevrey weight depends on |k| only, so the
+    series and the density balance map each transformed slice to the
+    transformed result.
+    """
+
+    W = GevreyWeight()
+
+    @settings(derandomize=True, deadline=None)
+    @given(SLICES, ANGLES, SERIES_CASES)
+    def test_series_translation(self, u, theta, case):
+        model, scale = case
+        u = scale * u
+        assert_covariant(h_of_field(model, translated(u, theta)),
+                         translated(h_of_field(model, u), theta))
+
+    @settings(derandomize=True, deadline=None)
+    @given(SLICES, SERIES_CASES)
+    def test_series_reflection(self, u, case):
+        model, scale = case
+        u = scale * u
+        assert_covariant(h_of_field(model, reflected(u)),
+                         reflected(h_of_field(model, u)))
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(SLICES, ANGLES, st.floats(min_value=0.0, max_value=4.0))
+    def test_balance_translation_and_reflection(self, q, theta, t):
+        # the iteration counts may differ by one at the roundoff floor
+        model = make_preset("vpme", eps_ball=1e30)
+        q = 1e-2 * q
+        base = poisson_fixed_point(model, q, self.W, t)
+        shifted = poisson_fixed_point(model, translated(q, theta), self.W, t)
+        mirror = poisson_fixed_point(model, reflected(q), self.W, t)
+        for name in ("rho_hat", "u_hat", "e_hat"):
+            assert_covariant(getattr(shifted, name),
+                             translated(getattr(base, name), theta))
+            assert_covariant(getattr(mirror, name), reflected(getattr(base, name)))
 
 
 class TestLatticeCheck:

@@ -115,33 +115,43 @@ def log_weight_A(w: GevreyWeight, t, k, eta):
     return lambda_of_t(w, t) * br**w.gamma + w.sigma * np.log(br)
 
 
-# 4th-order centered stencils, one row per tap: first derivative, second
-# derivative; data is zero outside the grid
-_TAPS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
-                  [-1.0, 16.0, -30.0, 16.0, -1.0]]).T[:, :, None, None] / 12.0
-
-
 def _eta_derivatives(values: np.ndarray, d_eta: float, moments: int) -> np.ndarray:
     """Orders 0..moments of repeated 4th-order centered differencing along
     eta, stacked: shape ``(moments + 1, modes, n_eta)``.
 
-    Orders 2p+1 and 2p+2 are the first- and second-derivative stencils on
-    order 2p, taken together from one zero-padded copy of it: the taps are
-    added in stencil order (the first derivative's zero centre tap skipped),
-    then the scales 1/d_eta and 1/d_eta^2 applied.
+    Orders 2p+1 and 2p+2 are the first and second derivatives of order 2p,
+    taken together from one zero-padded copy of it as centred differences,
+    e[+-i] the neighbours i nodes away:
+    (8 (e[+1] - e[-1]) - (e[+2] - e[-2])) / (12 h) and
+    (16 (e[+1] + e[-1]) - (e[+2] + e[-2]) - 30 e) / (12 h^2).
+    An odd ``moments`` leaves the last order unpaired.  The arithmetic runs on
+    real views: every coefficient is real, so each part is differenced alone.
     """
     n = values.shape[-1]
     out = np.empty((moments + 1,) + values.shape, dtype=complex)
     out[0] = values
-    ext = np.zeros(values.shape[:-1] + (n + 4,), dtype=complex)
+    ext = np.zeros(values.shape[:-1] + (n + 4,), dtype=complex).view(float)
+    near, far = np.empty((2,) + values.shape, dtype=complex).view(float)
+    e_m2, e_m1, e_0, e_p1, e_p2 = (ext[:, 2 * i:2 * (i + n)] for i in range(5))
+    real = out.view(float)
     for order in range(1, moments + 1, 2):
-        ext[:, 2:-2] = out[order - 1]
-        pair = out[order:order + 2]  # one order only when moments is odd
-        pair.fill(0.0)
-        for i in range(5):
-            lo = 1 if i == 2 else 0
-            pair[lo:] += _TAPS[i, lo:len(pair)] * ext[:, i:i + n]
-        pair *= np.array([1.0 / d_eta, 1.0 / d_eta**2])[:len(pair), None, None]
+        e_0[...] = real[order - 1]
+        first = real[order]
+        np.subtract(e_p1, e_m1, out=near)
+        near *= 8.0
+        np.subtract(e_p2, e_m2, out=far)
+        np.subtract(near, far, out=first)
+        first *= 1.0 / (12.0 * d_eta)
+        if order == moments:
+            break
+        second = real[order + 1]
+        np.add(e_p1, e_m1, out=near)
+        near *= 16.0
+        np.add(e_p2, e_m2, out=far)
+        np.subtract(near, far, out=second)
+        np.multiply(e_0, 30.0, out=far)
+        second -= far
+        second *= 1.0 / (12.0 * d_eta**2)
     return out
 
 
@@ -151,11 +161,12 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def _log_abs_sq(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log |values|^2 into ``out``, -inf at zeros; +inf once |values|^2 overflows."""
-    with np.errstate(over="ignore"):
-        mag2 = np.abs(values) ** 2
-    out.fill(-np.inf)
-    return np.log(mag2, where=mag2 > 0, out=out)
+    """log |values|^2 into ``out``: -inf where the square is 0, +inf where it
+    overflows, so one plain log serves every entry."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        mag2 = np.abs(values, out=out)
+        np.square(mag2, out=mag2)
+        return np.log(mag2, out=mag2)
 
 
 def _trapezoid_log_weights(n: int, step: float) -> np.ndarray:

@@ -483,11 +483,13 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     At each grid time t: the datum trace, minus the coupling series of the
     current potential, minus the quadratic history correction, a trapezoid
     over s >= t of (s - t) k l / (beta + l^2) rho_s(l) g_s(k - l, k t - l s)
-    summed over transfer modes l != 0.  Each later slice with a nonzero
-    density is read for all its transfer modes in one pass, through the
-    slice's own spline: the one its density trace or its transport stage
-    already built, else a new one kept in its slot.  The caller releases the
-    slots once the source is assembled.
+    summed over transfer modes l != 0.  The datum traces of all grid times
+    are evaluated in one call.  Each later slice with a nonzero density is
+    read for all its transfer modes in one pass, through the slice's own
+    spline: the one its density trace or its transport stage already built,
+    else a new one kept in its slot.  Its terms are formed in one broadcast
+    product and added one transfer mode at a time, in lattice order.  The
+    caller releases the slots once the source is assembled.
 
     The time axis is the density's, which :class:`SpectralHistory` has
     already checked uniform; the states and the potential must sit on it.
@@ -506,9 +508,8 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     n_t = times.size
     k = grid.k_values
     delta_s = density.delta_t
-    out = np.zeros((n_t, k.size), dtype=complex)
+    out = np.array(ginf.trace(k[None, :], times[:, None]))
     for i in range(n_t):
-        out[i] = ginf.trace(k, times[i])
         out[i] -= h_of_field(model, u_hats.values[i])
     ells = k[k != 0]
     weights = k.astype(float) * ells[:, None] / (model.beta + ells[:, None] ** 2.0)
@@ -525,8 +526,10 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
             np.broadcast_to(k - ell, eta_pts.shape), eta_pts)
         edge = 0.5 if j == n_t - 1 else 1.0
         gaps = (times[j] - times[:j])[:, None]
-        for rho_j, weight, g in zip(rho[j, active], weights[active], g_shift):
-            conv[:j] += (edge * delta_s * rho_j) * gaps * weight[None, :] * g
+        terms = ((edge * delta_s * rho[j, active])[:, None, None] * gaps
+                 * weights[active, None, :] * g_shift)
+        for term in terms:
+            conv[:j] += term
     return SourceHistory(times=times, values=out - conv)
 
 

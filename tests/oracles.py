@@ -38,6 +38,12 @@ located by ``searchsorted`` and evaluated by Horner on its own offset.  It
 reads any points; the package's Hermite-form ``StateInterpolant`` reads
 shifted grid rows and must agree with it to roundoff.
 
+``source_history_per_mode`` is the backward source with one datum trace
+per grid time and, for each later slice, one fresh spline lookup and one
+term per transfer mode, added in lattice order; ``assemble_source_history``
+traces every time in one call, forms a slice's terms in one broadcast and
+must agree with it bit for bit.
+
 ``history_slice`` interpolates one potential history at one time, the
 per-history route ``HistoryFieldProvider`` replaced with one set of weights
 for both histories; the provider must agree with it bit for bit.
@@ -52,6 +58,7 @@ from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
                                   _corner_transform, _corner_values,
                                   _tail_cutoff, laplace_one_sided)
 from vpscatter.errors import ConfigError, QuadratureError
+from vpscatter.field import h_of_field
 from vpscatter.kinetic import EDGE_SLACK, StateInterpolant
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
@@ -317,6 +324,31 @@ def transport_rhs_per_shift(state, u_linear, u_nonlinear, eq):
         g_shift[rows] = shifted[rows - ell]
         rhs -= shear * (ell * coef) * g_shift
     return rhs
+
+
+def source_history_per_mode(model, states, density, u_hats, ginf):
+    """Backward source on the whole time grid, one transfer mode at a time."""
+    grid = states[0].grid
+    times = density.times
+    n_t = times.size
+    k = grid.k_values
+    out = np.zeros((n_t, k.size), dtype=complex)
+    for i in range(n_t):
+        out[i] = ginf.trace(k, times[i])
+        out[i] -= h_of_field(model, u_hats.values[i])
+    conv = np.zeros((n_t, k.size), dtype=complex)
+    for j in range(1, n_t):
+        interp = StateInterpolant(states[j])
+        edge = 0.5 if j == n_t - 1 else 1.0
+        gaps = (times[j] - times[:j])[:, None]
+        for ell in k[k != 0]:
+            rho_j = density.values[j, ell + grid.k_max]
+            if rho_j == 0.0:
+                continue
+            weight = k.astype(float) * ell / (model.beta + ell ** 2.0)
+            g = interp.at_pairs(k - ell, k * times[:j, None] - ell * times[j])
+            conv[:j] += (edge * density.delta_t * rho_j) * gaps * weight[None, :] * g
+    return out - conv
 
 
 class CoefficientSpline:

@@ -3,11 +3,14 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -16,6 +19,7 @@ from vpscatter.errors import BlowUpError, ConfigError, WeightOverflowError
 from vpscatter.gevrey import (
     GevreyWeight,
     _eta_derivatives,
+    _log_abs_sq,
     _log_sum_exp,
     bracket,
     gevrey_inequality_suite,
@@ -275,13 +279,37 @@ def test_norm_equivalence_gap_shrinks():
     assert gaps[2] < gaps[1] / 8
 
 
-# --- frozen oracle: the norm kernel as first written (np.pad stencils,
-# per-call weight tables, scipy's logsumexp); the package must match it bit
-# for bit on finite data
+# --- frozen oracle: the norm kernel with np.pad differences, per-call weight
+# tables and scipy's logsumexp; the package must match it bit for bit on
+# finite data
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def oracle_difference(values, d_eta, order):
+    """One 4th-order centred difference (order 1 or 2), zero outside the grid."""
+    ext = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(2, 2)])
+    n = values.shape[-1]
+    m2, m1, c, p1, p2 = (ext[..., i:i + n] for i in range(5))
+    if order == 1:
+        return (8.0 * (p1 - m1) - (p2 - m2)) * (1.0 / (12.0 * d_eta))
+    return (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * c) * (1.0 / (12.0 * d_eta**2))
+
+
+def oracle_derivative(values, d_eta, order):
+    out = np.asarray(values)
+    while order >= 2:
+        out = oracle_difference(out, d_eta, 2)
+        order -= 2
+    if order == 1:
+        out = oracle_difference(out, d_eta, 1)
+    return out
+
+
+# the same stencils as taps added in stencil order, then scaled: the form the
+# package used first, kept to bound how far the difference form moved N1
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def oracle_stencil(values, stencil, scale):
@@ -294,7 +322,7 @@ def oracle_stencil(values, stencil, scale):
     return out * scale
 
 
-def oracle_derivative(values, d_eta, order):
+def oracle_tap_derivative(values, d_eta, order):
     out = np.asarray(values)
     while order >= 2:
         out = oracle_stencil(out, _D2, 1.0 / d_eta**2)
@@ -320,7 +348,7 @@ def oracle_sqrt_of_exp_sum(logs):
     return float(np.exp(half))
 
 
-def oracle_n1_logs(state, w):
+def oracle_n1_logs(state, w, derivative=oracle_derivative):
     k = np.asarray(state.k_values, dtype=float)[:, None]
     eta = np.asarray(state.eta, dtype=float)[None, :]
     br = bracket(k, eta)
@@ -331,13 +359,13 @@ def oracle_n1_logs(state, w):
     quad_logs[0] -= math.log(2.0)
     quad_logs[-1] -= math.log(2.0)
     return np.stack([log_w2 + quad_logs[None, :]
-                     + oracle_log_abs_sq(oracle_derivative(np.asarray(state.values),
-                                                           d_eta, order))
+                     + oracle_log_abs_sq(derivative(np.asarray(state.values),
+                                                    d_eta, order))
                      for order in range(w.moments + 1)])
 
 
-def oracle_n1(state, w):
-    return oracle_sqrt_of_exp_sum(oracle_n1_logs(state, w))
+def oracle_n1(state, w, derivative=oracle_derivative):
+    return oracle_sqrt_of_exp_sum(oracle_n1_logs(state, w, derivative))
 
 
 def oracle_n2(density, w):
@@ -381,6 +409,80 @@ def test_n1_and_derivatives_match_oracle_bit_for_bit(grid):
     for order in range(6):
         assert np.array_equal(stack[order],
                               oracle_derivative(state.values, grid.delta_eta, order))
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"k{g.k_max}-eta{g.eta_max}/{g.delta_eta}")
+def test_n1_within_roundoff_of_the_tap_form(grid):
+    # the centred differences round differently from the taps added in
+    # stencil order; N1 moves at roundoff only
+    rng = np.random.default_rng(grid.n_eta + 1)
+    for moments in range(1, 6):
+        w = GevreyWeight(moments=moments)
+        for time in (0.0, 3.7, 31.9):
+            state = random_state(grid, rng, time)
+            tap = oracle_n1(state, w, oracle_tap_derivative)
+            assert abs(n1_at_time(state, w) - tap) <= 1e-14 * tap
+
+
+COVARIANCE_GRIDS = [PhaseGrid(1, 8.0, 0.25), PhaseGrid(2, 22.0, 0.25),
+                    PhaseGrid(3, 12.0, 0.125)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid=st.sampled_from(COVARIANCE_GRIDS),
+       theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       log_amp=st.floats(-12.0, 3.0), moments=st.integers(1, 5),
+       time=st.floats(0.0, 40.0), seed=st.integers(0, 2**16))
+def test_n1_is_translation_and_reflection_covariant(grid, theta, log_amp,
+                                                    moments, time, seed):
+    # x -> x + theta sends row k to e^{ik theta} times itself, and
+    # (x, v) -> (-x, -v) sends g(k, eta) to conj g(-k, -eta): neither
+    # changes a moment-weighted norm
+    w = GevreyWeight(moments=moments)
+    values = 10.0**log_amp * 1e3 * random_state(
+        grid, np.random.default_rng(seed), time).values
+    base = n1_at_time(SpectralState(time, grid, values), w)
+    phase = np.exp(1j * theta * grid.k_values)[:, None]
+    for image in (phase * values, np.conj(values[::-1, ::-1])):
+        moved = n1_at_time(SpectralState(time, grid, image), w)
+        assert abs(moved - base) <= 1e-13 * base
+
+
+def masked_log_abs_sq(values):
+    """log |values|^2 as a fill of -inf and a log masked to the positive
+    squares."""
+    with np.errstate(over="ignore"):
+        mag2 = np.abs(values) ** 2
+    return np.log(mag2, where=mag2 > 0, out=np.full(mag2.shape, -np.inf))
+
+
+def test_log_abs_sq_matches_the_masked_log():
+    tiny = np.finfo(float).tiny
+    big = np.finfo(float).max
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    subnormal = [1e-160, 3e-161j, complex(1e-160, -2e-160)]
+    to_zero = [5e-324, 1e-170, 1e-200j]
+    overflow = [1e160, -1e160j, complex(1e155, 1e155), big, complex(big, big)]
+    normal = [np.sqrt(tiny), np.sqrt(big), 1.0, -2.5 + 0.5j]
+    edge_cases = np.array(zeros + subnormal + to_zero + overflow + normal)
+    rng = np.random.default_rng(9)
+    spread = (10.0 ** rng.uniform(-330, 308, size=(3, 200))
+              * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 200))))
+    for values in (edge_cases, spread):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            got = _log_abs_sq(values, np.empty(values.shape))
+        with np.errstate(divide="ignore"):
+            want = masked_log_abs_sq(values)
+        assert np.array_equal(got, want)
+    logs = _log_abs_sq(edge_cases, np.empty(edge_cases.shape))
+    bounds = np.cumsum([len(zeros), len(subnormal), len(to_zero), len(overflow)])
+    assert np.all(logs[:bounds[0]] == -np.inf)
+    assert np.all(np.isfinite(logs[bounds[0]:bounds[1]]))
+    assert np.all(logs[bounds[1]:bounds[2]] == -np.inf)
+    assert np.all(logs[bounds[2]:bounds[3]] == np.inf)
+    assert np.all(np.isfinite(logs[bounds[3]:]))
 
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS[3:], ids=("scatter", "vpme"))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
-from oracles import CoefficientSpline, history_slice, transport_rhs_per_shift
+from oracles import (CoefficientSpline, history_slice, source_history_per_mode,
+                     transport_rhs_per_shift)
 from vpscatter.errors import BlowUpError, ConfigError
 from vpscatter.field import h_of_field
 from vpscatter.gevrey import GevreyWeight
@@ -766,6 +767,50 @@ class TestSourceAssembly:
         slices = [j for j in range(1, n_t) if j != 3]
         assert [args[1].shape for args in lookups] == [
             (1 if j == 5 else 2, j, GRID.n_modes) for j in slices]
+
+    @pytest.mark.parametrize("preset", ["vp", "screened", "vpme"])
+    def test_matches_per_mode_oracle_bit_for_bit(self, preset):
+        model = make_preset(preset)
+        rng = np.random.default_rng(len(preset))
+        n_t = self.tg.times.size
+        shape = (n_t, GRID.n_modes)
+        vals, u_vals = (amp * (rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
+                        for amp in (1e-3, 1e-2))
+        vals = (vals + np.conj(vals[:, ::-1])) / 2.0  # real slices
+        u_vals = (u_vals + np.conj(u_vals[:, ::-1])) / 2.0
+        vals[:, GRID.index_of(0)] = 0.0
+        vals[3] = 0.0  # an empty slice
+        vals[5, GRID.k_values != 2] = 0.0  # a one-mode slice
+        vals[6, GRID.index_of(2)] = 0.0  # three modes
+        rho = DensityHistory(times=self.tg.times, values=vals)
+        u_hist = SpectralHistory(times=self.tg.times, values=u_vals)
+        datum = gaussian_datum({1: 0.3 - 0.1j, 2: 0.05j}, width=1.5)
+        # every mode row populated, so each column gathers several terms
+        profile = np.exp(-0.25 * GRID.eta**2)
+        states = [SpectralState(
+            float(t), GRID, 1e-3 * profile * (rng.standard_normal(GRID.n_modes)
+                                              + 1j * rng.standard_normal(GRID.n_modes))[:, None])
+            for t in self.tg.times]
+        got = assemble_source_history(model, states, rho, u_hist, datum)
+        want = source_history_per_mode(model, states, rho, u_hist, datum)
+        assert np.array_equal(got.values, want)
+        # the half-weighted last slice reaches every earlier time
+        assert np.all(vals[-1, GRID.k_values != 0] != 0.0)
+
+    def test_one_datum_trace_per_assembly(self, monkeypatch):
+        calls = []
+        trace = AsymptoticDatum.trace
+
+        def counted(datum, k, t):
+            calls.append((np.shape(k), np.shape(t)))
+            return trace(datum, k, t)
+
+        monkeypatch.setattr(AsymptoticDatum, "trace", counted)
+        assemble_source_history(SCREENED, self.states, self.rho_history(1e-3),
+                                self.zero_u, self.datum)
+        n_t = self.tg.times.size
+        assert calls == [((1, GRID.n_modes), (n_t, 1))]
 
     def test_grid_mismatch_rejected(self):
         bad_rho = DensityHistory(

@@ -153,7 +153,9 @@ class SpectralState:
 
     A state is a value: ``values`` is a read-only complex copy, made at
     construction, of the array given.  No view of that array, taken before
-    or after, can reach it.
+    or after, can reach it.  :func:`integrate` wraps the stage and step
+    arrays it has just computed, which nothing else holds, without the copy
+    (:meth:`_wrap`).
 
     :meth:`interpolant` splines the frequency axis on first use and keeps the
     spline in a slot until :meth:`release_interpolant`.  The spline reads
@@ -172,6 +174,15 @@ class SpectralState:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_interp", None)
+
+    @classmethod
+    def _wrap(cls, time: float, grid: PhaseGrid, values: np.ndarray) -> "SpectralState":
+        """A state around ``values``, a C-ordered complex (n_modes, n_eta)
+        array no one else holds, set read-only in place: no copy, no check."""
+        values.flags.writeable = False
+        state = object.__new__(cls)
+        state.__dict__.update(time=time, grid=grid, values=values, _interp=None)
+        return state
 
     def interpolant(self) -> "StateInterpolant":
         """The spline of ``values``, built on first use and kept in the slot."""
@@ -307,6 +318,70 @@ def _daxpy():
     return blas.daxpy
 
 
+def _edge(grid: PhaseGrid) -> float:
+    """Largest |eta| a lookup reads: eta_max plus a relative slack."""
+    return grid.eta_max * (1.0 + EDGE_SLACK) + EDGE_SLACK
+
+
+@functools.lru_cache(maxsize=2)
+def _row_plans(grid: PhaseGrid, block: bytes) -> tuple:
+    """How :meth:`StateInterpolant.all_rows` reads a block of shifted grid
+    rows, keyed on the exact bytes of the block's float rows: ``(runs,
+    fills)``.
+
+    A run ``(dst, lead, next, w00, w01, w10, w11)`` is one row's four
+    weighted slices, ``w00 y[lead] + w01 y[next] + w10 hs[lead] + w11
+    hs[next]`` on the flat (re, im) arrays, written to ``dst`` of the flat
+    output; a fill ``(index, kind)`` then sets ``out[index]`` to 0 (kind 0),
+    the first node (1) or the last node (2).  Only the block and the grid
+    decide them, not the state.  Two entries: RK4's k2 and k3 read one
+    block, and so do k4 and the next step's k1.
+    """
+    n = grid.n_eta
+    rows = np.frombuffer(block).reshape(-1, n)
+    edge = _edge(grid)
+    centre = n // 2
+    shifts = (rows[:, centre] - grid.eta[centre]) / grid.delta_eta
+    # a shifted row rises, so its truncated points are a prefix and a suffix
+    beyond = np.empty((2,) + rows.shape, dtype=bool)
+    np.less(rows, -edge, out=beyond[0])
+    np.greater(rows, edge, out=beyond[1])
+    below, above = np.add.reduce(beyond, axis=2, dtype=np.intp).tolist()
+    # row-major blocks: one row's slices over every mode are contiguous runs
+    # of the flat (re, im) arrays, a mode's length apart
+    row_size = 2 * grid.n_modes * n
+    span = 2 * (grid.n_modes - 1) * n
+    runs, fills = [], []
+    for r, shift in enumerate(shifts.tolist()):
+        m = math.floor(shift)
+        theta = shift - m
+        u = 1.0 - theta
+        # points lo..hi-1 of every mode sit at theta on intervals lo+m..hi-1+m
+        lo = min(max(-m, 0), n)
+        hi = max(min(n - 1 - m, n), lo)
+        if hi > lo:
+            # one run covers the gaps between modes too; the fills overwrite
+            # what it wrote there
+            size = span + 2 * (hi - lo)
+            a = 2 * (lo + m)
+            start = r * row_size + 2 * lo
+            runs.append((slice(start, start + size), slice(a, a + size),
+                         slice(a + 2, a + 2 + size),
+                         (1.0 + 2.0 * theta) * u * u,
+                         theta * theta * (3.0 - 2.0 * theta),
+                         theta * u * u, -theta * theta * u))
+        n_below, n_above = below[r], above[r]
+        if n_below:
+            fills.append(((r, slice(None), slice(0, n_below)), 0))
+        if n_below < lo:
+            fills.append(((r, slice(None), slice(n_below, lo)), 1))
+        if hi < n - n_above:
+            fills.append(((r, slice(None), slice(hi, n - n_above)), 2))
+        if n_above:
+            fills.append(((r, slice(None), slice(n - n_above, n)), 0))
+    return tuple(runs), tuple(fills)
+
+
 class StateInterpolant:
     """Uniform-grid not-a-knot cubic spline of one state's frequency axis.
 
@@ -347,7 +422,7 @@ class StateInterpolant:
     def __init__(self, state: SpectralState):
         grid = state.grid
         self.grid = grid
-        self._edge = grid.eta_max * (1.0 + EDGE_SLACK) + EDGE_SLACK
+        self._edge = _edge(grid)
         # searching the inner nodes gives the interval index already clamped
         # to [0, n_eta - 2], as scipy's side="right" search does
         self._inner = grid.eta[1:-1]
@@ -356,9 +431,10 @@ class StateInterpolant:
         rhs = np.empty(y.shape, dtype=complex)
         np.add(dy[:, :-1], dy[:, 1:], out=rhs[:, 1:-1])
         rhs[:, 1:-1] *= 3.0
-        rhs[:, 0] = 2.5 * dy[:, 0] + 0.5 * dy[:, 1]
-        rhs[:, -1] = 0.5 * dy[:, -2] + 2.5 * dy[:, -1]
-        zgttrs, *factors = _not_a_knot_factors(grid.n_eta)
+        # both not-a-knot ends at once (n >= 5): 2.5 dy[end] + 0.5 dy[next in]
+        n = grid.n_eta
+        rhs[:, ::n - 1] = 2.5 * dy[:, ::n - 2] + 0.5 * dy[:, 1:n - 2:n - 4]
+        zgttrs, *factors = _not_a_knot_factors(n)
         # the transpose is the column-major (node, mode) system LAPACK solves
         hs, _ = zgttrs(*factors, rhs.T, overwrite_b=True)
         self._y = y
@@ -376,7 +452,8 @@ class StateInterpolant:
         i, and a row is four scalar-weighted slices of y and hs: no search,
         no gather.  Rows of any other form are not detected.  Points past an
         end node read that node inside the slack band and 0 beyond
-        ``_edge``.
+        ``_edge``.  The offsets, weights and slice bounds of a block are
+        remembered for the last two blocks (:func:`_row_plans`).
 
         Returns shape ``(n_modes,) + eta.shape``.
         """
@@ -386,47 +463,20 @@ class StateInterpolant:
         if eta.shape[-1:] != (n,):
             raise ConfigError(f"all_rows reads rows of the {n} grid frequencies "
                               f"shifted by a constant, got shape {eta.shape}")
-        rows = eta.reshape(-1, n)
-        centre = n // 2
-        shifts = (rows[:, centre] - grid.eta[centre]) / grid.delta_eta
-        # a shifted row rises, so its truncated points are a prefix and a suffix
-        beyond = np.empty((2,) + rows.shape, dtype=bool)
-        np.less(rows, -self._edge, out=beyond[0])
-        np.greater(rows, self._edge, out=beyond[1])
-        below, above = np.add.reduce(beyond, axis=2, dtype=np.intp).tolist()
-        # row-major blocks: one row's slices over every mode are contiguous
-        # runs of the flat (re, im) arrays, a mode's length apart
-        out = np.empty((rows.shape[0], grid.n_modes, n), dtype=complex)
+        runs, fills = _row_plans(grid, eta.tobytes())
+        out = np.empty((eta.size // n, grid.n_modes, n), dtype=complex)
+        flat = out.reshape(-1).view(float)
         y, hs = self._flat
         axpy = _daxpy()
-        span = 2 * (grid.n_modes - 1) * n
-        for r, shift in enumerate(shifts.tolist()):
-            m = math.floor(shift)
-            theta = shift - m
-            u = 1.0 - theta
-            # points lo..hi-1 of every mode sit at theta on intervals lo+m..hi-1+m
-            lo = min(max(-m, 0), n)
-            hi = max(min(n - 1 - m, n), lo)
-            block = out[r]
-            if hi > lo:
-                # one run covers the gaps between modes too; the fills below
-                # overwrite what it wrote there
-                size = span + 2 * (hi - lo)
-                a = 2 * (lo + m)
-                run = block.reshape(-1).view(float)[2 * lo:2 * lo + size]
-                np.multiply(y[a:a + size], (1.0 + 2.0 * theta) * u * u, out=run)
-                axpy(y[a + 2:a + 2 + size], run, a=theta * theta * (3.0 - 2.0 * theta))
-                axpy(hs[a:a + size], run, a=theta * u * u)
-                axpy(hs[a + 2:a + 2 + size], run, a=-theta * theta * u)
-            n_below, n_above = below[r], above[r]
-            if n_below:
-                block[:, :n_below] = 0.0
-            if n_below < lo:
-                block[:, n_below:lo] = self._y[:, :1]
-            if hi < n - n_above:
-                block[:, hi:n - n_above] = self._y[:, -1:]
-            if n_above:
-                block[:, n - n_above:] = 0.0
+        for dst, lead, next_, w00, w01, w10, w11 in runs:
+            run = flat[dst]
+            np.multiply(y[lead], w00, out=run)
+            axpy(y[next_], run, a=w01)
+            axpy(hs[lead], run, a=w10)
+            axpy(hs[next_], run, a=w11)
+        ends = (0.0, self._y[:, :1], self._y[:, -1:])
+        for index, kind in fills:
+            out[index] = ends[kind]
         return out.transpose(1, 0, 2).reshape((grid.n_modes,) + eta.shape)
 
     def at_pairs(self, k, eta) -> np.ndarray:
@@ -570,10 +620,13 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     u_lin, u_nl = np.asarray(u_linear), np.asarray(u_nonlinear)
     if u_lin.shape != (grid.n_modes,) or u_nl.shape != (grid.n_modes,):
         raise ConfigError("stage potentials must hold one value per lattice mode")
-    rhs = np.zeros(state.values.shape, dtype=complex)
     shear, mu, shear_k, shifts = _sheared_profile(eq, grid, state.time)
     if any(u_lin.tolist()):
-        rhs -= shear_k * u_lin[:, None] * mu
+        rhs = shear_k * u_lin[:, None] * mu
+        # 0 - x, the difference from a zero fill, signed zeros included
+        np.subtract(0.0, rhs, out=rhs)
+    else:
+        rhs = np.zeros(shear.shape, dtype=complex)
     k_max = grid.k_max
     coefs = u_nl.tolist()
     ells = [ell for ell in range(-k_max, k_max + 1) if ell and coefs[ell + k_max]]
@@ -583,11 +636,11 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
         if len(ells) < 2 * k_max:
             shifts = shifts[[ell + k_max - (ell > 0) for ell in ells]]
         shifted = state.interpolant().all_rows(shifts)
-        scaled = shear * np.array([ell * coefs[ell + k_max] for ell in ells])[:, None, None]
         n = grid.n_modes
         for j, ell in enumerate(ells):
             lo, hi = max(0, ell), n + min(0, ell)
-            rhs[lo:hi] -= scaled[j, lo:hi] * shifted[lo - ell:hi - ell, j]
+            rhs[lo:hi] -= (shear[lo:hi] * (ell * coefs[ell + k_max])
+                           * shifted[lo - ell:hi - ell, j])
     return rhs
 
 
@@ -701,7 +754,10 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     the slots once no later consumer (the next pass of the construction map)
     needs them.  k2/k3 and k4/the next k1 share a stage time, so
     :func:`transport_rhs` and :class:`HistoryFieldProvider` remember the
-    last two; the whole sweep runs in one ``np.errstate``.
+    last two; the whole sweep runs in one ``np.errstate``.  Each stage and
+    step array is new and held by no one else, so the sweep wraps it as a
+    read-only state without a copy (:meth:`SpectralState._wrap`), and the
+    RK4 combination is formed in place, in the order of its written form.
     """
     times = time_grid.times
     backward = abs(initial.time - times[-1]) < abs(initial.time - times[0])
@@ -718,14 +774,17 @@ def integrate(initial: SpectralState, provider: FieldProvider,
     max_drift = 0.0
 
     def rhs(stage: SpectralState) -> np.ndarray:
-        if not np.all(np.isfinite(stage.values)):
+        if not np.isfinite(stage.values).all():
             raise BlowUpError(
                 f"non-finite stage state near t={stage.time:g}; reduce dt "
                 f"below {time_grid.dt:g} or shrink the datum amplitude")
         return transport_rhs(stage, *provider(stage), eq)
 
-    def state_at(t: float, values: np.ndarray) -> SpectralState:
-        return SpectralState(time=t, grid=grid, values=values)
+    def stage_at(t: float, y: np.ndarray, step: float, k: np.ndarray) -> SpectralState:
+        # y + step k in a new array, which only the stage state holds
+        values = np.multiply(step, k)
+        np.add(y, values, out=values)
+        return SpectralState._wrap(t, grid, values)
 
     # overflow shows up as inf and is handled by the blow-up checks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -735,18 +794,27 @@ def integrate(initial: SpectralState, provider: FieldProvider,
             h = t1 - t0
             y = current.values
             k1 = rhs(current)
-            k2 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k1))
-            k3 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k2))
-            k4 = rhs(state_at(t1, y + h * k3))
-            y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y_next)):
+            k2 = rhs(stage_at(t0 + h / 2.0, y, h / 2.0, k1))
+            k3 = rhs(stage_at(t0 + h / 2.0, y, h / 2.0, k2))
+            k4 = rhs(stage_at(t1, y, h, k3))
+            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), operands in that order,
+            # formed in k2's array
+            y_next = np.multiply(2.0, k2, out=k2)
+            np.add(k1, y_next, out=y_next)
+            y_next += np.multiply(2.0, k3, out=k3)
+            y_next += k4
+            np.multiply(h / 6.0, y_next, out=y_next)
+            np.add(y, y_next, out=y_next)
+            if not np.isfinite(y_next).all():
                 raise BlowUpError(
                     f"non-finite state at t={t1:g}; reduce dt below {abs(h):g} "
                     "or shrink the datum amplitude")
             # project onto the real-symmetric subspace, tracking the defect removed
             mirror = np.conj(y_next[::-1, ::-1])
-            max_drift = max(max_drift, float(np.max(np.abs(y_next - mirror))))
-            current = state_at(t1, (y_next + mirror) / 2.0)
+            max_drift = max(max_drift, float(np.abs(y_next - mirror).max()))
+            np.add(y_next, mirror, out=mirror)
+            np.divide(mirror, 2.0, out=mirror)
+            current = SpectralState._wrap(t1, grid, mirror)
             out.append(current)
     mass_drift = abs(current.mass_mode() - mass0)
     if backward:

@@ -47,6 +47,11 @@ must agree with it bit for bit.
 ``history_slice`` interpolates one potential history at one time, the
 per-history route ``HistoryFieldProvider`` replaced with one set of weights
 for both histories; the provider must agree with it bit for bit.
+
+``integrate_copying`` is the RK4 sweep that builds every stage and step as
+a public, copying ``SpectralState`` from out-of-place array expressions;
+``integrate`` wraps its own new arrays without a copy, forms the step
+combination in place and must agree with it bit for bit.
 """
 
 import math
@@ -59,7 +64,8 @@ from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
                                   _tail_cutoff, laplace_one_sided)
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.field import h_of_field
-from vpscatter.kinetic import EDGE_SLACK, StateInterpolant
+from vpscatter.kinetic import (EDGE_SLACK, SpectralState, StateInterpolant,
+                               transport_rhs)
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
                                 build_discrete_resolvent)
@@ -423,3 +429,41 @@ def history_slice(history, t):
     rows = history.values
     return (w0 * rows[j] + w1 * rows[j + 1]
             + w2 * rows[j + 2] + w3 * rows[j + 3])
+
+
+def integrate_copying(initial, provider, time_grid, eq):
+    """RK4 sweep from ``initial`` (at 0 or the final time) over the whole
+    grid: ``(states ascending in time, max reality drift, mass drift)``."""
+    times = time_grid.times
+    backward = abs(initial.time - times[-1]) < abs(initial.time - times[0])
+    order = range(times.size - 2, -1, -1) if backward else range(1, times.size)
+    grid = initial.grid
+
+    def rhs(stage):
+        return transport_rhs(stage, *provider(stage), eq)
+
+    def state_at(t, values):
+        return SpectralState(time=t, grid=grid, values=values)
+
+    current = initial
+    out = [current]
+    max_drift = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in order:
+            t0 = current.time
+            t1 = float(times[idx])
+            h = t1 - t0
+            y = current.values
+            k1 = rhs(current)
+            k2 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k1))
+            k3 = rhs(state_at(t0 + h / 2.0, y + (h / 2.0) * k2))
+            k4 = rhs(state_at(t1, y + h * k3))
+            y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            mirror = np.conj(y_next[::-1, ::-1])
+            max_drift = max(max_drift, float(np.max(np.abs(y_next - mirror))))
+            current = state_at(t1, (y_next + mirror) / 2.0)
+            out.append(current)
+    mass_drift = abs(current.mass_mode() - initial.mass_mode())
+    if backward:
+        out.reverse()
+    return out, max_drift, mass_drift

@@ -8,7 +8,8 @@ and checks that every span the workload promises (its ``*_SPANS`` tuple)
 recorded calls, so a refactor that stops calling a traced boundary fails
 here rather than in the benchmark.  The third checks the tracer's lookup
 tallies, the only count of reads past the frequency grid's edge, against
-what the lookups return.
+what the lookups return, with a shifted-row block read twice: the second
+read comes from the lookup plan the package remembers.
 """
 
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import vpscatter.field
-from vpscatter import cli
+from vpscatter import cli, kinetic
 from vpscatter.kinetic import EDGE_SLACK, PhaseGrid, SpectralState
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,16 +94,20 @@ def test_lookup_tallies_follow_the_edge_rule(bench):
                     0.0, 8.0])
     tracer = tracing.Tracer()
     installation = tracing.Installation(tracer)
+    kinetic._row_plans.cache_clear()
     tracer.begin_op(0)
     try:
         interp = state.interpolant()
         rows = interp.all_rows(block)
         pairs = interp.at_pairs(k, eta)
+        again = interp.all_rows(block.copy())
     finally:
         tracer.end_op()
         installation.remove()
+    assert kinetic._row_plans.cache_info().hits == 1
+    assert np.array_equal(again, rows)
     counts = tracer.counts[0]
-    assert counts["kinetic.interp_points"] == block.size + eta.size
+    assert counts["kinetic.interp_points"] == 2 * block.size + eta.size
     # points that read exactly 0: every mode of a shifted row's point, or an
     # on-lattice pair; they are the points past the edge, and no others
     row_zeros = np.all(rows == 0.0, axis=0)
@@ -111,5 +116,6 @@ def test_lookup_tallies_follow_the_edge_rule(bench):
     pair_zeros = on_lattice & (pairs == 0.0)
     assert np.array_equal(row_zeros, np.abs(block) > edge)
     assert np.array_equal(pair_zeros, on_lattice & (np.abs(eta) > edge))
-    truncated = np.count_nonzero(row_zeros) + np.count_nonzero(pair_zeros)
+    assert np.array_equal(np.all(again == 0.0, axis=0), row_zeros)
+    truncated = 2 * np.count_nonzero(row_zeros) + np.count_nonzero(pair_zeros)
     assert counts["kinetic.truncated"] == truncated

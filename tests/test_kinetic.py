@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
-from oracles import (CoefficientSpline, history_slice, source_history_per_mode,
-                     transport_rhs_per_shift)
+from oracles import (CoefficientSpline, history_slice, integrate_copying,
+                     source_history_per_mode, transport_rhs_per_shift)
 from vpscatter.errors import BlowUpError, ConfigError
 from vpscatter.field import h_of_field
 from vpscatter.gevrey import GevreyWeight
@@ -19,8 +19,8 @@ from vpscatter.kinetic import (EDGE_SLACK, AsymptoticDatum, HistoryFieldProvider
                                PhaseGrid, SelfConsistentFieldProvider,
                                SpectralState, StateInterpolant, TimeGrid,
                                assemble_source_history, density_trace,
-                               gaussian_datum, horizon_violation, integrate,
-                               transport_rhs, zero_field_provider)
+                               _row_plans, gaussian_datum, horizon_violation,
+                               integrate, transport_rhs, zero_field_provider)
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
@@ -487,6 +487,11 @@ class TestTransportRhs:
         want = -shear * (0.3 + 0.1j) * np.exp(-shear**2 / 2)
         assert np.array_equal(rhs[GRID.index_of(1)], want)
         assert rhs[GRID.origin] == 0.0
+        # a real potential is the complex one with zero imaginary parts
+        zero = np.zeros(GRID.n_modes)
+        real = transport_rhs(zero_state(GRID, t=1.5), u.real, zero, maxwellian())
+        assert np.array_equal(real, transport_rhs(
+            zero_state(GRID, t=1.5), u.real + 0j, zero, maxwellian()))
 
     def test_shear_term_row_shift(self):
         # cubic row is reproduced exactly by the spline, isolating indexing
@@ -690,6 +695,117 @@ class TestIntegrate:
         want = transport_rhs_per_shift(stage, u_lin, u_lin, base)
         for _ in range(2):
             assert np.array_equal(transport_rhs(stage, u_lin, u_lin, eq), want)
+
+
+def random_history(tg, grid, seed, scale):
+    """A real-symmetric potential history with every nonzero mode populated."""
+    rng = np.random.default_rng(seed)
+    shape = (tg.times.size, grid.n_modes)
+    u = real_symmetric(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    u[:, grid.k_max] = 0.0
+    return SpectralHistory(times=tg.times, values=scale * u)
+
+
+class TestLeanStage:
+    """The sweep's remembered lookup plans and copy-free stage states."""
+
+    def test_remembered_plan_reads_bit_for_bit(self):
+        grid = PhaseGrid(2, 16.0, 0.125)
+        rng = np.random.default_rng(21)
+        shape = (grid.n_modes, grid.n_eta)
+        interps = [SpectralState(0.0, grid, rng.normal(size=shape)
+                                 + 1j * rng.normal(size=shape)).interpolant()
+                   for _ in range(2)]
+        ells = np.array([-2, -1, 1, 2])[:, None]
+        # two stage times, the second with rows past both ends of the grid
+        blocks = {"a": grid.eta - ells * 1.3, "b": grid.eta - ells * 10.45}
+        blocks["a_rows"] = blocks["a"][[0, 2, 3]]  # a fancy-indexed copy
+        fresh = {}
+        for name, block in blocks.items():
+            for i, interp in enumerate(interps):
+                _row_plans.cache_clear()
+                fresh[name, i] = interp.all_rows(block)
+        _row_plans.cache_clear()
+        reads = ["a", "b", "a", "b", "b", "a_rows", "a", "a_rows"]
+        for name in reads:
+            for i, interp in enumerate(interps):
+                # an equal copy of a block reads its remembered plan
+                got = interp.all_rows(np.array(blocks[name]))
+                assert np.array_equal(got, fresh[name, i]), (name, i)
+        info = _row_plans.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+        # a new plan for "a", "b", "a_rows" and "a" again (pushed out)
+        assert info.misses == 4 and info.hits == 2 * len(reads) - 4
+
+    def test_backward_sweep_builds_one_plan_per_stage_time(self, monkeypatch):
+        tg = TimeGrid(1.0, 0.1)
+        hist = random_history(tg, GRID, 6, 1e-3)
+        kept = []
+        read = StateInterpolant.all_rows
+
+        def all_rows(self, eta):
+            out = read(self, eta)
+            kept.append(_row_plans.cache_info().currsize)
+            return out
+
+        monkeypatch.setattr(StateInterpolant, "all_rows", all_rows)
+        _row_plans.cache_clear()
+        start = gaussian_datum({1: 1e-3, 2: 4e-4}).sample(GRID, 1.0)
+        integrate(start, HistoryFieldProvider(hist, hist), tg, maxwellian())
+        n = tg.n_steps
+        info = _row_plans.cache_info()
+        assert len(kept) == 4 * n and max(kept) <= 2
+        # one plan per stage time: n + 1 grid times and n midpoints
+        assert info.misses == 2 * n + 1 and info.hits == 2 * n - 1
+
+    @staticmethod
+    def backward_case():
+        tg = TimeGrid(2.0, 0.1)
+        hist = random_history(tg, GRID, 11, 2e-3)
+        start = gaussian_datum({1: 1e-3, 2: 4e-4j}).sample(GRID, 2.0)
+        return start, lambda: HistoryFieldProvider(hist, hist), tg
+
+    @staticmethod
+    def forward_case():
+        start = gaussian_datum({1: 1e-3, 2: 3e-4j}).sample(GRID, 0.0)
+        # the gate is opened so that the field is the nonlinear one
+        model, w = make_preset("vpme", eps_ball=1e30), GevreyWeight()
+        return (start, lambda: SelfConsistentFieldProvider(model, w),
+                TimeGrid(1.5, 0.05))
+
+    @pytest.mark.parametrize("case", ["backward_case", "forward_case"])
+    def test_trajectory_equals_the_copying_loop(self, case):
+        start, provider, tg = getattr(self, case)()
+        res = integrate(start, provider(), tg, maxwellian())
+        states, drift, mass = integrate_copying(start, provider(), tg,
+                                                maxwellian())
+        assert [s.time for s in res.states] == [s.time for s in states]
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(res.states, states))
+        assert res.max_reality_drift == drift and res.mass_drift == mass
+        assert drift > 0.0  # the projection had roundoff to remove
+
+    @pytest.mark.parametrize("case", ["backward_case", "forward_case"])
+    def test_stage_states_are_read_only_and_unshared(self, case):
+        start, make_provider, tg = getattr(self, case)()
+        inner = make_provider()
+        seen = []
+
+        def provider(stage):
+            seen.append(stage)
+            return inner(stage)
+
+        res = integrate(start, provider, tg, maxwellian())
+        assert len(seen) == 4 * tg.n_steps
+        for state in seen + list(res.states):
+            assert not state.values.flags.writeable
+            assert state.values.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                state.values[0, 0] = 1.0
+        distinct = list({id(s): s for s in seen + list(res.states)}.values())
+        for i, a in enumerate(distinct):
+            for b in distinct[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
 
 
 class TestSourceAssembly:

@@ -1,10 +1,13 @@
 """Fixed-point drive, wave-operator image, and round-trip verification."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from vpscatter.errors import ConfigError, NoContractionError
 from vpscatter.gevrey import GevreyWeight, n1_at_time
@@ -387,3 +390,76 @@ class TestSplineOwnership:
         report = roundtrip_check(run, VP, MAXWELL, WEIGHT, SMALL)
         assert report.richardson_dt > 0 and built
         assert not alive(built)
+
+
+# drive-level symmetry covariance: kmax 2, eta 16/0.25, T 4/0.1
+SYMMETRY_GRIDS = RunGrids(PhaseGrid(2, 16.0, 0.25), TimeGrid(4.0, 0.1))
+SYMMETRY_DATA = {"vp": {1: 1e-3, 2: 4e-4}, "screened": {1: 1e-3, 2: 4e-4},
+                 "vpme": {1: 1e-7, 2: 3e-8}}
+
+
+def symmetry_drive(preset, modes):
+    """The drive from the datum ``dict(modes)`` under ``preset``."""
+    return fixed_point_drive(gaussian_datum(dict(modes)), make_preset(preset),
+                             MAXWELL, WEIGHT, SYMMETRY_GRIDS)
+
+
+@pytest.fixture(scope="module")
+def symmetry_base():
+    """The drive from each preset's untranslated datum, run once."""
+    runs = {}
+
+    def base(preset):
+        if preset not in runs:
+            runs[preset] = symmetry_drive(preset, SYMMETRY_DATA[preset].items())
+        return runs[preset]
+
+    return base
+
+
+def rotated(modes, theta):
+    """Amplitudes of the datum translated by theta: a_k e^{ik theta}."""
+    return tuple((k, a * np.exp(1j * k * theta)) for k, a in modes)
+
+
+def assert_covariant(run, base, g0_image):
+    """Same passes and flags; g0 is ``g0_image`` of the base g0 and the
+    per-pass N1 and N2 are the base's, each within 1e-13 of its maximum."""
+    assert len(run.iterates) == len(base.iterates)
+    assert run.converged == base.converged
+    want = g0_image(base.g0.values)
+    assert np.max(np.abs(run.g0.values - want)) <= 1e-13 * np.max(np.abs(want))
+    for norm in ("n1", "n2"):
+        got = np.array([getattr(rec.report, norm) for rec in run.iterates])
+        ref = np.array([getattr(rec.report, norm) for rec in base.iterates])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), norm
+
+
+class TestSymmetryCovariance:
+    """Vlasov-Poisson on the torus commutes with a translation x -> x + theta,
+    which sends a_k to a_k e^{ik theta} and g(k, eta) to e^{ik theta}
+    g(k, eta), and, on an even background, with the reflection (x, v) ->
+    (-x, -v), which sends a_k to conj(a_k) and g(k, eta) to g(-k, -eta).
+    The constructed state and the norms of every pass must follow."""
+
+    # each example runs a drive, so a failure is reported unshrunk
+    @settings(derandomize=True, max_examples=4, deadline=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(preset=st.sampled_from(sorted(SYMMETRY_DATA)),
+           theta=st.floats(0.05, 2.0 * math.pi - 0.05))
+    def test_translation(self, symmetry_base, preset, theta):
+        modes = SYMMETRY_DATA[preset].items()
+        base = symmetry_base(preset)
+        phase = np.exp(1j * SYMMETRY_GRIDS.phase.k_values * theta)[:, None]
+        assert_covariant(symmetry_drive(preset, rotated(modes, theta)), base,
+                         lambda g0: phase * g0)
+
+    @pytest.mark.parametrize("preset", sorted(SYMMETRY_DATA))
+    def test_reflection(self, preset):
+        # a translated datum has complex amplitudes, so its reflection is
+        # another datum: the one translated by -theta
+        modes = rotated(SYMMETRY_DATA[preset].items(), 2.1)
+        base = symmetry_drive(preset, modes)
+        mirrored = tuple((k, np.conj(a)) for k, a in modes)
+        assert_covariant(symmetry_drive(preset, mirrored), base,
+                         lambda g0: g0[::-1, ::-1])

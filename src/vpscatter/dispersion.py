@@ -36,7 +36,6 @@ from .model import Equilibrium, ModelConfig
 __all__ = [
     "PenroseReport",
     "ResolventTable",
-    "laplace_one_sided",
     "dispersion_on_axis",
     "penrose_scan",
     "inverse_laplace_Khat",
@@ -194,28 +193,6 @@ def _nested_simpson(phi: Callable, tau: complex, tol: float,
                           "tolerance; integrand may be too rough")
 
 
-def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
-                      decay: float = 1.0) -> complex:
-    """One-sided transform of an exponentially decaying function.
-
-    ``decay`` is the declared rate c with |phi(t)| <~ e^{-ct}; the transform
-    needs Re tau > -c. The truncated tail is certified below tol/2 before
-    integration starts, and :func:`_nested_simpson` integrates the single
-    piece [0, T] that remains.
-    """
-    tau = complex(tau)
-    if decay <= 0:
-        raise ConfigError("declared decay rate must be positive")
-    alpha = decay + tau.real
-    if alpha <= 0:
-        raise QuadratureError(
-            f"Re tau = {tau.real:g} is at or below the declared decay rate; "
-            "the transform diverges")
-    t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
-                            120.0 / min(decay, alpha))
-    return _nested_simpson(phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
-
-
 def _sign_changes(signed: Callable, t: np.ndarray, t_end: float) -> np.ndarray:
     """Sorted zeros of a real ``signed`` strictly inside (0, t_end).
 
@@ -255,8 +232,7 @@ def _absolute_integral(signed: Callable, magnitude: Callable, tol: float,
     The modulus has a kink wherever a real ``signed`` changes sign, and
     Simpson converges only at O(h^2) across one; the range [0, T] left by
     the tail certificate is split at those zeros, so every piece is smooth.
-    A sign-definite or complex ``signed`` leaves one piece, as in
-    :func:`laplace_one_sided` at tau = 0.
+    A sign-definite or complex ``signed`` leaves one piece.
     """
     if decay <= 0:
         raise ConfigError("declared decay rate must be positive")

@@ -1,4 +1,4 @@
-"""Gevrey-type weights, weighted norms, and fractional-power inequalities.
+"""Gevrey-type weights and the weighted norms of the construction.
 
 Weights are handled in log domain throughout: ``exp(lambda <k,eta>^gamma)``
 overflows doubles long before the frequencies of interest run out, so every
@@ -26,14 +26,12 @@ __all__ = [
     "GevreyWeight",
     "weight_violations",
     "WeightedNormReport",
-    "GevreyInequalityReport",
     "bracket",
     "time_bracket",
     "lambda_of_t",
     "log_weight_A",
     "norm_N2",
     "weighted_norm_report",
-    "gevrey_inequality_suite",
 ]
 
 # radius reduction used for the contraction metric and the field-decay weight
@@ -291,83 +289,3 @@ def weighted_norm_report(state_history, density, w: GevreyWeight) -> WeightedNor
     n1 = max((v for _, v in per_time), default=0.0)
     n2 = norm_N2(density, w)
     return WeightedNormReport(n1=n1, n2=n2, n_total=n1 + n2, per_time=per_time)
-
-
-@dataclass(frozen=True)
-class GevreyInequalityReport:
-    """Worst-case margins of the fractional bracket-power inequalities.
-
-    Margins are (right side - left side) minima, so nonnegative means the
-    inequality held on every sampled pair. The difference-quotient constant
-    and the comparable-argument constant are empirical maxima, reported
-    rather than asserted.
-    """
-
-    gamma: float
-    samples: int
-    subadditivity_margin: float
-    subadditivity_violations: int
-    difference_quotient_constant: float
-    nearby_margin: float
-    nearby_violations: int
-    comparable_constant: float
-
-
-def gevrey_inequality_suite(gamma: float, samples: int,
-                            seed: int = 0) -> GevreyInequalityReport:
-    """Monte Carlo check of four bracket-power estimates.
-
-    Pairs are drawn log-uniformly across twelve decades (plus explicit zeros
-    and ties). The four checks:
-      1. subadditivity <x+y>^g <= <x>^g + <y>^g, must never fail;
-      2. difference quotient |<x>^g - <y>^g| (<x>^(1-g) + <y>^(1-g)) / <x-y>,
-         empirical constant reported;
-      3. for |x - y| <= x/K with K = 2: |<x>^g - <y>^g| <= g/(K-1)^(1-g)
-         <x-y>^g, must never fail;
-      4. comparable arguments 1/2 <= x/y <= 2: smallest c with
-         <x+y>^g <= c (<x>^g + <y>^g), reported and < 1.
-    """
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError("gamma must lie in (0, 1)")
-    if samples < 10_000:
-        raise ConfigError("need at least 10^4 sample pairs")
-    rng = np.random.default_rng(seed)
-    x = 10.0 ** rng.uniform(-6.0, 6.0, size=samples)
-    y = 10.0 ** rng.uniform(-6.0, 6.0, size=samples)
-    # edge pairs: zeros and exact ties
-    x = np.concatenate([x, [0.0, 0.0, 5.0, 1e6, 3.0]])
-    y = np.concatenate([y, [0.0, 7.0, 0.0, 1e6, 3.0]])
-
-    def brp(z):
-        return np.sqrt(1.0 + z * z) ** gamma
-
-    sub_margin = brp(x) + brp(y) - brp(x + y)
-    sub_viol = int(np.sum(sub_margin < 0))
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        quot = (np.abs(brp(x) - brp(y))
-                * (np.sqrt(1 + x * x) ** (1 - gamma) + np.sqrt(1 + y * y) ** (1 - gamma))
-                / np.sqrt(1.0 + (x - y) ** 2))
-    diff_const = float(np.max(quot[np.isfinite(quot)]))
-
-    k_ratio = 2.0
-    y_near = x * (1.0 + rng.uniform(-1.0, 1.0, size=x.size) / k_ratio)
-    near_rhs = gamma / (k_ratio - 1.0) ** (1.0 - gamma) * brp(x - y_near)
-    near_margin = near_rhs - np.abs(brp(x) - brp(y_near))
-    near_viol = int(np.sum(near_margin < 0))
-
-    ratio = rng.uniform(0.5, 2.0, size=x.size)
-    y_cmp = np.maximum(x * ratio, 1e-300)
-    x_cmp = np.maximum(x, 1e-300)
-    cmp_const = float(np.max(brp(x_cmp + y_cmp) / (brp(x_cmp) + brp(y_cmp))))
-
-    return GevreyInequalityReport(
-        gamma=gamma,
-        samples=samples,
-        subadditivity_margin=float(np.min(sub_margin)),
-        subadditivity_violations=sub_viol,
-        difference_quotient_constant=diff_const,
-        nearby_margin=float(np.min(near_margin)),
-        nearby_violations=near_viol,
-        comparable_constant=cmp_const,
-    )

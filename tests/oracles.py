@@ -4,6 +4,9 @@
 matrix of complex exponentials. The package never samples the Penrose arc or
 searches for dispersion roots, so this route lives here: it backs the
 arc-bound checks and, through ``landau_root``, the damping-rate criterion.
+``laplace_one_sided`` is the one-sided transform of a decaying function,
+certified by the package's tail cutoff and nested Simpson rule; no command
+transforms a bare function, so it backs the transform checks from here.
 ``laplace_two_sided`` backs the transform-identity criterion.
 ``maxwellian_transform`` is the closed form of that transform for the
 Maxwellian, through the Faddeeva function: it shares no quadrature with the
@@ -52,20 +55,32 @@ for both histories; the provider must agree with it bit for bit.
 a public, copying ``SpectralState`` from out-of-place array expressions;
 ``integrate`` wraps its own new arrays without a copy, forms the step
 combination in place and must agree with it bit for bit.
+
+``gevrey_inequality_suite`` is a Monte Carlo check of the paper's four
+fractional bracket-power inequalities, reported in a
+``GevreyInequalityReport``; no config can change them, so no command runs it.
+
+``load_state_csv`` reads a ``g0_state.csv`` back into a ``SpectralState``:
+the inverse of ``vpscatter.cli.write_state_csv``; no command reads a state
+file back.
 """
 
+import csv
 import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.special import wofz
 
 from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
                                   _corner_transform, _corner_values,
-                                  _tail_cutoff, laplace_one_sided)
+                                  _nested_simpson, _tail_cutoff)
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.field import h_of_field
-from vpscatter.kinetic import (EDGE_SLACK, SpectralState, StateInterpolant,
-                               transport_rhs)
+from vpscatter.kinetic import (EDGE_SLACK, PhaseGrid, SpectralState,
+                               StateInterpolant, transport_rhs)
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
                                 build_discrete_resolvent)
@@ -224,6 +239,28 @@ def nested_simpson_full_grid(phi, tau: complex, tol: float,
         previous = value
         m *= 2
     raise QuadratureError("full-grid Simpson refinement did not certify")
+
+
+def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
+                      decay: float = 1.0) -> complex:
+    """One-sided transform of an exponentially decaying function.
+
+    ``decay`` is the declared rate c with |phi(t)| <~ e^{-ct}; the transform
+    needs Re tau > -c. The truncated tail is certified below tol/2 before
+    integration starts, and :func:`_nested_simpson` integrates the single
+    piece [0, T] that remains.
+    """
+    tau = complex(tau)
+    if decay <= 0:
+        raise ConfigError("declared decay rate must be positive")
+    alpha = decay + tau.real
+    if alpha <= 0:
+        raise QuadratureError(
+            f"Re tau = {tau.real:g} is at or below the declared decay rate; "
+            "the transform diverges")
+    t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
+                            120.0 / min(decay, alpha))
+    return _nested_simpson(phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
 
 
 def laplace_one_sided_full_grid(phi, tau: complex, tol: float = 1e-10,
@@ -467,3 +504,128 @@ def integrate_copying(initial, provider, time_grid, eq):
     if backward:
         out.reverse()
     return out, max_drift, mass_drift
+
+
+@dataclass(frozen=True)
+class GevreyInequalityReport:
+    """Worst-case margins of the fractional bracket-power inequalities.
+
+    Margins are (right side - left side) minima, so nonnegative means the
+    inequality held on every sampled pair. The difference-quotient constant
+    and the comparable-argument constant are empirical maxima, reported
+    rather than asserted.
+    """
+
+    gamma: float
+    samples: int
+    subadditivity_margin: float
+    subadditivity_violations: int
+    difference_quotient_constant: float
+    nearby_margin: float
+    nearby_violations: int
+    comparable_constant: float
+
+
+def gevrey_inequality_suite(gamma: float, samples: int,
+                            seed: int = 0) -> GevreyInequalityReport:
+    """Monte Carlo check of four bracket-power estimates.
+
+    Pairs are drawn log-uniformly across twelve decades (plus explicit zeros
+    and ties). The four checks:
+      1. subadditivity <x+y>^g <= <x>^g + <y>^g, must never fail;
+      2. difference quotient |<x>^g - <y>^g| (<x>^(1-g) + <y>^(1-g)) / <x-y>,
+         empirical constant reported;
+      3. for |x - y| <= x/K with K = 2: |<x>^g - <y>^g| <= g/(K-1)^(1-g)
+         <x-y>^g, must never fail;
+      4. comparable arguments 1/2 <= x/y <= 2: smallest c with
+         <x+y>^g <= c (<x>^g + <y>^g), reported and < 1.
+    """
+    if not (0.0 < gamma < 1.0):
+        raise ConfigError("gamma must lie in (0, 1)")
+    if samples < 10_000:
+        raise ConfigError("need at least 10^4 sample pairs")
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-6.0, 6.0, size=samples)
+    y = 10.0 ** rng.uniform(-6.0, 6.0, size=samples)
+    # edge pairs: zeros and exact ties
+    x = np.concatenate([x, [0.0, 0.0, 5.0, 1e6, 3.0]])
+    y = np.concatenate([y, [0.0, 7.0, 0.0, 1e6, 3.0]])
+
+    def brp(z):
+        return np.sqrt(1.0 + z * z) ** gamma
+
+    sub_margin = brp(x) + brp(y) - brp(x + y)
+    sub_viol = int(np.sum(sub_margin < 0))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        quot = (np.abs(brp(x) - brp(y))
+                * (np.sqrt(1 + x * x) ** (1 - gamma) + np.sqrt(1 + y * y) ** (1 - gamma))
+                / np.sqrt(1.0 + (x - y) ** 2))
+    diff_const = float(np.max(quot[np.isfinite(quot)]))
+
+    k_ratio = 2.0
+    y_near = x * (1.0 + rng.uniform(-1.0, 1.0, size=x.size) / k_ratio)
+    near_rhs = gamma / (k_ratio - 1.0) ** (1.0 - gamma) * brp(x - y_near)
+    near_margin = near_rhs - np.abs(brp(x) - brp(y_near))
+    near_viol = int(np.sum(near_margin < 0))
+
+    ratio = rng.uniform(0.5, 2.0, size=x.size)
+    y_cmp = np.maximum(x * ratio, 1e-300)
+    x_cmp = np.maximum(x, 1e-300)
+    cmp_const = float(np.max(brp(x_cmp + y_cmp) / (brp(x_cmp) + brp(y_cmp))))
+
+    return GevreyInequalityReport(
+        gamma=gamma,
+        samples=samples,
+        subadditivity_margin=float(np.min(sub_margin)),
+        subadditivity_violations=sub_viol,
+        difference_quotient_constant=diff_const,
+        nearby_margin=float(np.min(near_margin)),
+        nearby_violations=near_viol,
+        comparable_constant=cmp_const,
+    )
+
+
+def load_state_csv(path) -> SpectralState:
+    """Inverse of :func:`vpscatter.cli.write_state_csv`.
+
+    Every ``(k_index, eta_index)`` cell must appear exactly once: a missing,
+    repeated, out-of-range or malformed row is a :class:`ConfigError`.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ConfigError(f"{path}: missing grid metadata header")
+    meta: dict[str, str] = {}
+    for piece in lines[0].lstrip("#").split(";"):
+        key, _, value = piece.partition("=")
+        meta[key.strip()] = value.strip()
+    try:
+        k_max, eta_max = int(meta["k_max"]), float(meta["eta_max"])
+        delta_eta, time = float(meta["delta_eta"]), float(meta["time"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad grid metadata header ({exc})") from None
+    grid = PhaseGrid(k_max, eta_max, delta_eta)
+    values = np.zeros((grid.n_modes, grid.n_eta), dtype=complex)
+    seen = np.zeros(values.shape, dtype=bool)
+    for lineno, row in enumerate(csv.reader(lines[2:]), start=3):
+        if not row:
+            continue
+        try:
+            i, j = int(row[0]), int(row[1])
+            value = complex(float(row[2]), float(row[3]))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: malformed state row") from None
+        if not (0 <= i < grid.n_modes and 0 <= j < grid.n_eta):
+            raise ConfigError(
+                f"{path}:{lineno}: cell ({i}, {j}) is outside the "
+                f"{grid.n_modes} x {grid.n_eta} grid")
+        if seen[i, j]:
+            raise ConfigError(f"{path}:{lineno}: duplicate row for cell ({i}, {j})")
+        seen[i, j] = True
+        values[i, j] = value
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise ConfigError(f"{path}: {np.count_nonzero(~seen)} cells have no "
+                          f"row, the first is ({i}, {j})")
+    return SpectralState(time=time, grid=grid, values=values)

@@ -10,15 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import laplace_two_sided, resolvent_identity_residual
+from oracles import (gevrey_inequality_suite, laplace_one_sided,
+                     laplace_two_sided, resolvent_identity_residual)
 from scipy.integrate import quad
 
 from vpscatter import (GevreyWeight, PhaseGrid, TimeGrid, gaussian_datum,
                        integrate, make_preset, maxwellian, two_stream)
 from vpscatter.cli import config_from_mapping, run_command
-from vpscatter.gevrey import gevrey_inequality_suite
-from vpscatter.dispersion import (inverse_laplace_Khat, laplace_one_sided,
-                                  penrose_scan)
+from vpscatter.dispersion import inverse_laplace_Khat, penrose_scan
 from vpscatter.errors import ConfigError
 from vpscatter.field import h_of_field, poisson_fixed_point
 from vpscatter.kinetic import zero_field_provider

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import load_state_csv
 
 from vpscatter import (PhaseGrid, SpectralState, cli, dispersion, errors,
                        scattering)
 from vpscatter.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL,
-                           EXIT_OK, config_from_mapping, load_state_csv,
-                           main, parse_config, run_command, write_state_csv)
+                           EXIT_OK, config_from_mapping, main, parse_config,
+                           run_command, write_state_csv)
 from vpscatter.dispersion import dispersion_on_axis
 from vpscatter.errors import ConfigError, NumericalError
 from vpscatter.field import poisson_fixed_point
@@ -119,6 +120,18 @@ verbose = yes
                                  "grid.t_final": "32.0"})
         # the config check and PhaseGrid.validate_horizon share one message
         assert f"grid.{horizon_violation(2, 5.0, 32.0, 1.0)}" in str(err.value)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_penrose_samples_range_enforced(self, tmp_path, capsys, samples):
+        message = f"penrose.samples must be at least 1, got {samples}"
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping({"penrose.samples": samples})
+        path = write_config(tmp_path, f"penrose.samples = {samples}\n")
+        assert main(["penrose", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: config violates 1 hypothesis(es):",
+            f"  - {message}"]
 
     def test_violations_are_collected(self):
         with pytest.raises(ConfigError) as err:

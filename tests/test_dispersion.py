@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (grid_transform_fresh, laplace_one_sided_full_grid,
-                     laplace_two_sided, landau_root, maxwellian_transform,
+from oracles import (grid_transform_fresh, laplace_one_sided,
+                     laplace_one_sided_full_grid, laplace_two_sided,
+                     landau_root, maxwellian_transform,
                      nested_simpson_full_grid, transform_direct,
                      two_stream_first_moment)
 from scipy.integrate import quad
@@ -22,7 +23,6 @@ from vpscatter.dispersion import (
     arc_moment,
     dispersion_on_axis,
     inverse_laplace_Khat,
-    laplace_one_sided,
     penrose_scan,
 )
 from vpscatter.errors import ConfigError, NearSingularResolventError, QuadratureError

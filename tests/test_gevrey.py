@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gevrey_inequality_suite
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -22,7 +23,6 @@ from vpscatter.gevrey import (
     _log_abs_sq,
     _log_sum_exp,
     bracket,
-    gevrey_inequality_suite,
     lambda_of_t,
     log_weight_A,
     n1_at_time,

@@ -76,6 +76,21 @@ def real_symmetric(values):
     return (values + mirror) / 2.0
 
 
+# kmax 2, eta 16/0.25: the grid of the transport symmetry checks
+SYMMETRY_GRID = PhaseGrid(k_max=2, eta_max=16.0, delta_eta=0.25)
+
+
+def random_stage(seed, t):
+    """A state at ``t`` and two potentials on ``SYMMETRY_GRID``, with no
+    symmetry imposed."""
+    rng = np.random.default_rng(seed)
+    n = SYMMETRY_GRID.n_modes
+    shape = (n, SYMMETRY_GRID.n_eta)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u_lin, u_nl = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    return SpectralState(t, SYMMETRY_GRID, values), u_lin, u_nl
+
+
 def count_calls(monkeypatch, name):
     """Record every call of ``StateInterpolant.<name>`` in the returned list."""
     calls = []
@@ -556,6 +571,36 @@ class TestTransportRhs:
         for lin, nl in ((wrong, right), (right, wrong), (right, right[:, None])):
             with pytest.raises(ConfigError, match="lattice mode"):
                 transport_rhs(zero_state(GRID), lin, nl, maxwellian())
+
+
+class TestTransportSymmetry:
+    """``transport_rhs`` commutes with the reflection P and the conjugation C
+    on states with no symmetry.  ``integrate`` projects every step onto the
+    real-symmetric subspace, where P is C, so these checks reach the right-hand
+    side below that projection.  Both backgrounds are even."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 8.0),
+           eq=st.sampled_from([maxwellian(), two_stream(1.0, 0.5)]))
+    def test_reflection_commutes(self, seed, t, eq):
+        # P: g(k, eta) -> g(-k, -eta), u_k -> u_(-k); the spline of the
+        # reflected rows is the reflected spline up to roundoff
+        state, u_lin, u_nl = random_stage(seed, t)
+        mirror = SpectralState(t, SYMMETRY_GRID, state.values[::-1, ::-1])
+        want = transport_rhs(state, u_lin, u_nl, eq)[::-1, ::-1]
+        got = transport_rhs(mirror, u_lin[::-1], u_nl[::-1], eq)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 8.0),
+           eq=st.sampled_from([maxwellian(), two_stream(1.0, 0.5)]))
+    def test_conjugation_commutes(self, seed, t, eq):
+        # C: g -> conj g, u -> conj u; every coefficient is real, so exactly
+        state, u_lin, u_nl = random_stage(seed, t)
+        conj = SpectralState(t, SYMMETRY_GRID, state.values.conj())
+        want = np.conj(transport_rhs(state, u_lin, u_nl, eq))
+        got = transport_rhs(conj, u_lin.conj(), u_nl.conj(), eq)
+        assert np.array_equal(got, want)
 
 
 class TestIntegrate:

@@ -234,9 +234,12 @@ def _hypothesis_violations(values: Mapping[str, object]) -> list[str]:
     bad = [f"gevrey.{text}" for text in weight_violations(**weight)]
     for key in ("grid.delta_eta", "grid.dt", "grid.t_final", "drive.tol",
                 "poisson.tol", "datum.width", "penrose.omega_max",
-                "kernel.omega_max", "damp.amplitude"):
+                "kernel.omega_max", "damp.amplitude", "equilibrium.width"):
         if values[key] <= 0:
             bad.append(f"{key} must be positive, got {values[key]}")
+    if not 0 < values["equilibrium.alpha"] < 1:
+        bad.append("equilibrium.alpha must lie in (0, 1), got "
+                   f"{values['equilibrium.alpha']}")
     for key in ("grid.kmax", "drive.max_iters", "poisson.max_iters",
                 "penrose.kmax", "penrose.samples", "kernel.kmax", "threads",
                 "damp.mode"):

@@ -127,9 +127,9 @@ def _tail_cutoff(phi: Callable, growth: float, tol: float, t_cap: float):
     return float(t[int(np.argmax(ok))]), t
 
 
-def _node_sums(phi: Callable, tau: complex, lo: np.ndarray, h: np.ndarray,
-               first: float, counts: np.ndarray) -> np.ndarray:
-    """Per piece i, the sum of phi(t) e^{-tau t} over its nodes
+def _node_sums(phi: Callable, lo: np.ndarray, h: np.ndarray, first: float,
+               counts: np.ndarray) -> np.ndarray:
+    """Per piece i, the sum of phi(t) over its nodes
     t = lo_i + (first + 2 j) h_i, 0 <= j < counts_i.
 
     Node abscissae are the integer index times h, as ``np.linspace`` forms
@@ -143,20 +143,17 @@ def _node_sums(phi: Callable, tau: complex, lo: np.ndarray, h: np.ndarray,
         piece = np.searchsorted(offsets, index, side="right") - 1
         t = lo[piece] + (first + 2.0 * (index - offsets[piece])) * h[piece]
         f = np.asarray(phi(t), dtype=complex)
-        if tau != 0:  # exp(0) = 1 exactly: skip the factor
-            f = f * np.exp(-tau * t)
         for i in range(piece[0], piece[-1] + 1):
             sums[i] += np.sum(f[max(offsets[i] - start, 0):offsets[i + 1] - start])
     return sums
 
 
-def _nested_simpson(phi: Callable, tau: complex, tol: float,
-                    breaks: np.ndarray) -> complex:
-    """Composite Simpson of phi(t) e^{-tau t} over the pieces between
-    consecutive ``breaks``, refined until two successive values agree to tol/2.
+def _nested_simpson(phi: Callable, tol: float, breaks: np.ndarray) -> complex:
+    """Composite Simpson of phi(t) over the pieces between consecutive
+    ``breaks``, refined until two successive values agree to tol/2.
 
     The whole range starts with n panel pairs, n >= 64 growing with its
-    length and |tau|; each piece starts with its share of them, at least
+    length; each piece starts with its share of them, at least
     one. Every halving halves all pieces together and evaluates the integrand
     only at the new midpoints, keeping running sums of the nodes already seen,
     so every node is evaluated once. ``_MAX_DOUBLINGS`` halvings at most.
@@ -164,7 +161,7 @@ def _nested_simpson(phi: Callable, tau: complex, tol: float,
     lo, width = breaks[:-1], np.diff(breaks)
     total = float(breaks[-1] - breaks[0])
     n = 64
-    while n * 4 < total * (4.0 + abs(tau.imag) + abs(tau.real)):
+    while n < total:
         n *= 2
     m = np.maximum(1, np.ceil(n * width / total)).astype(np.int64)
     # Simpson on 2m intervals of width h: weight 1 at the ends, 2 at the
@@ -172,13 +169,11 @@ def _nested_simpson(phi: Callable, tau: complex, tol: float,
     # an even one and adds the midpoints as the new odd nodes
     h = width / (2 * m)
     at_breaks = np.asarray(phi(breaks), dtype=complex)
-    if tau != 0:
-        at_breaks = at_breaks * np.exp(-tau * breaks)
     ends = at_breaks[:-1] + at_breaks[1:]
-    even = _node_sums(phi, tau, lo, h, 2.0, m - 1)
+    even = _node_sums(phi, lo, h, 2.0, m - 1)
     previous = None
     for _ in range(_MAX_DOUBLINGS):
-        odd = _node_sums(phi, tau, lo, h, 1.0, m)
+        odd = _node_sums(phi, lo, h, 1.0, m)
         # in Python scalars: numpy would multiply by 1/3 instead of dividing
         # by 3, and one piece must round as (ends + 2 even + 4 odd) h / 3
         value = sum(complex(s) * float(step) / 3.0
@@ -239,7 +234,7 @@ def _absolute_integral(signed: Callable, magnitude: Callable, tol: float,
     t_end, t = _tail_cutoff(magnitude, 0.0, tol * decay / 2.0, 120.0 / decay)
     t_end = max(t_end, 1.0 / decay)
     breaks = np.concatenate(([0.0], _sign_changes(signed, t, t_end), [t_end]))
-    return _nested_simpson(magnitude, 0j, tol, breaks).real
+    return _nested_simpson(magnitude, tol, breaks).real
 
 
 def _corner_coeffs(eq: Equilibrium, k: int, sign: int, a: float) -> np.ndarray:

@@ -83,9 +83,11 @@ def _density_weights(w: GevreyWeight, t: float, width: int) -> np.ndarray:
 
     Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
     next step's k1, so the Picard loop evaluates each stage time's row once.
+    A weight past the double range is inf, which the norm reports.
     """
     k = (np.arange(width) - width // 2).astype(float)
-    row = np.exp(log_weight_A(w, t, k, k * t))
+    with np.errstate(over="ignore"):
+        row = np.exp(log_weight_A(w, t, k, k * t))
     row.setflags(write=False)
     return row
 
@@ -130,19 +132,13 @@ def _weighted_amplitude(weights: np.ndarray, vals: np.ndarray) -> float:
     return float(_root_sum_squares(x[None])[0])
 
 
-def weighted_density_norm(w: GevreyWeight, t: float, values, *,
-                          weights=None) -> float:
+def weighted_density_norm(w: GevreyWeight, t: float, values) -> float:
     """Amplitude of one density slice under the time-t Gevrey weight.
 
-    ``weights`` is the weight row of ``w`` at ``t``; a caller measuring
-    several slices at one time passes it to compute it once.  A slice
-    holding non-finite values is refused with :class:`BlowUpError`.
+    A slice holding non-finite values is refused with :class:`BlowUpError`.
     """
     vals = _mode_slice(values)
-    if weights is None:
-        weights = _density_weights(w, t, vals.size)
-    if vals.shape != weights.shape:
-        raise ConfigError("values must match the weight row shape")
+    weights = _density_weights(w, t, vals.size)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _weighted_amplitude(weights, vals)
     if math.isfinite(total):
@@ -260,7 +256,7 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     if not model.has_h:
         return dataclasses.replace(electric_from_density(model, q), iters=1)
     weights = _density_weights(w, t, q.size)
-    eps = weighted_density_norm(w, t, q, weights=weights)
+    eps = weighted_density_norm(w, t, q)
     if eps > model.eps_ball:
         raise NoContractionError(
             f"weighted slice amplitude {eps:.3e} exceeds the smallness gate "
@@ -272,7 +268,7 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     def measure(vals):
         total = _weighted_amplitude(weights, vals)
         if not math.isfinite(total):  # the checked norm raises, naming the cause
-            weighted_density_norm(w, t, vals, weights=weights)
+            weighted_density_norm(w, t, vals)
         return total
 
     rho = q

@@ -671,23 +671,23 @@ class HistoryFieldProvider:
         if not np.array_equal(u_linear.times, u_nonlinear.times) or \
                 u_linear.n_modes != u_nonlinear.n_modes:
             raise ConfigError("field histories must share one grid")
-        self._times = u_linear.times
-        self._delta_t = u_linear.delta_t
         # both potentials of a time slice side by side, (n_t, 2, n_modes):
-        # one set of weights interpolates both
-        self._rows = np.stack([u_linear.values, u_nonlinear.values], axis=1)
-        self._recent: dict = {}
+        # one set of weights interpolates both; the memo holds the arrays,
+        # not the provider, so no reference cycle outlives a pass
+        rows = np.stack([u_linear.values, u_nonlinear.values], axis=1)
+        self._interpolate = functools.lru_cache(maxsize=2)(functools.partial(
+            self._interpolate_at, u_linear.times, u_linear.delta_t, rows))
 
     def __call__(self, state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-        t = state.time
-        if t in self._recent:
-            return self._recent[t]
-        times = self._times
+        return self._interpolate(state.time)
+
+    @staticmethod
+    def _interpolate_at(times: np.ndarray, delta_t: float, rows: np.ndarray,
+                        t: float) -> tuple[np.ndarray, np.ndarray]:
         if t < times[0] - GRID_TOL or t > times[-1] + GRID_TOL:
             raise ConfigError(f"time {t:g} is outside the field history")
         n = times.size
-        pos = (t - times[0]) / self._delta_t
-        rows = self._rows
+        pos = (t - times[0]) / delta_t
         if n < 4:
             j = min(int(pos), n - 2)
             theta = min(max(pos - j, 0.0), 1.0)
@@ -702,9 +702,6 @@ class HistoryFieldProvider:
             both = (w0 * rows[j] + w1 * rows[j + 1]
                     + w2 * rows[j + 2] + w3 * rows[j + 3])
         both.setflags(write=False)
-        if len(self._recent) == 2:
-            del self._recent[next(iter(self._recent))]
-        self._recent[t] = both[0], both[1]
         return both[0], both[1]
 
 

@@ -21,7 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NoContractionError
+from .errors import (ConfigError, DivergenceError, NoContractionError,
+                     WeightOverflowError)
 from .model import Equilibrium, ModelConfig
 from .gevrey import (RADIUS_REDUCTION, GevreyWeight, WeightedNormReport,
                      bracket, lambda_of_t, n1_at_time, norm_N2,
@@ -264,7 +265,9 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     """Weighted electric-field norms along the density line, per grid time.
 
     The weight uses a constant regularity radius, 0.9 of the working radius
-    at t = 0, so it stays below the time-dependent one.
+    at t = 0, so it stays below the time-dependent one.  A norm past the
+    double range raises :class:`WeightOverflowError`, which blames an
+    infinite weight on lambda_inf and sigma, and else the field amplitude.
     """
     lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
     times = potentials.times
@@ -272,7 +275,19 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     e_hat = -1j * k[None, :] * potentials.values
     br = bracket(k[None, :], k[None, :] * times[:, None])
     log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
-    return times.copy(), _root_sum_squares(np.exp(log_w) * np.abs(e_hat))
+    # an infinite weight times a zero amplitude is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(log_w)
+        norms = _root_sum_squares(weights * np.abs(e_hat))
+    if np.isfinite(norms).all():
+        return times.copy(), norms
+    if not np.isfinite(weights).all():
+        raise WeightOverflowError(
+            "weighted field norm overflowed; reduce lambda_inf or sigma")
+    raise WeightOverflowError(
+        f"weighted field norm overflowed: the field amplitude "
+        f"{np.max(np.abs(e_hat)):.3e} times its finite weight leaves the "
+        "double range; shrink the datum amplitude")
 
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,

@@ -206,8 +206,7 @@ def _operator_entries(model: ModelConfig, eq: Equilibrium, k: int,
     # + rho m2); rho' and rho'' use one-sided second-order stencils so the
     # system stays upper-triangular Toeplitz
     scale = -pref * delta_t**2 / 240.0
-    if n_steps >= 1:
-        entries[1] += scale * (-5.0 * m0 + 4.0 * m1 * delta_t)
+    entries[1] += scale * (-5.0 * m0 + 4.0 * m1 * delta_t)
     if n_steps >= 2:
         entries[2] += scale * (4.0 * m0 - m1 * delta_t)
     if n_steps >= 3:

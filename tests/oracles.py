@@ -212,14 +212,13 @@ def second_moment_view(eq: Equilibrium, k: int) -> Equilibrium:
                        eq.lambda_analytic, deriv)
 
 
-def nested_simpson_full_grid(phi, tau: complex, tol: float,
-                             breaks: np.ndarray) -> complex:
+def nested_simpson_full_grid(phi, tol: float, breaks: np.ndarray) -> complex:
     """``dispersion._nested_simpson`` with every refinement level of every
     piece rebuilt by ``np.linspace`` and summed afresh."""
     lo, width = breaks[:-1], np.diff(breaks)
     total = float(breaks[-1] - breaks[0])
     n = 64
-    while n * 4 < total * (4.0 + abs(tau.imag) + abs(tau.real)):
+    while n < total:
         n *= 2
     m = np.maximum(1, np.ceil(n * width / total)).astype(np.int64)
     previous = None
@@ -228,8 +227,6 @@ def nested_simpson_full_grid(phi, tau: complex, tol: float,
         for a, b, pairs in zip(lo, breaks[1:], m):
             t = np.linspace(a, b, 2 * pairs + 1)
             f = np.asarray(phi(t), dtype=complex)
-            if tau != 0:
-                f = f * np.exp(-tau * t)
             w = np.ones(2 * pairs + 1)
             w[1:-1:2] = 4.0
             w[2:-1:2] = 2.0
@@ -241,14 +238,19 @@ def nested_simpson_full_grid(phi, tau: complex, tol: float,
     raise QuadratureError("full-grid Simpson refinement did not certify")
 
 
+def _damped(phi: Callable, tau: complex) -> Callable:
+    """The transform's integrand phi(t) e^{-tau t}."""
+    return lambda t: np.asarray(phi(t), dtype=complex) * np.exp(-tau * t)
+
+
 def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
                       decay: float = 1.0) -> complex:
     """One-sided transform of an exponentially decaying function.
 
     ``decay`` is the declared rate c with |phi(t)| <~ e^{-ct}; the transform
     needs Re tau > -c. The truncated tail is certified below tol/2 before
-    integration starts, and :func:`_nested_simpson` integrates the single
-    piece [0, T] that remains.
+    integration starts, and :func:`_nested_simpson` integrates
+    phi(t) e^{-tau t} on the single piece [0, T] that remains.
     """
     tau = complex(tau)
     if decay <= 0:
@@ -260,7 +262,8 @@ def laplace_one_sided(phi: Callable, tau: complex, tol: float = 1e-10,
             "the transform diverges")
     t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
                             120.0 / min(decay, alpha))
-    return _nested_simpson(phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
+    return _nested_simpson(_damped(phi, tau), tol,
+                           np.array([0.0, max(t_end, 1.0 / decay)]))
 
 
 def laplace_one_sided_full_grid(phi, tau: complex, tol: float = 1e-10,
@@ -271,7 +274,7 @@ def laplace_one_sided_full_grid(phi, tau: complex, tol: float = 1e-10,
     t_end, _ = _tail_cutoff(phi, -tau.real, tol * alpha / 2.0,
                             120.0 / min(decay, alpha))
     return nested_simpson_full_grid(
-        phi, tau, tol, np.array([0.0, max(t_end, 1.0 / decay)]))
+        _damped(phi, tau), tol, np.array([0.0, max(t_end, 1.0 / decay)]))
 
 
 def two_stream_first_moment(v0: float, width: float = 0.5) -> float:

@@ -133,6 +133,30 @@ verbose = yes
             f"error: {path}: config violates 1 hypothesis(es):",
             f"  - {message}"]
 
+    @pytest.mark.parametrize("kind", ["maxwellian", "two_stream", "bump_on_tail"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("equilibrium.width", "-0.5", "equilibrium.width must be positive, got -0.5"),
+        ("equilibrium.width", "0.0", "equilibrium.width must be positive, got 0.0"),
+        ("equilibrium.alpha", "7", "equilibrium.alpha must lie in (0, 1), got 7.0"),
+        ("equilibrium.alpha", "1.0", "equilibrium.alpha must lie in (0, 1), got 1.0"),
+    ])
+    def test_background_shape_range_enforced(self, tmp_path, capsys, kind, key,
+                                             value, message):
+        # the Maxwellian reads neither key, but a bad value must not reach
+        # the manifest as if it had been used
+        raw = {"equilibrium.kind": kind, key: value}
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(raw)
+        assert str(err.value).endswith(f"  - {message}")
+        path = write_config(tmp_path, "".join(f"{name} = {text}\n"
+                                              for name, text in raw.items()))
+        out = tmp_path / "out"
+        assert main(["penrose", "--config", str(path), "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: config violates 1 hypothesis(es):", f"  - {message}"]
+        assert not out.exists()
+
     def test_violations_are_collected(self):
         with pytest.raises(ConfigError) as err:
             config_from_mapping({"gevrey.gamma": "0.2",
@@ -594,6 +618,35 @@ class TestCommands:
             "error: weighted slice norm overflowed: the slice amplitude "
             "1.000e+307 times its finite weight leaves the double range; "
             "shrink the datum amplitude"]
+
+
+    def test_weight_past_the_double_range_names_lambda_inf_and_sigma(
+            self, tmp_path, capsys):
+        # the weight row of the field solve overflows at k = +-1: no numpy
+        # warning, one error line that blames the weight
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = self.run("poisson", tmp_path, "model.preset = vpme\n"
+                                 "gevrey.sigma = 3000\n")
+        assert code == EXIT_NUMERICAL
+        assert not caught
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weighted slice norm overflowed; reduce lambda_inf or sigma"]
+
+    def test_field_weight_past_the_double_range_exits_three(self, tmp_path,
+                                                            capsys):
+        # sigma = 1000 takes the efield.csv weights past the double range
+        # along eta = k t: no inf cells, no numpy warning, one error line
+        cfg = parse_config(write_config(tmp_path, DAMP_RUN + "gevrey.sigma = 1000\n"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command("damp", cfg.replaced(**{"out.dir": str(out)}))
+        assert code == EXIT_NUMERICAL
+        assert not caught
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weighted field norm overflowed; reduce lambda_inf or sigma"]
+        assert not (out / "efield.csv").exists()
 
 
 class TestScipyVersionLine:

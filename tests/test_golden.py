@@ -6,6 +6,13 @@ float may move by 1e-12 of the largest magnitude in its CSV column, or of its
 own magnitude in the manifest.  Manifest lines naming versions, the output
 directory or the thread count are skipped.
 
+Two kinds of cell are derived from the drive's distances, which sit at the
+roundoff floor in the last passes, so they are compared at the tolerance
+their distances already have, tau = 1e-12 of the largest ``distance`` cell
+in ``iterates.csv``: ``scatter.final_distance`` within tau, and a ratio
+r = d_i / d_(i-1) within r tau (1/d_i + 1/d_(i-1)).  A ratio with a zero
+distance is not compared.
+
 Record the goldens from the repository root with
 ``PYTHONPATH=src python3 tests/test_golden.py``; regenerating them changes a
 check, so say what moved and why.
@@ -15,6 +22,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -108,21 +116,47 @@ def rows(path: Path) -> list[list[str]]:
     return [[line] for line in lines]
 
 
-def mismatches(where: str, got: list, want: list, per_cell: bool) -> list[str]:
+def derived_tolerances(case: Path) -> dict:
+    """Per file of the golden ``case``, the tolerance of each cell derived
+    from its distances, keyed by (row, column) counted from 0."""
+    path = case / "iterates.csv"
+    if not path.exists():
+        return {}
+    table = rows(path)
+    d_col, r_col = table[0].index("distance"), table[0].index("ratio")
+    dist = [as_float(row[d_col]) for row in table]
+    tau = REL_TOL * max(abs(d) for d in dist if d is not None)
+    ratios = {}
+    for i in range(2, len(table)):
+        ratio = as_float(table[i][r_col])
+        if ratio is not None:
+            ratios[i, r_col] = (ratio * tau * (1.0 / dist[i] + 1.0 / dist[i - 1])
+                                if dist[i] and dist[i - 1] else math.inf)
+    keys = [row[0] for row in rows(case / "manifest.txt")]
+    return {"iterates.csv": ratios,
+            "manifest.txt": {(keys.index("# scatter.final_distance"), 1): tau}}
+
+
+def mismatches(where: str, got: list, want: list, per_cell: bool,
+               derived: dict) -> list[str]:
+    """Cells of ``got`` that miss the golden ``want``; ``derived`` maps a
+    (row, column) from 0 to its own tolerance."""
     if [len(row) for row in got] != [len(row) for row in want]:
         return [f"{where}: rows or columns differ from the golden"]
     width = max((len(row) for row in want), default=0)
     scale = [max((abs(as_float(row[j]) or 0.0) for row in want if j < len(row)),
                  default=0.0) for j in range(width)]
     bad = []
-    for i, (row, gold) in enumerate(zip(got, want), start=1):
+    for i, (row, gold) in enumerate(zip(got, want)):
         for j, (cell, ref) in enumerate(zip(row, gold)):
             value, ref_value = as_float(cell), as_float(ref)
-            if cell == ref or (None not in (value, ref_value) and abs(
-                    value - ref_value) <= REL_TOL * (
-                    abs(ref_value) if per_cell else scale[j])):
+            if cell == ref:
                 continue
-            bad.append(f"{where} row {i}: {cell!r} != golden {ref!r}")
+            if None not in (value, ref_value) and abs(value - ref_value) <= (
+                    derived.get((i, j), REL_TOL * (
+                        abs(ref_value) if per_cell else scale[j]))):
+                continue
+            bad.append(f"{where} row {i + 1}: {cell!r} != golden {ref!r}")
     return bad
 
 
@@ -140,10 +174,12 @@ def test_artifacts_match_goldens(tmp_path, threads):
         if files != sorted(p.name for p in (GOLDEN / name).iterdir()):
             bad.append(f"{name}: wrote {files}")
             continue
+        derived = derived_tolerances(GOLDEN / name)
         for file in files:
             bad += mismatches(f"{name}/{file}", rows(out / file),
                               rows(GOLDEN / name / file),
-                              per_cell=file == "manifest.txt")
+                              per_cell=file == "manifest.txt",
+                              derived=derived.get(file, {}))
     assert not bad, "\n".join(bad[:40])
 
 

@@ -91,6 +91,40 @@ def random_stage(seed, t):
     return SpectralState(t, SYMMETRY_GRID, values), u_lin, u_nl
 
 
+SYMMETRY_TIMES = TimeGrid(3.0, 0.25).times
+
+
+def random_source_inputs(seed):
+    """States, density and potential histories on ``SYMMETRY_GRID`` at
+    ``SYMMETRY_TIMES``, and a mean-zero datum evaluator, with no symmetry
+    imposed."""
+    rng = np.random.default_rng(seed)
+    n_t, n, k_max = SYMMETRY_TIMES.size, SYMMETRY_GRID.n_modes, SYMMETRY_GRID.k_max
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    g = draw(n_t, n, SYMMETRY_GRID.n_eta)
+    rho, u = 1e-2 * draw(n_t, n), 1e-2 * draw(n_t, n)
+    coef, centre = draw(n), rng.normal(size=n)
+    coef[k_max] = 0.0
+
+    def evaluator(k, eta):
+        k = np.asarray(k) + k_max
+        return coef[k] * np.exp(-0.5 * (np.asarray(eta, dtype=float) - centre[k]) ** 2)
+
+    return g, rho, u, evaluator
+
+
+def source_of(model, g, rho, u, evaluator):
+    states = [SpectralState(float(t), SYMMETRY_GRID, g[i])
+              for i, t in enumerate(SYMMETRY_TIMES)]
+    return assemble_source_history(
+        model, states, DensityHistory(SYMMETRY_TIMES, rho),
+        SpectralHistory(SYMMETRY_TIMES, u),
+        AsymptoticDatum(evaluator, 1.0, 1.0)).values
+
+
 def count_calls(monkeypatch, name):
     """Record every call of ``StateInterpolant.<name>`` in the returned list."""
     calls = []
@@ -600,6 +634,37 @@ class TestTransportSymmetry:
         conj = SpectralState(t, SYMMETRY_GRID, state.values.conj())
         want = np.conj(transport_rhs(state, u_lin, u_nl, eq))
         got = transport_rhs(conj, u_lin.conj(), u_nl.conj(), eq)
+        assert np.array_equal(got, want)
+
+
+class TestSourceSymmetry:
+    """``assemble_source_history`` commutes with the reflection P and the
+    conjugation C on inputs with no symmetry, the datum included."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           preset=st.sampled_from(["vp", "screened", "vpme"]))
+    def test_reflection_commutes(self, seed, preset):
+        # P: g(k, eta) -> g(-k, -eta), rho_k -> rho_(-k), u_k -> u_(-k), and
+        # the datum reflected; the spline of the reflected rows and the
+        # series of the reversed slice agree up to roundoff
+        model = make_preset(preset)
+        g, rho, u, ev = random_source_inputs(seed)
+        want = source_of(model, g, rho, u, ev)[:, ::-1]
+        got = source_of(model, g[:, ::-1, ::-1], rho[:, ::-1], u[:, ::-1],
+                        lambda k, eta: ev(-np.asarray(k), -np.asarray(eta)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           preset=st.sampled_from(["vp", "screened", "vpme"]))
+    def test_conjugation_commutes(self, seed, preset):
+        # C: every input conjugated; every coefficient is real, so exactly
+        model = make_preset(preset)
+        g, rho, u, ev = random_source_inputs(seed)
+        want = np.conj(source_of(model, g, rho, u, ev))
+        got = source_of(model, g.conj(), rho.conj(), u.conj(),
+                        lambda k, eta: np.conj(ev(k, eta)))
         assert np.array_equal(got, want)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from vpscatter.errors import ConfigError, NoContractionError
+from vpscatter.errors import ConfigError, NoContractionError, WeightOverflowError
 from vpscatter.gevrey import GevreyWeight, n1_at_time
 from vpscatter import kinetic, scattering
 from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
@@ -187,6 +187,18 @@ class TestDrive:
         _, big = efield_weighted_norms(WEIGHT, SpectralHistory(times, 1e200 * u))
         assert np.all(norms > 0.0)
         assert np.max(np.abs(norms * 1e200 / big - 1.0)) <= 1e-14
+
+    def test_field_norm_past_the_double_range_names_its_cause(self):
+        # finite weights times a 1e300 field leave the double range: the
+        # amplitude is blamed; sigma = 1000 makes the weight itself inf
+        times = np.linspace(0.0, 32.0, 321)
+        u = np.zeros((times.size, 3), dtype=complex)
+        u[:, 0] = u[:, 2] = 1e300
+        with pytest.raises(WeightOverflowError, match="field amplitude 1.000e"):
+            efield_weighted_norms(WEIGHT, SpectralHistory(times, u))
+        with pytest.raises(WeightOverflowError, match="lambda_inf or sigma"):
+            efield_weighted_norms(GevreyWeight(sigma=1000.0),
+                                  SpectralHistory(times, 1e-300 * u))
 
     def test_fixed_point_residual_within_twice_tolerance(self, contraction_pair):
         # measured residual 1.1e-13 against tol 1e-9

@@ -37,15 +37,15 @@ import numpy as np
 from . import __version__
 from .dispersion import PenroseReport, inverse_laplace_Khat, penrose_scan
 from .errors import ConfigError, NumericalError
-from .field import poisson_fixed_point
+from .field import efield_weighted_norms, poisson_fixed_point
 from .gevrey import GevreyWeight, bracket, weight_violations
 from .kinetic import (PhaseGrid, SpectralState, TimeGrid, gaussian_datum,
                       horizon_violation, integrate, zero_field_provider)
 from .model import (Equilibrium, ModelConfig, bump_on_tail, make_preset,
                     maxwellian, two_stream)
 from .scattering import (RunGrids, apply_map_F, build_resolvent_tables,
-                         efield_weighted_norms, fixed_point_drive,
-                         free_extension, landau_linear_run, roundtrip_check)
+                         fixed_point_drive, free_extension, landau_linear_run,
+                         roundtrip_check)
 from .volterra import (DensityHistory, SourceHistory, SpectralHistory,
                        build_discrete_resolvent, solve_direct_backward,
                        solve_resolvent)
@@ -105,6 +105,9 @@ def _as_modes(raw: str) -> dict[int, float]:
         if k in modes:
             raise ValueError(f"mode {k} listed twice")
         modes[k] = _as_float(a_text)
+        if modes.get(-k, modes[k]) != modes[k]:
+            raise ValueError(f"modes {-k} and {k} carry different amplitudes; "
+                             "a real datum needs equal ones")
     if not modes:
         raise ValueError("datum.modes must list at least one k:amplitude pair")
     return modes
@@ -554,16 +557,15 @@ def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         "t,profile_error",
         *[f"{_fmt(t)},{_fmt(e)}"
           for t, e in zip(report.times, report.profile_errors)]])
-    bound = 10.0 * (run.tolerance + report.richardson_estimate)
-    within = report.sup_error <= bound
+    within = report.within_bound
     summary.update({
         "roundtrip.sup_error": _fmt(report.sup_error),
         "roundtrip.richardson_dt": _fmt(report.richardson_dt),
         "roundtrip.richardson_eta": _fmt(report.richardson_eta),
-        "roundtrip.bound": _fmt(bound),
+        "roundtrip.bound": _fmt(report.bound),
         "roundtrip.within_bound": "true" if within else "false",
     })
-    log(f"roundtrip: sup_error={report.sup_error:.6g} bound={bound:.6g} "
+    log(f"roundtrip: sup_error={report.sup_error:.6g} bound={report.bound:.6g} "
         f"within={within}")
     return (EXIT_OK if within else EXIT_NUMERICAL), summary
 

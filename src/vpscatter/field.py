@@ -5,7 +5,10 @@ the screened potential.  :func:`poisson_fixed_point` resolves that balance by
 Picard iteration inside a weighted amplitude ball, :func:`h_of_field`
 evaluates the series as powers of the slice's truncated-product Toeplitz
 matrix, :func:`potential_from_density` is the screened Poisson division every
-layer uses, and :func:`electric_from_density` adds the electric field.
+layer uses, and :func:`electric_from_density` adds the electric field.  The
+slice norm of the smallness gate, the Picard loop's measure and the
+field-decay series of :func:`efield_weighted_norms` are one weighted
+root-sum-square with one rule for values past the double range.
 
 Slot position is the mode label: a slice of odd width 2K + 1 (or the last
 axis of an array of slices) holds the modes -K..K in increasing order, so
@@ -22,13 +25,16 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NoContractionError, WeightOverflowError
-from .gevrey import GevreyWeight, _require_finite, log_weight_A
+from .errors import ConfigError, NoContractionError
+from .gevrey import (RADIUS_REDUCTION, GevreyWeight, _norm_overflow,
+                     _require_finite, bracket, lambda_of_t, log_weight_A)
 from .model import ModelConfig
+from .volterra import SpectralHistory
 
 __all__ = [
     "FieldSnapshot",
     "weighted_density_norm",
+    "efield_weighted_norms",
     "h_of_field",
     "potential_from_density",
     "electric_from_density",
@@ -36,6 +42,7 @@ __all__ = [
 ]
 
 MEAN_MODE_TOL = 1e-10
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _PAD = np.zeros(1, dtype=complex)  # the zero that T(u) reads outside -K..K
 
 
@@ -105,31 +112,44 @@ def _screening(beta: float, width: int) -> np.ndarray:
 def _root_sum_squares(x: np.ndarray) -> np.ndarray:
     """sqrt(sum(x**2)) over the last axis of a nonnegative 2-d array.
 
-    A row whose squares underflow to 0 despite a nonzero entry, or overflow
-    to inf with every entry finite, is summed again scaled by its maximum;
-    every other row keeps the plain sum's bits.
+    A row with a nonzero entry whose sum is below n tiny (n the row length,
+    tiny the smallest normal double), where squares past the normal range
+    could move it, or whose sum overflows to inf with every entry finite, is
+    summed again scaled by its maximum; every other row keeps the plain
+    sum's bits.
     """
     with np.errstate(over="ignore"):
         out = np.sqrt(np.sum(x * x, axis=-1))
     peak = np.max(x, axis=-1)
-    redo = np.where(out == 0.0, peak > 0.0, np.isinf(out) & np.isfinite(peak))
+    low = out < math.sqrt(x.shape[-1] * _TINY)
+    redo = np.where(low, peak > 0.0, np.isinf(out) & np.isfinite(peak))
     scaled = x[redo] / peak[redo, None]
     out[redo] = peak[redo] * np.sqrt(np.sum(scaled * scaled, axis=-1))
     return out
 
 
-def _weighted_amplitude(weights: np.ndarray, vals: np.ndarray) -> float:
-    """:func:`weighted_density_norm` of a checked slice, without its checks.
+def _weighted_norm(weights: np.ndarray, values: np.ndarray, what: str):
+    """Root-sum-square of weights * |values| over the last axis: a float for
+    one slice, an array for a stack of slices.
 
-    Returns nan or inf where that function raises.  The caller holds an
-    ``np.errstate`` that ignores overflow and invalid operations (an
-    infinite weight times a zero amplitude is nan).
+    The caller holds an ``np.errstate`` that ignores overflow and invalid
+    operations (an infinite weight times a zero amplitude is nan).  A result
+    past the double range raises :class:`BlowUpError` for non-finite values,
+    else the :class:`WeightOverflowError` that blames an infinite weight on
+    lambda_inf and sigma, or the ``what`` ("slice" or "field") amplitude.
     """
-    x = weights * np.abs(vals)
-    total = math.sqrt(np.sum(x * x))
-    if 0.0 < total < math.inf or not x.any():
-        return total
-    return float(_root_sum_squares(x[None])[0])
+    x = weights * np.abs(values)
+    if x.ndim == 1:  # the Picard loop's path: the plain sum as a float
+        total = math.sqrt(np.sum(x * x))
+        if math.sqrt(x.size * _TINY) <= total < math.inf or not x.any():
+            return total
+    total = _root_sum_squares(np.atleast_2d(x))
+    if np.isfinite(total).all():
+        return total if x.ndim > 1 else float(total[0])
+    _require_finite(values, "weighted density slice" if what == "slice"
+                    else "weighted electric field")
+    raise _norm_overflow(what, bool(np.isfinite(weights).all()),
+                         float(np.max(np.abs(values))))
 
 
 def weighted_density_norm(w: GevreyWeight, t: float, values) -> float:
@@ -138,18 +158,28 @@ def weighted_density_norm(w: GevreyWeight, t: float, values) -> float:
     A slice holding non-finite values is refused with :class:`BlowUpError`.
     """
     vals = _mode_slice(values)
-    weights = _density_weights(w, t, vals.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _weighted_amplitude(weights, vals)
-    if math.isfinite(total):
-        return total
-    _require_finite(vals, "weighted density slice")
-    if not np.isfinite(weights).all():
-        raise WeightOverflowError(
-            "weighted slice norm overflowed; reduce lambda_inf or sigma")
-    raise WeightOverflowError(
-        f"weighted slice norm overflowed: the slice amplitude {np.max(np.abs(vals)):.3e} "
-        "times its finite weight leaves the double range; shrink the datum amplitude")
+        return _weighted_norm(_density_weights(w, t, vals.size), vals, "slice")
+
+
+def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted electric-field norms along the density line, per grid time.
+
+    The weight uses a constant regularity radius, 0.9 of the working radius
+    at t = 0, so it stays below the time-dependent one.  A norm past the
+    double range raises :class:`WeightOverflowError`, which blames an
+    infinite weight on lambda_inf and sigma, and else the field amplitude.
+    """
+    lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
+    times = potentials.times
+    k = potentials.k_values.astype(float)
+    e_hat = -1j * k[None, :] * potentials.values
+    br = bracket(k[None, :], k[None, :] * times[:, None])
+    log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _weighted_norm(np.exp(log_w), e_hat, "field")
+    return times.copy(), norms
 
 
 @functools.lru_cache(maxsize=16)
@@ -249,8 +279,8 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     it, or exhausting ``model.picard_max_iters``, aborts rather than
     returning a value outside the contraction regime.
 
-    The slice is checked once; the iterates are measured unchecked, and a
-    non-finite measure is handed to :func:`weighted_density_norm` to raise.
+    The slice and every iterate are measured by the one weighted norm of
+    :func:`weighted_density_norm`, which raises on a non-finite result.
     """
     q = _mode_slice(q_hat)
     if not model.has_h:
@@ -264,13 +294,6 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     ball = 2.0 * eps
     denom = _screening(model.beta, q.size)  # beta > 0 whenever there is a series
     mean = q.size // 2
-
-    def measure(vals):
-        total = _weighted_amplitude(weights, vals)
-        if not math.isfinite(total):  # the checked norm raises, naming the cause
-            weighted_density_norm(w, t, vals)
-        return total
-
     rho = q
     ratios: list[float] = []
     prev_dist = None
@@ -279,12 +302,12 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
             u_hat = rho / denom
             u_hat[mean] = 0.0
             nxt = q - h_of_field(model, u_hat)
-            dist = measure(nxt - rho)
+            dist = _weighted_norm(weights, nxt - rho, "slice")
             if prev_dist is not None and prev_dist > 0.0:
                 ratios.append(dist / prev_dist)
             prev_dist = dist
             rho = nxt
-            if measure(rho) > ball and eps > 0.0:
+            if _weighted_norm(weights, rho, "slice") > ball and eps > 0.0:
                 raise NoContractionError(
                     f"iterate left the contraction ball of radius {ball:.3e} "
                     f"after {itn} steps")

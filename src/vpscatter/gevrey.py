@@ -8,7 +8,9 @@ The time-independent parts of the distribution weight (``<k,eta>^gamma``, the
 polynomial log term and the trapezoid log weights) are built once per grid and
 weight and cached, so :func:`n1_at_time` does only the arithmetic that depends
 on the state: the radius term, the eta derivatives and the log-sum-exp.
-Both norms refuse a non-finite state or density with :class:`BlowUpError`.
+Both norms refuse a non-finite state or density with :class:`BlowUpError`,
+and a norm past the double range with :class:`WeightOverflowError`, which
+names the weight or the amplitude as the cause (``_norm_overflow``).
 """
 
 from __future__ import annotations
@@ -211,20 +213,53 @@ def _log_sum_exp(logs: np.ndarray) -> float:
     return np.log1p(s) + np.log(m) + top
 
 
-# largest exponent whose exponential is still a finite double
+# largest exponent whose exponential is still a finite double, and the log
+# of the smallest normal double
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _sqrt_of_exp_sum(logs: np.ndarray, what: str) -> float:
-    """sqrt(sum(exp(logs))), refused in the log domain before it can overflow;
-    ``logs`` is overwritten."""
-    half = 0.5 * _log_sum_exp(logs)
-    if half == -np.inf:
+def _norm_overflow(what: str, weight_finite: bool,
+                   amplitude: float) -> WeightOverflowError:
+    """The error of a weighted ``what`` norm past the double range: an
+    infinite weight is blamed on lambda_inf and sigma, else the amplitude."""
+    if not weight_finite:
+        return WeightOverflowError(
+            f"weighted {what} norm overflowed; reduce lambda_inf or sigma")
+    return WeightOverflowError(
+        f"weighted {what} norm overflowed: the {what} amplitude "
+        f"{amplitude:.3e} times its finite weight leaves the double range; "
+        "shrink the datum amplitude")
+
+
+def _weighted_root(values: np.ndarray, log_w2: np.ndarray, what: str) -> float:
+    """sqrt(sum(exp(log_w2) |values|^2)) by a log-sum-exp; ``log_w2``
+    broadcasts against ``values``.
+
+    The logs are log |values|^2 + log_w2.  Where a square overflows (the sum
+    reads +inf), the sum is below n times the largest weight times the
+    smallest normal double (squares past the normal range could move it) or
+    the norm leaves the double range, the sum is taken again over
+    |values / peak|^2, peak the largest magnitude, which no square limits;
+    the norm is peak times its root.  A norm past the double range is
+    refused, blaming the weight only when its largest value is past it too.
+    """
+    log_w2_max = float(log_w2.max())
+    logs = _log_abs_sq(values, np.empty(values.shape))
+    logs += log_w2
+    total = _log_sum_exp(logs)
+    if log_w2_max + math.log(logs.size) + _LOG_TINY <= total <= 2.0 * _LOG_MAX:
+        return float(np.exp(0.5 * total))
+    if total == -math.inf and not values.any():  # a zero state
         return 0.0
-    if not half <= _LOG_MAX:
-        raise WeightOverflowError(
-            f"{what} overflowed; reduce lambda_inf or sigma")
-    return float(np.exp(half))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mags = np.abs(values)
+        peak = float(np.max(mags))
+        logs = 2.0 * np.log(mags / peak) + log_w2
+        norm = peak * float(np.exp(0.5 * _log_sum_exp(logs)))
+    if not math.isfinite(norm):
+        raise _norm_overflow(what, log_w2_max <= 2.0 * _LOG_MAX, peak)
+    return norm
 
 
 def n1_at_time(state, w: GevreyWeight) -> float:
@@ -245,9 +280,7 @@ def n1_at_time(state, w: GevreyWeight) -> float:
     log_w2 += log_poly
     log_w2 += quad
     derivs = _eta_derivatives(values, float(eta[1] - eta[0]), w.moments)
-    logs = _log_abs_sq(derivs, np.empty(derivs.shape))
-    logs += log_w2
-    return _sqrt_of_exp_sum(logs, "weighted distribution norm")
+    return _weighted_root(derivs, log_w2, "distribution")
 
 
 def norm_N2(density, w: GevreyWeight) -> float:
@@ -267,11 +300,10 @@ def norm_N2(density, w: GevreyWeight) -> float:
     dt = float(times[1] - times[0])
     br = bracket(k[None, :], k[None, :] * times[:, None])
     lam = np.asarray(lambda_of_t(w, times), dtype=float)[:, None]
-    logs = (math.log(dt)
-            + 2.0 * w.b * np.log(time_bracket(times))[:, None]
-            + 2.0 * lam * br**w.gamma + 2.0 * w.sigma * np.log(br)
-            + _log_abs_sq(values, np.empty(values.shape)))
-    return _sqrt_of_exp_sum(logs, "weighted density norm")
+    log_w2 = (math.log(dt)
+              + 2.0 * w.b * np.log(time_bracket(times))[:, None]
+              + 2.0 * lam * br**w.gamma + 2.0 * w.sigma * np.log(br))
+    return _weighted_root(values, log_w2, "density")
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,8 @@ def gaussian_datum(modes, width: float = 1.0) -> AsymptoticDatum:
     """Datum with the given spatial coefficients and a Gaussian frequency profile.
 
     ``modes`` maps k to its coefficient; the conjugate mode is filled in
-    automatically when absent so the datum stays real-valued.
+    automatically when absent so the datum stays real-valued, and a -k
+    coefficient that is not the conjugate of the k one is refused.
     """
     if width <= 0:
         raise ConfigError("width must be positive")
@@ -257,6 +258,9 @@ def gaussian_datum(modes, width: float = 1.0) -> AsymptoticDatum:
         k = int(k)
         if k == 0:
             raise ConfigError("mode 0 would break the mean-zero requirement")
+        if k in table and table[k] != complex(a):  # -k was listed first
+            raise ConfigError("the coefficient of mode -k must be the "
+                              "conjugate of mode k's, or the datum is not real")
         table[k] = complex(a)
         table.setdefault(-k, complex(np.conj(a)))
     if not table:

@@ -21,16 +21,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceError, NoContractionError,
-                     WeightOverflowError)
+from .errors import ConfigError, DivergenceError, NoContractionError
 from .model import Equilibrium, ModelConfig
-from .gevrey import (RADIUS_REDUCTION, GevreyWeight, WeightedNormReport,
-                     bracket, lambda_of_t, n1_at_time, norm_N2,
+from .gevrey import (GevreyWeight, WeightedNormReport, n1_at_time, norm_N2,
                      weighted_norm_report)
 from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
 from .volterra import (DensityHistory, DiscreteResolvent, SpectralHistory,
                        build_discrete_resolvent, solve_resolvent)
-from .field import (_root_sum_squares, poisson_fixed_point,
+from .field import (efield_weighted_norms, poisson_fixed_point,
                     potential_from_density)
 from .kinetic import (AsymptoticDatum, HistoryFieldProvider, IntegrationResult,
                       PhaseGrid, SelfConsistentFieldProvider, SpectralState,
@@ -49,7 +47,6 @@ __all__ = [
     "apply_map_F",
     "iterate_distance",
     "fixed_point_drive",
-    "efield_weighted_norms",
     "state_to_physical",
     "roundtrip_check",
     "landau_linear_run",
@@ -129,7 +126,9 @@ class RoundTripReport:
     ``sup_error`` is its value at the horizon.  ``richardson_dt`` and
     ``richardson_eta`` estimate the forward discretization error per axis by
     comparing against half-resolution runs (0 when skipped);
-    ``richardson_estimate`` is their sum.
+    ``richardson_estimate`` is their sum.  ``bound`` is the verdict's
+    threshold, 10 (drive tolerance + Richardson estimate), and
+    ``within_bound`` whether ``sup_error`` meets it.
     """
 
     sup_error: float
@@ -137,6 +136,8 @@ class RoundTripReport:
     profile_errors: np.ndarray
     richardson_dt: float
     richardson_eta: float
+    bound: float
+    within_bound: bool
 
     @property
     def richardson_estimate(self) -> float:
@@ -258,36 +259,6 @@ def iterate_distance(states_a: Sequence[SpectralState],
     diff_density = DensityHistory(density_a.times,
                                   density_a.values - density_b.values)
     return n1 + norm_N2(diff_density, w)
-
-
-def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted electric-field norms along the density line, per grid time.
-
-    The weight uses a constant regularity radius, 0.9 of the working radius
-    at t = 0, so it stays below the time-dependent one.  A norm past the
-    double range raises :class:`WeightOverflowError`, which blames an
-    infinite weight on lambda_inf and sigma, and else the field amplitude.
-    """
-    lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
-    times = potentials.times
-    k = potentials.k_values.astype(float)
-    e_hat = -1j * k[None, :] * potentials.values
-    br = bracket(k[None, :], k[None, :] * times[:, None])
-    log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
-    # an infinite weight times a zero amplitude is nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.exp(log_w)
-        norms = _root_sum_squares(weights * np.abs(e_hat))
-    if np.isfinite(norms).all():
-        return times.copy(), norms
-    if not np.isfinite(weights).all():
-        raise WeightOverflowError(
-            "weighted field norm overflowed; reduce lambda_inf or sigma")
-    raise WeightOverflowError(
-        f"weighted field norm overflowed: the field amplitude "
-        f"{np.max(np.abs(e_hat)):.3e} times its finite weight leaves the "
-        "double range; shrink the datum amplitude")
 
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,
@@ -416,10 +387,11 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
     Integrates the t = 0 state forward under the self-consistent field (both
     transport fields wired to the stage state itself) and reports the
     physical-space sup distance to the datum at every time, its value at the
-    horizon, and a step-halving estimate of the forward discretization error
-    per axis (zero on an axis whose grid cannot be halved).  Within a run the
-    field provider and the transport share one spline per stage; the splines
-    the stored states keep are dropped as soon as each run returns.
+    horizon, a step-halving estimate of the forward discretization error per
+    axis (zero on an axis whose grid cannot be halved), and the verdict: is
+    the horizon error within 10 (``run.tolerance`` + that estimate)?  Within a
+    run the field provider and the transport share one spline per stage; the
+    splines the stored states keep are dropped as soon as each run returns.
     """
     if not run.converged:
         raise ConfigError("round trip needs a converged run")
@@ -450,10 +422,12 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
         x, v, sparse_end = state_to_physical(sparse.states[-1])
         fine_at = _physical_at(fine, x, v)
         est_eta = float(np.max(np.abs(fine_at - sparse_end))) / 15.0
-    return RoundTripReport(sup_error=float(errors[-1]),
-                           times=grids.time.times.copy(),
-                           profile_errors=errors,
-                           richardson_dt=est_dt, richardson_eta=est_eta)
+    sup_error = float(errors[-1])
+    bound = 10.0 * (run.tolerance + (est_dt + est_eta))
+    return RoundTripReport(sup_error=sup_error, times=grids.time.times.copy(),
+                           profile_errors=errors, richardson_dt=est_dt,
+                           richardson_eta=est_eta, bound=bound,
+                           within_bound=sup_error <= bound)
 
 
 def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,

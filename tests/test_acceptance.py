@@ -182,9 +182,8 @@ def test_criterion_09_forward_round_trip(roundtrip_pair):
     eps_big, eps_small = sorted(pairs, reverse=True)
     ok, sups = True, {}
     for eps, (run, rep) in pairs.items():
-        bound = 10.0 * (run.tolerance + rep.richardson_estimate)
         quarter = rep.profile_errors[3 * (len(rep.profile_errors) - 1) // 4:]
-        ok = ok and rep.sup_error <= bound \
+        ok = ok and rep.within_bound and rep.sup_error <= rep.bound \
             and all(np.diff(quarter) < 0.0)
         sups[eps] = rep.sup_error
     scaling = sups[eps_big] / sups[eps_small]

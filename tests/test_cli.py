@@ -174,6 +174,23 @@ verbose = yes
         with pytest.raises(ConfigError, match="twice"):
             config_from_mapping({"datum.modes": "1:1e-3,1:2e-3"})
 
+    def test_unequal_mirror_amplitudes_rejected(self, tmp_path, capsys):
+        # the datum is real, so -k carries the amplitude of k; another one
+        # was silently averaged away by the real projection of every step
+        for raw in ("1:1e-3,-1:2e-3", "-1:2e-3,2:5e-4,1:1e-3"):
+            with pytest.raises(ConfigError, match="datum.modes: modes .*"
+                               "carry different amplitudes"):
+                config_from_mapping({"datum.modes": raw})
+        path = write_config(tmp_path, SMALL_RUN + "datum.modes = 1:1e-3,-1:2e-3\n")
+        out = tmp_path / "out"
+        code = main(["scatter", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and "bad value for datum.modes" in err[0]
+        assert not out.exists()
+        equal = config_from_mapping({"datum.modes": "1:1e-3,-1:1e-3"})
+        assert equal["datum.modes"] == {1: 1e-3, -1: 1e-3}
+
 
 class TestStateCsv:
     def test_round_trip_is_exact(self, tmp_path):

@@ -31,7 +31,9 @@ from vpscatter.gevrey import (
     weight_violations,
     weighted_norm_report,
 )
+from vpscatter.field import efield_weighted_norms, weighted_density_norm
 from vpscatter.kinetic import PhaseGrid, SpectralState
+from vpscatter.volterra import DensityHistory, SpectralHistory
 
 # frozen oracle values
 LAMBDA_AT_1 = 0.2 - 0.05 * 2.0 ** (-0.025)  # 0.15085897007273746
@@ -550,13 +552,48 @@ def test_n1_overflow_matches_oracle():
         n1_at_time(st, w)
 
 
-def test_n1_square_overflow_is_weight_overflow():
-    # finite entries whose square overflows: refused without a RuntimeWarning
-    st = gaussian_state(0.25)
-    huge = SimpleNamespace(time=0.0, k_values=st.k_values, eta=st.eta,
-                           values=1e200 * st.values)
-    with pytest.raises(WeightOverflowError):
-        n1_at_time(huge, GevreyWeight())
+def _homogeneity_cases():
+    """The four weighted norms, each as a function of the scale c of one
+    fixed random input of unit size: the density slice norm, the
+    field-decay series (one norm per time), N1 and N2."""
+    rng = np.random.default_rng(28)
+
+    def unit(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    w = GevreyWeight()
+    grid = PhaseGrid(1, 10.0, 0.5)
+    state = unit((grid.n_modes, grid.n_eta)) * np.exp(-0.05 * grid.eta**2)
+    times = np.arange(0.0, 4.01, 0.25)
+    potentials, density, slice_ = unit((17, 5)), unit((17, 3)), unit(7)
+    return {
+        "slice": lambda c: weighted_density_norm(w, 1.5, c * slice_),
+        "field": lambda c: efield_weighted_norms(
+            w, SpectralHistory(times, c * potentials))[1],
+        "N1": lambda c: n1_at_time(SpectralState(0.5, grid, c * state), w),
+        "N2": lambda c: norm_N2(DensityHistory(times, c * density), w),
+    }
+
+
+HOMOGENEITY_CASES = _homogeneity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(HOMOGENEITY_CASES))
+@given(s=st.floats(min_value=-300.0, max_value=300.0))
+@settings(derandomize=True, deadline=None)
+def test_weighted_norms_are_homogeneous_across_the_double_range(name, s):
+    # norm(c x) = c norm(x) wherever that is a double, squares past the
+    # double range included; past it, the amplitude is blamed, not the weight
+    norm = HOMOGENEITY_CASES[name]
+    base = np.asarray(norm(1.0))
+    c = 10.0**s
+    if np.max(np.log(base)) + s * math.log(10.0) <= _LOG_MAX:
+        ratio = np.asarray(norm(c)) / (c * base)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-13
+    else:
+        with pytest.raises(WeightOverflowError,
+                           match="amplitude .* times its finite weight"):
+            norm(c)
 
 
 def test_weight_tables_not_shared_between_spacings():

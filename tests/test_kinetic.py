@@ -185,6 +185,17 @@ class TestDatum:
         with pytest.raises(ConfigError, match="mean-zero"):
             gaussian_datum({0: 1.0})
 
+    def test_non_conjugate_mirror_rejected(self):
+        # a -k coefficient other than the conjugate of the k one is not a
+        # real datum; integrate would project it onto the real part
+        for modes in ({1: 1e-3, -1: 2e-3}, {-2: 1e-3j, 2: 1e-3j}):
+            with pytest.raises(ConfigError, match="conjugate"):
+                gaussian_datum(modes)
+        both = gaussian_datum({1: 1e-3 + 2e-3j, -1: 1e-3 - 2e-3j})
+        alone = gaussian_datum({1: 1e-3 + 2e-3j})
+        assert np.array_equal(both.sample(GRID, 0.0).values,
+                              alone.sample(GRID, 0.0).values)
+
     def test_mean_zero_enforced(self):
         evaluator = lambda k, eta: np.full(np.broadcast(k, eta).shape, 1.0 + 0j)
         with pytest.raises(ConfigError, match="mean-zero"):

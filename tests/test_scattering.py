@@ -16,11 +16,12 @@ from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
                                TimeGrid, density_trace, gaussian_datum)
 from vpscatter.model import make_preset, maxwellian, two_stream
 from vpscatter.dispersion import penrose_scan
+from vpscatter.field import efield_weighted_norms
 from vpscatter.scattering import (RunGrids, _slice_fields, apply_map_F,
-                                  build_resolvent_tables, efield_weighted_norms,
-                                  free_extension, fixed_point_drive,
-                                  iterate_distance, landau_linear_run,
-                                  roundtrip_check, state_to_physical)
+                                  build_resolvent_tables, free_extension,
+                                  fixed_point_drive, iterate_distance,
+                                  landau_linear_run, roundtrip_check,
+                                  state_to_physical)
 from vpscatter.volterra import DensityHistory, SpectralHistory
 
 VP = make_preset("vp")
@@ -299,7 +300,9 @@ class TestRoundTrip:
         tol = roundtrip_pair["tol"]
         for run, report in roundtrip_pair["pairs"].values():
             assert report.richardson_dt > 0 and report.richardson_eta > 0
-            assert report.sup_error <= 10.0 * (tol + report.richardson_estimate)
+            # the report owns its verdict: the bound is checked here once
+            assert report.bound == 10.0 * (tol + report.richardson_estimate)
+            assert report.within_bound and report.sup_error <= report.bound
             quarter = report.profile_errors[3 * (len(report.profile_errors) - 1) // 4:]
             assert np.all(np.diff(quarter) < 0)
 

@@ -47,8 +47,7 @@ from .scattering import (RunGrids, apply_map_F, build_resolvent_tables,
                          fixed_point_drive, free_extension, landau_linear_run,
                          roundtrip_check)
 from .volterra import (DensityHistory, SourceHistory, SpectralHistory,
-                       build_discrete_resolvent, solve_direct_backward,
-                       solve_resolvent)
+                       build_discrete_resolvent, solve_resolvent)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -167,7 +166,8 @@ SCHEMA: dict[str, _Option] = {
     "fit.t_end": _Option("25.0", _as_float, "decay fit window end"),
     "out.dir": _Option("runs", lambda raw: raw.strip(), "output directory"),
     "threads": _Option("1", int, "worker threads for per-mode tables"),
-    "verbose": _Option("false", _as_bool, "chatty progress on stderr"),
+    "verbose": _Option("false", _as_bool,
+                       "the run summary on one stderr line"),
 }
 
 
@@ -331,37 +331,31 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write CSV lines the caller has formatted.  Callers of large tables
-    format float cells as ``f"{x:.16e}"`` on ``.tolist()`` values, the text
-    :func:`_fmt` gives, in one comprehension rather than one call per cell."""
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length columns of typed cells under ``header``.
+
+    A float cell is the text :func:`_fmt` gives, an int its digits, and
+    ``None`` an empty cell.  Each column is formatted in one comprehension,
+    which costs no more than formatting whole rows at once.
+    """
+    cells = ([f"{x:.16e}" if isinstance(x, float) else "" if x is None
+              else str(x) for x in column] for column in columns)
+    rows = map(",".join, zip(*cells, strict=True))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _kernel_lines(times, values) -> list[str]:
-    """Header and ``t,re_K,im_K,abs_K`` rows of one kernel table."""
-    values = np.asarray(values, dtype=complex)
-    # hypot per element is the modulus abs(value) gives a numpy scalar (the
-    # vectorized np.abs can differ in the last bit), inf past the largest double
-    with np.errstate(over="ignore"):
-        moduli = np.hypot(values.real, values.imag).tolist()
-    cells = zip(np.asarray(times, dtype=float).tolist(), values.real.tolist(),
-                values.imag.tolist(), moduli)
-    return ["t,re_K,im_K,abs_K", *[
-        f"{t:.16e},{re:.16e},{im:.16e},{mod:.16e}" for t, re, im, mod in cells]]
+        handle.write("\n".join([header, *rows]) + "\n")
 
 
 def write_state_csv(path: Path, state: SpectralState) -> None:
     """Snapshot rows ``k_index,eta_index,re,im`` under a grid-metadata header."""
     grid = state.grid
-    _write_lines(path, [
-        f"# k_max = {grid.k_max}; eta_max = {grid.eta_max!r}; "
-        f"delta_eta = {grid.delta_eta!r}; time = {state.time!r}",
-        "k_index,eta_index,re,im",
-        *[f"{i},{j},{v.real:.16e},{v.imag:.16e}"
-          for i, row in enumerate(state.values.tolist())
-          for j, v in enumerate(row)]])
+    n_modes, n_eta = state.values.shape
+    _write_csv(path, f"# k_max = {grid.k_max}; eta_max = {grid.eta_max!r}; "
+               f"delta_eta = {grid.delta_eta!r}; time = {state.time!r}\n"
+               "k_index,eta_index,re,im",
+               [np.repeat(np.arange(n_modes), n_eta).tolist(),
+                np.tile(np.arange(n_eta), n_modes).tolist(),
+                state.values.real.ravel().tolist(),
+                state.values.imag.ravel().tolist()])
 
 
 @functools.cache
@@ -400,11 +394,9 @@ def _write_efield(path: Path, w: GevreyWeight,
     k = potentials.k_values
     positive = np.nonzero(k > 0)[0]
     abs_e = np.abs(k[positive] * potentials.values[:, positive])
-    _write_lines(path, [
-        ",".join(["t", "weighted_norm"] + [f"abs_E_k{k[j]}" for j in positive]),
-        *[",".join(f"{x:.16e}" for x in (t, n, *row))
-          for t, n, row in zip(times.tolist(), norms.tolist(),
-                               abs_e.tolist())]])
+    _write_csv(path, ",".join(["t", "weighted_norm"]
+                              + [f"abs_E_k{k[j]}" for j in positive]),
+               [times.tolist(), norms.tolist(), *abs_e.T.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +425,18 @@ def _penrose(cfg: RunConfig, model: ModelConfig,
     return scan, summary
 
 
-def _cmd_penrose(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_penrose(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     scan, summary = _penrose(cfg, cfg.model(), cfg.equilibrium())
-    _write_lines(out_dir / "penrose.csv", [
-        "k,omega_argmin,abs_D_min,winding,tail_bound",
-        *[f"{k},{_fmt(omega)},{_fmt(dmin)},{scan.windings[k]},"
-          f"{_fmt(scan.tail_bound)}"
-          for k, (omega, dmin) in sorted(scan.axis_minima.items())]])
-    log(f"penrose: stable={summary['penrose.stable']} "
-        f"kappa0={scan.kappa0:.6g}")
+    ks = sorted(scan.axis_minima)
+    omegas, minima = zip(*(scan.axis_minima[k] for k in ks))
+    _write_csv(out_dir / "penrose.csv",
+               "k,omega_argmin,abs_D_min,winding,tail_bound",
+               [ks, omegas, minima, [scan.windings[k] for k in ks],
+                [scan.tail_bound] * len(ks)])
     return (EXIT_OK if scan.stable else EXIT_HYPOTHESIS), summary
 
 
-def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_kernel(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     model, eq = cfg.model(), cfg.equilibrium()
     times = TimeGrid(cfg["grid.t_final"], cfg["grid.dt"]).times
     ks = list(range(1, cfg["kernel.kmax"] + 1))
@@ -458,13 +449,17 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         tables = list(pool.map(table_for, ks))
     summary: dict[str, str] = {}
     for k, table in zip(ks, tables):
-        _write_lines(out_dir / f"kernel_k{k}.csv",
-                     _kernel_lines(table.times, table.values))
+        re, im = table.values.real, table.values.imag
+        # hypot per element is the modulus abs(value) gives a numpy scalar
+        # (the vectorized np.abs can differ in the last bit), inf past the
+        # largest double
+        with np.errstate(over="ignore"):
+            moduli = np.hypot(re, im).tolist()
+        _write_csv(out_dir / f"kernel_k{k}.csv", "t,re_K,im_K,abs_K",
+                   [table.times.tolist(), re.tolist(), im.tolist(), moduli])
         summary[f"kernel.k{k}.lambda1"] = _fmt(table.fit_lambda1)
         summary[f"kernel.k{k}.fit_r2"] = _fmt(table.fit_r2)
         summary[f"kernel.k{k}.truncation_bound"] = _fmt(table.truncation_bound)
-        log(f"kernel: k={k} lambda1={table.fit_lambda1:.6g} "
-            f"r2={table.fit_r2:.6g}")
     # a zero of 1 + P L right of the contour: the background is unstable and
     # the tables are not the causal kernel, though they are still written
     growing = [k for k, table in zip(ks, tables) if table.winding]
@@ -477,7 +472,7 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         "kernel tables are not the causal resolvent", summary)
 
 
-def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_damp(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
     grids = cfg.grids()
     report = landau_linear_run(model, eq, w, grids, cfg["damp.amplitude"],
@@ -485,14 +480,11 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
                                fit_window=(cfg["fit.t_start"],
                                            cfg["fit.t_end"]))
     _write_efield(out_dir / "efield.csv", w, report.potentials)
-    summary = {
+    return EXIT_OK, {
         "damp.mode": str(report.mode),
         "damp.fit_rate": _fmt(report.fit.rate),
         "damp.fit_r2": _fmt(report.fit.r_squared),
     }
-    log(f"damp: mode={report.mode} rate={report.fit.rate:.6g} "
-        f"r2={report.fit.r_squared:.6g}")
-    return EXIT_OK, summary
 
 
 def _drive(cfg: RunConfig):
@@ -516,14 +508,13 @@ def _drive(cfg: RunConfig):
 
 def _write_drive_artifacts(out_dir: Path, w: GevreyWeight,
                            run) -> dict[str, str]:
-    lines = ["iter,N1,N2,distance,ratio"]
-    for i, record in enumerate(run.iterates):
-        # first row is the map applied to the free extension: no gap yet
-        distance = _fmt(run.distances[i - 1]) if i >= 1 else ""
-        ratio = _fmt(run.contraction_ratios[i - 2]) if i >= 2 else ""
-        lines.append(f"{i + 1},{_fmt(record.report.n1)},"
-                     f"{_fmt(record.report.n2)},{distance},{ratio}")
-    _write_lines(out_dir / "iterates.csv", lines)
+    # the first row is the free extension: no distance yet, and no ratio
+    # until the second distance
+    reports = [record.report for record in run.iterates]
+    _write_csv(out_dir / "iterates.csv", "iter,N1,N2,distance,ratio",
+               [range(1, len(reports) + 1), [r.n1 for r in reports],
+                [r.n2 for r in reports], [None, *run.distances],
+                [None, None, *run.contraction_ratios]])
     _write_efield(out_dir / "efield.csv", w, run.potentials)
     write_state_csv(out_dir / "g0_state.csv", run.g0)
     summary = {
@@ -538,25 +529,20 @@ def _write_drive_artifacts(out_dir: Path, w: GevreyWeight,
     return summary
 
 
-def _cmd_scatter(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_scatter(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     _, _, w, _, run = _drive(cfg)
     summary = _write_drive_artifacts(out_dir, w, run)
-    log(f"scatter: converged={summary['scatter.converged']} after "
-        f"{summary['scatter.iterations']} passes")
     return (EXIT_OK if run.converged else EXIT_NUMERICAL), summary
 
 
-def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_roundtrip(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     model, eq, w, grids, run = _drive(cfg)
     summary = _write_drive_artifacts(out_dir, w, run)
     if not run.converged:
-        log("roundtrip: drive did not converge; no forward pass")
         return EXIT_NUMERICAL, summary
     report = roundtrip_check(run, model, eq, w, grids)
-    _write_lines(out_dir / "roundtrip.csv", [
-        "t,profile_error",
-        *[f"{_fmt(t)},{_fmt(e)}"
-          for t, e in zip(report.times, report.profile_errors)]])
+    _write_csv(out_dir / "roundtrip.csv", "t,profile_error",
+               [report.times.tolist(), report.profile_errors.tolist()])
     within = report.within_bound
     summary.update({
         "roundtrip.sup_error": _fmt(report.sup_error),
@@ -565,28 +551,22 @@ def _cmd_roundtrip(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
         "roundtrip.bound": _fmt(report.bound),
         "roundtrip.within_bound": "true" if within else "false",
     })
-    log(f"roundtrip: sup_error={report.sup_error:.6g} bound={report.bound:.6g} "
-        f"within={within}")
     return (EXIT_OK if within else EXIT_NUMERICAL), summary
 
 
-def _cmd_poisson(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_poisson(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     model, w = cfg.model(), cfg.weight()
     grids = cfg.grids()
     q_hat = cfg.datum().trace(grids.phase.k_values, 0.0)
     snapshot = poisson_fixed_point(model, q_hat, w, 0.0)
-    _write_lines(out_dir / "poisson.csv", [
-        "k,re_u,im_u,abs_e",
-        *[f"{int(k)},{_fmt(snapshot.u_hat[j].real)},"
-          f"{_fmt(snapshot.u_hat[j].imag)},{_fmt(abs(snapshot.e_hat[j]))}"
-          for j, k in enumerate(grids.phase.k_values)]])
-    summary = {
+    u_hat = snapshot.u_hat
+    _write_csv(out_dir / "poisson.csv", "k,re_u,im_u,abs_e",
+               [grids.phase.k_values.tolist(), u_hat.real.tolist(),
+                u_hat.imag.tolist(), [abs(e) for e in snapshot.e_hat]])
+    return EXIT_OK, {
         "poisson.residual": _fmt(snapshot.residual),
         "poisson.iterations": str(snapshot.iters),
     }
-    log(f"poisson: residual={snapshot.residual:.6g} in "
-        f"{snapshot.iters} iteration(s)")
-    return EXIT_OK, summary
 
 
 def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
@@ -611,11 +591,9 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
         times = np.linspace(0.0, 2.0, 9)
         source = SourceHistory(times=times,
                                values=np.zeros((9, 3), dtype=complex))
-        direct = solve_direct_backward(model, eq, source)
         tables = {k: build_discrete_resolvent(model, eq, k, 0.25, 8)
                   for k in (-1, 1)}
-        rebuilt = solve_resolvent(model, eq, source, tables)
-        assert np.all(direct.values == 0) and np.all(rebuilt.values == 0)
+        assert np.all(solve_resolvent(model, eq, source, tables).values == 0)
 
     def check_field_linearity() -> None:
         q = np.array([0.5e-3j, 0.0, -0.5e-3j])
@@ -661,7 +639,7 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
     ]
 
 
-def _cmd_selftest(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
+def _cmd_selftest(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     failures = 0
     checks = _selftest_checks()
     for name, check in checks:
@@ -672,9 +650,8 @@ def _cmd_selftest(cfg: RunConfig, out_dir: Path, log) -> tuple[int, dict]:
             print(f"FAIL - {name}: {exc}")
         else:
             print(f"ok - {name}")
-    summary = {"selftest.passed": f"{len(checks) - failures}/{len(checks)}"}
-    log(f"selftest: {summary['selftest.passed']} checks passed")
-    return (EXIT_OK if failures == 0 else EXIT_NUMERICAL), summary
+    return (EXIT_OK if failures == 0 else EXIT_NUMERICAL), {
+        "selftest.passed": f"{len(checks) - failures}/{len(checks)}"}
 
 
 _PIPELINES = {
@@ -694,7 +671,9 @@ def run_command(command: str, cfg: RunConfig) -> int:
     """Execute one pipeline; returns the exit code and writes all artifacts.
 
     The one place a run's exception becomes an exit code, an ``error:``
-    line and the manifest's summary.  An unknown command or an output
+    line and the manifest's summary.  With ``verbose`` set, a run that
+    raised none prints the summary on one stderr line, ``command: key=value
+    ...`` in the manifest's order and text.  An unknown command or an output
     directory that cannot be made raises :class:`ConfigError` instead.
     """
     if command not in _PIPELINES:
@@ -706,14 +685,9 @@ def run_command(command: str, cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: "
                           f"{exc.strerror}") from None
-
-    def log(message: str) -> None:
-        if cfg["verbose"]:
-            print(message, file=sys.stderr)
-
     error = None
     try:
-        code, summary = _PIPELINES[command](cfg, out_dir, log)
+        code, summary = _PIPELINES[command](cfg, out_dir)
     except _UnstableBackground as exc:
         error, code, summary = exc, EXIT_HYPOTHESIS, exc.summary
     except ConfigError as exc:
@@ -724,6 +698,9 @@ def run_command(command: str, cfg: RunConfig) -> int:
     _write_manifest(out_dir, cfg, command, summary)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
+    elif cfg["verbose"]:
+        print(f"{command}: " + " ".join(f"{key}={value}" for key, value
+                                         in summary.items()), file=sys.stderr)
     return code
 
 
@@ -752,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", metavar="N",
                         help="worker threads (overrides threads)")
     parser.add_argument("--verbose", action="store_const", const="true",
-                        help="progress lines on stderr")
+                        help="the run summary on one stderr line")
     return parser
 
 

@@ -543,7 +543,9 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     spline: the one its density trace or its transport stage already built,
     else a new one kept in its slot.  Its terms are formed in one broadcast
     product and added one transfer mode at a time, in lattice order.  The
-    caller releases the slots once the source is assembled.
+    caller releases the slots once the source is assembled.  A source
+    that leaves the double range raises :class:`BlowUpError`, which names
+    the datum amplitude.
 
     The time axis is the density's, which :class:`SpectralHistory` has
     already checked uniform; the states and the potential must sit on it.
@@ -562,29 +564,37 @@ def assemble_source_history(model: ModelConfig, states: Sequence[SpectralState],
     n_t = times.size
     k = grid.k_values
     delta_s = density.delta_t
-    out = np.array(ginf.trace(k[None, :], times[:, None]))
-    for i in range(n_t):
-        out[i] -= h_of_field(model, u_hats.values[i])
     ells = k[k != 0]
     weights = k.astype(float) * ells[:, None] / (model.beta + ells[:, None] ** 2.0)
     rho = density.values[:, ells + grid.k_max]
     conv = np.zeros((n_t, k.size), dtype=complex)
-    for j in range(1, n_t):
-        active = rho[j] != 0.0
-        if not np.any(active):
-            continue
-        ell = ells[active, None, None]
-        # frequencies k t_i - ell s_j for every active ell and earlier slice i
-        eta_pts = k * times[:j, None] - ell * times[j]
-        g_shift = states[j].interpolant().at_pairs(
-            np.broadcast_to(k - ell, eta_pts.shape), eta_pts)
-        edge = 0.5 if j == n_t - 1 else 1.0
-        gaps = (times[j] - times[:j])[:, None]
-        terms = ((edge * delta_s * rho[j, active])[:, None, None] * gaps
-                 * weights[active, None, :] * g_shift)
-        for term in terms:
-            conv[:j] += term
-    return SourceHistory(times=times, values=out - conv)
+    # overflow shows up as inf and is refused below, before the history
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array(ginf.trace(k[None, :], times[:, None]))
+        for i in range(n_t):
+            out[i] -= h_of_field(model, u_hats.values[i])
+        for j in range(1, n_t):
+            active = rho[j] != 0.0
+            if not np.any(active):
+                continue
+            ell = ells[active, None, None]
+            # frequencies k t_i - ell s_j for every active ell and earlier
+            # slice i
+            eta_pts = k * times[:j, None] - ell * times[j]
+            g_shift = states[j].interpolant().at_pairs(
+                np.broadcast_to(k - ell, eta_pts.shape), eta_pts)
+            edge = 0.5 if j == n_t - 1 else 1.0
+            gaps = (times[j] - times[:j])[:, None]
+            terms = ((edge * delta_s * rho[j, active])[:, None, None] * gaps
+                     * weights[active, None, :] * g_shift)
+            for term in terms:
+                conv[:j] += term
+        out -= conv
+    if not np.isfinite(out).all():
+        raise BlowUpError(
+            f"the backward source left the double range; shrink the datum, "
+            f"whose mode amplitudes sum to {ginf.amplitude:.3e}")
+    return SourceHistory(times=times, values=out)
 
 
 @functools.lru_cache(maxsize=2)

@@ -21,7 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NoContractionError
+from .errors import (BlowUpError, ConfigError, DivergenceError,
+                     NoContractionError)
 from .model import Equilibrium, ModelConfig
 from .gevrey import (GevreyWeight, WeightedNormReport, n1_at_time, norm_N2,
                      weighted_norm_report)
@@ -248,17 +249,22 @@ def iterate_distance(states_a: Sequence[SpectralState],
 
     Sup over times of the weighted distribution norm of the state difference
     plus the time-integrated norm of the density difference, both in ``w``.
+    A difference that leaves the double range raises :class:`BlowUpError`.
     """
     if len(states_a) != len(states_b):
         raise ConfigError("iterates hold different numbers of states")
     grid = states_a[0].grid
     n1 = 0.0
-    for sa, sb in zip(states_a, states_b):
-        diff = SpectralState(sa.time, grid, sa.values - sb.values)
-        n1 = max(n1, n1_at_time(diff, w))
-    diff_density = DensityHistory(density_a.times,
-                                  density_a.values - density_b.values)
-    return n1 + norm_N2(diff_density, w)
+    # the norms refuse a non-finite state difference as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sa, sb in zip(states_a, states_b):
+            diff = SpectralState(sa.time, grid, sa.values - sb.values)
+            n1 = max(n1, n1_at_time(diff, w))
+        rho = density_a.values - density_b.values
+    if not np.isfinite(rho).all():
+        raise BlowUpError("the density difference of two iterates left the "
+                          "double range; shrink the datum amplitude")
+    return n1 + norm_N2(DensityHistory(density_a.times, rho), w)
 
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .dispersion import absolute_first_moment
-from .errors import ConfigError, RealityError, StepSizeError
+from .errors import BlowUpError, ConfigError, RealityError, StepSizeError
 from .model import Equilibrium, ModelConfig
 
 __all__ = [
@@ -310,27 +310,33 @@ def solve_resolvent(model: ModelConfig, eq: Equilibrium, source: SourceHistory,
     ``tables`` maps every nonzero lattice mode to its
     :func:`build_discrete_resolvent` table on the source lag grid; with the
     matched diagonal and no endpoint halving, the reconstruction reproduces
-    the triangular solve to roundoff.
+    the triangular solve to roundoff.  A reconstruction that leaves the
+    double range raises :class:`BlowUpError`.
     """
     dt = source.delta_t
     n = source.n_times
     values = np.zeros_like(source.values)
-    for j, k in enumerate(source.k_values):
-        rhs = source.values[:, j]
-        if k == 0:
-            values[:, j] = _mean_mode_column(model, rhs)
-            continue
-        table = tables.get(int(k))
-        if table is None:
-            raise ConfigError(f"no resolvent table for active mode k={k}")
-        kernel = _validate_table(table, int(k), dt, n)
-        diag = _check_diagonal(table.diagonal)
-        out = values[:, j]
-        for i in range(n - 1):
-            out[i] = rhs[i] / diag + dt * np.sum(kernel[1:n - i] * rhs[i + 1:])
-        out[n - 1] = rhs[n - 1] / diag
-    result = DensityHistory(source.times, values,
-                            tail_estimate=horizon_tail_estimate(model, eq, source))
+    # overflow shows up as inf and is refused below, before the history
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in enumerate(source.k_values):
+            rhs = source.values[:, j]
+            if k == 0:
+                values[:, j] = _mean_mode_column(model, rhs)
+                continue
+            table = tables.get(int(k))
+            if table is None:
+                raise ConfigError(f"no resolvent table for active mode k={k}")
+            kernel = _validate_table(table, int(k), dt, n)
+            diag = _check_diagonal(table.diagonal)
+            out = values[:, j]
+            for i in range(n - 1):
+                out[i] = rhs[i] / diag + dt * np.sum(kernel[1:n - i] * rhs[i + 1:])
+            out[n - 1] = rhs[n - 1] / diag
+        tail = horizon_tail_estimate(model, eq, source)
+    if not np.isfinite(values).all():
+        raise BlowUpError("the density reconstruction left the double range; "
+                          "shrink the datum amplitude")
+    result = DensityHistory(source.times, values, tail_estimate=tail)
     _check_reality(source, result)
     return result
 

@@ -1,10 +1,16 @@
 """Config parsing, artifact formats, and command exit codes."""
 
+import contextlib
 import dataclasses
+import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import load_state_csv
 
 from vpscatter import (PhaseGrid, SpectralState, cli, dispersion, errors,
@@ -35,6 +41,16 @@ grid.t_final = 4.0
 
 # a background the penrose scan finds unstable under vp (winding 1 at k = +-1)
 TWO_STREAM_V1 = "equilibrium.kind = two_stream\nequilibrium.v0 = 1.0\n"
+
+# two modes on a wider frequency grid: a 1e200 datum overflows its backward
+# source there
+WIDE_RUN = """
+grid.kmax = 2
+grid.eta_max = 16.0
+grid.delta_eta = 0.5
+grid.t_final = 4.0
+grid.dt = 0.25
+"""
 
 # a forward run long enough for three field peaks inside the fit window
 DAMP_RUN = """
@@ -207,9 +223,10 @@ class TestStateCsv:
         assert back.grid.eta_max == grid.eta_max
         assert np.array_equal(back.values, state.values)
 
-    def test_bulk_cells_match_fmt_on_extreme_doubles(self, tmp_path):
-        # the state and kernel tables format .tolist() floats in bulk; each
-        # cell must be the text the per-cell _fmt writes
+    def test_bulk_cells_match_fmt_on_extreme_doubles(self, tmp_path,
+                                                     monkeypatch):
+        # the state and kernel tables format .tolist() floats a column at a
+        # time; each cell must be the text the per-cell _fmt writes
         special = [-0.0, 5e-324, 1.7976931348623157e308, float("nan"),
                    float("inf"), -float("inf"), -5e-324, 0.1]
         values = np.array([complex(a, b) for a in special for b in special])
@@ -221,11 +238,21 @@ class TestStateCsv:
         want = [f"{i},{j},{cli._fmt(v.real)},{cli._fmt(v.imag)}"
                 for i in range(grid.n_modes) for j, v in enumerate(state.values[i])]
         assert path.read_text(encoding="utf-8").splitlines()[2:] == want
+        # the kernel command writes a table of the same values
         times = np.linspace(0.0, 1.0, values.size)
+        table = dataclasses.make_dataclass("Table", [
+            "times", "values", "fit_lambda1", "fit_r2", "truncation_bound",
+            "winding"])(times, values, -0.5, 0.9, 1e-9, 0)
+        monkeypatch.setattr(cli, "inverse_laplace_Khat",
+                            lambda *args, **kwargs: table)
+        out = tmp_path / "out"
+        assert main(["kernel", "--out", str(out)]) == EXIT_OK
         want = ["t,re_K,im_K,abs_K"] + [
             ",".join([cli._fmt(t), cli._fmt(v.real), cli._fmt(v.imag),
                       cli._fmt(abs(v))]) for t, v in zip(times, values)]
-        assert cli._kernel_lines(times, values) == want
+        for k in (1, 2, 3):
+            text = (out / f"kernel_k{k}.csv").read_text(encoding="utf-8")
+            assert text.splitlines() == want
 
     @staticmethod
     def edited(tmp_path, edit):
@@ -837,7 +864,7 @@ class TestMainEntry:
         and issubclass(obj, NumericalError) and obj is not NumericalError])
     def test_numerical_error_exits_three(self, tmp_path, capsys, monkeypatch,
                                          kind):
-        def failing(cfg, out_dir, log):
+        def failing(cfg, out_dir):
             raise kind("injected failure")
 
         monkeypatch.setitem(cli._PIPELINES, "poisson", failing)
@@ -846,6 +873,47 @@ class TestMainEntry:
         manifest = (out / "manifest.txt").read_text()
         assert f"# error = {kind.__name__}: injected failure\n" in manifest
         assert capsys.readouterr().err == "error: injected failure\n"
+
+    def test_overflowing_source_exits_three(self, tmp_path, capsys):
+        # the backward source of a 1e200 datum leaves the double range: a
+        # blow-up naming the amplitude (exit 3), not a refused history
+        # (exit 4) after a numpy overflow warning
+        path = write_config(tmp_path, WIDE_RUN + "datum.modes = 1:1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scatter", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: the backward source left the double range; shrink the "
+            "datum, whose mode amplitudes sum to 2.000e+200\n")
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @example(s=200.0, preset="vp", grid=WIDE_RUN, command="scatter")
+    @given(s=st.floats(-12.0, 300.0),
+           preset=st.sampled_from(["vp", "screened", "vpme"]),
+           grid=st.sampled_from([SMALL_RUN, WIDE_RUN]),
+           command=st.sampled_from(["scatter", "roundtrip"]))
+    def test_datum_amplitudes_never_exit_four(self, s, preset, grid, command):
+        # a valid config fails on its numbers with exit 3, one error line,
+        # no numpy warning and a manifest, whatever the datum amplitude 10^s
+        text = grid + f"model.preset = {preset}\ndatum.modes = 1:{10.0 ** s!r}\n"
+        if preset == "vpme":
+            text += "poisson.eps_ball = 1e30\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), text)
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(path), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_NUMERICAL)
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == (code != EXIT_OK)
+            assert not caught, [str(w.message) for w in caught]
+            assert (out / "manifest.txt").is_file()
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as stop:

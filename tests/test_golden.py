@@ -76,9 +76,9 @@ CASES = {
 }
 
 
-def run_case(name: str, out: Path, threads: int = 1) -> int:
+def run_case(name: str, out: Path, threads: int = 1, *flags: str) -> int:
     """Run one case into ``out``, stdout and stderr included; returns its
-    exit code."""
+    exit code.  ``flags`` are passed on to the command line."""
     from vpscatter import cli
 
     command, text = CASES[name]
@@ -88,7 +88,7 @@ def run_case(name: str, out: Path, threads: int = 1) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([command, "--config", str(config), "--out", str(out),
-                         "--threads", str(threads)])
+                         "--threads", str(threads), *flags])
     (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
     (out / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
     return code
@@ -195,6 +195,26 @@ for name, (command, text) in json.loads(sys.argv[1]).items():
     codes[name] = cli.main([command, "--config", name + ".cfg", "--out", name])
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
 """
+
+
+@pytest.mark.parametrize("name", ["penrose", "kernel", "damp", "scatter",
+                                  "roundtrip", "poisson", "selftest"])
+def test_verbose_echoes_the_summary(tmp_path, name):
+    # one stderr line per successful command, `command: key=value ...`,
+    # each pair the text of its `# key = value` manifest line, in order;
+    # without --verbose the goldens' stderr.txt pin an empty stderr
+    out = tmp_path / name
+    assert run_case(name, out, 1, "--verbose") == 0
+    (line,) = (out / "stderr.txt").read_text(encoding="utf-8").splitlines()
+    command, sep, pairs = line.partition(": ")
+    assert command == CASES[name][0] and sep
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    last_key = max(i for i, text in enumerate(manifest)
+                   if not text.startswith("#"))
+    summary = manifest[last_key + 1:]
+    assert summary
+    assert ["# " + pair.replace("=", " = ", 1)
+            for pair in pairs.split(" ")] == summary
 
 
 def test_penrose_and_kernel_load_no_scipy(tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from vpscatter.errors import ConfigError, NoContractionError, WeightOverflowError
+from vpscatter.errors import (BlowUpError, ConfigError, NoContractionError,
+                             WeightOverflowError)
 from vpscatter.gevrey import GevreyWeight, n1_at_time
 from vpscatter import kinetic, scattering
 from vpscatter.kinetic import (AsymptoticDatum, PhaseGrid, SpectralState,
@@ -175,6 +177,28 @@ class TestDrive:
         assert run.decay_fit.rate > 0
         assert run.decay_fit.r_squared >= 0.9
         assert np.isfinite(run.decay_fit.log_amplitude)  # amplitude > 0
+
+    def test_distance_past_double_range_is_a_blow_up(self):
+        # iterates near the largest double with opposite signs: their
+        # difference leaves the range, a blow-up rather than a refused
+        # history, and no numpy warning
+        grid = PhaseGrid(1, 4.0, 0.5)
+        times = np.linspace(0.0, 1.0, 5)
+        big = np.full((times.size, grid.n_modes), 1e308, dtype=complex)
+        zeros = [SpectralState(t, grid, np.zeros((grid.n_modes, grid.n_eta)))
+                 for t in times]
+        huge = [SpectralState(t, grid, np.full((grid.n_modes, grid.n_eta),
+                                               1e308)) for t in times]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match="density difference"):
+                iterate_distance(zeros, zeros, DensityHistory(times, big),
+                                 DensityHistory(times, -big), WEIGHT)
+            with pytest.raises(BlowUpError, match="non-finite"):
+                iterate_distance(huge, [SpectralState(s.time, grid, -s.values)
+                                        for s in huge],
+                                 DensityHistory(times, big),
+                                 DensityHistory(times, big), WEIGHT)
 
     def test_field_norms_survive_underflowing_squares(self):
         # |u_(+-1)| = 1e-224 on the contraction fixture's 321 times: every

@@ -2,6 +2,7 @@
 
 import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from vpscatter.dispersion import inverse_laplace_Khat, penrose_scan
-from vpscatter.errors import ConfigError, RealityError, StepSizeError
+from vpscatter.errors import BlowUpError, ConfigError, RealityError, StepSizeError
 from vpscatter.gevrey import GevreyWeight, norm_N2
 from vpscatter.model import Equilibrium, ModelConfig, make_preset, maxwellian, two_stream
 from vpscatter.volterra import (
@@ -287,6 +288,19 @@ def test_mismatched_mirror_table_raises_reality_error():
     tables[-1] = dataclasses.replace(tables[-1], values=2.0 * tables[-1].values)
     with pytest.raises(RealityError, match="reality symmetry"):
         solve_resolvent(VP, MAXW, src, tables)
+
+
+def test_reconstruction_past_double_range_is_a_blow_up():
+    # a finite source near the largest double sums past it: a blow-up of
+    # the run, not a refused history, and no numpy warning
+    values = np.full((17, 3), 1.7e308, dtype=complex)
+    values[:, 1] = 0.0
+    src = SourceHistory(0.25 * np.arange(17), values)
+    tables = {k: build_discrete_resolvent(VP, MAXW, k, 0.25, 17) for k in (-1, 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match="shrink the datum amplitude"):
+            solve_resolvent(VP, MAXW, src, tables)
 
 
 def test_mean_mode_passthrough_and_zeroing():

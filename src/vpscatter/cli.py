@@ -402,13 +402,15 @@ def _write_efield(path: Path, w: GevreyWeight,
 # ---------------------------------------------------------------------------
 # command pipelines
 
-class _UnstableBackground(Exception):
-    """A winding showed the background unstable where a command asserts
-    stability (exit 2); ``summary`` is the manifest summary so far."""
+class _Verdict(Exception):
+    """A run that finished its work and failed its own check: an unstable
+    background (exit 2), or a drive, round trip or selftest that missed its
+    target (exit 3).  ``summary`` is the manifest summary so far."""
 
-    def __init__(self, message: str, summary: dict[str, str]):
+    def __init__(self, message: str, summary: dict[str, str], code: int):
         super().__init__(message)
         self.summary = summary
+        self.code = code
 
 
 def _penrose(cfg: RunConfig, model: ModelConfig,
@@ -425,7 +427,19 @@ def _penrose(cfg: RunConfig, model: ModelConfig,
     return scan, summary
 
 
-def _cmd_penrose(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _require_stable(scan: PenroseReport, summary: dict[str, str]) -> None:
+    """Refuse (exit 2) a background the penrose scan finds unstable."""
+    if not scan.stable:
+        # a scan that returns unstable has a nonzero winding: a zero kappa0
+        # with none is inconclusive, a configuration error
+        growing = sorted(k for k, n in scan.windings.items() if n)
+        raise _Verdict(
+            f"the penrose scan finds the background unstable (nonzero "
+            f"winding at k = {growing}); the construction assumes a "
+            "Penrose-stable background", summary, EXIT_HYPOTHESIS)
+
+
+def _cmd_penrose(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     scan, summary = _penrose(cfg, cfg.model(), cfg.equilibrium())
     ks = sorted(scan.axis_minima)
     omegas, minima = zip(*(scan.axis_minima[k] for k in ks))
@@ -433,10 +447,11 @@ def _cmd_penrose(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
                "k,omega_argmin,abs_D_min,winding,tail_bound",
                [ks, omegas, minima, [scan.windings[k] for k in ks],
                 [scan.tail_bound] * len(ks)])
-    return (EXIT_OK if scan.stable else EXIT_HYPOTHESIS), summary
+    _require_stable(scan, summary)
+    return summary
 
 
-def _cmd_kernel(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_kernel(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     model, eq = cfg.model(), cfg.equilibrium()
     times = TimeGrid(cfg["grid.t_final"], cfg["grid.dt"]).times
     ks = list(range(1, cfg["kernel.kmax"] + 1))
@@ -464,15 +479,15 @@ def _cmd_kernel(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     # the tables are not the causal kernel, though they are still written
     growing = [k for k, table in zip(ks, tables) if table.winding]
     if not growing:
-        return EXIT_OK, summary
+        return summary
     summary["kernel.stable"] = "false"
-    raise _UnstableBackground(
+    raise _Verdict(
         f"1 + P L winds around 0 along the kernel contour at k = {growing}, "
         "so a zero lies right of it: the background is unstable and the "
-        "kernel tables are not the causal resolvent", summary)
+        "kernel tables are not the causal resolvent", summary, EXIT_HYPOTHESIS)
 
 
-def _cmd_damp(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_damp(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
     grids = cfg.grids()
     report = landau_linear_run(model, eq, w, grids, cfg["damp.amplitude"],
@@ -480,7 +495,7 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
                                fit_window=(cfg["fit.t_start"],
                                            cfg["fit.t_end"]))
     _write_efield(out_dir / "efield.csv", w, report.potentials)
-    return EXIT_OK, {
+    return {
         "damp.mode": str(report.mode),
         "damp.fit_rate": _fmt(report.fit.rate),
         "damp.fit_r2": _fmt(report.fit.r_squared),
@@ -490,15 +505,7 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 def _drive(cfg: RunConfig):
     """The fixed-point drive, on a background the penrose scan finds stable."""
     model, eq, w = cfg.model(), cfg.equilibrium(), cfg.weight()
-    scan, summary = _penrose(cfg, model, eq)
-    if not scan.stable:
-        # a scan that returns unstable has a nonzero winding: a zero kappa0
-        # with none is inconclusive, a configuration error
-        growing = sorted(k for k, n in scan.windings.items() if n)
-        raise _UnstableBackground(
-            f"the penrose scan finds the background unstable (nonzero "
-            f"winding at k = {growing}); the construction assumes a "
-            "Penrose-stable background", summary)
+    _require_stable(*_penrose(cfg, model, eq))
     grids = cfg.grids()
     datum = cfg.datum()
     return model, eq, w, grids, fixed_point_drive(
@@ -506,8 +513,9 @@ def _drive(cfg: RunConfig):
         max_iters=cfg["drive.max_iters"])
 
 
-def _write_drive_artifacts(out_dir: Path, w: GevreyWeight,
+def _write_drive_artifacts(out_dir: Path, cfg: RunConfig, w: GevreyWeight,
                            run) -> dict[str, str]:
+    """Write the drive's CSVs; refuse (exit 3) a drive that did not converge."""
     # the first row is the free extension: no distance yet, and no ratio
     # until the second distance
     reports = [record.report for record in run.iterates]
@@ -526,20 +534,22 @@ def _write_drive_artifacts(out_dir: Path, w: GevreyWeight,
     if run.decay_fit is not None:
         summary["scatter.decay_rate"] = _fmt(run.decay_fit.rate)
         summary["scatter.decay_r2"] = _fmt(run.decay_fit.r_squared)
+    if not run.converged:
+        raise _Verdict(
+            f"the drive stopped after {len(run.distances)} passes at distance "
+            f"{run.distances[-1]:.3e}, above drive.tol = {cfg['drive.tol']:.1e}",
+            summary, EXIT_NUMERICAL)
     return summary
 
 
-def _cmd_scatter(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_scatter(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     _, _, w, _, run = _drive(cfg)
-    summary = _write_drive_artifacts(out_dir, w, run)
-    return (EXIT_OK if run.converged else EXIT_NUMERICAL), summary
+    return _write_drive_artifacts(out_dir, cfg, w, run)
 
 
-def _cmd_roundtrip(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_roundtrip(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     model, eq, w, grids, run = _drive(cfg)
-    summary = _write_drive_artifacts(out_dir, w, run)
-    if not run.converged:
-        return EXIT_NUMERICAL, summary
+    summary = _write_drive_artifacts(out_dir, cfg, w, run)
     report = roundtrip_check(run, model, eq, w, grids)
     _write_csv(out_dir / "roundtrip.csv", "t,profile_error",
                [report.times.tolist(), report.profile_errors.tolist()])
@@ -551,10 +561,14 @@ def _cmd_roundtrip(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "roundtrip.bound": _fmt(report.bound),
         "roundtrip.within_bound": "true" if within else "false",
     })
-    return (EXIT_OK if within else EXIT_NUMERICAL), summary
+    if not within:
+        raise _Verdict(
+            f"the round trip misses the datum by {report.sup_error:.3e}, above "
+            f"its bound {report.bound:.3e}", summary, EXIT_NUMERICAL)
+    return summary
 
 
-def _cmd_poisson(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def _cmd_poisson(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     model, w = cfg.model(), cfg.weight()
     grids = cfg.grids()
     q_hat = cfg.datum().trace(grids.phase.k_values, 0.0)
@@ -563,7 +577,7 @@ def _cmd_poisson(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     _write_csv(out_dir / "poisson.csv", "k,re_u,im_u,abs_e",
                [grids.phase.k_values.tolist(), u_hat.real.tolist(),
                 u_hat.imag.tolist(), [abs(e) for e in snapshot.e_hat]])
-    return EXIT_OK, {
+    return {
         "poisson.residual": _fmt(snapshot.residual),
         "poisson.iterations": str(snapshot.iters),
     }
@@ -639,19 +653,22 @@ def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
     ]
 
 
-def _cmd_selftest(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    failures = 0
+def _cmd_selftest(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
+    failed = []
     checks = _selftest_checks()
     for name, check in checks:
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
-            failures += 1
+            failed.append(name)
             print(f"FAIL - {name}: {exc}")
         else:
             print(f"ok - {name}")
-    return (EXIT_OK if failures == 0 else EXIT_NUMERICAL), {
-        "selftest.passed": f"{len(checks) - failures}/{len(checks)}"}
+    summary = {"selftest.passed": f"{len(checks) - len(failed)}/{len(checks)}"}
+    if failed:
+        raise _Verdict(f"{len(failed)} of {len(checks)} selftest checks "
+                       f"failed: {', '.join(failed)}", summary, EXIT_NUMERICAL)
+    return summary
 
 
 _PIPELINES = {
@@ -685,11 +702,11 @@ def run_command(command: str, cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: "
                           f"{exc.strerror}") from None
-    error = None
+    error, code = None, EXIT_OK
     try:
-        code, summary = _PIPELINES[command](cfg, out_dir)
-    except _UnstableBackground as exc:
-        error, code, summary = exc, EXIT_HYPOTHESIS, exc.summary
+        summary = _PIPELINES[command](cfg, out_dir)
+    except _Verdict as exc:
+        error, code, summary = exc, exc.code, exc.summary
     except ConfigError as exc:
         error, code, summary = exc, EXIT_CONFIG, {"error": str(exc)}
     except NumericalError as exc:

@@ -7,8 +7,9 @@ evaluates the series as powers of the slice's truncated-product Toeplitz
 matrix, :func:`potential_from_density` is the screened Poisson division every
 layer uses, and :func:`electric_from_density` adds the electric field.  The
 slice norm of the smallness gate, the Picard loop's measure and the
-field-decay series of :func:`efield_weighted_norms` are one weighted
-root-sum-square with one rule for values past the double range.
+field-decay series of :func:`efield_weighted_norms`, one slice at a time,
+are one weighted root-sum-square; a sum past the double range is taken again
+by the rule of the distribution and density norms in :mod:`gevrey`.
 
 Slot position is the mode label: a slice of odd width 2K + 1 (or the last
 axis of an array of slices) holds the modes -K..K in increasing order, so
@@ -26,8 +27,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NoContractionError
-from .gevrey import (RADIUS_REDUCTION, GevreyWeight, _norm_overflow,
-                     _require_finite, bracket, lambda_of_t, log_weight_A)
+from .gevrey import (RADIUS_REDUCTION, GevreyWeight, _require_finite,
+                     _weighted_root, bracket, lambda_of_t, log_weight_A)
 from .model import ModelConfig
 from .volterra import SpectralHistory
 
@@ -109,47 +110,25 @@ def _screening(beta: float, width: int) -> np.ndarray:
     return denom
 
 
-def _root_sum_squares(x: np.ndarray) -> np.ndarray:
-    """sqrt(sum(x**2)) over the last axis of a nonnegative 2-d array.
-
-    A row with a nonzero entry whose sum is below n tiny (n the row length,
-    tiny the smallest normal double), where squares past the normal range
-    could move it, or whose sum overflows to inf with every entry finite, is
-    summed again scaled by its maximum; every other row keeps the plain
-    sum's bits.
-    """
-    with np.errstate(over="ignore"):
-        out = np.sqrt(np.sum(x * x, axis=-1))
-    peak = np.max(x, axis=-1)
-    low = out < math.sqrt(x.shape[-1] * _TINY)
-    redo = np.where(low, peak > 0.0, np.isinf(out) & np.isfinite(peak))
-    scaled = x[redo] / peak[redo, None]
-    out[redo] = peak[redo] * np.sqrt(np.sum(scaled * scaled, axis=-1))
-    return out
-
-
-def _weighted_norm(weights: np.ndarray, values: np.ndarray, what: str):
-    """Root-sum-square of weights * |values| over the last axis: a float for
-    one slice, an array for a stack of slices.
+def _weighted_norm(weights: np.ndarray, values: np.ndarray, what: str) -> float:
+    """Root-sum-square of weights * |values| over one slice.
 
     The caller holds an ``np.errstate`` that ignores overflow and invalid
-    operations (an infinite weight times a zero amplitude is nan).  A result
-    past the double range raises :class:`BlowUpError` for non-finite values,
-    else the :class:`WeightOverflowError` that blames an infinite weight on
-    lambda_inf and sigma, or the ``what`` ("slice" or "field") amplitude.
+    operations (an infinite weight times a zero amplitude is nan).  The
+    plain sum is kept unless it is below sqrt(n tiny) (n the slice length,
+    tiny the smallest normal double) with a nonzero entry, or is not finite:
+    then a slice holding non-finite values raises :class:`BlowUpError`, and
+    the sum is taken again by ``gevrey._weighted_root``, which blames a
+    result past the double range on lambda_inf and sigma or on the ``what``
+    ("slice" or "field") amplitude.
     """
     x = weights * np.abs(values)
-    if x.ndim == 1:  # the Picard loop's path: the plain sum as a float
-        total = math.sqrt(np.sum(x * x))
-        if math.sqrt(x.size * _TINY) <= total < math.inf or not x.any():
-            return total
-    total = _root_sum_squares(np.atleast_2d(x))
-    if np.isfinite(total).all():
-        return total if x.ndim > 1 else float(total[0])
+    total = math.sqrt(np.sum(x * x))
+    if math.sqrt(x.size * _TINY) <= total < math.inf or not x.any():
+        return total
     _require_finite(values, "weighted density slice" if what == "slice"
                     else "weighted electric field")
-    raise _norm_overflow(what, bool(np.isfinite(weights).all()),
-                         float(np.max(np.abs(values))))
+    return _weighted_root(values, 2.0 * np.log(weights), what)
 
 
 def weighted_density_norm(w: GevreyWeight, t: float, values) -> float:
@@ -167,9 +146,10 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     """Weighted electric-field norms along the density line, per grid time.
 
     The weight uses a constant regularity radius, 0.9 of the working radius
-    at t = 0, so it stays below the time-dependent one.  A norm past the
-    double range raises :class:`WeightOverflowError`, which blames an
-    infinite weight on lambda_inf and sigma, and else the field amplitude.
+    at t = 0, so it stays below the time-dependent one.  Each time is
+    measured as one slice; a norm past the double range raises
+    :class:`WeightOverflowError`, which blames an infinite weight on
+    lambda_inf and sigma, and else the field amplitude.
     """
     lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
     times = potentials.times
@@ -178,8 +158,9 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     br = bracket(k[None, :], k[None, :] * times[:, None])
     log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _weighted_norm(np.exp(log_w), e_hat, "field")
-    return times.copy(), norms
+        norms = [_weighted_norm(row_w, row_e, "field")
+                 for row_w, row_e in zip(np.exp(log_w), e_hat)]
+    return times.copy(), np.array(norms)
 
 
 @functools.lru_cache(maxsize=16)

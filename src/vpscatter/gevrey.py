@@ -8,9 +8,11 @@ The time-independent parts of the distribution weight (``<k,eta>^gamma``, the
 polynomial log term and the trapezoid log weights) are built once per grid and
 weight and cached, so :func:`n1_at_time` does only the arithmetic that depends
 on the state: the radius term, the eta derivatives and the log-sum-exp.
-Both norms refuse a non-finite state or density with :class:`BlowUpError`,
-and a norm past the double range with :class:`WeightOverflowError`, which
-names the weight or the amplitude as the cause (``_norm_overflow``).
+Both norms refuse a non-finite state or density with :class:`BlowUpError`.
+``_weighted_root`` is the one rule for a weighted sum past the double range,
+here and for the field layer's norms: it takes the sum again scaled by the
+peak amplitude, and refuses a norm past the range with
+:class:`WeightOverflowError`, which names the weight or the amplitude.
 """
 
 from __future__ import annotations
@@ -219,19 +221,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _norm_overflow(what: str, weight_finite: bool,
-                   amplitude: float) -> WeightOverflowError:
-    """The error of a weighted ``what`` norm past the double range: an
-    infinite weight is blamed on lambda_inf and sigma, else the amplitude."""
-    if not weight_finite:
-        return WeightOverflowError(
-            f"weighted {what} norm overflowed; reduce lambda_inf or sigma")
-    return WeightOverflowError(
-        f"weighted {what} norm overflowed: the {what} amplitude "
-        f"{amplitude:.3e} times its finite weight leaves the double range; "
-        "shrink the datum amplitude")
-
-
 def _weighted_root(values: np.ndarray, log_w2: np.ndarray, what: str) -> float:
     """sqrt(sum(exp(log_w2) |values|^2)) by a log-sum-exp; ``log_w2``
     broadcasts against ``values``.
@@ -257,9 +246,15 @@ def _weighted_root(values: np.ndarray, log_w2: np.ndarray, what: str) -> float:
         peak = float(np.max(mags))
         logs = 2.0 * np.log(mags / peak) + log_w2
         norm = peak * float(np.exp(0.5 * _log_sum_exp(logs)))
-    if not math.isfinite(norm):
-        raise _norm_overflow(what, log_w2_max <= 2.0 * _LOG_MAX, peak)
-    return norm
+    if math.isfinite(norm):
+        return norm
+    if not log_w2_max <= 2.0 * _LOG_MAX:
+        raise WeightOverflowError(
+            f"weighted {what} norm overflowed; reduce lambda_inf or sigma")
+    raise WeightOverflowError(
+        f"weighted {what} norm overflowed: the {what} amplitude {peak:.3e} "
+        "times its finite weight leaves the double range; shrink the datum "
+        "amplitude")
 
 
 def n1_at_time(state, w: GevreyWeight) -> float:
@@ -313,11 +308,11 @@ class WeightedNormReport:
     n1: float
     n2: float
     n_total: float
-    per_time: tuple[tuple[float, float], ...]
 
 
 def weighted_norm_report(state_history, density, w: GevreyWeight) -> WeightedNormReport:
-    per_time = tuple((float(s.time), n1_at_time(s, w)) for s in state_history)
-    n1 = max((v for _, v in per_time), default=0.0)
+    """Sup over the states of :func:`n1_at_time` (0 for none) plus
+    :func:`norm_N2` of the density."""
+    n1 = max((n1_at_time(s, w) for s in state_history), default=0.0)
     n2 = norm_N2(density, w)
-    return WeightedNormReport(n1=n1, n2=n2, n_total=n1 + n2, per_time=per_time)
+    return WeightedNormReport(n1=n1, n2=n2, n_total=n1 + n2)

@@ -635,12 +635,10 @@ def transport_rhs(state: SpectralState, u_linear: np.ndarray,
     if u_lin.shape != (grid.n_modes,) or u_nl.shape != (grid.n_modes,):
         raise ConfigError("stage potentials must hold one value per lattice mode")
     shear, mu, shear_k, shifts = _sheared_profile(eq, grid, state.time)
-    if any(u_lin.tolist()):
-        rhs = shear_k * u_lin[:, None] * mu
-        # 0 - x, the difference from a zero fill, signed zeros included
-        np.subtract(0.0, rhs, out=rhs)
-    else:
-        rhs = np.zeros(shear.shape, dtype=complex)
+    rhs = shear_k * u_lin[:, None] * mu
+    # 0 - x, the difference from a zero fill, signed zeros included: a zero
+    # potential gives +0 throughout
+    np.subtract(0.0, rhs, out=rhs)
     k_max = grid.k_max
     coefs = u_nl.tolist()
     ells = [ell for ell in range(-k_max, k_max + 1) if ell and coefs[ell + k_max]]

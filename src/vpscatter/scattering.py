@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (BlowUpError, ConfigError, DivergenceError,
                      NoContractionError)
 from .model import Equilibrium, ModelConfig
-from .gevrey import (GevreyWeight, WeightedNormReport, n1_at_time, norm_N2,
-                     weighted_norm_report)
+from .gevrey import GevreyWeight, WeightedNormReport, weighted_norm_report
 from .fitting import DecayFit, peak_decay_fit, stretched_exponential_fit
 from .volterra import (DensityHistory, DiscreteResolvent, SpectralHistory,
                        build_discrete_resolvent, solve_resolvent)
@@ -254,17 +253,16 @@ def iterate_distance(states_a: Sequence[SpectralState],
     if len(states_a) != len(states_b):
         raise ConfigError("iterates hold different numbers of states")
     grid = states_a[0].grid
-    n1 = 0.0
     # the norms refuse a non-finite state difference as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        for sa, sb in zip(states_a, states_b):
-            diff = SpectralState(sa.time, grid, sa.values - sb.values)
-            n1 = max(n1, n1_at_time(diff, w))
         rho = density_a.values - density_b.values
-    if not np.isfinite(rho).all():
-        raise BlowUpError("the density difference of two iterates left the "
-                          "double range; shrink the datum amplitude")
-    return n1 + norm_N2(DensityHistory(density_a.times, rho), w)
+        if not np.isfinite(rho).all():
+            raise BlowUpError("the density difference of two iterates left "
+                              "the double range; shrink the datum amplitude")
+        diffs = (SpectralState(sa.time, grid, sa.values - sb.values)
+                 for sa, sb in zip(states_a, states_b))
+        return weighted_norm_report(diffs, DensityHistory(density_a.times, rho),
+                                    w).n_total
 
 
 def fixed_point_drive(ginf: AsymptoticDatum, model: ModelConfig,

@@ -436,6 +436,44 @@ class TestCommands:
         manifest = (out / "manifest.txt").read_text()
         assert "# scatter.converged = false" in manifest
 
+    EXHAUSTED = "drive.tol = 1e-30\ndrive.max_iters = 2\n"
+
+    @pytest.mark.parametrize("command, extra, stub, code, verdict", [
+        ("scatter", EXHAUSTED, None, EXIT_NUMERICAL,
+         "# scatter.converged = false"),
+        ("roundtrip", EXHAUSTED, None, EXIT_NUMERICAL,
+         "# scatter.converged = false"),
+        ("roundtrip", "", "roundtrip", EXIT_NUMERICAL,
+         "# roundtrip.within_bound = false"),
+        ("penrose", "equilibrium.kind = two_stream\npenrose.samples = 1201\n"
+         "penrose.omega_max = 6.0\n", None, EXIT_HYPOTHESIS,
+         "# penrose.stable = false"),
+        ("selftest", "", "selftest", EXIT_NUMERICAL, "# selftest.passed = 1/2"),
+    ], ids=["scatter_exhausted", "roundtrip_exhausted", "roundtrip_out_of_bound",
+            "penrose_unstable", "selftest_failed"])
+    def test_verdict_exit_prints_one_error_line(self, tmp_path, capsys,
+                                                monkeypatch, command, extra,
+                                                stub, code, verdict):
+        # a run that finishes and fails its own check names the cause on
+        # stderr; the manifest holds its summary and no error line
+        if stub == "roundtrip":
+            honest = cli.roundtrip_check
+            monkeypatch.setattr(cli, "roundtrip_check", lambda *args:
+                                dataclasses.replace(honest(*args),
+                                                    within_bound=False))
+        elif stub == "selftest":
+            def failing():
+                raise AssertionError("injected")
+
+            monkeypatch.setattr(cli, "_selftest_checks", lambda: [
+                ("passing", lambda: None), ("failing", failing)])
+        got, out = self.run(command, tmp_path, extra)
+        assert got == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        manifest = (out / "manifest.txt").read_text()
+        assert verdict in manifest and "# error" not in manifest
+
     def test_reality_failure_exits_three(self, tmp_path, monkeypatch):
         honest = scattering.build_resolvent_tables
 

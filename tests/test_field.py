@@ -12,11 +12,13 @@ from hypothesis.extra.numpy import arrays
 from vpscatter import field
 from vpscatter.errors import (BlowUpError, ConfigError, NoContractionError,
                               WeightOverflowError)
-from vpscatter.field import (electric_from_density, h_of_field,
-                             poisson_fixed_point, potential_from_density,
-                             weighted_density_norm)
-from vpscatter.gevrey import GevreyWeight, log_weight_A
+from vpscatter.field import (efield_weighted_norms, electric_from_density,
+                             h_of_field, poisson_fixed_point,
+                             potential_from_density, weighted_density_norm)
+from vpscatter.gevrey import (RADIUS_REDUCTION, GevreyWeight, bracket,
+                             lambda_of_t, log_weight_A)
 from vpscatter.model import ModelConfig, make_preset
+from vpscatter.volterra import SpectralHistory
 
 SQUARE = ModelConfig(beta=1.0, h_coeffs=(0.0, 0.0, 1.0), label="sq")
 
@@ -244,18 +246,35 @@ class TestWeightedNorm:
         # only a row whose squares underflow or overflow is summed again
         rescaled = []
 
-        def spy(x):
-            rescaled.append(x.copy())
-            return field_root_sum_squares(x)
+        def spy(values, log_w2, what):
+            rescaled.append(values.copy())
+            return field_weighted_root(values, log_w2, what)
 
-        field_root_sum_squares = field._root_sum_squares
-        monkeypatch.setattr(field, "_root_sum_squares", spy)
+        field_weighted_root = field._weighted_root
+        monkeypatch.setattr(field, "_weighted_root", spy)
         w = GevreyWeight()
         got = weighted_density_norm(w, 3.0, np.zeros(5))
         assert got == 0.0 and type(got) is float and not rescaled
         for scale in (1e-224, 1e153):
             weighted_density_norm(w, 0.0, pair_slice(4, 1, scale))
         assert len(rescaled) == 2
+
+    def test_field_series_retakes_one_row_among_unit_rows(self):
+        # one row at 1e-224 among unit rows: only that row is summed again,
+        # the others keep their plain sums bit for bit
+        w = GevreyWeight()
+        times = np.arange(5) * 0.5
+        unit = np.tile(pair_slice(2, 1, 1.0), (times.size, 1))
+        u = unit.copy()
+        u[2] *= 1e-224
+        _, norms = efield_weighted_norms(w, SpectralHistory(times, u))
+        k = lattice(2).astype(float)
+        br = bracket(k, k * times[:, None])
+        x = (np.exp(RADIUS_REDUCTION * lambda_of_t(w, 0.0) * br ** w.gamma
+                    + w.sigma * np.log(br)) * np.abs(-1j * k * unit))
+        plain = [math.sqrt(np.sum(row * row)) for row in x]
+        assert [norms[i] for i in (0, 1, 3, 4)] == [plain[i] for i in (0, 1, 3, 4)]
+        assert norms[2] == pytest.approx(1e-224 * plain[2], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_slice_is_a_blow_up(self, bad):

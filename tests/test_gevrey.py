@@ -231,7 +231,7 @@ def test_norm_report_totals():
     rep = weighted_norm_report([st], dens, w)
     assert rep.n_total == rep.n1 + rep.n2
     assert rep.n1 > 0 and rep.n2 > 0
-    assert len(rep.per_time) == 1 and rep.per_time[0][0] == 0.0
+    assert rep.n1 == n1_at_time(st, w)
 
 
 def test_norm_overflow_guard():

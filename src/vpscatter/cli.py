@@ -493,7 +493,8 @@ def _cmd_damp(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     report = landau_linear_run(model, eq, w, grids, cfg["damp.amplitude"],
                                mode=cfg["damp.mode"],
                                fit_window=(cfg["fit.t_start"],
-                                           cfg["fit.t_end"]))
+                                           cfg["fit.t_end"]),
+                               width=cfg["datum.width"])
     _write_efield(out_dir / "efield.csv", w, report.potentials)
     return {
         "damp.mode": str(report.mode),

@@ -8,8 +8,8 @@ matrix, :func:`potential_from_density` is the screened Poisson division every
 layer uses, and :func:`electric_from_density` adds the electric field.  The
 slice norm of the smallness gate, the Picard loop's measure and the
 field-decay series of :func:`efield_weighted_norms`, one slice at a time,
-are one weighted root-sum-square; a sum past the double range is taken again
-by the rule of the distribution and density norms in :mod:`gevrey`.
+are the one weighted root-sum-square of :mod:`gevrey` (``_weighted_rss``),
+the rule of the distribution and density norms, on rows of log weights.
 
 Slot position is the mode label: a slice of odd width 2K + 1 (or the last
 axis of an array of slices) holds the modes -K..K in increasing order, so
@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from .errors import ConfigError, NoContractionError
 from .gevrey import (RADIUS_REDUCTION, GevreyWeight, _require_finite,
-                     _weighted_root, bracket, lambda_of_t, log_weight_A)
+                     _weighted_rss, bracket, lambda_of_t, log_weight_A)
 from .model import ModelConfig
-from .volterra import SpectralHistory
+from .volterra import MEAN_MODE_TOL, SpectralHistory
 
 __all__ = [
     "FieldSnapshot",
@@ -42,8 +41,6 @@ __all__ = [
     "poisson_fixed_point",
 ]
 
-MEAN_MODE_TOL = 1e-10
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _PAD = np.zeros(1, dtype=complex)  # the zero that T(u) reads outside -K..K
 
 
@@ -86,16 +83,14 @@ class FieldSnapshot:
 
 @functools.lru_cache(maxsize=2)
 def _density_weights(w: GevreyWeight, t: float, width: int) -> np.ndarray:
-    """Time-t Gevrey weight of every mode of a width-mode slice along
-    eta = k t, read-only.
+    """Log of the time-t Gevrey weight of every mode of a width-mode slice
+    along eta = k t, read-only.
 
     Two entries: RK4's k2 and k3 share a stage time, and so do k4 and the
     next step's k1, so the Picard loop evaluates each stage time's row once.
-    A weight past the double range is inf, which the norm reports.
     """
     k = (np.arange(width) - width // 2).astype(float)
-    with np.errstate(over="ignore"):
-        row = np.exp(log_weight_A(w, t, k, k * t))
+    row = log_weight_A(w, t, k, k * t)
     row.setflags(write=False)
     return row
 
@@ -110,35 +105,13 @@ def _screening(beta: float, width: int) -> np.ndarray:
     return denom
 
 
-def _weighted_norm(weights: np.ndarray, values: np.ndarray, what: str) -> float:
-    """Root-sum-square of weights * |values| over one slice.
-
-    The caller holds an ``np.errstate`` that ignores overflow and invalid
-    operations (an infinite weight times a zero amplitude is nan).  The
-    plain sum is kept unless it is below sqrt(n tiny) (n the slice length,
-    tiny the smallest normal double) with a nonzero entry, or is not finite:
-    then a slice holding non-finite values raises :class:`BlowUpError`, and
-    the sum is taken again by ``gevrey._weighted_root``, which blames a
-    result past the double range on lambda_inf and sigma or on the ``what``
-    ("slice" or "field") amplitude.
-    """
-    x = weights * np.abs(values)
-    total = math.sqrt(np.sum(x * x))
-    if math.sqrt(x.size * _TINY) <= total < math.inf or not x.any():
-        return total
-    _require_finite(values, "weighted density slice" if what == "slice"
-                    else "weighted electric field")
-    return _weighted_root(values, 2.0 * np.log(weights), what)
-
-
 def weighted_density_norm(w: GevreyWeight, t: float, values) -> float:
     """Amplitude of one density slice under the time-t Gevrey weight.
 
     A slice holding non-finite values is refused with :class:`BlowUpError`.
     """
     vals = _mode_slice(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_norm(_density_weights(w, t, vals.size), vals, "slice")
+    return _weighted_rss(vals, _density_weights(w, t, vals.size), "slice")
 
 
 def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
@@ -148,8 +121,8 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     The weight uses a constant regularity radius, 0.9 of the working radius
     at t = 0, so it stays below the time-dependent one.  Each time is
     measured as one slice; a norm past the double range raises
-    :class:`WeightOverflowError`, which blames an infinite weight on
-    lambda_inf and sigma, and else the field amplitude.
+    :class:`WeightOverflowError`, which blames a weight past the range on a
+    nonzero field on lambda_inf and sigma, and else the field amplitude.
     """
     lam_bar = RADIUS_REDUCTION * lambda_of_t(w, 0.0)
     times = potentials.times
@@ -157,9 +130,8 @@ def efield_weighted_norms(w: GevreyWeight, potentials: SpectralHistory
     e_hat = -1j * k[None, :] * potentials.values
     br = bracket(k[None, :], k[None, :] * times[:, None])
     log_w = lam_bar * br ** w.gamma + w.sigma * np.log(br)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_weighted_norm(row_w, row_e, "field")
-                 for row_w, row_e in zip(np.exp(log_w), e_hat)]
+    norms = [_weighted_rss(row_e, log_row, "field")
+             for log_row, row_e in zip(log_w, e_hat)]
     return times.copy(), np.array(norms)
 
 
@@ -266,7 +238,7 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
     q = _mode_slice(q_hat)
     if not model.has_h:
         return dataclasses.replace(electric_from_density(model, q), iters=1)
-    weights = _density_weights(w, t, q.size)
+    log_w = _density_weights(w, t, q.size)
     eps = weighted_density_norm(w, t, q)
     if eps > model.eps_ball:
         raise NoContractionError(
@@ -283,12 +255,12 @@ def poisson_fixed_point(model: ModelConfig, q_hat, w: GevreyWeight,
             u_hat = rho / denom
             u_hat[mean] = 0.0
             nxt = q - h_of_field(model, u_hat)
-            dist = _weighted_norm(weights, nxt - rho, "slice")
+            dist = _weighted_rss(nxt - rho, log_w, "slice")
             if prev_dist is not None and prev_dist > 0.0:
                 ratios.append(dist / prev_dist)
             prev_dist = dist
             rho = nxt
-            if _weighted_norm(weights, rho, "slice") > ball and eps > 0.0:
+            if _weighted_rss(rho, log_w, "slice") > ball and eps > 0.0:
                 raise NoContractionError(
                     f"iterate left the contraction ball of radius {ball:.3e} "
                     f"after {itn} steps")

@@ -1,18 +1,20 @@
 """Gevrey-type weights and the weighted norms of the construction.
 
-Weights are handled in log domain throughout: ``exp(lambda <k,eta>^gamma)``
-overflows doubles long before the frequencies of interest run out, so every
-weighted sum goes through a max-shifted log-sum-exp before exponentiation.
+Every weighted norm of the package, the distribution norm N1, the density
+norm N2 here and the slice and field norms of :mod:`field`, is one weighted
+root-sum-square, :func:`_weighted_rss`.  It takes the exact log weight, since
+``exp(lambda <k,eta>^gamma)`` overflows doubles long before the frequencies
+of interest run out, and keeps the plain sum of squares wherever that is a
+double; only a sum whose squares over- or underflow is taken again, scaled
+by the peak amplitude and with its largest term factored out in log domain.
+A norm past the double range raises :class:`WeightOverflowError`, which
+names the weight or the amplitude.
 
 The time-independent parts of the distribution weight (``<k,eta>^gamma``, the
 polynomial log term and the trapezoid log weights) are built once per grid and
 weight and cached, so :func:`n1_at_time` does only the arithmetic that depends
-on the state: the radius term, the eta derivatives and the log-sum-exp.
-Both norms refuse a non-finite state or density with :class:`BlowUpError`.
-``_weighted_root`` is the one rule for a weighted sum past the double range,
-here and for the field layer's norms: it takes the sum again scaled by the
-peak amplitude, and refuses a norm past the range with
-:class:`WeightOverflowError`, which names the weight or the amplitude.
+on the state: the radius term, the eta derivatives and the sum.  Both norms
+refuse a non-finite state or density with :class:`BlowUpError`.
 """
 
 from __future__ import annotations
@@ -162,95 +164,73 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise BlowUpError(f"{what} holds non-finite values")
 
 
-def _log_abs_sq(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log |values|^2 into ``out``: -inf where the square is 0, +inf where it
-    overflows, so one plain log serves every entry."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        mag2 = np.abs(values, out=out)
-        np.square(mag2, out=mag2)
-        return np.log(mag2, out=mag2)
-
-
-def _trapezoid_log_weights(n: int, step: float) -> np.ndarray:
-    logs = np.full(n, math.log(step))
-    logs[0] -= math.log(2.0)
-    logs[-1] -= math.log(2.0)
-    return logs
-
-
 @lru_cache(maxsize=16)
 def _n1_tables(k_bytes: bytes, eta_bytes: bytes, w: GevreyWeight):
-    """Read-only ``<k,eta>^gamma``, ``(2 sigma + 2) log<k,eta>`` and trapezoid
-    log weights of one grid, keyed on the exact bytes of its float axes."""
+    """Read-only ``<k,eta>^gamma`` and ``(sigma + 1) log<k,eta>`` plus the
+    log square root of the trapezoid weights of one grid, keyed on the exact
+    bytes of its float axes."""
     k = np.frombuffer(k_bytes)[:, None]
-    eta = np.frombuffer(eta_bytes)[None, :]
-    br = bracket(k, eta)
-    tables = (br**w.gamma, (2.0 * w.sigma + 2.0) * np.log(br),
-              _trapezoid_log_weights(br.shape[1], float(eta[0, 1] - eta[0, 0]))[None, :])
+    eta = np.frombuffer(eta_bytes)
+    br = bracket(k, eta[None, :])
+    quad = np.full(eta.size, eta[1] - eta[0])
+    quad[[0, -1]] /= 2.0
+    tables = (br**w.gamma, (w.sigma + 1.0) * np.log(br) + 0.5 * np.log(quad))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _log_sum_exp(logs: np.ndarray) -> float:
-    """``scipy.special.logsumexp(logs)`` for a real array, bit for bit, with
-    ``logs`` overwritten.
-
-    The maxima are summed apart from the rest, as in scipy (after Blanchard,
-    Higham & Higham, IMA J. Numer. Anal. 41, 2021): with ``m`` tied maxima
-    and ``s`` the sum of the other shifted exponentials, the result is
-    ``log1p(s / m) + log(m) + max``.  A non-finite maximum is returned as is.
-    """
-    top = logs.max()
-    if not np.isfinite(top):
-        return top
-    logs -= top
-    ties = logs == 0.0  # x - top is exactly zero only where x == top
-    m = np.float64(np.count_nonzero(ties))
-    np.exp(logs, out=logs)
-    logs[ties] = 0.0
-    s = logs.sum()
-    if s != 0.0:
-        s = s / m
-    return np.log1p(s) + np.log(m) + top
-
-
-# largest exponent whose exponential is still a finite double, and the log
-# of the smallest normal double
+# the smallest normal double, and the log of the largest double
+_TINY = float(np.finfo(float).tiny)
 _LOG_MAX = math.log(np.finfo(float).max)
-_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _weighted_root(values: np.ndarray, log_w2: np.ndarray, what: str) -> float:
-    """sqrt(sum(exp(log_w2) |values|^2)) by a log-sum-exp; ``log_w2``
-    broadcasts against ``values``.
+def _weighted_rss(values: np.ndarray, log_w: np.ndarray, what: str) -> float:
+    """sqrt(sum(exp(log_w)^2 |values|^2)); ``log_w`` broadcasts against
+    ``values``.
 
-    The logs are log |values|^2 + log_w2.  Where a square overflows (the sum
-    reads +inf), the sum is below n times the largest weight times the
-    smallest normal double (squares past the normal range could move it) or
-    the norm leaves the double range, the sum is taken again over
-    |values / peak|^2, peak the largest magnitude, which no square limits;
-    the norm is peak times its root.  A norm past the double range is
-    refused, blaming the weight only when its largest value is past it too.
+    The plain sum is kept when it is finite and at least sqrt(n tiny) (n the
+    number of terms, tiny the smallest normal double), and a zero ``values``
+    is 0.  Any other sum, one whose squares over- or underflow or that meets
+    a non-finite value, is taken again by :func:`_rescaled_rss`.
     """
-    log_w2_max = float(log_w2.max())
-    logs = _log_abs_sq(values, np.empty(values.shape))
-    logs += log_w2
-    total = _log_sum_exp(logs)
-    if log_w2_max + math.log(logs.size) + _LOG_TINY <= total <= 2.0 * _LOG_MAX:
-        return float(np.exp(0.5 * total))
-    if total == -math.inf and not values.any():  # a zero state
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mags = np.abs(values)
-        peak = float(np.max(mags))
-        logs = 2.0 * np.log(mags / peak) + log_w2
-        norm = peak * float(np.exp(0.5 * _log_sum_exp(logs)))
-    if math.isfinite(norm):
-        return norm
-    if not log_w2_max <= 2.0 * _LOG_MAX:
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.abs(values)
+        x *= np.exp(log_w)
+        total = math.sqrt(np.add.reduce(np.square(x, out=x), axis=None))
+    if math.sqrt(x.size * _TINY) <= total < math.inf:
+        return total
+    return _rescaled_rss(values, log_w, what) if values.any() else 0.0
+
+
+def _rescaled_rss(values: np.ndarray, log_w: np.ndarray, what: str) -> float:
+    """:func:`_weighted_rss` of a nonzero ``values`` whose plain sum is out
+    of range.
+
+    Non-finite values raise :class:`BlowUpError`.  The sum is taken over
+    |values / peak|^2, peak the largest magnitude, with its largest term
+    factored out of the logs, so no square over- or underflows and a zero
+    amplitude adds nothing under any weight; the norm is peak times that
+    root.  A norm past the double range raises :class:`WeightOverflowError`,
+    blaming the weight when the largest term's weight is past it too, and
+    else the ``what`` amplitude.
+    """
+    mags = np.abs(values)
+    peak = float(mags.max())
+    if not math.isfinite(peak):
+        raise BlowUpError(f"weighted {what} holds non-finite values")
+    mags /= peak
+    with np.errstate(divide="ignore"):
+        terms = np.log(mags) + log_w  # -inf where the amplitude is 0
+    top = float(terms.max())
+    if top > _LOG_MAX:
         raise WeightOverflowError(
             f"weighted {what} norm overflowed; reduce lambda_inf or sigma")
+    terms -= top
+    norm = peak * math.exp(top) * math.sqrt(
+        np.add.reduce(np.square(np.exp(terms, out=terms)), axis=None))
+    if norm < math.inf:
+        return norm
     raise WeightOverflowError(
         f"weighted {what} norm overflowed: the {what} amplitude {peak:.3e} "
         "times its finite weight leaves the double range; shrink the datum "
@@ -263,19 +243,26 @@ def n1_at_time(state, w: GevreyWeight) -> float:
     sqrt of sum over derivative orders j <= moments, modes k, and eta of
     exp(2 lambda(t) <k,eta>^gamma) <k,eta>^(2 sigma + 2) |d^j ghat|^2,
     with trapezoidal eta quadrature.  Every order comes from one
-    :func:`_eta_derivatives` stack; |.|^2, the log and the weight are taken
-    once over it.  The grid's weight tables are remembered (``_n1_tables``).
+    :func:`_eta_derivatives` stack, summed in one :func:`_weighted_rss`.
+    The grid's weight tables are remembered (``_n1_tables``).  A finite
+    state too large for its differences raises :class:`WeightOverflowError`.
     """
     values = np.asarray(state.values)
     _require_finite(values, "state")
     k = np.ascontiguousarray(state.k_values, dtype=float)
     eta = np.ascontiguousarray(state.eta, dtype=float)
-    br_gamma, log_poly, quad = _n1_tables(k.tobytes(), eta.tobytes(), w)
-    log_w2 = 2.0 * float(lambda_of_t(w, state.time)) * br_gamma
-    log_w2 += log_poly
-    log_w2 += quad
-    derivs = _eta_derivatives(values, float(eta[1] - eta[0]), w.moments)
-    return _weighted_root(derivs, log_w2, "distribution")
+    br_gamma, log_rest = _n1_tables(k.tobytes(), eta.tobytes(), w)
+    log_w = float(lambda_of_t(w, state.time)) * br_gamma
+    log_w += log_rest
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs = _eta_derivatives(values, float(eta[1] - eta[0]), w.moments)
+    try:
+        return _weighted_rss(derivs, log_w, "distribution")
+    except BlowUpError:  # a finite state whose differences overflow
+        raise WeightOverflowError(
+            "weighted distribution norm overflowed: the distribution amplitude "
+            f"{np.max(np.abs(values)):.3e} leaves the double range in its eta "
+            "differences; shrink the datum amplitude") from None
 
 
 def norm_N2(density, w: GevreyWeight) -> float:
@@ -295,10 +282,9 @@ def norm_N2(density, w: GevreyWeight) -> float:
     dt = float(times[1] - times[0])
     br = bracket(k[None, :], k[None, :] * times[:, None])
     lam = np.asarray(lambda_of_t(w, times), dtype=float)[:, None]
-    log_w2 = (math.log(dt)
-              + 2.0 * w.b * np.log(time_bracket(times))[:, None]
-              + 2.0 * lam * br**w.gamma + 2.0 * w.sigma * np.log(br))
-    return _weighted_root(values, log_w2, "density")
+    log_w = (0.5 * math.log(dt) + w.b * np.log(time_bracket(times))[:, None]
+             + lam * br**w.gamma + w.sigma * np.log(br))
+    return _weighted_rss(values, log_w, "density")
 
 
 @dataclass(frozen=True)

@@ -437,11 +437,12 @@ def roundtrip_check(run: ScatteringRun, model: ModelConfig, eq: Equilibrium,
 def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
                       grids: RunGrids, amplitude: float, mode: int = 1,
                       fit_window: tuple[float, float] = (5.0, 25.0),
-                      ) -> LinearDecayReport:
+                      width: float = 1.0) -> LinearDecayReport:
     """Forward run of a small single-mode datum with a field-envelope fit.
 
-    Starts the self-consistent dynamics from the datum profile at t = 0 and
-    fits the exponential envelope of one field mode's magnitude over
+    Starts the self-consistent dynamics at t = 0 from the datum profile, a
+    Gaussian of frequency width ``width`` that the grid's horizon must hold,
+    and fits the exponential envelope of one field mode's magnitude over
     ``fit_window``; in the small-amplitude regime the rate reproduces the
     linear-theory root of the dispersion function. A window that is empty
     or starts at or after the last grid time, or a mode off the lattice, is
@@ -453,7 +454,7 @@ def landau_linear_run(model: ModelConfig, eq: Equilibrium, w: GevreyWeight,
             f"fit window [{lo:g}, {hi:g}] must start before it ends and "
             f"before t_final = {grids.time.t_final:g}")
     idx = grids.phase.index_of(int(mode))
-    datum = gaussian_datum({int(mode): amplitude})
+    datum = gaussian_datum({int(mode): amplitude}, width=width)
     grids.phase.validate_horizon(grids.time.t_final, datum.width)
     provider = SelfConsistentFieldProvider(model, w)
     at_time: dict[float, np.ndarray] = {}

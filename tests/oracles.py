@@ -60,6 +60,10 @@ combination in place and must agree with it bit for bit.
 fractional bracket-power inequalities, reported in a
 ``GevreyInequalityReport``; no config can change them, so no command runs it.
 
+``gevrey_datum`` is a datum whose frequency profile e^{-c(<eta>^s - 1)} is
+of Gevrey class 1/s and not analytic: the regime of the source paper.  The
+package ships only the Gaussian datum, so the Gevrey one lives here.
+
 ``load_state_csv`` reads a ``g0_state.csv`` back into a ``SpectralState``:
 the inverse of ``vpscatter.cli.write_state_csv``; no command reads a state
 file back.
@@ -79,8 +83,8 @@ from vpscatter.dispersion import (_GRID_TOL, _MAX_DOUBLINGS, _corner_coeffs,
                                   _nested_simpson, _tail_cutoff)
 from vpscatter.errors import ConfigError, QuadratureError
 from vpscatter.field import h_of_field
-from vpscatter.kinetic import (EDGE_SLACK, PhaseGrid, SpectralState,
-                               StateInterpolant, transport_rhs)
+from vpscatter.kinetic import (EDGE_SLACK, AsymptoticDatum, PhaseGrid,
+                               SpectralState, StateInterpolant, transport_rhs)
 from vpscatter.model import Equilibrium, ModelConfig
 from vpscatter.volterra import (_check_diagonal, _operator_entries,
                                 build_discrete_resolvent)
@@ -587,6 +591,25 @@ def gevrey_inequality_suite(gamma: float, samples: int,
         nearby_violations=near_viol,
         comparable_constant=cmp_const,
     )
+
+
+def gevrey_datum(modes, s: float, c: float) -> AsymptoticDatum:
+    """Datum with the given spatial coefficients, their conjugates at -k,
+    and the frequency profile e^{-c(<eta>^s - 1)}, <eta> = sqrt(1 + eta^2),
+    which is 1 at eta = 0; ``width`` 1 sizes the horizon check."""
+    table = {}
+    for k, a in modes.items():
+        table[int(k)] = complex(a)
+        table.setdefault(-int(k), complex(a).conjugate())
+
+    def evaluator(k, eta):
+        k = np.asarray(k)
+        eta = np.asarray(eta, dtype=float)
+        amp = sum(np.where(k == k0, a, 0.0j) for k0, a in table.items())
+        return amp * np.exp(-c * ((1.0 + eta * eta) ** (0.5 * s) - 1.0))
+
+    return AsymptoticDatum(evaluator=evaluator, width=1.0,
+                           amplitude=sum(abs(a) for a in table.values()))
 
 
 def load_state_csv(path) -> SpectralState:

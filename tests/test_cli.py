@@ -577,6 +577,22 @@ class TestCommands:
         assert [float(row[column]) for row in rows[1:]] == \
             report.field_abs.tolist()
 
+    def test_damp_profile_has_the_datum_width(self, tmp_path):
+        # the horizon check and the forward run read one width: 0.5 fits
+        # eta_max 11 (k_max T + 6 width = 11), and each width gives its own
+        # field table
+        tables = {}
+        for width, eta_max in ((0.5, 11.0), (1.0, 16.0), (1.3, 16.0)):
+            text = (DAMP_RUN.replace("grid.eta_max = 16.0",
+                                     f"grid.eta_max = {eta_max}")
+                    + f"datum.width = {width}\n")
+            cfg = parse_config(write_config(tmp_path, text, f"w{width}.cfg"))
+            out = tmp_path / f"w{width}"
+            assert run_command("damp", cfg.replaced(**{"out.dir": str(out)})) \
+                == EXIT_OK
+            tables[width] = (out / "efield.csv").read_text()
+        assert len(set(tables.values())) == 3
+
     @pytest.mark.parametrize("start,end", [(8.0, 9.0), (6.0, 6.0)],
                              ids=["late", "empty"])
     def test_damp_refuses_fit_window_before_any_step(self, tmp_path,

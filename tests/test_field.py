@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vpscatter import field
+from vpscatter import field, gevrey
 from vpscatter.errors import (BlowUpError, ConfigError, NoContractionError,
                               WeightOverflowError)
 from vpscatter.field import (efield_weighted_norms, electric_from_density,
@@ -246,12 +246,12 @@ class TestWeightedNorm:
         # only a row whose squares underflow or overflow is summed again
         rescaled = []
 
-        def spy(values, log_w2, what):
+        def spy(values, log_w, what):
             rescaled.append(values.copy())
-            return field_weighted_root(values, log_w2, what)
+            return rescaled_rss(values, log_w, what)
 
-        field_weighted_root = field._weighted_root
-        monkeypatch.setattr(field, "_weighted_root", spy)
+        rescaled_rss = gevrey._rescaled_rss
+        monkeypatch.setattr(gevrey, "_rescaled_rss", spy)
         w = GevreyWeight()
         got = weighted_density_norm(w, 3.0, np.zeros(5))
         assert got == 0.0 and type(got) is float and not rescaled
@@ -286,12 +286,18 @@ class TestWeightedNorm:
 
     def test_weighted_amplitude_past_the_double_range_names_the_amplitude(self):
         # finite weights times the amplitude overflow: the error blames the
-        # amplitude; an infinite weight is blamed on lambda_inf and sigma
+        # amplitude; an infinite weight on a nonzero amplitude is blamed on
+        # lambda_inf and sigma
         with pytest.raises(WeightOverflowError, match="slice amplitude 1.000e"):
             weighted_density_norm(GevreyWeight(), 0.0, pair_slice(4, 1, 1e307))
+        wide = GevreyWeight(sigma=1000.0)  # weights past the range at |k| >= 2
         with pytest.raises(WeightOverflowError, match="lambda_inf or sigma"):
-            weighted_density_norm(GevreyWeight(sigma=1000.0), 0.0,
-                                  pair_slice(4, 1, 1.0))
+            weighted_density_norm(wide, 0.0, pair_slice(4, 2, 1.0))
+        # zero amplitudes under those infinite weights add nothing
+        got = weighted_density_norm(wide, 0.0, pair_slice(4, 1, 1.0))
+        want = math.sqrt(2.0) * math.exp(
+            float(log_weight_A(wide, 0.0, 1.0, 0.0)))
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestPoissonFixedPoint:
@@ -389,7 +395,7 @@ class TestPoissonFixedPoint:
         for t in (t_a, t_b, t_c):
             row = field._density_weights(self.W, t, q.size)
             assert not row.flags.writeable
-            assert np.array_equal(row, np.exp(log_weight_A(self.W, t, k, k * t)))
+            assert np.array_equal(row, log_weight_A(self.W, t, k, k * t))
 
 
 def translated(values, theta):

@@ -20,8 +20,6 @@ from vpscatter.errors import BlowUpError, ConfigError, WeightOverflowError
 from vpscatter.gevrey import (
     GevreyWeight,
     _eta_derivatives,
-    _log_abs_sq,
-    _log_sum_exp,
     bracket,
     lambda_of_t,
     log_weight_A,
@@ -244,6 +242,18 @@ def test_norm_overflow_guard():
         n1_at_time(st, w)
 
 
+def test_n1_of_differences_past_the_double_range_names_the_amplitude():
+    # a finite state whose eta differences overflow: the amplitude is
+    # blamed, with no numpy warning
+    grid = PhaseGrid(1, 10.0, 0.5)
+    values = 1e307 * np.exp(-0.05 * grid.eta**2)[None, :] * np.ones((3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightOverflowError,
+                           match="amplitude 1.000e\\+307 leaves the double"):
+            n1_at_time(SpectralState(0.5, grid, values), GevreyWeight())
+
+
 def test_density_norm_overflow_guard():
     w = GevreyWeight(lambda_inf=0.9, c_decay=0.05)
     times = np.arange(0.0, 4e6 + 1, 1e4)
@@ -281,9 +291,10 @@ def test_norm_equivalence_gap_shrinks():
     assert gaps[2] < gaps[1] / 8
 
 
-# --- frozen oracle: the norm kernel with np.pad differences, per-call weight
-# tables and scipy's logsumexp; the package must match it bit for bit on
-# finite data
+# --- oracles: the norm kernel with np.pad differences, per-call weight
+# tables and a plain weighted sum of squares, which the package must match
+# bit for bit on finite data; and the frozen log-domain form through scipy's
+# logsumexp, which the package computed first and must stay within roundoff of
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -334,6 +345,44 @@ def oracle_tap_derivative(values, d_eta, order):
     return out
 
 
+def oracle_plain_root(values, log_w):
+    """sqrt(sum((exp(log_w) |values|)^2)) as one plain sum."""
+    x = np.exp(log_w) * np.abs(values)
+    return math.sqrt(np.sum(x * x))
+
+
+def oracle_quad(n, d_eta):
+    """Trapezoid weights of n nodes spaced d_eta apart."""
+    quad = np.full(n, d_eta)
+    quad[0] /= 2.0
+    quad[-1] /= 2.0
+    return quad
+
+
+def oracle_n1(state, w, derivative=oracle_derivative):
+    k = np.asarray(state.k_values, dtype=float)[:, None]
+    eta = np.asarray(state.eta, dtype=float)[None, :]
+    br = bracket(k, eta)
+    d_eta = float(state.eta[1] - state.eta[0])
+    log_w = (float(lambda_of_t(w, state.time)) * br**w.gamma
+             + ((w.sigma + 1.0) * np.log(br)
+                + 0.5 * np.log(oracle_quad(br.shape[1], d_eta))))
+    derivs = np.stack([derivative(np.asarray(state.values), d_eta, order)
+                       for order in range(w.moments + 1)])
+    return oracle_plain_root(derivs, log_w)
+
+
+def oracle_n2(density, w):
+    times = np.asarray(density.times, dtype=float)
+    k = np.asarray(density.k_values, dtype=float)
+    dt = float(times[1] - times[0])
+    br = bracket(k[None, :], k[None, :] * times[:, None])
+    lam = np.asarray(lambda_of_t(w, times), dtype=float)[:, None]
+    log_w = (0.5 * math.log(dt) + w.b * np.log(time_bracket(times))[:, None]
+             + lam * br**w.gamma + w.sigma * np.log(br))
+    return oracle_plain_root(np.asarray(density.values), log_w)
+
+
 def oracle_log_abs_sq(values):
     mag2 = np.abs(values) ** 2
     with np.errstate(divide="ignore"):
@@ -350,7 +399,7 @@ def oracle_sqrt_of_exp_sum(logs):
     return float(np.exp(half))
 
 
-def oracle_n1_logs(state, w, derivative=oracle_derivative):
+def oracle_n1_logs(state, w):
     k = np.asarray(state.k_values, dtype=float)[:, None]
     eta = np.asarray(state.eta, dtype=float)[None, :]
     br = bracket(k, eta)
@@ -361,16 +410,16 @@ def oracle_n1_logs(state, w, derivative=oracle_derivative):
     quad_logs[0] -= math.log(2.0)
     quad_logs[-1] -= math.log(2.0)
     return np.stack([log_w2 + quad_logs[None, :]
-                     + oracle_log_abs_sq(derivative(np.asarray(state.values),
-                                                    d_eta, order))
+                     + oracle_log_abs_sq(oracle_derivative(
+                         np.asarray(state.values), d_eta, order))
                      for order in range(w.moments + 1)])
 
 
-def oracle_n1(state, w, derivative=oracle_derivative):
-    return oracle_sqrt_of_exp_sum(oracle_n1_logs(state, w, derivative))
+def logsumexp_n1(state, w):
+    return oracle_sqrt_of_exp_sum(oracle_n1_logs(state, w))
 
 
-def oracle_n2(density, w):
+def logsumexp_n2(density, w):
     times = np.asarray(density.times, dtype=float)
     k = np.asarray(density.k_values, dtype=float)
     dt = float(times[1] - times[0])
@@ -427,6 +476,28 @@ def test_n1_within_roundoff_of_the_tap_form(grid):
             assert abs(n1_at_time(state, w) - tap) <= 1e-14 * tap
 
 
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"k{g.k_max}-eta{g.eta_max}/{g.delta_eta}")
+def test_n1_and_n2_within_roundoff_of_the_logsumexp_form(grid):
+    # the plain weighted sum rounds differently from the log-domain form the
+    # norms took first (log squares plus log weights, scipy's logsumexp, one
+    # exp); N1 and N2 move at roundoff only
+    rng = np.random.default_rng(grid.n_eta + 2)
+    for w in (GevreyWeight(), GevreyWeight(gamma=0.7, sigma=13.5, moments=4)):
+        for time in (0.0, 3.7, 31.9):
+            state = random_state(grid, rng, time)
+            want = logsumexp_n1(state, w)
+            assert abs(n1_at_time(state, w) - want) <= 1e-14 * want
+        times = np.arange(0.0, 8.0 + 0.05, 0.1)
+        shape = (times.size, grid.n_modes)
+        values = 1e-4 * (rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
+        dens = SimpleNamespace(times=times, k_values=grid.k_values,
+                               values=values)
+        want = logsumexp_n2(dens, w)
+        assert abs(norm_N2(dens, w) - want) <= 1e-14 * want
+
+
 COVARIANCE_GRIDS = [PhaseGrid(1, 8.0, 0.25), PhaseGrid(2, 22.0, 0.25),
                     PhaseGrid(3, 12.0, 0.125)]
 
@@ -451,42 +522,6 @@ def test_n1_is_translation_and_reflection_covariant(grid, theta, log_amp,
         assert abs(moved - base) <= 1e-13 * base
 
 
-def masked_log_abs_sq(values):
-    """log |values|^2 as a fill of -inf and a log masked to the positive
-    squares."""
-    with np.errstate(over="ignore"):
-        mag2 = np.abs(values) ** 2
-    return np.log(mag2, where=mag2 > 0, out=np.full(mag2.shape, -np.inf))
-
-
-def test_log_abs_sq_matches_the_masked_log():
-    tiny = np.finfo(float).tiny
-    big = np.finfo(float).max
-    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
-    subnormal = [1e-160, 3e-161j, complex(1e-160, -2e-160)]
-    to_zero = [5e-324, 1e-170, 1e-200j]
-    overflow = [1e160, -1e160j, complex(1e155, 1e155), big, complex(big, big)]
-    normal = [np.sqrt(tiny), np.sqrt(big), 1.0, -2.5 + 0.5j]
-    edge_cases = np.array(zeros + subnormal + to_zero + overflow + normal)
-    rng = np.random.default_rng(9)
-    spread = (10.0 ** rng.uniform(-330, 308, size=(3, 200))
-              * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 200))))
-    for values in (edge_cases, spread):
-        with warnings.catch_warnings(), np.errstate(all="warn"):
-            warnings.simplefilter("error")
-            got = _log_abs_sq(values, np.empty(values.shape))
-        with np.errstate(divide="ignore"):
-            want = masked_log_abs_sq(values)
-        assert np.array_equal(got, want)
-    logs = _log_abs_sq(edge_cases, np.empty(edge_cases.shape))
-    bounds = np.cumsum([len(zeros), len(subnormal), len(to_zero), len(overflow)])
-    assert np.all(logs[:bounds[0]] == -np.inf)
-    assert np.all(np.isfinite(logs[bounds[0]:bounds[1]]))
-    assert np.all(logs[bounds[1]:bounds[2]] == -np.inf)
-    assert np.all(logs[bounds[2]:bounds[3]] == np.inf)
-    assert np.all(np.isfinite(logs[bounds[3]:]))
-
-
 @pytest.mark.parametrize("grid", ORACLE_GRIDS[3:], ids=("scatter", "vpme"))
 def test_n2_matches_oracle_bit_for_bit(grid):
     rng = np.random.default_rng(7)
@@ -507,7 +542,9 @@ def test_n1_tied_maxima_match_oracle():
     w = GevreyWeight()
     logs = oracle_n1_logs(state, w)
     assert np.count_nonzero(logs == logs.max()) > 1
-    assert n1_at_time(state, w) == oracle_n1(state, w)
+    got = n1_at_time(state, w)
+    assert got == oracle_n1(state, w)
+    assert abs(got - logsumexp_n1(state, w)) <= 1e-14 * got
 
 
 def test_single_entry_and_zero_match_oracle():
@@ -530,24 +567,13 @@ def test_single_entry_and_zero_match_oracle():
     assert norm_N2(dens1, w) == oracle_n2(dens1, w)
 
 
-def test_log_sum_exp_matches_scipy():
-    rng = np.random.default_rng(2)
-    cases = [np.array([-np.inf, 3.25, -np.inf]),  # s == 0
-             np.array([1.5, 1.5, 1.5, -2.0]),  # three tied maxima
-             np.array([[700.0, 700.0], [-np.inf, 650.0]]),
-             rng.normal(size=(3, 5, 41)) * 50.0]
-    for logs in cases:
-        assert _log_sum_exp(logs.copy()) == logsumexp(logs)
-    assert _log_sum_exp(np.full(4, -np.inf)) == -np.inf
-
-
 def test_n1_overflow_matches_oracle():
     w = GevreyWeight(lambda_inf=0.9, c_decay=0.05)
     eta = np.arange(-4e6, 4e6 + 1, 1e4)
     st = SimpleNamespace(time=0.0, k_values=np.array([1]), eta=eta,
                          values=np.ones((1, eta.size), dtype=complex))
     with pytest.raises(WeightOverflowError):
-        oracle_n1(st, w)
+        logsumexp_n1(st, w)
     with pytest.raises(WeightOverflowError):
         n1_at_time(st, w)
 
